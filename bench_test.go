@@ -6,8 +6,8 @@ package autonosql_test
 // experiment, E1–E5, plus a micro-benchmark of the simulation itself.
 // Benchmarks run the quick-scale sweep so `go test -bench=.` finishes in
 // minutes; the full sweep used for EXPERIMENTS.md is produced by
-// `go run ./cmd/benchrunner -exp all`. Performance benchmarks and the
-// recorded BENCH_*.json trajectory are described in PERFORMANCE.md.
+// `go run ./cmd/benchrunner -exp all`. Performance is measured by the
+// benchmark of record in bench/ (see bench/README.md), not here.
 //
 // Each benchmark reports domain metrics (window percentiles, violation
 // minutes, cost) through b.ReportMetric, so -benchmem output doubles as a

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"autonosql"
+	"autonosql/internal/cli"
 	"autonosql/internal/hunt"
 )
 
@@ -37,7 +38,6 @@ func run(args []string, out *os.File) int {
 	fs := flag.NewFlagSet("hunter", flag.ContinueOnError)
 	var (
 		check       = fs.String("check", "", "verify every committed case in the given directory and exit")
-		shards      = fs.Int("shards", 1, "simulation shards per evaluation; a pure performance knob that\nnever affects scores or verification results")
 		objective   = fs.String("objective", "gold-violations", "badness objective: gold-violations, shed-storm, oscillation, cost-blowup")
 		seed        = fs.Int64("seed", 1, "hunter seed driving the mutation stream")
 		rounds      = fs.Int("rounds", 4, "hill-climbing rounds")
@@ -52,18 +52,18 @@ func run(args []string, out *os.File) int {
 		nodes      = fs.Int("nodes", 3, "initial cluster size")
 		nodeOps    = fs.Float64("node-ops", 2500, "per-node sustainable ops/s")
 		controller = fs.String("controller", "smart", "controller: none, reactive, smart")
-		tenants    = fs.String("tenants", "gold:diurnal:800:peak=1400:read=0.6,bronze:spike:300:peak=1800:read=0.2",
-			"base tenant mix (class:pattern:base[:peak=P][:read=F][:keys=K][:name=N], comma-separated)")
-		admission = fs.String("admission", "on", "admission control: off | on[:mode=][:frac=][:floor=][:cooldown=][:hold=]")
-		faults    = fs.String("faults", "", "base fault plan (kind:start:duration[:n=N][:sev=S], comma-separated)")
-		placement = fs.Bool("placement", false, "allow class-aware placement actions")
 	)
+	shared := cli.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	if *check != "" {
-		return runCheck(*check, *shards, out)
+		return runCheck(*check, *shared.Shards, out)
+	}
+	if *outDir != "" && *name == "" {
+		fmt.Fprintln(os.Stderr, "hunter: -out requires -name")
+		return 2
 	}
 
 	obj, err := hunt.ParseObjective(*objective)
@@ -77,26 +77,10 @@ func run(args []string, out *os.File) int {
 	spec.Cluster.InitialNodes = *nodes
 	spec.Cluster.NodeOpsPerSec = *nodeOps
 	spec.Controller.Mode = autonosql.ControllerMode(*controller)
-	tenantSpecs, err := autonosql.ParseTenantSpecs(*tenants)
-	if err != nil {
+	if err := shared.Apply(&spec); err != nil {
 		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
 		return 2
 	}
-	spec.Tenants = tenantSpecs
-	admissionSpec, err := autonosql.ParseAdmissionSpec(*admission)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
-		return 2
-	}
-	spec.Controller.Admission = admissionSpec
-	plan, err := autonosql.ParseFaultPlan(*faults)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
-		return 2
-	}
-	spec.Faults = plan
-	spec.Controller.AllowPlacement = *placement
-	spec.Shards = *shards
 
 	cfg := hunt.Config{
 		Base:               spec,
@@ -127,10 +111,6 @@ func run(args []string, out *os.File) int {
 	}
 
 	if *outDir != "" {
-		if *name == "" {
-			fmt.Fprintln(os.Stderr, "hunter: -out requires -name")
-			return 2
-		}
 		c, trace, err := hunt.NewCase(*name, cfg, res)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hunter: %v\n", err)

@@ -33,6 +33,8 @@ import (
 	"time"
 
 	"autonosql"
+	"autonosql/internal/cli"
+	"autonosql/internal/text"
 )
 
 func main() {
@@ -49,9 +51,6 @@ func run(args []string, out *os.File) int {
 		nodes       = fs.String("nodes", "3,6", "comma-separated initial cluster sizes to sweep")
 		slaTiers    = fs.String("sla-tiers", "", "comma-separated SLA tiers to sweep (tight, default, loose); empty keeps the base SLA")
 		faultAxis   = fs.String("faults", "", "comma-separated fault profiles to sweep (none, crash, partition, slow, storm),\nscaled to the run duration; empty keeps runs fault-free")
-		tenants     = fs.String("tenants", "", "named tenants applied to every variant, comma-separated\nclass:pattern:base[:peak=P][:read=F][:keys=K][:name=N]")
-		admission   = fs.String("admission", "", "tenant admission control for smart variants:\noff | on[:frac=F][:floor=R][:cooldown=D][:hold=D]")
-		placement   = fs.Bool("placement", false, "allow smart variants to dedicate nodes to an SLA class")
 		mixAxis     = fs.String("tenant-mixes", "", "comma-separated tenant mixes to sweep (none, gold-bronze, three-tier);\nempty keeps the base tenants")
 		tenantsCSV  = fs.String("tenants-csv", "", "write the per-tenant results as CSV to this file")
 		repeats     = fs.Int("repeats", 1, "runs per grid cell with distinct derived seeds")
@@ -67,15 +66,13 @@ func run(args []string, out *os.File) int {
 		jsonPath    = fs.String("json", "", "write the full suite report as JSON to this file")
 		streamAgg   = fs.Bool("stream-agg", false, "aggregate results one variant at a time, retaining O(parallelism)\nreports instead of the whole grid; exports stream straight to their files")
 		spillDir    = fs.String("spill-dir", "", "write each variant's full result to its own JSON file in this\ndirectory as it completes (implies -stream-agg)")
-		audit       = fs.Bool("audit", false, "record each variant's MAPE decision audit trail into its report\n(carried by the -json export)")
-		traceDir    = fs.String("trace-ops", "", "directory to write each variant's sampled op-trace spans into\n(one <variant>.spans.jsonl file per variant)")
-		traceEvery  = fs.Int("trace-every", 1, "with -trace-ops, sample every Nth operation")
-		profile     = fs.Bool("profile", false, "record each variant's engine self-profiling counters into its report")
 		list        = fs.Bool("list", false, "print the expanded variants and exit without running")
 	)
+	shared := cli.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	traceDir := shared.TraceOps
 
 	base := autonosql.DefaultScenarioSpec()
 	base.Seed = *seed
@@ -84,26 +81,9 @@ func run(args []string, out *os.File) int {
 	base.Cluster.MaxNodes = *maxNodes
 	base.Workload.BaseOpsPerSec = *baseOps
 	base.Workload.PeakOpsPerSec = *peakOps
-	baseTenants, err := autonosql.ParseTenantSpecs(*tenants)
-	if err != nil {
+	if err := shared.Apply(&base); err != nil {
 		fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
 		return 2
-	}
-	base.Tenants = baseTenants
-	admissionSpec, err := autonosql.ParseAdmissionSpec(*admission)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-		return 2
-	}
-	base.Controller.Admission = admissionSpec
-	base.Controller.AllowPlacement = *placement
-	if *audit || *traceDir != "" || *profile {
-		base.Observe = &autonosql.ObserveSpec{
-			TraceOps:    *traceDir != "",
-			SampleEvery: *traceEvery,
-			Audit:       *audit,
-			Profile:     *profile,
-		}
 	}
 
 	grid, err := buildGrid(*patterns, *controllers, *nodes, *slaTiers, *faultAxis, *mixAxis, *shardAxis, *duration, *repeats)
@@ -173,87 +153,50 @@ func run(args []string, out *os.File) int {
 	fmt.Fprintf(out, "autonosql suite: %d variants, %v simulated each\n\n", len(variants), *duration)
 	started := time.Now()
 
-	// Two execution paths with identical output bytes: the default holds the
-	// whole SuiteReport in memory; -stream-agg folds each result into a
-	// SuiteAggregator as it completes, writing the exports incrementally and
-	// retaining O(parallelism) reports. Either way a mid-suite failure keeps
-	// the completed variants: tables and exports cover the completed prefix
-	// and the failure is reported alongside.
-	type suiteTables interface {
-		ComparisonTable() string
-		CostTable() string
-		FaultsTable() string
-		TenantsTable() string
-	}
+	// Both run modes render through one SuiteAggregator: -stream-agg folds
+	// each result in as it completes, retaining O(parallelism) reports; the
+	// default runs the whole grid, then feeds the finished report. Either
+	// way a mid-suite failure keeps the completed variants: tables and
+	// exports cover the completed prefix and the failure is reported
+	// alongside.
 	var (
-		tables    suiteTables
-		cheapest  *autonosql.VariantResult
-		failures  []error
-		completed int
-		runErr    error
+		agg    *autonosql.SuiteAggregator
+		runErr error
 	)
-	if *streamAgg || *spillDir != "" {
-		opts := autonosql.SuiteAggregatorOptions{SpillDir: *spillDir}
-		var files []*os.File
-		open := func(path string) *os.File {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return nil
-			}
-			files = append(files, f)
-			return f
-		}
-		if *csvPath != "" {
-			if opts.CSV = open(*csvPath); opts.CSV == nil {
-				return 1
+	exportErr := cli.WriteFiles([]string{*csvPath, *jsonPath, *tenantsCSV}, func(ws []io.Writer) error {
+		agg = autonosql.NewSuiteAggregator(autonosql.SuiteAggregatorOptions{
+			CSV: ws[0], JSON: ws[1], TenantsCSV: ws[2], SpillDir: *spillDir,
+		})
+		if *streamAgg || *spillDir != "" {
+			_, runErr = suite.RunStream(agg.Consume())
+		} else {
+			var report *autonosql.SuiteReport
+			report, runErr = suite.Run()
+			for _, v := range report.Variants {
+				if err := agg.Add(v); err != nil {
+					return err
+				}
 			}
 		}
-		if *jsonPath != "" {
-			if opts.JSON = open(*jsonPath); opts.JSON == nil {
-				return 1
-			}
-		}
-		if *tenantsCSV != "" {
-			if opts.TenantsCSV = open(*tenantsCSV); opts.TenantsCSV == nil {
-				return 1
-			}
-		}
-		agg := autonosql.NewSuiteAggregator(opts)
-		_, runErr = suite.RunStream(agg.Consume())
-		if err := agg.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
-		for _, f := range files {
-			if err := f.Close(); err != nil && runErr == nil {
-				runErr = err
-			}
-		}
-		tables = agg
-		cheapest = agg.CheapestCompliant()
-		failures = agg.Failures()
-		completed = agg.Added() - len(failures)
-	} else {
-		var report *autonosql.SuiteReport
-		report, runErr = suite.Run()
-		tables = report
-		cheapest = report.CheapestCompliant(0)
-		for _, v := range report.Variants {
-			if v.Err != nil {
-				failures = append(failures, v.Err)
-			}
-		}
-		completed = report.Len() - len(failures)
+		return agg.Close()
+	})
+	if agg == nil {
+		// An export file could not be created; nothing ran.
+		fmt.Fprintf(os.Stderr, "suiterunner: %v\n", exportErr)
+		return 1
+	}
+	if runErr == nil {
+		runErr = exportErr
 	}
 
-	fmt.Fprint(out, tables.ComparisonTable())
+	fmt.Fprint(out, agg.ComparisonTable())
 	fmt.Fprintln(out)
-	fmt.Fprint(out, tables.CostTable())
-	if ft := tables.FaultsTable(); ft != "" {
+	fmt.Fprint(out, agg.CostTable())
+	if ft := agg.FaultsTable(); ft != "" {
 		fmt.Fprintln(out)
 		fmt.Fprint(out, ft)
 	}
-	if tt := tables.TenantsTable(); tt != "" {
+	if tt := agg.TenantsTable(); tt != "" {
 		fmt.Fprintln(out)
 		fmt.Fprint(out, tt)
 	}
@@ -285,7 +228,7 @@ func run(args []string, out *os.File) int {
 		}
 		for i, v := range variants {
 			path := filepath.Join(*traceDir, spanFileName(v.Name))
-			if err := writeFile(path, held[i].WriteSpans); err != nil {
+			if err := cli.WriteFile(path, held[i].WriteSpans); err != nil {
 				fmt.Fprintf(os.Stderr, "suiterunner: variant %q: %v\n", v.Name, err)
 				return 1
 			}
@@ -293,54 +236,30 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintf(out, "wrote %d variant span files to %s\n", len(variants), *traceDir)
 	}
 
-	if cheapest != nil {
+	if cheapest := agg.CheapestCompliant(); cheapest != nil {
 		fmt.Fprintf(out, "cheapest fully compliant variant: %s ($%.2f)\n", cheapest.Name, cheapest.Report.Cost.Total)
 	}
 
-	if !*streamAgg && *spillDir == "" {
-		report := tables.(*autonosql.SuiteReport)
-		if *csvPath != "" {
-			if err := writeFile(*csvPath, report.WriteCSV); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(out, "wrote CSV results to %s\n", *csvPath)
-		}
-		if *jsonPath != "" {
-			if err := writeFile(*jsonPath, report.WriteJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(out, "wrote JSON report to %s\n", *jsonPath)
-		}
-		if *tenantsCSV != "" {
-			if err := writeFile(*tenantsCSV, report.WriteTenantsCSV); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(out, "wrote per-tenant CSV results to %s\n", *tenantsCSV)
-		}
-	} else {
-		if *csvPath != "" {
-			fmt.Fprintf(out, "wrote CSV results to %s\n", *csvPath)
-		}
-		if *jsonPath != "" {
-			fmt.Fprintf(out, "wrote JSON report to %s\n", *jsonPath)
-		}
-		if *tenantsCSV != "" {
-			fmt.Fprintf(out, "wrote per-tenant CSV results to %s\n", *tenantsCSV)
-		}
-		if *spillDir != "" {
-			fmt.Fprintf(out, "spilled per-variant results to %s\n", *spillDir)
-		}
+	if *csvPath != "" {
+		fmt.Fprintf(out, "wrote CSV results to %s\n", *csvPath)
+	}
+	if *jsonPath != "" {
+		fmt.Fprintf(out, "wrote JSON report to %s\n", *jsonPath)
+	}
+	if *tenantsCSV != "" {
+		fmt.Fprintf(out, "wrote per-tenant CSV results to %s\n", *tenantsCSV)
+	}
+	if *spillDir != "" {
+		fmt.Fprintf(out, "spilled per-variant results to %s\n", *spillDir)
 	}
 
 	if runErr != nil {
+		failures := agg.Failures()
 		for _, e := range failures {
 			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", e)
 		}
 		fmt.Fprintf(os.Stderr, "suiterunner: %v (results above cover the %d completed variants)\n",
-			runErr, completed)
+			runErr, agg.Added()-len(failures))
 		return 1
 	}
 	return 0
@@ -422,24 +341,12 @@ func detectTraceCollisions(variants []autonosql.Variant) error {
 // traceFileName maps a variant name (which contains spaces and '=') onto a
 // filesystem-safe trace file name.
 func traceFileName(variant string) string {
-	return safeFileName(variant) + ".trace.jsonl"
+	return text.SafeFileName(variant) + ".trace.jsonl"
 }
 
 // spanFileName is traceFileName's sibling for -trace-ops span exports.
 func spanFileName(variant string) string {
-	return safeFileName(variant) + ".spans.jsonl"
-}
-
-func safeFileName(variant string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '.', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, variant)
+	return text.SafeFileName(variant) + ".spans.jsonl"
 }
 
 func splitList(s string) []string {
@@ -451,16 +358,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

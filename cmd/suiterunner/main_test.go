@@ -61,8 +61,9 @@ func TestStreamAggExportsMatchDefaultPath(t *testing.T) {
 
 	args := append([]string{}, common...)
 	args = append(args, "-csv", filepath.Join(defDir, "r.csv"), "-json", filepath.Join(defDir, "r.json"))
-	if code, out := runCLI(t, args...); code != 0 {
-		t.Fatalf("default run exited %d:\n%s", code, out)
+	code, defOut := runCLI(t, args...)
+	if code != 0 {
+		t.Fatalf("default run exited %d:\n%s", code, defOut)
 	}
 
 	args = append([]string{}, common...)
@@ -74,6 +75,13 @@ func TestStreamAggExportsMatchDefaultPath(t *testing.T) {
 	}
 	if !strings.Contains(out, "cheapest fully compliant variant") {
 		t.Errorf("streamed run output missing the cheapest-compliant line:\n%s", out)
+	}
+	// Tables and winner come from one aggregator in both modes: up to the
+	// wall-clock line the two stdouts are identical, and so is the winner.
+	for _, part := range []func(string) string{tablesOf, cheapestLineOf} {
+		if got, want := part(out), part(defOut); got != want || want == "" {
+			t.Errorf("streamed stdout differs from the default path's:\n--- streamed\n%s\n--- default\n%s", got, want)
+		}
 	}
 
 	for _, name := range []string{"r.csv", "r.json"} {
@@ -95,5 +103,40 @@ func TestStreamAggExportsMatchDefaultPath(t *testing.T) {
 	}
 	if len(spilled) != 2 {
 		t.Errorf("spilled %d files, want one per variant (2)", len(spilled))
+	}
+}
+
+// tablesOf returns a run's stdout up to the wall-clock "completed in" line:
+// the suite header and every comparison table.
+func tablesOf(stdout string) string {
+	tables, _, _ := strings.Cut(stdout, "\ncompleted in ")
+	return tables
+}
+
+// cheapestLineOf returns the "cheapest fully compliant variant" line.
+func cheapestLineOf(stdout string) string {
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "cheapest fully compliant variant") {
+			return line
+		}
+	}
+	return ""
+}
+
+// TestExportCreateFailureRunsNothing pins the fail-fast export set-up: when a
+// later export file cannot be created the run exits 1 before any variant
+// runs (the files already created are closed by cli.WriteFiles, which its
+// own test pins).
+func TestExportCreateFailureRunsNothing(t *testing.T) {
+	dir := t.TempDir()
+	for _, mode := range [][]string{nil, {"-stream-agg"}} {
+		args := append([]string{"-csv", filepath.Join(dir, "r.csv"), "-json", filepath.Join(dir, "missing", "r.json")}, mode...)
+		code, out := runCLI(t, args...)
+		if code != 1 {
+			t.Errorf("%v: exited %d, want 1", args, code)
+		}
+		if strings.Contains(out, "suite comparison") {
+			t.Errorf("%v: the suite ran although an export could not be created:\n%s", args, out)
+		}
 	}
 }

@@ -290,7 +290,7 @@ type LaneProfile struct {
 // ProfileReport is the engine's deterministic self-profiling section,
 // populated only when Observe.Profile is set. Wall-clock quantities (lane
 // occupancy, barrier stall) are deliberately absent — they vary run to run —
-// and live in the benchrunner's measurements instead.
+// and live in the benchmark's measurements (bench/) instead.
 type ProfileReport struct {
 	// Events counts fired events across all lanes; PoolHits/PoolMisses
 	// measure the pooled-event free list, and HeapPeak is the largest

@@ -32,26 +32,23 @@ type Scenario struct {
 	cluster  *cluster.Cluster
 	store    *store.Store
 	monitor  *monitor.Monitor
-	gen      *workload.Generator
 	tenant   *cluster.TenantDriver
 	injector *fault.Injector
 
-	// Multi-tenant mode: one runtime + generator per declared tenant; gen is
-	// nil and the tenant generators carry all client traffic. tenantAct is
-	// the scoped-action surface (admission + placement) the controller and
+	// drivers carry all client traffic, in start order: the anonymous
+	// workload's single driver, or one per declared tenant aligned with
+	// tenantRuntimes. Start order fixes the home engine's sequence numbers,
+	// so it is part of every golden fingerprint.
+	drivers []driver
+
+	// Multi-tenant mode: one runtime per declared tenant. tenantAct is the
+	// scoped-action surface (admission + placement) the controller and
 	// Handle execute tenant- and class-scoped actions through.
 	tenantRuntimes []*tenant.Runtime
-	tenantGens     []*workload.Generator
 	tenantAct      *tenantActuator
 
-	// Replay mode (spec.Replay != nil): trace sources take the generators'
-	// place — source for the anonymous workload, tenantSources aligned with
-	// tenantRuntimes — and issue the recorded arrivals at their exact times.
-	source        *workload.TraceSource
-	tenantSources []*workload.TraceSource
-
 	// recorder, when armed via RecordTrace, captures the arrival stream of
-	// whichever drivers (generators or trace sources) the scenario runs.
+	// the drivers.
 	recorder *workload.TraceRecorder
 
 	agreement sla.SLA
@@ -179,31 +176,8 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 	// With declared tenants, each tenant gets its own generator, runtime and
 	// disjoint key-space slice instead of the single anonymous workload.
 	if len(spec.Tenants) == 0 {
-		deng, err := s.driverEngine()
-		if err != nil {
-			return nil, err
-		}
-		if spec.Replay != nil {
-			src, err := workload.NewTraceSource(deng, mon, spec.Replay.eventsFor(""))
-			if err != nil {
-				return nil, fmt.Errorf("autonosql: assembling replay: %w", err)
-			}
-			s.source = src
-		} else {
-			keys, err := s.keyChooser()
-			if err != nil {
-				return nil, err
-			}
-			gen, err := workload.NewGenerator(workload.Config{
-				Profile: spec.loadProfile(),
-				Mix:     workload.Mix{ReadFraction: spec.Workload.ReadFraction},
-				Keys:    keys,
-				Until:   spec.Duration,
-			}, deng, mon, rnd)
-			if err != nil {
-				return nil, fmt.Errorf("autonosql: assembling workload: %w", err)
-			}
-			s.gen = gen
+		if err := s.addDriver("", mon, spec.Workload, 0); err != nil {
+			return nil, fmt.Errorf("autonosql: assembling workload: %w", err)
 		}
 	} else if err := s.assembleTenants(); err != nil {
 		return nil, err
@@ -326,10 +300,6 @@ const (
 	SeriesWriteLatencyP99 = "write_latency_p99_ms"
 )
 
-func (s *Scenario) keyChooser() (workload.KeyChooser, error) {
-	return s.keyChooserFor(s.spec.Workload.Keys, s.spec.Workload.Keyspace, "keys")
-}
-
 // keyChooserFor builds a key chooser over its own random stream. Callers
 // that need a confined window of the key namespace (tenants) apply
 // workload.Slice on the result.
@@ -352,9 +322,9 @@ func (s *Scenario) keyChooserFor(dist KeyDistribution, keyspace int, stream stri
 }
 
 // tenantKeyspace returns the key count of one tenant's slice.
-func tenantKeyspace(t TenantSpec) int {
-	if t.Workload.Keyspace > 0 {
-		return t.Workload.Keyspace
+func tenantKeyspace(w WorkloadSpec) int {
+	if w.Keyspace > 0 {
+		return w.Keyspace
 	}
 	return 10000
 }
@@ -375,7 +345,6 @@ func (s *Scenario) assembleTenants() error {
 		s.store.EnablePlacementTracking()
 	}
 	s.tenantRuntimes = make([]*tenant.Runtime, 0, len(specs))
-	s.tenantGens = make([]*workload.Generator, 0, len(specs))
 	base := 0
 	for i, ts := range specs {
 		id := store.TenantID(i + 1)
@@ -407,43 +376,78 @@ func (s *Scenario) assembleTenants() error {
 			}
 		}
 		s.tenantRuntimes = append(s.tenantRuntimes, rt)
-		deng, err := s.driverEngine()
+		if err := s.addDriver(ts.Name, rt, ts.Workload, base); err != nil {
+			return fmt.Errorf("autonosql: tenant %q: %w", ts.Name, err)
+		}
+		base += tenantKeyspace(ts.Workload)
+	}
+	return nil
+}
+
+// driver is one source of client traffic: a workload.Generator, or in replay
+// mode (spec.Replay != nil) the workload.TraceSource issuing the recorded
+// arrivals in its place.
+type driver struct {
+	// tenant is the name the driver's arrivals are recorded and replayed
+	// under; "" is the anonymous workload.
+	tenant string
+	source
+}
+
+// source is what a Scenario needs of a Generator or TraceSource.
+type source interface {
+	Start()
+	Stop()
+	Intercept(func(workload.Target) workload.Target)
+}
+
+// addDriver builds the driver of one traffic source — the anonymous workload
+// (tenant "") or a declared tenant — on its own driver engine and appends it
+// to s.drivers. Replay drives the target from the tenant's recorded arrivals
+// and leaves key choosers and arrival streams unbuilt (the trace already
+// carries the keys); otherwise a generator draws from the tenant's named
+// random streams, a declared tenant's keys confined to the keyspace slice
+// starting at keyBase.
+func (s *Scenario) addDriver(tenant string, target workload.Target, w WorkloadSpec, keyBase int) error {
+	deng, err := s.driverEngine()
+	if err != nil {
+		return err
+	}
+	d := driver{tenant: tenant}
+	if s.spec.Replay != nil {
+		src, err := workload.NewTraceSource(deng, target, s.spec.Replay.eventsFor(tenant))
 		if err != nil {
 			return err
 		}
-		if s.spec.Replay != nil {
-			// Replay: the tenant's recorded arrivals drive the runtime
-			// directly; key choosers and arrival streams stay unbuilt (the
-			// trace already carries the keys).
-			src, err := workload.NewTraceSource(deng, rt, s.spec.Replay.eventsFor(ts.Name))
-			if err != nil {
-				return fmt.Errorf("autonosql: tenant %q replay: %w", ts.Name, err)
-			}
-			s.tenantSources = append(s.tenantSources, src)
-			continue
+		d.source = src
+	} else {
+		keyStream, arrivalStream := "keys", ""
+		if tenant != "" {
+			keyStream, arrivalStream = "tenant-"+tenant+"-keys", "tenant-"+tenant+"-arrivals"
 		}
-		keys, err := s.keyChooserFor(ts.Workload.Keys, ts.Workload.Keyspace,
-			"tenant-"+ts.Name+"-keys")
+		keys, err := s.keyChooserFor(w.Keys, w.Keyspace, keyStream)
 		if err != nil {
-			return fmt.Errorf("autonosql: tenant %q: %w", ts.Name, err)
+			return err
 		}
-		// Confine the chooser to the tenant's window even at base 0: the
-		// "latest" distribution appends without bound and would otherwise
-		// grow into the next tenant's slice.
-		workload.Slice(keys, base, tenantKeyspace(ts))
-		base += tenantKeyspace(ts)
+		if tenant != "" {
+			// Confine the chooser to the tenant's window even at base 0: the
+			// "latest" distribution appends without bound and would otherwise
+			// grow into the next tenant's slice.
+			workload.Slice(keys, keyBase, tenantKeyspace(w))
+		}
 		gen, err := workload.NewGenerator(workload.Config{
-			Profile:       loadProfileFor(ts.Workload, s.spec.Duration),
-			Mix:           workload.Mix{ReadFraction: ts.Workload.ReadFraction},
+			Profile:       loadProfileFor(w, s.spec.Duration),
+			Mix:           workload.Mix{ReadFraction: w.ReadFraction},
 			Keys:          keys,
 			Until:         s.spec.Duration,
-			ArrivalStream: "tenant-" + ts.Name + "-arrivals",
-		}, deng, rt, s.rnd)
+			ArrivalStream: arrivalStream,
+		}, deng, target, s.rnd)
 		if err != nil {
-			return fmt.Errorf("autonosql: tenant %q workload: %w", ts.Name, err)
+			return err
 		}
-		s.tenantGens = append(s.tenantGens, gen)
+		d.source = gen
 	}
+	s.drivers = append(s.drivers, d)
 	return nil
 }
 
@@ -471,20 +475,8 @@ func (s *Scenario) RecordTrace() error {
 	if err != nil {
 		return fmt.Errorf("autonosql: %w", err)
 	}
-	wrap := func(name string) func(workload.Target) workload.Target {
-		return func(inner workload.Target) workload.Target { return rec.Wrap(name, inner) }
-	}
-	if s.gen != nil {
-		s.gen.Intercept(wrap(""))
-	}
-	if s.source != nil {
-		s.source.Intercept(wrap(""))
-	}
-	for i, g := range s.tenantGens {
-		g.Intercept(wrap(s.spec.Tenants[i].Name))
-	}
-	for i, src := range s.tenantSources {
-		src.Intercept(wrap(s.spec.Tenants[i].Name))
+	for _, d := range s.drivers {
+		d.Intercept(func(inner workload.Target) workload.Target { return rec.Wrap(d.tenant, inner) })
 	}
 	s.recorder = rec
 	return nil
@@ -617,22 +609,11 @@ func (s *Scenario) Run() (*Report, error) {
 	// must come after any RecordTrace wrap (the recorder belongs on the home
 	// side of the bridge) and before the drivers start.
 	if s.sharded != nil {
-		if err := s.sharded.splice(s); err != nil {
-			return nil, err
-		}
+		s.sharded.splice(s)
 	}
 
-	if s.gen != nil {
-		s.gen.Start()
-	}
-	if s.source != nil {
-		s.source.Start()
-	}
-	for _, g := range s.tenantGens {
-		g.Start()
-	}
-	for _, src := range s.tenantSources {
-		src.Start()
+	for _, d := range s.drivers {
+		d.Start()
 	}
 	// Sharded mode: claim each driver's first-arrival sequence number on the
 	// home engine, in driver order — the same consecutive positions the
@@ -654,17 +635,8 @@ func (s *Scenario) Run() (*Report, error) {
 	if runErr != nil {
 		return nil, fmt.Errorf("autonosql: running simulation: %w", runErr)
 	}
-	if s.gen != nil {
-		s.gen.Stop()
-	}
-	if s.source != nil {
-		s.source.Stop()
-	}
-	for _, g := range s.tenantGens {
-		g.Stop()
-	}
-	for _, src := range s.tenantSources {
-		src.Stop()
+	for _, d := range s.drivers {
+		d.Stop()
 	}
 	s.sampler.Stop()
 	if s.tenant != nil {

@@ -27,8 +27,9 @@ const defaultEpoch = 10 * time.Millisecond
 type shardedRun struct {
 	se   *sim.ShardedEngine
 	home *sim.Lane
-	// driverLanes holds one source lane per workload driver in driver
-	// creation order; splice pairs them back up with the drivers at Run.
+	// driverLanes holds one source lane per workload driver, aligned with
+	// Scenario.drivers (addDriver creates both); splice bridges each pair at
+	// Run.
 	driverLanes []*sim.Lane
 	// bridges holds the lane bridges splice created, in driver order. Run
 	// seeds each one right after the driver Starts so the home engine claims
@@ -73,41 +74,18 @@ func (s *Scenario) driverEngine() (*sim.Engine, error) {
 // arrivals at their true (home-lane) delivery times. Generators additionally
 // get their idle ticks mirrored, so even zero-rate profile re-evaluations
 // keep the home engine's allocation order aligned with a single-engine run.
-func (sr *shardedRun) splice(s *Scenario) error {
-	splice := func(d interface {
-		Intercept(func(workload.Target) workload.Target)
-	}) *laneBridge {
-		if len(sr.bridges) >= len(sr.driverLanes) {
-			return nil
-		}
+func (sr *shardedRun) splice(s *Scenario) {
+	for i, d := range s.drivers {
 		var b *laneBridge
 		d.Intercept(func(inner workload.Target) workload.Target {
-			b = newLaneBridge(sr.driverLanes[len(sr.bridges)], sr.home, inner)
+			b = newLaneBridge(sr.driverLanes[i], sr.home, inner)
 			return b
 		})
-		sr.bridges = append(sr.bridges, b)
-		return b
-	}
-	if s.gen != nil {
-		if b := splice(s.gen); b != nil {
-			s.gen.OnIdleTick(b.mirrorIdleTick)
-		}
-	}
-	if s.source != nil {
-		splice(s.source)
-	}
-	for _, g := range s.tenantGens {
-		if b := splice(g); b != nil {
+		if g, ok := d.source.(*workload.Generator); ok {
 			g.OnIdleTick(b.mirrorIdleTick)
 		}
+		sr.bridges = append(sr.bridges, b)
 	}
-	for _, src := range s.tenantSources {
-		splice(src)
-	}
-	if len(sr.bridges) != len(sr.driverLanes) {
-		return fmt.Errorf("autonosql: internal: %d driver lanes for %d drivers", len(sr.driverLanes), len(sr.bridges))
-	}
-	return nil
 }
 
 // laneBridge forwards one workload driver's arrival chain from its source

@@ -505,10 +505,6 @@ func (s ScenarioSpec) costModel() sla.CostModel {
 	return m
 }
 
-func (s ScenarioSpec) loadProfile() workload.LoadProfile {
-	return loadProfileFor(s.Workload, s.Duration)
-}
-
 // loadProfileFor builds the load profile for one workload description,
 // defaulting the period and peak placement from the run duration. Tenant
 // workloads share the exact defaulting rules of the scenario workload.

@@ -82,7 +82,7 @@ func TestLoadProfileSelection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		spec.Workload.Pattern = tc.pattern
-		rate := spec.loadProfile().Rate(tc.at)
+		rate := loadProfileFor(spec.Workload, spec.Duration).Rate(tc.at)
 		if rate < tc.min || rate > tc.max {
 			t.Errorf("%s at %v: rate = %v, want in [%v, %v]", tc.pattern, tc.at, rate, tc.min, tc.max)
 		}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"autonosql/internal/text"
 )
@@ -19,10 +18,10 @@ import (
 type SuiteAggregatorOptions struct {
 	// CSV, when non-nil, receives the per-variant CSV export incrementally:
 	// SuiteCSVHeader first, then one record per completed variant as it is
-	// added. The bytes are identical to SuiteReport.WriteCSV on the same run.
+	// added. SuiteReport.WriteCSV is this same stream over a finished run.
 	CSV io.Writer
 	// TenantsCSV, when non-nil, receives the per-tenant CSV export
-	// incrementally, identical to SuiteReport.WriteTenantsCSV.
+	// incrementally; SuiteReport.WriteTenantsCSV is the same stream.
 	TenantsCSV io.Writer
 	// JSON, when non-nil, receives the full suite report — specs, reports
 	// and series — incrementally, one variant at a time. After Close the
@@ -40,8 +39,9 @@ type SuiteAggregatorOptions struct {
 	MaxViolationMinutes float64
 }
 
-// SuiteAggregator consumes VariantResults one at a time — typically from
-// Suite.RunStream — and maintains everything a SuiteReport offers without
+// SuiteAggregator consumes VariantResults one at a time — from
+// Suite.RunStream, or from a finished SuiteReport, whose table, winner and CSV
+// methods all feed one — and maintains everything a SuiteReport offers without
 // retaining the reports: comparison/cost/fault/tenant table rows, the
 // cheapest compliant variant, and incremental CSV/JSON emission. Memory grows
 // with the table rows (a few short strings per variant), not with the full
@@ -51,8 +51,8 @@ type SuiteAggregatorOptions struct {
 // concurrent use (RunStream delivers on a single goroutine).
 //
 // Call Close after the last Add to finish the JSON document and flush the
-// CSV writers. The streamed CSV/JSON bytes are then identical to the
-// in-memory SuiteReport export of the same run.
+// CSV writers. The streamed JSON bytes are then identical to
+// SuiteReport.WriteJSON on the same run.
 type SuiteAggregator struct {
 	opts SuiteAggregatorOptions
 
@@ -99,7 +99,7 @@ func (a *SuiteAggregator) Consume() func(VariantResult) error {
 // Add folds one variant result into the aggregate. Failed variants (Err set,
 // nil report) are recorded in Failures and contribute to the JSON stream —
 // whose bytes must match the in-memory partial report — but to no table or
-// CSV row, exactly as SuiteReport's renderers skip them.
+// CSV row.
 func (a *SuiteAggregator) Add(v VariantResult) error {
 	if a.err != nil {
 		return a.err
@@ -127,8 +127,8 @@ func (a *SuiteAggregator) Add(v VariantResult) error {
 	a.faultRows = append(a.faultRows, faultRowsFor(v.Name, v.Report)...)
 	a.tenantRows = append(a.tenantRows, tenantRowsFor(v.Name, v.Report)...)
 
-	// Same comparison and tie-break as SuiteReport.CheapestCompliant:
-	// strictly cheaper wins, ties keep the earlier variant.
+	// Strictly cheaper wins, ties keep the earlier variant; a NaN total
+	// never qualifies.
 	if v.Report.Violations.Total <= a.opts.MaxViolationMinutes {
 		if a.cheapest == nil || v.Report.Cost.Total < a.cheapest.Report.Cost.Total {
 			held := v
@@ -206,13 +206,12 @@ func (a *SuiteAggregator) Failures() []error {
 
 // CheapestCompliant returns the variant with the lowest total cost among
 // those whose violation minutes did not exceed the configured threshold, or
-// nil when none qualifies — the same answer SuiteReport.CheapestCompliant
-// gives for the same run and threshold. The winner is the only full report
-// the aggregator retains.
+// nil when none qualifies. The winner is the only full report the aggregator
+// retains.
 func (a *SuiteAggregator) CheapestCompliant() *VariantResult { return a.cheapest }
 
 // ComparisonTable renders the SLA-facing comparison over the variants added
-// so far, byte-identical to SuiteReport.ComparisonTable on the same run.
+// so far.
 func (a *SuiteAggregator) ComparisonTable() string {
 	return text.FormatAligned(suiteComparisonTitle, suiteComparisonColumns, a.compRows, nil)
 }
@@ -241,7 +240,7 @@ func (a *SuiteAggregator) TenantsTable() string {
 }
 
 // String renders the comparison and cost tables, plus the fault and tenant
-// tables when populated — the same composition as SuiteReport.String.
+// tables when populated.
 func (a *SuiteAggregator) String() string {
 	s := a.ComparisonTable() + "\n" + a.CostTable()
 	if ft := a.FaultsTable(); ft != "" {
@@ -357,25 +356,9 @@ func (a *SuiteAggregator) spill(idx int, v *VariantResult) error {
 		return fmt.Errorf("autonosql: encoding spilled variant %q: %w", v.Name, err)
 	}
 	b = append(b, '\n')
-	path := filepath.Join(a.opts.SpillDir, fmt.Sprintf("%06d_%s.report.json", idx, sanitizeFileName(v.Name)))
+	path := filepath.Join(a.opts.SpillDir, fmt.Sprintf("%06d_%s.report.json", idx, text.SafeFileName(v.Name)))
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return fmt.Errorf("autonosql: spilling variant %q: %w", v.Name, err)
 	}
 	return nil
-}
-
-// sanitizeFileName maps a variant name (which contains spaces and '=') onto
-// a filesystem-safe token. Distinct names can collide after sanitization;
-// callers that derive file names from it must disambiguate (the spill path
-// prefixes the variant index).
-func sanitizeFileName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '.', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }

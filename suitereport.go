@@ -1,14 +1,11 @@
 package autonosql
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"time"
-
-	"autonosql/internal/text"
 )
 
 // VariantResult pairs one suite variant with the report its run produced, or
@@ -119,9 +116,7 @@ func (r *SuiteReport) Reports() map[string]*Report {
 	return out
 }
 
-// Table titles and column headers, shared between the in-memory SuiteReport
-// renderers and the streaming SuiteAggregator so both produce byte-identical
-// tables from the same rows.
+// Table titles and column headers of the suite comparison tables.
 var (
 	suiteComparisonTitle   = "suite comparison — SLA outcomes"
 	suiteComparisonColumns = []string{"variant", "window p50 (ms)", "window p95 (ms)", "window p99 (ms)",
@@ -202,68 +197,47 @@ func tenantRowsFor(name string, rep *Report) [][]string {
 	return rows
 }
 
+// aggregate feeds every variant, in order, into a fresh SuiteAggregator with
+// the given outputs and closes it. Every table, winner and CSV method below
+// is this one pass, so the in-memory report and a streamed run cannot drift
+// apart.
+func (r *SuiteReport) aggregate(opts SuiteAggregatorOptions) (*SuiteAggregator, error) {
+	a := NewSuiteAggregator(opts)
+	for _, v := range r.Variants {
+		if err := a.Add(v); err != nil {
+			return a, err
+		}
+	}
+	return a, a.Close()
+}
+
+// tables aggregates with no outputs attached; without a sink to fail,
+// aggregate cannot return an error.
+func (r *SuiteReport) tables(maxViolationMinutes float64) *SuiteAggregator {
+	a, _ := r.aggregate(SuiteAggregatorOptions{MaxViolationMinutes: maxViolationMinutes})
+	return a
+}
+
 // ComparisonTable renders the SLA-facing comparison across variants: the
 // ground-truth inconsistency-window percentiles, client latency, stale
 // reads, violation minutes and compliance.
-func (r *SuiteReport) ComparisonTable() string {
-	rows := make([][]string, 0, len(r.Variants))
-	for _, v := range r.Variants {
-		if v.Report == nil {
-			continue
-		}
-		rows = append(rows, comparisonRow(v.Name, v.Report))
-	}
-	return text.FormatAligned(suiteComparisonTitle, suiteComparisonColumns, rows, nil)
-}
+func (r *SuiteReport) ComparisonTable() string { return r.tables(0).ComparisonTable() }
 
 // CostTable renders the cost-facing comparison across variants: node-hours,
 // the cost components, reconfiguration counts and cluster-size extremes.
-func (r *SuiteReport) CostTable() string {
-	rows := make([][]string, 0, len(r.Variants))
-	for _, v := range r.Variants {
-		if v.Report == nil {
-			continue
-		}
-		rows = append(rows, costRow(v.Name, v.Report))
-	}
-	return text.FormatAligned(suiteCostTitle, suiteCostColumns, rows, nil)
-}
+func (r *SuiteReport) CostTable() string { return r.tables(0).CostTable() }
 
 // FaultsTable renders the fault timeline across variants: every injected
 // fault window with the inconsistency-window behaviour observed while it was
 // active. It returns an empty string when no variant injected faults.
-func (r *SuiteReport) FaultsTable() string {
-	rows := make([][]string, 0, len(r.Variants))
-	for _, v := range r.Variants {
-		if v.Report == nil {
-			continue
-		}
-		rows = append(rows, faultRowsFor(v.Name, v.Report)...)
-	}
-	if len(rows) == 0 {
-		return ""
-	}
-	return text.FormatAligned(suiteFaultsTitle, suiteFaultsColumns, rows, nil)
-}
+func (r *SuiteReport) FaultsTable() string { return r.tables(0).FaultsTable() }
 
 // TenantsTable renders the per-tenant comparison across variants: every
 // tenant of every multi-tenant variant with its class, ground-truth window,
 // latency, violation minutes, priced penalty, and the admission / placement
 // treatment the controller applied. It returns an empty string when no
 // variant declared tenants.
-func (r *SuiteReport) TenantsTable() string {
-	rows := make([][]string, 0, len(r.Variants))
-	for _, v := range r.Variants {
-		if v.Report == nil {
-			continue
-		}
-		rows = append(rows, tenantRowsFor(v.Name, v.Report)...)
-	}
-	if len(rows) == 0 {
-		return ""
-	}
-	return text.FormatAligned(suiteTenantsTitle, suiteTenantsColumns, rows, nil)
-}
+func (r *SuiteReport) TenantsTable() string { return r.tables(0).TenantsTable() }
 
 // throttlePlacementCell summarises one tenant's scoped-action treatment:
 // throttled minutes with shed count, a "pinned" marker when the tenant's
@@ -289,36 +263,18 @@ func throttlePlacementCell(tr TenantReport) string {
 // String renders both comparison tables, plus the fault table when any
 // variant injected faults and the tenant table when any variant declared
 // tenants.
-func (r *SuiteReport) String() string {
-	s := r.ComparisonTable() + "\n" + r.CostTable()
-	if ft := r.FaultsTable(); ft != "" {
-		s += "\n" + ft
-	}
-	if tt := r.TenantsTable(); tt != "" {
-		s += "\n" + tt
-	}
-	return s
-}
+func (r *SuiteReport) String() string { return r.tables(0).String() }
 
 // CheapestCompliant returns the variant with the lowest total cost among
 // those whose total violation minutes do not exceed maxViolationMinutes, or
 // nil when no variant qualifies. Ties break towards the earlier variant, so
 // the answer is deterministic.
 func (r *SuiteReport) CheapestCompliant(maxViolationMinutes float64) *VariantResult {
-	var best *VariantResult
-	for i := range r.Variants {
-		v := &r.Variants[i]
-		if v.Report == nil {
-			continue
-		}
-		if v.Report.Violations.Total > maxViolationMinutes {
-			continue
-		}
-		if best == nil || v.Report.Cost.Total < best.Report.Cost.Total {
-			best = v
-		}
+	a := r.tables(maxViolationMinutes)
+	if a.cheapest == nil {
+		return nil
 	}
-	return best
+	return &r.Variants[a.cheapestIdx]
 }
 
 // SuiteCSVHeader is the column header of the CSV export, in column order.
@@ -365,20 +321,8 @@ func (v *VariantResult) csvRow() []string {
 // SuiteCSVHeader. The numeric cells use the shortest exact representation,
 // so a written value parses back to the identical float64.
 func (r *SuiteReport) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(SuiteCSVHeader()); err != nil {
-		return fmt.Errorf("autonosql: writing suite CSV header: %w", err)
-	}
-	for i := range r.Variants {
-		if r.Variants[i].Report == nil {
-			continue
-		}
-		if err := cw.Write(r.Variants[i].csvRow()); err != nil {
-			return fmt.Errorf("autonosql: writing suite CSV row %q: %w", r.Variants[i].Name, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	_, err := r.aggregate(SuiteAggregatorOptions{CSV: w})
+	return err
 }
 
 // TenantCSVHeader is the column header of the per-tenant CSV export, in
@@ -418,23 +362,8 @@ func tenantCSVRow(variant string, tr TenantReport) []string {
 // variant×tenant, headed by TenantCSVHeader. Variants without tenants
 // contribute no rows.
 func (r *SuiteReport) WriteTenantsCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(TenantCSVHeader()); err != nil {
-		return fmt.Errorf("autonosql: writing tenant CSV header: %w", err)
-	}
-	for i := range r.Variants {
-		v := &r.Variants[i]
-		if v.Report == nil {
-			continue
-		}
-		for _, tr := range v.Report.Tenants {
-			if err := cw.Write(tenantCSVRow(v.Name, tr)); err != nil {
-				return fmt.Errorf("autonosql: writing tenant CSV row %q/%q: %w", v.Name, tr.Name, err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	_, err := r.aggregate(SuiteAggregatorOptions{TenantsCSV: w})
+	return err
 }
 
 // WriteJSON writes the complete suite report — specs, reports and series —

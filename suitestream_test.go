@@ -3,6 +3,7 @@ package autonosql
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,7 +39,9 @@ func streamGridSpec() SuiteSpec {
 // streaming path: aggregating one result at a time — sequentially or
 // concurrently — must produce byte-identical CSV, tenant CSV and JSON to the
 // in-memory SuiteReport exports, identical rendered tables, and the same
-// cheapest-compliant winner.
+// cheapest-compliant winner. Only the JSON comparison has an independent
+// reference here (json.Encoder); the other renderers are pinned against
+// literals in TestSuiteReportRendersAgainstLiterals.
 func TestSuiteStreamMatchesInMemoryExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -356,5 +359,125 @@ func TestSuiteAggregatorEmptyAndClosed(t *testing.T) {
 	}
 	if err := agg.Close(); err == nil {
 		t.Error("Close after failed Add returned nil; the sink error must be sticky")
+	}
+}
+
+// TestSuiteReportRendersAgainstLiterals is the independent side of the
+// SuiteReport↔SuiteAggregator pins. SuiteReport's table, winner and CSV
+// methods are one pass through a SuiteAggregator, so comparing the two only
+// compares the aggregator with itself; this test compares the rendered bytes
+// with literals, and the winner with its definition, on a hand-built report.
+// (JSON keeps its own independent side: SuiteReport.WriteJSON is a plain
+// json.Encoder.)
+func TestSuiteReportRendersAgainstLiterals(t *testing.T) {
+	spec := ScenarioSpec{Seed: 42, Duration: 90 * time.Second}
+	spec.Workload.Pattern = LoadSpike
+	spec.Controller.Mode = ControllerSmart
+	spec.Cluster.InitialNodes = 3
+	spec.SLA.MaxWindowP95 = 250 * time.Millisecond
+	rep := func(cost, violationMinutes float64) *Report {
+		return &Report{
+			Reads: 1000, Writes: 500, FailedReads: 3, FailedWrites: 2, StaleReads: 7,
+			Window:             LatencySummary{P50: 0.125, P95: 0.25, P99: 0.5, Max: 1},
+			EstimatedWindowP95: 0.375,
+			ReadLatency:        LatencySummary{P99: 0.0625},
+			WriteLatency:       LatencySummary{P99: 0.03125},
+			ComplianceRatio:    0.75,
+			Violations:         Violations{Window: 1.5, ReadLatency: 0.5, WriteLatency: 0.25, Availability: 0.125, Total: violationMinutes},
+			Cost:               CostSummary{NodeHours: 4.5, Infrastructure: 2.25, Compensation: 0.5, Penalty: 1.25, Total: cost},
+			Reconfigurations:   2, MinClusterSize: 3, MaxClusterSize: 5,
+			Tenants: []TenantReport{{
+				Name: "gold", Class: "gold",
+				Reads: 600, Writes: 300, FailedReads: 1, FailedWrites: 0, StaleReads: 4,
+				Window:          LatencySummary{P50: 0.125, P95: 0.25, P99: 0.5},
+				ReadLatency:     LatencySummary{P99: 0.0625},
+				WriteLatency:    LatencySummary{P99: 0.03125},
+				ComplianceRatio: 0.5,
+				Violations:      Violations{Window: 1, ReadLatency: 0.5, WriteLatency: 0.25, Availability: 0, Total: 1.5},
+				PenaltyCost:     3, CompensationCost: 0.25,
+				ShedOps: 9, ThrottledMinutes: 0.5, Pinned: true,
+			}},
+		}
+	}
+	report := &SuiteReport{Variants: []VariantResult{
+		{Name: "v0 failed", Spec: spec, Err: fmt.Errorf("boom")},
+		{Name: "v1, quoted", Spec: spec, Report: rep(4, 2)},
+	}}
+
+	var csv, tenantsCSV bytes.Buffer
+	if err := report.WriteCSV(&csv); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	if err := report.WriteTenantsCSV(&tenantsCSV); err != nil {
+		t.Fatalf("WriteTenantsCSV: %v", err)
+	}
+	const wantCSV = "variant,seed,duration_s,pattern,controller,initial_nodes,sla_window_p95_ms," +
+		"reads,writes,failed_reads,failed_writes,stale_reads," +
+		"window_p50_ms,window_p95_ms,window_p99_ms,window_max_ms,window_estimate_p95_ms," +
+		"read_p99_ms,write_p99_ms," +
+		"violation_min_window,violation_min_read,violation_min_write,violation_min_availability," +
+		"violation_min_total,compliance," +
+		"node_hours,cost_infrastructure,cost_compensation,cost_penalty,cost_total," +
+		"reconfigurations,min_nodes,max_nodes\n" +
+		"\"v1, quoted\",42,90,spike,smart,3,250," +
+		"1000,500,3,2,7," +
+		"125,250,500,1000,375," +
+		"62.5,31.25," +
+		"1.5,0.5,0.25,0.125,2,0.75," +
+		"4.5,2.25,0.5,1.25,4," +
+		"2,3,5\n"
+	if got := csv.String(); got != wantCSV {
+		t.Errorf("WriteCSV:\n got %q\nwant %q", got, wantCSV)
+	}
+	const wantTenantsCSV = "variant,tenant,class," +
+		"reads,writes,failed_reads,failed_writes,stale_reads," +
+		"window_p50_ms,window_p95_ms,window_p99_ms,read_p99_ms,write_p99_ms," +
+		"violation_min_window,violation_min_read,violation_min_write," +
+		"violation_min_availability,violation_min_total,compliance," +
+		"penalty_cost,compensation_cost,shed_ops,throttled_min,pinned\n" +
+		"\"v1, quoted\",gold,gold," +
+		"600,300,1,0,4," +
+		"125,250,500,62.5,31.25," +
+		"1,0.5,0.25,0,1.5,0.5," +
+		"3,0.25,9,0.5,true\n"
+	if got := tenantsCSV.String(); got != wantTenantsCSV {
+		t.Errorf("WriteTenantsCSV:\n got %q\nwant %q", got, wantTenantsCSV)
+	}
+	const wantCostTable = "suite comparison — cost\n" +
+		"variant     node-hours  infrastructure  compensation  penalty  total cost  reconfigs  nodes (min..max)\n" +
+		"----------  ----------  --------------  ------------  -------  ----------  ---------  ----------------\n" +
+		"v1, quoted  4.50        $2.25           $0.50         $1.25    $4.00       2          3..5            \n"
+	if got := report.CostTable(); got != wantCostTable {
+		t.Errorf("CostTable:\n got %q\nwant %q", got, wantCostTable)
+	}
+
+	// The winner, against its definition: lowest total cost among variants
+	// within the violation budget, earlier variant on a tie, failed variants
+	// and NaN totals never qualifying — returned as a pointer into Variants.
+	report.Variants = append(report.Variants,
+		VariantResult{Name: "v2 cheap but violating", Spec: spec, Report: rep(1, 3)},
+		VariantResult{Name: "v3 tie", Spec: spec, Report: rep(4, 0)},
+		VariantResult{Name: "v4 NaN minutes", Spec: spec, Report: rep(0.5, math.NaN())},
+	)
+	for _, tc := range []struct {
+		budget float64
+		want   int // index into Variants, -1 for none
+	}{
+		{budget: 0, want: 3},
+		{budget: 2, want: 1},
+		{budget: 3, want: 2},
+		{budget: -1, want: -1},
+	} {
+		var want *VariantResult
+		if tc.want >= 0 {
+			want = &report.Variants[tc.want]
+		}
+		if got := report.CheapestCompliant(tc.budget); got != want {
+			name := "none"
+			if got != nil {
+				name = got.Name
+			}
+			t.Errorf("CheapestCompliant(%v) = %s, want &Variants[%d]", tc.budget, name, tc.want)
+		}
 	}
 }
