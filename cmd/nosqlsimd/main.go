@@ -46,7 +46,13 @@ func main() {
 	}
 
 	srv := serve.NewServer(serve.Options{RetainWindows: *retain})
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// No WriteTimeout: /stream and /spans responses live as long as the job.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

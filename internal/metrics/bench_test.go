@@ -42,6 +42,39 @@ func BenchmarkHistogramSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkHistogramSnapshotSteady is the control_dense sampling tick: a
+// default-cap reservoir that has just filled (every observe is a replacement
+// candidate with probability near one) or has seen four times its cap (one in
+// four is), a thousand observes, then one snapshot.
+func BenchmarkHistogramSnapshotSteady(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		seen int
+	}{{"at_cap", DefaultHistogramCap}, {"past_cap", 4 * DefaultHistogramCap}} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := NewHistogram(0)
+			v := 0.0
+			observe := func(n int) {
+				for ; n > 0; n-- {
+					v += 0.6180339887
+					h.Observe(v - float64(int(v)))
+				}
+			}
+			observe(bc.seen)
+			_ = h.Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Hold the stream length, and with it the replacement rate,
+				// where the case puts it however long the benchmark runs.
+				h.count = uint64(bc.seen)
+				observe(1000)
+				_ = h.Snapshot()
+			}
+		})
+	}
+}
+
 // BenchmarkWindowedObserve measures the monitor's sliding-window recording.
 func BenchmarkWindowedObserve(b *testing.B) {
 	w := NewWindowedStat(2048)
@@ -67,6 +100,22 @@ func BenchmarkWindowedQuantile(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowedQuantileP99 measures the monitor's read/write latency p99
+// at its default window: one order statistic and its neighbour out of a
+// wrapped 4096-sample window.
+func BenchmarkWindowedQuantileP99(b *testing.B) {
+	w := NewWindowedStat(4096)
+	for i := 0; i < 3*4096; i++ {
+		w.Observe(float64((i * 7919) % 997))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Observe(float64(i % 997))
+		_ = w.Quantile(0.99)
+	}
+}
+
 // BenchmarkWindowedQuantilesBatch measures the batched three-quantile query
 // the monitor issues on every snapshot: one sort amortised over p50/p95/p99
 // instead of one sort per quantile.
@@ -85,9 +134,9 @@ func BenchmarkWindowedQuantilesBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowedQuantilesSeparate is the pre-batching baseline for
-// comparison: the same three quantiles as three independent queries, each
-// paying its own copy and sort.
+// BenchmarkWindowedQuantilesSeparate is the comparison for the batch: the
+// same three quantiles as three independent queries, each paying its own copy
+// and selection.
 func BenchmarkWindowedQuantilesSeparate(b *testing.B) {
 	w := NewWindowedStat(2048)
 	for i := 0; i < 4096; i++ {

@@ -11,7 +11,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -21,14 +21,26 @@ import (
 // which reservoir sampling keeps an unbiased subset. This keeps percentile
 // estimates accurate for the sample volumes produced by experiments while
 // bounding memory.
+//
+// A quantile query leaves the retained samples in ascending order, and past
+// the cap reservoir replacement addresses slots of that array, so when a
+// histogram is queried is part of what it retains: fed one stream but queried
+// at different points, two histograms keep different (equally uniform)
+// subsets. A caller that reproduces runs bit for bit must keep its query times.
 type Histogram struct {
-	samples  []float64
-	count    uint64
-	sum      float64
-	min      float64
-	max      float64
-	cap      int
-	sorted   bool
+	samples []float64
+	count   uint64
+	sum     float64
+	min     float64
+	max     float64
+	cap     int
+	// samples[:ordered] was ascending after the last quantile query and has
+	// since been overwritten only at the slots listed in dirty (a slot can be
+	// listed twice); samples[ordered:] was appended after that query. A
+	// stream of n samples replaces, and so lists, about cap*ln(n/cap) times.
+	ordered  int
+	dirty    []int
+	scratch  []float64 // the changed values while order merges them back
 	rngState uint64
 }
 
@@ -42,19 +54,12 @@ func NewHistogram(cap int) *Histogram {
 		cap = DefaultHistogramCap
 	}
 	return &Histogram{
-		samples:  make([]float64, 0, minInt(cap, 4096)),
+		samples:  make([]float64, 0, min(cap, 4096)),
 		min:      math.Inf(1),
 		max:      math.Inf(-1),
 		cap:      cap,
 		rngState: 0x853c49e6748fea9b,
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Observe records one sample.
@@ -67,7 +72,6 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.sorted = false
 	if len(h.samples) < h.cap {
 		h.samples = append(h.samples, v)
 		return
@@ -77,6 +81,9 @@ func (h *Histogram) Observe(v float64) {
 	idx := h.nextRand() % h.count
 	if idx < uint64(h.cap) {
 		h.samples[idx] = v
+		if idx < uint64(h.ordered) {
+			h.dirty = append(h.dirty, int(idx))
+		}
 	}
 }
 
@@ -138,18 +145,43 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.Max()
 	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
+	h.order()
+	return quantileOfSorted(h.samples, q)
+}
+
+// order sorts samples ascending, producing the array a full sort would, in
+// O(n + k log n) for the k values that changed since the last call: the
+// overwritten slots are lifted out of the ordered prefix, which is closed up
+// behind them, and sorted together with the appended tail; each then goes
+// back, largest first, at the place a binary search finds for it. With
+// nothing ordered yet it is a plain in-place sort, so scratch never holds
+// more than what changed between two queries.
+func (h *Histogram) order() {
+	s := h.samples
+	if h.ordered == 0 {
+		slices.Sort(s)
+	} else {
+		slices.Sort(h.dirty)
+		dirty := slices.Compact(h.dirty)
+		changed := h.scratch[:0]
+		clean, from := 0, 0 // s[:clean] holds what s[:from] kept of its order
+		for _, d := range dirty {
+			changed = append(changed, s[d])
+			clean += copy(s[clean:], s[from:d])
+			from = d + 1
+		}
+		clean += copy(s[clean:], s[from:h.ordered])
+		changed = append(changed, s[h.ordered:]...)
+		slices.Sort(changed)
+		for j := len(changed) - 1; j >= 0; j-- {
+			pos, _ := slices.BinarySearch(s[:clean], changed[j])
+			copy(s[pos+j+1:], s[pos:clean])
+			s[pos+j] = changed[j]
+			clean = pos
+		}
+		h.scratch = changed
 	}
-	pos := q * float64(len(h.samples)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return h.samples[lo]
-	}
-	frac := pos - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
+	h.ordered, h.dirty = len(s), h.dirty[:0]
 }
 
 // QuantileDuration returns the q-quantile interpreted as a duration in
@@ -165,7 +197,7 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.min = math.Inf(1)
 	h.max = math.Inf(-1)
-	h.sorted = false
+	h.ordered, h.dirty = 0, h.dirty[:0]
 }
 
 // Snapshot captures the common summary statistics of a histogram.

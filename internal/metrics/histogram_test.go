@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -118,6 +119,204 @@ func TestHistogramQuantileMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
 		t.Fatalf("quantile monotonicity property failed: %v", err)
+	}
+}
+
+// refHistogram is the reservoir as it was before it kept its order
+// incrementally: any Observe clears sorted, and the next interior quantile
+// re-sorts everything and interpolates between floor and ceil. It is the
+// reference the differential tests hold Histogram to.
+type refHistogram struct {
+	samples  []float64
+	count    uint64
+	min, max float64
+	cap      int
+	sorted   bool
+	rng      uint64
+}
+
+func (r *refHistogram) observe(v float64) {
+	r.count++
+	r.min, r.max = math.Min(r.min, v), math.Max(r.max, v)
+	r.sorted = false
+	if len(r.samples) < r.cap {
+		r.samples = append(r.samples, v)
+		return
+	}
+	r.rng ^= r.rng << 13
+	r.rng ^= r.rng >> 7
+	r.rng ^= r.rng << 17
+	if idx := r.rng % r.count; idx < uint64(r.cap) {
+		r.samples[idx] = v
+	}
+}
+
+func (r *refHistogram) quantile(q float64) float64 {
+	switch {
+	case len(r.samples) == 0:
+		return 0
+	case q <= 0:
+		return r.min
+	case q >= 1:
+		return r.max
+	}
+	if !r.sorted {
+		sort.Float64s(r.samples)
+		r.sorted = true
+	}
+	pos := q * float64(len(r.samples)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	if lo == hi {
+		return r.samples[lo]
+	}
+	frac := pos - float64(lo)
+	return r.samples[lo]*(1-frac) + r.samples[hi]*frac
+}
+
+var orderScriptQs = []float64{-1, 0, 0.01, 0.5, 0.95, 0.99, 0.999, 1, 2}
+
+// runOrderScript drives a Histogram and the reference with the operations
+// script encodes, two bytes each, and fails on the first difference in a
+// quantile or, after any operation, in the retained array: neither side moves
+// a sample except when an interior quantile orders them, so the two arrays
+// must agree slot for slot at all times, not only as sets.
+func runOrderScript(t testing.TB, capacity int, script []byte) {
+	t.Helper()
+	h := NewHistogram(capacity)
+	fresh := refHistogram{min: math.Inf(1), max: math.Inf(-1), cap: capacity, rng: h.rngState}
+	ref := fresh
+	lcg := uint64(1)
+	query := func(step int, q float64) {
+		if got, want := h.Quantile(q), ref.quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("cap %d step %d: Quantile(%v) = %v, full sort gives %v", capacity, step, q, got, want)
+		}
+	}
+	observe := func(v float64) {
+		h.Observe(v)
+		ref.observe(v)
+	}
+	for i := 0; i+1 < len(script); i += 2 {
+		op, arg := script[i]%8, script[i+1]
+		switch op {
+		case 0, 1: // one of 16 values, +0 among them: duplicates everywhere
+			observe(float64(arg%16) / 4)
+		case 2: // a value of its own
+			observe(float64(i)*256 + float64(arg))
+		case 3: // a burst, to carry the larger caps past their boundary
+			for n := 1 + int(arg)*8; n > 0; n-- {
+				lcg = lcg*6364136223846793005 + 1442695040888963407
+				observe(float64(lcg>>54) / 32)
+			}
+		case 4, 5:
+			query(i, orderScriptQs[int(arg)%len(orderScriptQs)])
+		case 6:
+			got := h.Snapshot()
+			want := [3]float64{ref.quantile(0.50), ref.quantile(0.95), ref.quantile(0.99)}
+			if [3]float64{got.P50, got.P95, got.P99} != want || got.Count != ref.count {
+				t.Fatalf("cap %d step %d: Snapshot = %+v, full sort gives %v of %d", capacity, i, got, want, ref.count)
+			}
+		case 7:
+			if arg%4 != 0 { // mostly two queries back to back, sometimes a Reset
+				query(i, 0.5)
+				query(i, 0.9)
+			} else {
+				h.Reset()
+				rng := ref.rng // Reset keeps the replacement stream where it is
+				ref = fresh
+				ref.rng = rng
+			}
+		}
+		if len(h.samples) != len(ref.samples) {
+			t.Fatalf("cap %d step %d: %d samples retained, reference retains %d", capacity, i, len(h.samples), len(ref.samples))
+		}
+		for j, v := range h.samples {
+			if math.Float64bits(v) != math.Float64bits(ref.samples[j]) {
+				t.Fatalf("cap %d step %d: slot %d holds %v, reference holds %v", capacity, i, j, v, ref.samples[j])
+			}
+		}
+	}
+}
+
+var orderCaps = []int{1, 2, 64, 4096}
+
+// TestHistogramOrderMatchesFullSort is the differential test behind the
+// byte-identity claim: random interleavings of Observe, Quantile, Snapshot
+// and Reset, across the cap boundary of every cap, leave exactly the array a
+// full sort on every query would.
+func TestHistogramOrderMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, capacity := range orderCaps {
+		for round := 0; round < 20; round++ {
+			script := make([]byte, 600)
+			rng.Read(script)
+			runOrderScript(t, capacity, script)
+		}
+	}
+	// Nothing but queries, and queries only after a Reset.
+	runOrderScript(t, 64, []byte{4, 3, 6, 0, 7, 1, 0, 0, 7, 0, 4, 3, 6, 0})
+}
+
+// FuzzHistogramOrder lets the fuzzer write the operation script: the first
+// byte picks the cap, the rest is the script runOrderScript interprets.
+func FuzzHistogramOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 5, 4, 3, 0, 5, 4, 3})
+	f.Add([]byte{1, 0, 0, 0, 0, 4, 3, 0, 0, 0, 0, 4, 3, 7, 0, 4, 3})
+	f.Add([]byte{2, 3, 8, 4, 3, 3, 1, 4, 3, 3, 1, 4, 3, 0, 0, 6, 0})        // cap 64 filled, then ticks of 9 observes
+	f.Add([]byte{2, 3, 7, 4, 3, 3, 1, 3, 1, 3, 1, 7, 1, 1, 0, 1, 0, 4, 3})  // crosses cap 64 between two queries
+	f.Add([]byte{3, 3, 255, 3, 255, 4, 3, 3, 255, 6, 0, 3, 20, 4, 2, 7, 0}) // cap 4096 from empty to replacement
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		runOrderScript(t, orderCaps[int(script[0])%len(orderCaps)], script[1:])
+	})
+}
+
+// TestHistogramQueryTimesAreInput states the semantic the scenario sampler
+// depends on: past the cap, replacement addresses slots of the array in the
+// order the last query left it, so a histogram that was queried mid-stream
+// retains a different subset than one that was not. Dropping or moving a
+// query is a change to a run's results, not only to its cost.
+func TestHistogramQueryTimesAreInput(t *testing.T) {
+	queried, unqueried := NewHistogram(64), NewHistogram(64)
+	for i := 0; i < 1000; i++ {
+		v := float64((i * 7919) % 1009)
+		queried.Observe(v)
+		unqueried.Observe(v)
+		if i == 500 {
+			queried.Quantile(0.5)
+		}
+	}
+	queried.Quantile(0.5)
+	unqueried.Quantile(0.5)
+	same := true
+	for i := range queried.samples {
+		same = same && queried.samples[i] == unqueried.samples[i]
+	}
+	if same {
+		t.Fatal("a mid-stream query left the retained set unchanged; query times are expected to be part of the result")
+	}
+}
+
+// TestHistogramSnapshotAllocFree pins the steady state of the sampling tick:
+// a reservoir at its cap, a thousand observes between snapshots, and after
+// the first snapshot has sized the scratch no allocation at all.
+func TestHistogramSnapshotAllocFree(t *testing.T) {
+	h := NewHistogram(4096)
+	v := 0.0
+	tick := func() {
+		for i := 0; i < 1000; i++ {
+			v += 0.37
+			h.Observe(math.Mod(v, 5))
+		}
+		_ = h.Snapshot()
+	}
+	for len(h.samples) < 4096 {
+		tick()
+	}
+	tick()
+	if avg := testing.AllocsPerRun(50, tick); avg != 0 {
+		t.Errorf("steady-state snapshot allocates %.1f objects per tick, want 0", avg)
 	}
 }
 

@@ -158,9 +158,9 @@ type WindowedStat struct {
 	buf    []float64
 	next   int
 	filled bool
-	// scratch is the reusable sort buffer for quantile queries, which run
-	// several times per sampling interval over windows of thousands of
-	// samples.
+	// scratch is the reusable copy quantile queries select from or sort;
+	// they run several times per sampling interval over windows of
+	// thousands of samples.
 	scratch []float64
 }
 
@@ -222,12 +222,18 @@ func (w *WindowedStat) Max() float64 {
 	return max
 }
 
-// Quantile returns the q-quantile of the window contents.
+// Quantile returns the q-quantile of the window contents, bit for bit what
+// Quantiles returns for the same q. Interpolation reads two adjacent order
+// statistics, so the copy is not sorted: the lower one is selected in O(n)
+// and the upper is the smallest value the selection left to its right.
 func (w *WindowedStat) Quantile(q float64) float64 {
-	cp := w.sortedScratch()
+	cp := w.copyToScratch()
 	if len(cp) == 0 {
 		return 0
 	}
+	lo := int(min(max(q, 0), 1) * float64(len(cp)-1))
+	selectKth(cp, lo)
+	selectKth(cp[lo+1:], 0)
 	return quantileOfSorted(cp, q)
 }
 
@@ -238,7 +244,8 @@ func (w *WindowedStat) Quantile(q float64) float64 {
 // sort instead of one per quantile. Callers on a hot path pass a reused
 // buffer (sliced to [:0]) with capacity len(qs) to stay allocation-free.
 func (w *WindowedStat) Quantiles(qs []float64, dst []float64) []float64 {
-	cp := w.sortedScratch()
+	cp := w.copyToScratch()
+	sort.Float64s(cp)
 	for _, q := range qs {
 		if len(cp) == 0 {
 			dst = append(dst, 0)
@@ -249,19 +256,51 @@ func (w *WindowedStat) Quantiles(qs []float64, dst []float64) []float64 {
 	return dst
 }
 
-// sortedScratch copies the window contents into the reusable scratch buffer
-// and sorts it. The result is valid until the next Observe or quantile query.
-func (w *WindowedStat) sortedScratch() []float64 {
-	vs := w.values()
-	cp := append(w.scratch[:0], vs...)
-	w.scratch = cp
-	sort.Float64s(cp)
-	return cp
+// copyToScratch copies the window contents into the reusable scratch buffer.
+// The result is valid until the next quantile query.
+func (w *WindowedStat) copyToScratch() []float64 {
+	w.scratch = append(w.scratch[:0], w.values()...)
+	return w.scratch
+}
+
+// selectKth rearranges a so that a[k] holds the value a full sort would put
+// there, with nothing larger to its left and nothing smaller to its right.
+// It is a quickselect whose pivot is the median of the first, middle and last
+// value (no random source, so a run stays reproducible) and whose Hoare
+// partition stops on values equal to the pivot, which keeps all-equal and
+// few-valued windows (a window of +0 inconsistency samples) linear.
+func selectKth(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		pivot := max(min(x, y), min(max(x, y), z))
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo:j+1] <= pivot <= a[i:hi+1], and anything between is the pivot.
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
 }
 
 // quantileOfSorted interpolates the q-quantile over an already sorted,
-// non-empty sample slice. It is the single implementation behind Quantile and
-// Quantiles, so batched and one-shot queries agree bit for bit.
+// non-empty sample slice. It is the single implementation behind Histogram's
+// and WindowedStat's quantiles, so batched and one-shot queries agree bit for bit.
 func quantileOfSorted(cp []float64, q float64) float64 {
 	if q <= 0 {
 		return cp[0]

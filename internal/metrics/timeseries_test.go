@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -163,6 +164,61 @@ func TestWindowedStatQuantilesAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("batched quantile query allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// TestWindowedStatQuantileMatchesSort holds the selecting one-quantile query
+// to the sorting batch query bit for bit, on window sizes around the
+// median-of-three's small cases and the sizes the monitor and store use,
+// unfilled and wrapped, over the contents that break careless quickselects.
+func TestWindowedStatQuantileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	fills := []struct {
+		name string
+		at   func(i, n int) float64
+	}{
+		{"random", func(i, n int) float64 { return rng.ExpFloat64() }},
+		{"ascending", func(i, n int) float64 { return float64(i) }},
+		{"descending", func(i, n int) float64 { return float64(-i) }},
+		{"all-equal", func(i, n int) float64 { return 0 }},
+		{"two-valued", func(i, n int) float64 { return float64(rng.Intn(2)) }},
+		{"organ-pipe", func(i, n int) float64 { return float64(min(i%n, n-1-i%n)) }},
+	}
+	qs := []float64{-1, 0, 0.01, 0.5, 0.95, 0.99, 0.999, 1, 2}
+	for _, size := range []int{1, 2, 3, 13, 512, 4096} {
+		for _, fill := range fills {
+			// Half a window, then one and a half more: unfilled, then wrapped.
+			w := NewWindowedStat(size)
+			for _, upTo := range []int{size / 2, 2 * size} {
+				for i := w.Count(); i < upTo; i++ {
+					w.Observe(fill.at(i, size))
+				}
+				for _, q := range qs {
+					got, want := w.Quantile(q), w.Quantiles([]float64{q}, nil)[0]
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("size %d, %s, %d observed: Quantile(%v) = %v, sorting gives %v", size, fill.name, upTo, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWindowedStatQuantileAllocFree is the one-quantile counterpart of
+// TestWindowedStatQuantilesAllocFree: selection works on the same reused
+// scratch copy.
+func TestWindowedStatQuantileAllocFree(t *testing.T) {
+	w := NewWindowedStat(4096)
+	for i := 0; i < 8192; i++ {
+		w.Observe(float64(i % 997))
+	}
+	w.Quantile(0.99) // size the scratch
+	avg := testing.AllocsPerRun(100, func() {
+		w.Observe(1)
+		_ = w.Quantile(0.99)
+	})
+	if avg != 0 {
+		t.Errorf("one-quantile query allocates %.1f objects per call, want 0", avg)
 	}
 }
 

@@ -353,6 +353,20 @@ func TestDaemonRejectsBadSubmissions(t *testing.T) {
 		})
 	}
 
+	// A body past the submit bound is refused as such, in the JSON error
+	// shape, instead of being buffered to its end.
+	big := `{"name": "` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/api/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatalf("POST oversize body: %v", err)
+	}
+	var apiErr map[string]string
+	decodeErr := json.NewDecoder(resp.Body).Decode(&apiErr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || decodeErr != nil || apiErr["error"] == "" {
+		t.Errorf("oversize body: status %d, body %v (decode: %v), want 413 with a JSON error", resp.StatusCode, apiErr, decodeErr)
+	}
+
 	if resp, _ := get(t, ts.URL+"/api/jobs/nope"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status %d, want 404", resp.StatusCode)
 	}

@@ -657,7 +657,11 @@ func (s *Scenario) onSample(now time.Duration) {
 	snap := s.monitor.Snapshot()
 
 	// Ground truth for evaluation: the true window over recent writes and the
-	// store's cumulative stale-read count.
+	// store's cumulative stale-read count. Only StaleReads is read from the
+	// stats, but the call is load-bearing: it orders the store's three
+	// cumulative reservoirs, and past their cap which samples they go on to
+	// retain depends on that order (see metrics.Histogram). Swapping it for a
+	// counter read moves every golden and needs a deliberate re-baseline.
 	trueWindowP95 := s.store.RecentWindowQuantile(0.95)
 	stats := s.store.Stats()
 
