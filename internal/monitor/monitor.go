@@ -132,6 +132,10 @@ type Monitor struct {
 	// windowQuantiles is the reused result buffer for the batched window
 	// quantile query issued on every snapshot.
 	windowQuantiles [3]float64
+
+	// free recycles the per-operation completion records, so client-side
+	// accounting wraps the caller's callback without allocating.
+	free []*taggedOp
 }
 
 // snapshotWindowQs are the window quantiles every snapshot reports, queried
@@ -183,24 +187,19 @@ func (m *Monitor) Stop() {
 	}
 }
 
-// Read implements workload.Target: it forwards to the store and records the
-// client-observed outcome. It is the untagged view — identical to
-// Tagged(0).Read, kept as a single implementation there.
-func (m *Monitor) Read(key store.Key, cb func(store.Result)) {
-	m.Tagged(0).Read(key, cb)
-}
-
-// Write implements workload.Target: it forwards to the store and records the
-// client-observed outcome.
-func (m *Monitor) Write(key store.Key, cb func(store.Result)) {
-	m.Tagged(0).Write(key, cb)
-}
+// Read, Write, ReadID and WriteID make the monitor a workload target: it
+// forwards to the store and records the client-observed outcome. They are the
+// untagged view, Tagged(0).
+func (m *Monitor) Read(key store.Key, cb func(store.Result))      { m.Tagged(0).Read(key, cb) }
+func (m *Monitor) Write(key store.Key, cb func(store.Result))     { m.Tagged(0).Write(key, cb) }
+func (m *Monitor) ReadID(key store.KeyID, cb func(store.Result))  { m.Tagged(0).ReadID(key, cb) }
+func (m *Monitor) WriteID(key store.KeyID, cb func(store.Result)) { m.Tagged(0).WriteID(key, cb) }
 
 // TaggedTarget routes one tenant's operations through the monitor's
 // aggregate client-side accounting while tagging them with the tenant's
 // store ID, so the controller's aggregate view still covers all client
-// traffic and the store can attribute ground truth per tenant. It satisfies
-// workload.Target and tenant.Target.
+// traffic and the store can attribute ground truth per tenant. It is what a
+// workload source or a tenant runtime is pointed at.
 type TaggedTarget struct {
 	m  *Monitor
 	id store.TenantID
@@ -211,38 +210,65 @@ func (m *Monitor) Tagged(id store.TenantID) TaggedTarget {
 	return TaggedTarget{m: m, id: id}
 }
 
-// Read implements workload.Target.
-func (t TaggedTarget) Read(key store.Key, cb func(store.Result)) {
-	m := t.m
-	m.opsInterval++
-	m.opsTotal++
-	m.store.ReadAs(t.id, key, func(r store.Result) {
-		if r.Err != nil {
-			m.errorsInterval++
-		} else {
-			m.readLat.Observe(r.Latency.Seconds())
-		}
-		if cb != nil {
-			cb(r)
-		}
-	})
+// KeyID and KeyName resolve keys against the store's name table.
+func (t TaggedTarget) KeyID(name store.Key) store.KeyID { return t.m.store.KeyID(name) }
+func (t TaggedTarget) KeyName(id store.KeyID) store.Key { return t.m.store.KeyName(id) }
+
+// Read and Write are ReadID and WriteID for a key given by name.
+func (t TaggedTarget) Read(key store.Key, cb func(store.Result))  { t.ReadID(t.KeyID(key), cb) }
+func (t TaggedTarget) Write(key store.Key, cb func(store.Result)) { t.WriteID(t.KeyID(key), cb) }
+
+// ReadID forwards a read to the store with the monitor's accounting around
+// the caller's callback.
+func (t TaggedTarget) ReadID(key store.KeyID, cb func(store.Result)) {
+	t.m.store.ReadAs(t.id, key, t.m.observe(cb))
 }
 
-// Write implements workload.Target.
-func (t TaggedTarget) Write(key store.Key, cb func(store.Result)) {
-	m := t.m
+// WriteID forwards a write, mirroring ReadID.
+func (t TaggedTarget) WriteID(key store.KeyID, cb func(store.Result)) {
+	t.m.store.WriteAs(t.id, key, t.m.observe(cb))
+}
+
+// taggedOp is the completion record of one forwarded operation: the
+// caller's callback behind a handler bound once, when the record is first
+// made, and reused every time the record is.
+type taggedOp struct {
+	m    *Monitor
+	cb   func(store.Result)
+	done func(store.Result)
+}
+
+// observe counts one client operation and returns the callback that records
+// its outcome before passing it on to cb.
+func (m *Monitor) observe(cb func(store.Result)) func(store.Result) {
 	m.opsInterval++
 	m.opsTotal++
-	m.store.WriteAs(t.id, key, func(r store.Result) {
-		if r.Err != nil {
-			m.errorsInterval++
-		} else {
-			m.writeLat.Observe(r.Latency.Seconds())
-		}
-		if cb != nil {
-			cb(r)
-		}
-	})
+	var o *taggedOp
+	if n := len(m.free); n > 0 {
+		o, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		o = &taggedOp{m: m}
+		o.done = o.complete
+	}
+	o.cb = cb
+	return o.done
+}
+
+func (o *taggedOp) complete(r store.Result) {
+	m, cb := o.m, o.cb
+	o.cb = nil
+	m.free = append(m.free, o)
+	switch {
+	case r.Err != nil:
+		m.errorsInterval++
+	case r.Kind == store.OpWrite:
+		m.writeLat.Observe(r.Latency.Seconds())
+	default:
+		m.readLat.Observe(r.Latency.Seconds())
+	}
+	if cb != nil {
+		cb(r)
+	}
 }
 
 // ObserveWrite implements store.Observer: the spread between the client

@@ -15,6 +15,7 @@ type benchRig struct {
 	engine *sim.Engine
 	store  *Store
 	keys   []Key
+	ids    []KeyID
 }
 
 func newBenchRig(tb testing.TB, nodes int) *benchRig {
@@ -29,10 +30,12 @@ func newBenchRig(tb testing.TB, nodes int) *benchRig {
 		tb.Fatalf("store.New: %v", err)
 	}
 	keys := make([]Key, 512)
+	ids := make([]KeyID, len(keys))
 	for i := range keys {
 		keys[i] = Key("key-" + strconv.Itoa(i))
+		ids[i] = KeyID(i)
 	}
-	return &benchRig{engine: engine, store: st, keys: keys}
+	return &benchRig{engine: engine, store: st, keys: keys, ids: ids}
 }
 
 // settle steps the engine until the given number of operation callbacks have

@@ -19,4 +19,8 @@
 // score the monitor's estimates and the controller's decisions; controllers
 // only ever observe the monitor. An Observer hook exposes coordinator-side
 // write acknowledgement spreads, which is what passive monitoring consumes.
+//
+// A Key is a key's name; operations travel under a KeyID, a dense integer the
+// per-key state is indexed by (keys.go). Read and Write take a name and
+// resolve it; ReadID, WriteID, ReadAs and WriteAs take the id.
 package store

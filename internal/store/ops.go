@@ -1,11 +1,11 @@
 package store
 
 import (
-	"slices"
 	"time"
 
 	"autonosql/internal/cluster"
 	"autonosql/internal/obs"
+	"autonosql/internal/sim"
 )
 
 // The read and write paths are fully event-driven: every hop (client ->
@@ -15,115 +15,408 @@ import (
 // (a single busy-until executor) consistent: work is offered in arrival
 // order, so queueing delays emerge from load instead of from event-creation
 // order.
+//
+// Operation state is recycled, not garbage. An opState comes off its store's
+// free list when the operation is issued and goes back when its last holder
+// lets go. The holders are exactly: the call that issued the operation, every
+// scheduled event whose argument is the state or one of its replica slots,
+// and every hint queued for one of its slots. Each takes one reference when
+// it is created (newOp, after, pushHint) and gives it back once, when the
+// call or the event's step returns or the hint leaves the backlog (release).
+// Every event is a package-level handler over a pre-bound pointer, so the
+// whole path schedules without allocating.
 
-// writeState tracks one in-flight write at the coordinator: how many replica
-// acknowledgements it still needs, how many can still arrive, and when the
-// client was (or will be) acknowledged. The window tracker, the live replica
-// list and the per-ack handler are embedded so one allocation covers the
-// whole per-write bookkeeping.
-type writeState struct {
+// opState tracks one in-flight client operation at its coordinator. For a
+// write: how many replica acknowledgements it still needs, how many can
+// still arrive, when the client was acknowledged, and — until every replica
+// in the preference list has applied it — the true inconsistency window. For
+// a read: the answers so far and the freshest version among them.
+type opState struct {
 	store    *Store
-	key      Key
-	ver      version
+	write    bool
+	key      KeyID
 	issuedAt time.Duration
 	tenant   TenantID
 	cb       func(Result)
-	// tracker follows the write until every replica applied it; it is
-	// embedded by value and handed around as &w.tracker.
-	tracker writeTracker
-	// coord and live capture the coordinator and live preference list between
-	// the client leg and the coordinator fan-out.
-	coord *cluster.Node
-	live  []cluster.NodeID
-	// liveBuf backs live for the common replication factors without a second
-	// allocation.
-	liveBuf [8]cluster.NodeID
-	// fanout holds one pre-bound dispatch slot per live replica, so the
-	// coordinator fan-out schedules package-level ArgHandler events instead
-	// of allocating a closure per replica. fanoutBuf backs it inline for the
+	coord    *cluster.Node
+	// refs counts the state's holders, see above.
+	refs int
+	// err is the failure a scheduled failEvent will deliver.
+	err error
+	// slots holds one pre-bound slot per replica the operation involves, in
+	// preference order: the first live are the ones the coordinator fans out
+	// to (for a read, the `required` replicas it contacts, and all there is);
+	// a write's remaining slots are the replicas unreachable at issue time,
+	// which start as hints. Slot addresses are event arguments and backlog
+	// entries, so slots is bound once; slotsBuf backs it inline for the
 	// common replication factors.
-	fanout    []writeFanout
-	fanoutBuf [8]writeFanout
-	// trace is the sampled span tree for this write, nil for unsampled
+	slots    []opSlot
+	slotsBuf [8]opSlot
+	live     int
+	// trace is the sampled span tree for this operation, nil for unsampled
 	// operations (and always nil with tracing off).
 	trace *obs.OpTrace
 
 	required int
-	// possible is the number of replicas that can still acknowledge (live
-	// replicas whose mutation has not been dropped).
-	possible     int
+	// possible is the number of replicas that can still answer (live
+	// replicas whose mutation or request has not been dropped).
+	possible int
+	// answered: the consistency level was met and the client's answer is on
+	// its way. failed: it cannot be met any more.
+	answered bool
+	failed   bool
+
+	// Write side.
+	ver          version
 	acked        int
 	ackDecidedAt time.Duration
 	lastAckAt    time.Duration
-	replicas     int
+	observed     bool
+	// Window tracking: remaining replicas have neither applied the write nor
+	// been discounted; the window runs from ackAt to lastApply.
+	ackAt     time.Duration
+	remaining int
+	lastApply time.Duration
+	resolved  bool
+	recorded  bool
 
-	clientAcked bool
-	failed      bool
-	observed    bool
+	// Read side. contacted lists the slots that answered, in arrival order;
+	// repairTo is the version read repair brings them up to.
+	responses    int
+	freshest     version
+	divergent    bool
+	contacted    []*opSlot
+	contactedBuf [8]*opSlot
+	repairTo     version
 }
 
-// writeFanout is the per-replica slot of a write's coordinator fan-out: it
-// points back at the write so the package-level event handlers below can be
-// scheduled with the engine's allocation-free AfterArg path.
-type writeFanout struct {
-	w  *writeState
+// opSlot is one replica's slot of an operation: the argument of that
+// replica's events (arrival, apply or respond, hint replay, read repair) and,
+// for a write, its entry in the hint backlog. It points back at the
+// operation so package-level handlers can be scheduled with the engine's
+// allocation-free AfterArg path.
+type opSlot struct {
+	op *opState
 	id cluster.NodeID
 }
 
-// Package-level ArgHandler trampolines for the write path. Using named
-// functions (instead of per-event closures) keeps the fan-out hot path at a
-// single allocation per write: the writeState itself.
-func writeDispatchEvent(arg any, arrival time.Duration) {
-	w := arg.(*writeState)
-	w.store.coordinateWrite(w, arrival)
+// newOp takes an operation state off the free list; the caller holds it.
+func (s *Store) newOp(write bool, tenant TenantID, key KeyID, cb func(Result)) *opState {
+	var op *opState
+	if n := len(s.freeOps); n > 0 {
+		op, s.freeOps = s.freeOps[n-1], s.freeOps[:n-1]
+		*op = opState{}
+	} else {
+		op = new(opState)
+	}
+	op.store, op.write, op.tenant, op.key, op.cb = s, write, tenant, key, cb
+	op.issuedAt = s.engine.Now()
+	op.refs = 1
+	return op
 }
 
-func writeAckEvent(arg any, at time.Duration) {
-	arg.(*writeState).onAck(at)
+// release gives back one reference; the last one recycles the state.
+func (s *Store) release(op *opState) {
+	if op.refs--; op.refs == 0 && recycleOps {
+		s.freeOps = append(s.freeOps, op)
+	}
 }
 
-func writeArriveEvent(arg any, arrive time.Duration) {
-	f := arg.(*writeFanout)
-	f.w.store.applyOnReplica(f, arrive)
+// after schedules one of the operation's events; the event holds the
+// operation until its step has run.
+func (op *opState) after(delay time.Duration, h sim.ArgHandler, arg any) {
+	op.refs++
+	op.store.engine.AfterArg(delay, h, arg)
 }
 
-func writeApplyEvent(arg any, applied time.Duration) {
-	f := arg.(*writeFanout)
-	w := f.w
-	if rep, ok := w.store.replicas[f.id]; ok {
+// opEvent and slotEvent turn one step of an operation into an engine event
+// handler that gives back the event's reference once the step has run.
+func opEvent(step func(*opState, time.Duration)) sim.ArgHandler {
+	return func(arg any, at time.Duration) {
+		op := arg.(*opState)
+		step(op, at)
+		op.store.release(op)
+	}
+}
+
+func slotEvent(step func(*opSlot, time.Duration)) sim.ArgHandler {
+	return func(arg any, at time.Duration) {
+		f := arg.(*opSlot)
+		step(f, at)
+		f.op.store.release(f.op)
+	}
+}
+
+// The events of the operation path, bound once.
+var (
+	dispatchEvent    = opEvent((*opState).coordinate)
+	failEvent        = opEvent((*opState).deliverFailure)
+	ackEvent         = opEvent((*opState).onAck)
+	clientAckEvent   = opEvent((*opState).ackClient)
+	clientDoneEvent  = opEvent((*opState).finishRead)
+	writeArriveEvent = slotEvent((*opSlot).arriveWrite)
+	writeApplyEvent  = slotEvent((*opSlot).applyWrite)
+	hintArriveEvent  = slotEvent((*opSlot).arriveHint)
+	hintApplyEvent   = slotEvent((*opSlot).applyHint)
+	readArriveEvent  = slotEvent((*opSlot).arriveRead)
+	respondEvent     = slotEvent((*opSlot).respond)
+	readRepairEvent  = slotEvent((*opSlot).repair)
+)
+
+// result starts the Result of an operation completing at the given time.
+func (op *opState) result(at time.Duration) Result {
+	kind := OpRead
+	if op.write {
+		kind = OpWrite
+	}
+	return Result{Kind: kind, ID: op.key, IssuedAt: op.issuedAt, CompletedAt: at, Latency: at - op.issuedAt}
+}
+
+// Write stores a new version of the named key and invokes cb when the client
+// is acknowledged (or when the operation fails). The acknowledgement point is
+// determined by the current write consistency level; remaining replicas
+// converge asynchronously and the elapsed time until they do is recorded as
+// the write's inconsistency window.
+func (s *Store) Write(key Key, cb func(Result)) { s.issue(true, 0, s.keys.ID(key), cb) }
+
+// WriteID is Write for a key already resolved to its id.
+func (s *Store) WriteID(key KeyID, cb func(Result)) { s.issue(true, 0, key, cb) }
+
+// WriteAs is WriteID with a tenant tag: the operation contributes to the
+// tagged tenant's ground-truth statistics (latency, failures, inconsistency
+// window) in addition to the aggregate set. Tag zero is the plain untagged
+// write.
+func (s *Store) WriteAs(tenant TenantID, key KeyID, cb func(Result)) { s.issue(true, tenant, key, cb) }
+
+// Read fetches the named key and invokes cb with the freshest version
+// observed among the replicas the read consistency level requires.
+func (s *Store) Read(key Key, cb func(Result)) { s.issue(false, 0, s.keys.ID(key), cb) }
+
+// ReadID is Read for a key already resolved to its id.
+func (s *Store) ReadID(key KeyID, cb func(Result)) { s.issue(false, 0, key, cb) }
+
+// ReadAs is ReadID with a tenant tag, mirroring WriteAs.
+func (s *Store) ReadAs(tenant TenantID, key KeyID, cb func(Result)) { s.issue(false, tenant, key, cb) }
+
+func (s *Store) issue(write bool, tenant TenantID, key KeyID, cb func(Result)) {
+	op := s.newOp(write, tenant, s.keys.local(key), cb)
+	s.admit(op)
+	s.release(op)
+}
+
+// admit picks the operation's coordinator and replicas and, if enough of
+// them are reachable for its consistency level, sends it on the client ->
+// coordinator leg.
+func (s *Store) admit(op *opState) {
+	now := op.issuedAt
+	if s.closed {
+		s.fail(op, ErrStopped)
+		return
+	}
+	op.trace = s.beginTrace(op.write, op.key, now)
+	coord, ok := s.pickCoordinatorTenant(op.tenant)
+	if !ok {
+		s.reject(op, now, ErrNoNodes)
+		return
+	}
+	replicaIDs := s.appendReplicasTenant(op.tenant, op.key)
+	if len(replicaIDs) == 0 {
+		s.reject(op, now, ErrNoNodes)
+		return
+	}
+	cl := s.readCL
+	if op.write {
+		cl = s.writeCL
+	}
+	op.required = cl.Required(len(replicaIDs))
+	live, down := s.partitionReplicas(coord.ID(), replicaIDs)
+	if len(live) < op.required {
+		s.reject(op, now, ErrUnavailable)
+		return
+	}
+
+	op.coord = coord
+	t := s.tenant(op.tenant)
+	if op.write {
+		s.writes.Inc()
+		if t != nil {
+			t.writes.Inc()
+		}
+		if s.trackOwners && op.tenant > 0 {
+			*s.keyTenant.at(op.key) = op.tenant
+		}
+		s.writesSinceTick++
+		s.nextVersion++
+		op.ver = s.nextVersion
+		op.possible = len(live)
+		op.remaining = len(replicaIDs)
+	} else {
+		s.reads.Inc()
+		if t != nil {
+			t.reads.Inc()
+		}
+		// Contact exactly `required` live replicas in preference order, as a
+		// token-aware driver would.
+		op.possible = op.required
+		live, down = live[:op.required], nil
+		op.contacted = op.contactedBuf[:0]
+	}
+	op.trace.Add(now, "dispatch", int(coord.ID()))
+
+	// live and down point into per-operation scratch buffers, which the next
+	// operation overwrites; the slots keep them.
+	op.slots = op.slotsBuf[:0]
+	if n := len(live) + len(down); n > len(op.slotsBuf) {
+		op.slots = make([]opSlot, 0, n)
+	}
+	for _, id := range live {
+		op.slots = append(op.slots, opSlot{op: op, id: id})
+	}
+	op.live = len(live)
+	for _, id := range down {
+		op.slots = append(op.slots, opSlot{op: op, id: id})
+	}
+	// Unreachable replicas get hints (or are dropped, counted as lost).
+	for i := op.live; i < len(op.slots); i++ {
+		s.queueHint(&op.slots[i])
+	}
+
+	// Client -> coordinator.
+	op.after(s.cluster.Network().ClientToNode(), dispatchEvent, op)
+}
+
+// reject fails the operation: failure counters, the span's end, and a
+// failure result after a minimal client round trip.
+func (s *Store) reject(op *opState, at time.Duration, err error) {
+	op.failed = true
+	s.countFailure(op.tenant, op.write)
+	s.finishTrace(op.trace, at, err)
+	s.fail(op, err)
+}
+
+// fail delivers a failure result after a minimal client round trip.
+func (s *Store) fail(op *opState, err error) {
+	if op.cb == nil {
+		return
+	}
+	op.err = err
+	op.after(s.cluster.Network().ClientToNode()*2, failEvent, op)
+}
+
+func (op *opState) deliverFailure(at time.Duration) {
+	res := op.result(at)
+	res.Err = op.err
+	op.cb(res)
+}
+
+// coordinate runs on the coordinator once the client request arrives: the
+// coordinator processes the request locally — applying a mutation, answering
+// a read from its own replica — and fans it out to the other replicas.
+func (op *opState) coordinate(arrival time.Duration) {
+	s := op.store
+	coordDelay, accepted := op.coord.Enqueue(arrival, cluster.ForegroundOp)
+	if !accepted {
+		op.trace.AddNote(arrival, "coordinate", int(op.coord.ID()), "reject")
+		s.reject(op, arrival, ErrUnavailable)
+		return
+	}
+	coordDone := arrival + coordDelay
+	op.trace.Add(coordDone, "coordinate", int(op.coord.ID()))
+	net := s.cluster.Network()
+
+	for i := range op.slots[:op.live] {
+		f := &op.slots[i]
+		switch {
+		case f.id != op.coord.ID():
+			arrive := writeArriveEvent
+			if !op.write {
+				arrive = readArriveEvent
+			}
+			sendLeg := net.NodeToNode()
+			op.after(delayUntil(s.engine.Now(), coordDone+sendLeg), arrive, f)
+		case op.write:
+			// The coordinator applies the mutation as part of processing it
+			// and acknowledges itself immediately afterwards.
+			op.after(delayUntil(s.engine.Now(), coordDone), writeApplyEvent, f)
+			op.after(delayUntil(s.engine.Now(), coordDone), ackEvent, op)
+		default:
+			op.after(delayUntil(s.engine.Now(), coordDone), respondEvent, f)
+		}
+	}
+}
+
+// onReplicaLost records that one replica will not answer (dropped mutation,
+// unreachable node). If the operation can no longer reach its consistency
+// level it fails with ErrUnavailable, mirroring a timeout.
+func (op *opState) onReplicaLost() {
+	if op.failed || (op.answered && !op.write) {
+		return
+	}
+	op.possible--
+	if !op.answered {
+		if op.possible < op.required {
+			op.store.reject(op, op.store.engine.Now(), ErrUnavailable)
+		}
+	} else if op.acked >= op.possible {
+		op.emitObservation()
+	}
+}
+
+// arriveWrite runs on a replica when a replicated mutation arrives. The
+// mutation is applied unless it would be older than the drop timeout by the
+// time the replica gets to it, in which case it is dropped and becomes a
+// hint — the overload behaviour of Dynamo-style stores, and the mechanism
+// that blows the inconsistency window up when replicas cannot keep up.
+func (f *opSlot) arriveWrite(arrive time.Duration) {
+	w, s, id := f.op, f.op.store, f.id
+	node, ok := s.cluster.Node(id)
+	if !ok || !node.Available() || !s.cluster.Network().Reachable(w.coord.ID(), id) {
+		// Down, removed, or a partition opened between dispatch and arrival:
+		// the mutation cannot be delivered and becomes a hint.
+		f.hintInstead(arrive, "unreachable")
+		return
+	}
+	applyDelay, accepted := node.Enqueue(arrive, cluster.ReplicationApply)
+	if !accepted {
+		f.hintInstead(arrive, "overload")
+		return
+	}
+	applyAt := arrive + applyDelay
+	if applyAt-w.issuedAt > s.cfg.MutationDropTimeout {
+		s.droppedMutations.Inc()
+		f.hintInstead(arrive, "drop-timeout")
+		return
+	}
+	w.trace.Add(arrive, "replica-arrive", int(id))
+	w.after(delayUntil(s.engine.Now(), applyAt), writeApplyEvent, f)
+	ackAt := applyAt + s.cluster.Network().NodeToNode()
+	w.after(delayUntil(s.engine.Now(), ackAt), ackEvent, w)
+}
+
+// hintInstead turns a mutation its replica could not take into a hint.
+func (f *opSlot) hintInstead(arrive time.Duration, why string) {
+	f.op.trace.AddNote(arrive, "replica-hint", int(f.id), why)
+	f.op.store.queueHint(f)
+	f.op.onReplicaLost()
+}
+
+func (f *opSlot) applyWrite(applied time.Duration) {
+	f.op.trace.Add(applied, "replica-apply", int(f.id))
+	f.applyHint(applied)
+}
+
+// applyHint applies a replayed hint: applyWrite without the span marker of
+// the regular replication path.
+func (f *opSlot) applyHint(applied time.Duration) {
+	w := f.op
+	if rep := w.store.replica(f.id); rep != nil {
 		rep.apply(w.key, w.ver)
 	}
-	w.trace.Add(applied, "replica-apply", int(f.id))
-	w.tracker.applied(applied)
-}
-
-func writeClientAckEvent(arg any, at time.Duration) {
-	w := arg.(*writeState)
-	s := w.store
-	if cur, ok := s.latestAcked[w.key]; !ok || w.ver > cur {
-		s.latestAcked[w.key] = w.ver
-	}
-	w.trace.Add(at, "client-ack", 0)
-	w.tracker.setAck(at)
-	latency := at - w.issuedAt
-	s.writeLatency.ObserveDuration(latency)
-	if t := s.tenant(w.tenant); t != nil {
-		t.writeLatency.ObserveDuration(latency)
-	}
-	if w.cb != nil {
-		w.cb(Result{
-			Kind:        OpWrite,
-			Key:         w.key,
-			IssuedAt:    w.issuedAt,
-			CompletedAt: at,
-			Latency:     latency,
-			Version:     uint64(w.ver),
-		})
-	}
+	w.replicaSettled(applied)
 }
 
 // onAck records one replica acknowledgement arriving at the coordinator.
-func (w *writeState) onAck(at time.Duration) {
+func (w *opState) onAck(at time.Duration) {
 	if w.failed {
 		return
 	}
@@ -132,34 +425,16 @@ func (w *writeState) onAck(at time.Duration) {
 		w.lastAckAt = at
 	}
 	w.trace.Add(at, "ack", 0)
-	if !w.clientAcked && w.acked >= w.required {
-		w.clientAcked = true
+	if !w.answered && w.acked >= w.required {
+		// Acknowledge the client now that the required replica
+		// acknowledgements have arrived at the coordinator.
+		w.answered = true
 		w.ackDecidedAt = at
 		w.trace.Add(at, "quorum", 0)
-		w.store.completeWrite(w, at)
+		clientAck := at + w.store.cluster.Network().ClientToNode()
+		w.after(delayUntil(w.store.engine.Now(), clientAck), clientAckEvent, w)
 	}
 	if w.acked >= w.possible {
-		w.emitObservation()
-	}
-}
-
-// onReplicaLost records that one replica will not acknowledge (dropped
-// mutation, unreachable node). If the write can no longer reach its
-// consistency level it fails with ErrUnavailable, mirroring a write-timeout.
-func (w *writeState) onReplicaLost() {
-	if w.failed {
-		return
-	}
-	w.possible--
-	if !w.clientAcked && w.possible < w.required {
-		w.failed = true
-		w.store.writeFailures.Inc()
-		w.store.tenantWriteFailure(w.tenant)
-		w.store.finishTrace(w.trace, w.store.engine.Now(), ErrUnavailable)
-		w.store.failOp(OpWrite, w.key, w.issuedAt, ErrUnavailable, w.cb)
-		return
-	}
-	if w.clientAcked && w.acked >= w.possible {
 		w.emitObservation()
 	}
 }
@@ -168,8 +443,8 @@ func (w *writeState) onReplicaLost() {
 // monitors once every reachable replica has acknowledged. Both timestamps are
 // in the coordinator's frame: the moment the consistency level was satisfied
 // and the moment the last reachable replica acknowledged.
-func (w *writeState) emitObservation() {
-	if w.observed || !w.clientAcked || w.acked == 0 {
+func (w *opState) emitObservation() {
+	if w.observed || !w.answered || w.acked == 0 {
 		return
 	}
 	w.observed = true
@@ -177,7 +452,7 @@ func (w *writeState) emitObservation() {
 		IssuedAt:  w.issuedAt,
 		AckedAt:   w.ackDecidedAt,
 		LastAckAt: w.lastAckAt,
-		Replicas:  w.replicas,
+		Replicas:  len(w.slots),
 		Acked:     w.acked,
 	}
 	for _, o := range w.store.observers {
@@ -185,438 +460,32 @@ func (w *writeState) emitObservation() {
 	}
 }
 
-// completeWrite acknowledges the client after the required replica
-// acknowledgements have arrived at the coordinator.
-func (s *Store) completeWrite(w *writeState, ackAtCoord time.Duration) {
-	now := s.engine.Now()
-	clientAck := ackAtCoord + s.cluster.Network().ClientToNode()
-	delay := clientAck - now
-	if delay < 0 {
-		delay = 0
-	}
-	s.engine.AfterArg(delay, writeClientAckEvent, w)
-}
-
-// Write stores a new version of key and invokes cb when the client is
-// acknowledged (or when the operation fails). The acknowledgement point is
-// determined by the current write consistency level; remaining replicas
-// converge asynchronously and the elapsed time until they do is recorded as
-// the write's inconsistency window.
-func (s *Store) Write(key Key, cb func(Result)) { s.WriteAs(0, key, cb) }
-
-// WriteAs is Write with a tenant tag: the operation contributes to the
-// tagged tenant's ground-truth statistics (latency, failures, inconsistency
-// window) in addition to the aggregate set. Tag zero is the plain untagged
-// write.
-func (s *Store) WriteAs(tenant TenantID, key Key, cb func(Result)) {
-	now := s.engine.Now()
-	if s.closed {
-		s.failOp(OpWrite, key, now, ErrStopped, cb)
-		return
-	}
-	tr := s.beginTrace(true, key, now)
-	coord, ok := s.pickCoordinatorTenant(tenant)
-	if !ok {
-		s.writeFailures.Inc()
-		s.tenantWriteFailure(tenant)
-		s.finishTrace(tr, now, ErrNoNodes)
-		s.failOp(OpWrite, key, now, ErrNoNodes, cb)
-		return
-	}
-	replicaIDs := s.appendReplicasTenant(tenant, key)
-	if len(replicaIDs) == 0 {
-		s.writeFailures.Inc()
-		s.tenantWriteFailure(tenant)
-		s.finishTrace(tr, now, ErrNoNodes)
-		s.failOp(OpWrite, key, now, ErrNoNodes, cb)
-		return
-	}
-	required := s.writeCL.Required(len(replicaIDs))
-	live, down := s.partitionReplicas(coord.ID(), replicaIDs)
-	if len(live) < required {
-		s.writeFailures.Inc()
-		s.tenantWriteFailure(tenant)
-		s.finishTrace(tr, now, ErrUnavailable)
-		s.failOp(OpWrite, key, now, ErrUnavailable, cb)
-		return
-	}
-
-	s.writes.Inc()
-	if t := s.tenant(tenant); t != nil {
-		t.writes.Inc()
-	}
-	if s.keyTenant != nil && tenant > 0 {
-		s.keyTenant[key] = tenant
-	}
-	s.writesSinceTick++
-	s.nextVersion++
-	ver := s.nextVersion
-
-	state := &writeState{
-		store:    s,
-		key:      key,
-		ver:      ver,
-		issuedAt: now,
-		tenant:   tenant,
-		cb:       cb,
-		coord:    coord,
-		required: required,
-		possible: len(live),
-		replicas: len(replicaIDs),
-	}
-	state.trace = tr
-	tr.Add(now, "dispatch", int(coord.ID()))
-	state.tracker = writeTracker{
-		store:     s,
-		key:       key,
-		ver:       ver,
-		tenant:    tenant,
-		remaining: len(replicaIDs),
-		trace:     tr,
-	}
-	// live points into the per-operation scratch buffer, which the next
-	// operation overwrites; keep a copy in the state's inline buffer.
-	state.live = append(state.liveBuf[:0], live...)
-
-	// Unreachable replicas get hints (or are dropped, counted as lost).
-	for _, id := range down {
-		s.queueHint(id, key, ver, &state.tracker, coord.ID())
-	}
-
-	// Client -> coordinator.
-	clientLeg := s.cluster.Network().ClientToNode()
-	s.engine.AfterArg(clientLeg, writeDispatchEvent, state)
-}
-
-// coordinateWrite runs on the coordinator once the client request arrives:
-// the coordinator processes the mutation locally and fans it out to the other
-// replicas.
-func (s *Store) coordinateWrite(w *writeState, arrival time.Duration) {
-	coordDelay, accepted := w.coord.Enqueue(arrival, cluster.ForegroundOp)
-	if !accepted {
-		w.failed = true
-		s.writeFailures.Inc()
-		s.tenantWriteFailure(w.tenant)
-		w.trace.AddNote(arrival, "coordinate", int(w.coord.ID()), "reject")
-		s.finishTrace(w.trace, arrival, ErrUnavailable)
-		s.failOp(OpWrite, w.key, w.issuedAt, ErrUnavailable, w.cb)
-		return
-	}
-	coordDone := arrival + coordDelay
-	w.trace.Add(coordDone, "coordinate", int(w.coord.ID()))
-	net := s.cluster.Network()
-
-	// Bind one fan-out slot per live replica before scheduling anything, so
-	// slot addresses are stable when the handlers fire.
-	w.fanout = w.fanoutBuf[:0]
-	if len(w.live) > len(w.fanoutBuf) {
-		w.fanout = make([]writeFanout, 0, len(w.live))
-	}
-	for _, id := range w.live {
-		w.fanout = append(w.fanout, writeFanout{w: w, id: id})
-	}
-
-	for i, id := range w.live {
-		f := &w.fanout[i]
-		if id == w.coord.ID() {
-			// The coordinator applies the mutation as part of processing it
-			// and acknowledges itself immediately afterwards.
-			s.engine.AfterArg(delayUntil(s.engine.Now(), coordDone), writeApplyEvent, f)
-			s.engine.AfterArg(delayUntil(s.engine.Now(), coordDone), writeAckEvent, w)
-			continue
+// ackClient completes an acknowledged write at the client.
+func (w *opState) ackClient(at time.Duration) {
+	s := w.store
+	if cur := s.latestAcked.at(w.key); w.ver > *cur {
+		if *cur == 0 {
+			s.ackedKeys++
 		}
-		sendLeg := net.NodeToNode()
-		s.engine.AfterArg(delayUntil(s.engine.Now(), coordDone+sendLeg), writeArriveEvent, f)
+		*cur = w.ver
+	}
+	w.trace.Add(at, "client-ack", 0)
+	w.setAck(at)
+	res := w.result(at)
+	res.Version = uint64(w.ver)
+	s.writeLatency.ObserveDuration(res.Latency)
+	if t := s.tenant(w.tenant); t != nil {
+		t.writeLatency.ObserveDuration(res.Latency)
+	}
+	if w.cb != nil {
+		w.cb(res)
 	}
 }
 
-// applyOnReplica runs on a replica when a replicated mutation arrives. The
-// mutation is applied unless it would be older than the drop timeout by the
-// time the replica gets to it, in which case it is dropped and becomes a
-// hint — the overload behaviour of Dynamo-style stores, and the mechanism
-// that blows the inconsistency window up when replicas cannot keep up.
-func (s *Store) applyOnReplica(f *writeFanout, arrive time.Duration) {
-	w, id := f.w, f.id
-	node, ok := s.cluster.Node(id)
-	if !ok || !node.Available() || !s.cluster.Network().Reachable(w.coord.ID(), id) {
-		// Down, removed, or a partition opened between dispatch and arrival:
-		// the mutation cannot be delivered and becomes a hint.
-		w.trace.AddNote(arrive, "replica-hint", int(id), "unreachable")
-		s.queueHint(id, w.key, w.ver, &w.tracker, w.coord.ID())
-		w.onReplicaLost()
-		return
-	}
-	applyDelay, accepted := node.Enqueue(arrive, cluster.ReplicationApply)
-	if !accepted {
-		w.trace.AddNote(arrive, "replica-hint", int(id), "overload")
-		s.queueHint(id, w.key, w.ver, &w.tracker, w.coord.ID())
-		w.onReplicaLost()
-		return
-	}
-	applyAt := arrive + applyDelay
-	if applyAt-w.issuedAt > s.cfg.MutationDropTimeout {
-		s.droppedMutations.Inc()
-		w.trace.AddNote(arrive, "replica-hint", int(id), "drop-timeout")
-		s.queueHint(id, w.key, w.ver, &w.tracker, w.coord.ID())
-		w.onReplicaLost()
-		return
-	}
-	w.trace.Add(arrive, "replica-arrive", int(id))
-	s.engine.AfterArg(delayUntil(s.engine.Now(), applyAt), writeApplyEvent, f)
-	ackAt := applyAt + s.cluster.Network().NodeToNode()
-	s.engine.AfterArg(delayUntil(s.engine.Now(), ackAt), writeAckEvent, w)
-}
-
-// readState tracks one in-flight read at the coordinator. The coordinator,
-// target list and contacted list are embedded (with inline backing arrays for
-// the common consistency levels) so one allocation covers the whole read.
-type readState struct {
-	store    *Store
-	key      Key
-	issuedAt time.Duration
-	tenant   TenantID
-	cb       func(Result)
-	coord    *cluster.Node
-	// targets is the preference-ordered set of replicas the read contacts.
-	targets    []cluster.NodeID
-	targetsBuf [8]cluster.NodeID
-	// fanout mirrors writeState.fanout: one pre-bound slot per contacted
-	// replica, so the read fan-out schedules no per-replica closures.
-	fanout    []readFanout
-	fanoutBuf [8]readFanout
-	// trace is the sampled span tree for this read, nil for unsampled
-	// operations (and always nil with tracing off).
-	trace *obs.OpTrace
-
-	required  int
-	possible  int
-	responses int
-
-	freshest     version
-	divergent    bool
-	contacted    []cluster.NodeID
-	contactedBuf [8]cluster.NodeID
-	lastSeenAt   time.Duration
-	done         bool
-}
-
-// readFanout is the per-replica slot of a read's coordinator fan-out.
-type readFanout struct {
-	r  *readState
-	id cluster.NodeID
-}
-
-// Package-level ArgHandler trampolines for the read path, mirroring the
-// write-path set above.
-func readDispatchEvent(arg any, arrival time.Duration) {
-	r := arg.(*readState)
-	r.store.coordinateRead(r, arrival)
-}
-
-func readArriveEvent(arg any, arrive time.Duration) {
-	f := arg.(*readFanout)
-	f.r.store.readOnReplica(f, arrive)
-}
-
-// readRespondEvent fires when a replica's answer arrives back at the
-// coordinator; the version is read at response time, as before.
-func readRespondEvent(arg any, at time.Duration) {
-	f := arg.(*readFanout)
-	r := f.r
-	v := version(0)
-	if rep, ok := r.store.replicas[f.id]; ok {
-		v = rep.read(r.key)
-	}
-	r.onResponse(f.id, v, at)
-}
-
-func readClientDoneEvent(arg any, at time.Duration) {
-	r := arg.(*readState)
-	s := r.store
-	latest := s.latestAcked[r.key]
-	stale := r.freshest < latest
-	if stale {
-		s.staleReads.Inc()
-		r.trace.AddNote(at, "client-done", 0, "stale")
-	} else {
-		r.trace.Add(at, "client-done", 0)
-	}
-	s.finishTrace(r.trace, at, nil)
-	if s.cfg.ReadRepair && (r.divergent || stale) {
-		s.scheduleReadRepair(r.key, r.contacted)
-	}
-	latency := at - r.issuedAt
-	s.readLatency.ObserveDuration(latency)
-	if t := s.tenant(r.tenant); t != nil {
-		if stale {
-			t.staleReads.Inc()
-		}
-		t.readLatency.ObserveDuration(latency)
-	}
-	if r.cb != nil {
-		r.cb(Result{
-			Kind:        OpRead,
-			Key:         r.key,
-			IssuedAt:    r.issuedAt,
-			CompletedAt: at,
-			Latency:     latency,
-			Version:     uint64(r.freshest),
-			Stale:       stale,
-		})
-	}
-}
-
-// onResponse records one replica's answer arriving back at the coordinator.
-func (r *readState) onResponse(id cluster.NodeID, v version, at time.Duration) {
-	if r.done {
-		return
-	}
-	r.responses++
-	r.contacted = append(r.contacted, id)
-	if at > r.lastSeenAt {
-		r.lastSeenAt = at
-	}
-	r.trace.Add(at, "replica-respond", int(id))
-	if v != r.freshest && r.responses > 1 {
-		r.divergent = true
-	}
-	if v > r.freshest {
-		r.freshest = v
-	}
-	if r.responses >= r.required {
-		r.done = true
-		r.trace.Add(at, "quorum", 0)
-		r.store.completeRead(r, at)
-	}
-}
-
-// onReplicaLost records a contacted replica that will not answer.
-func (r *readState) onReplicaLost() {
-	if r.done {
-		return
-	}
-	r.possible--
-	if r.possible < r.required {
-		r.done = true
-		r.store.readFailures.Inc()
-		r.store.tenantReadFailure(r.tenant)
-		r.store.finishTrace(r.trace, r.store.engine.Now(), ErrUnavailable)
-		r.store.failOp(OpRead, r.key, r.issuedAt, ErrUnavailable, r.cb)
-	}
-}
-
-// completeRead returns the merged result to the client.
-func (s *Store) completeRead(r *readState, lastResponseAt time.Duration) {
-	now := s.engine.Now()
-	clientDone := lastResponseAt + s.cluster.Network().ClientToNode()
-	s.engine.AfterArg(delayUntil(now, clientDone), readClientDoneEvent, r)
-}
-
-// Read fetches key and invokes cb with the freshest version observed among
-// the replicas the read consistency level requires.
-func (s *Store) Read(key Key, cb func(Result)) { s.ReadAs(0, key, cb) }
-
-// ReadAs is Read with a tenant tag, mirroring WriteAs.
-func (s *Store) ReadAs(tenant TenantID, key Key, cb func(Result)) {
-	now := s.engine.Now()
-	if s.closed {
-		s.failOp(OpRead, key, now, ErrStopped, cb)
-		return
-	}
-	tr := s.beginTrace(false, key, now)
-	coord, ok := s.pickCoordinatorTenant(tenant)
-	if !ok {
-		s.readFailures.Inc()
-		s.tenantReadFailure(tenant)
-		s.finishTrace(tr, now, ErrNoNodes)
-		s.failOp(OpRead, key, now, ErrNoNodes, cb)
-		return
-	}
-	replicaIDs := s.appendReplicasTenant(tenant, key)
-	if len(replicaIDs) == 0 {
-		s.readFailures.Inc()
-		s.tenantReadFailure(tenant)
-		s.finishTrace(tr, now, ErrNoNodes)
-		s.failOp(OpRead, key, now, ErrNoNodes, cb)
-		return
-	}
-	required := s.readCL.Required(len(replicaIDs))
-	live, _ := s.partitionReplicas(coord.ID(), replicaIDs)
-	if len(live) < required {
-		s.readFailures.Inc()
-		s.tenantReadFailure(tenant)
-		s.finishTrace(tr, now, ErrUnavailable)
-		s.failOp(OpRead, key, now, ErrUnavailable, cb)
-		return
-	}
-
-	s.reads.Inc()
-	if t := s.tenant(tenant); t != nil {
-		t.reads.Inc()
-	}
-	state := &readState{
-		store:    s,
-		key:      key,
-		issuedAt: now,
-		tenant:   tenant,
-		cb:       cb,
-		coord:    coord,
-		required: required,
-		possible: required,
-	}
-	state.trace = tr
-	tr.Add(now, "dispatch", int(coord.ID()))
-	// Contact exactly `required` live replicas in preference order, as a
-	// token-aware driver would. The scratch buffer is copied into the state's
-	// inline array because it is overwritten by the next operation.
-	state.targets = append(state.targetsBuf[:0], live[:required]...)
-	state.contacted = state.contactedBuf[:0]
-
-	clientLeg := s.cluster.Network().ClientToNode()
-	s.engine.AfterArg(clientLeg, readDispatchEvent, state)
-}
-
-// coordinateRead runs on the coordinator once the client request arrives.
-func (s *Store) coordinateRead(r *readState, arrival time.Duration) {
-	coordDelay, accepted := r.coord.Enqueue(arrival, cluster.ForegroundOp)
-	if !accepted {
-		r.done = true
-		s.readFailures.Inc()
-		s.tenantReadFailure(r.tenant)
-		r.trace.AddNote(arrival, "coordinate", int(r.coord.ID()), "reject")
-		s.finishTrace(r.trace, arrival, ErrUnavailable)
-		s.failOp(OpRead, r.key, r.issuedAt, ErrUnavailable, r.cb)
-		return
-	}
-	coordDone := arrival + coordDelay
-	r.trace.Add(coordDone, "coordinate", int(r.coord.ID()))
-	net := s.cluster.Network()
-
-	r.fanout = r.fanoutBuf[:0]
-	if len(r.targets) > len(r.fanoutBuf) {
-		r.fanout = make([]readFanout, 0, len(r.targets))
-	}
-	for _, id := range r.targets {
-		r.fanout = append(r.fanout, readFanout{r: r, id: id})
-	}
-
-	for i, id := range r.targets {
-		f := &r.fanout[i]
-		if id == r.coord.ID() {
-			// The coordinator answers from its own replica once it has
-			// processed the request.
-			s.engine.AfterArg(delayUntil(s.engine.Now(), coordDone), readRespondEvent, f)
-			continue
-		}
-		sendLeg := net.NodeToNode()
-		s.engine.AfterArg(delayUntil(s.engine.Now(), coordDone+sendLeg), readArriveEvent, f)
-	}
-}
-
-// readOnReplica runs on a replica when a read request arrives; the replica
+// arriveRead runs on a replica when a read request arrives; the replica
 // reports the version it holds once it has processed the request.
-func (s *Store) readOnReplica(f *readFanout, arrive time.Duration) {
-	r, id := f.r, f.id
+func (f *opSlot) arriveRead(arrive time.Duration) {
+	r, s, id := f.op, f.op.store, f.id
 	node, ok := s.cluster.Node(id)
 	if !ok || !node.Available() || !s.cluster.Network().Reachable(r.coord.ID(), id) {
 		r.trace.AddNote(arrive, "replica-lost", int(id), "unreachable")
@@ -632,21 +501,120 @@ func (s *Store) readOnReplica(f *readFanout, arrive time.Duration) {
 	processAt := arrive + delay
 	r.trace.Add(arrive, "replica-arrive", int(id))
 	respondAt := processAt + s.cluster.Network().NodeToNode()
-	s.engine.AfterArg(delayUntil(s.engine.Now(), respondAt), readRespondEvent, f)
+	r.after(delayUntil(s.engine.Now(), respondAt), respondEvent, f)
+}
+
+// respond records one replica's answer arriving back at the coordinator; the
+// version is read at response time.
+func (f *opSlot) respond(at time.Duration) {
+	r := f.op
+	if r.answered || r.failed {
+		return
+	}
+	v := version(0)
+	if rep := r.store.replica(f.id); rep != nil {
+		v = rep.read(r.key)
+	}
+	r.responses++
+	r.contacted = append(r.contacted, f)
+	r.trace.Add(at, "replica-respond", int(f.id))
+	if v != r.freshest && r.responses > 1 {
+		r.divergent = true
+	}
+	if v > r.freshest {
+		r.freshest = v
+	}
+	if r.responses >= r.required {
+		// Return the merged result to the client.
+		r.answered = true
+		r.trace.Add(at, "quorum", 0)
+		clientDone := at + r.store.cluster.Network().ClientToNode()
+		r.after(delayUntil(r.store.engine.Now(), clientDone), clientDoneEvent, r)
+	}
+}
+
+// finishRead completes a read at the client.
+func (r *opState) finishRead(at time.Duration) {
+	s := r.store
+	latest := s.latestAcked.get(r.key)
+	res := r.result(at)
+	res.Version = uint64(r.freshest)
+	res.Stale = r.freshest < latest
+	if res.Stale {
+		s.staleReads.Inc()
+		r.trace.AddNote(at, "client-done", 0, "stale")
+	} else {
+		r.trace.Add(at, "client-done", 0)
+	}
+	s.finishTrace(r.trace, at, nil)
+	if s.cfg.ReadRepair && (r.divergent || res.Stale) {
+		r.scheduleReadRepair(latest)
+	}
+	s.readLatency.ObserveDuration(res.Latency)
+	if t := s.tenant(r.tenant); t != nil {
+		if res.Stale {
+			t.staleReads.Inc()
+		}
+		t.readLatency.ObserveDuration(res.Latency)
+	}
+	if r.cb != nil {
+		r.cb(res)
+	}
+}
+
+// scheduleReadRepair propagates the newest acknowledged version of the read's
+// key to the replicas the read contacted and found (or suspected) stale.
+func (r *opState) scheduleReadRepair(latest version) {
+	s := r.store
+	// latestAcked is cluster-wide knowledge: while a partition is active it
+	// includes versions acknowledged on the *other* side of the cut (a
+	// minority coordinator keeps acking CL=ONE writes), which no repair
+	// message could physically carry across. Repairing from it in either
+	// direction would close the split-brain window early, so read repair
+	// pauses entirely for the duration of the partition, exactly like the
+	// anti-entropy sweep.
+	if latest == 0 || s.cluster.Network().PartitionActive() {
+		return
+	}
+	r.repairTo = latest
+	for _, f := range r.contacted {
+		if rep := s.replica(f.id); rep != nil && rep.read(r.key) < latest {
+			r.after(s.cfg.ReadRepairDelay, readRepairEvent, f)
+		}
+	}
+}
+
+// repair brings one contacted replica up to the version the read found
+// acknowledged, unless the node crashed or was partitioned away since the
+// read — a repair mutation cannot reach it then.
+func (f *opSlot) repair(time.Duration) {
+	r, s := f.op, f.op.store
+	if node, up := s.cluster.Node(f.id); !up || !node.Available() || s.cluster.Network().Isolated(f.id) {
+		return
+	}
+	if rep := s.replica(f.id); rep != nil && rep.read(r.key) < r.repairTo {
+		rep.apply(r.key, r.repairTo)
+		s.readRepairs.Inc()
+	}
 }
 
 // beginTrace fronts one operation past the tracer's sampler: a trace staged
 // by an upstream layer (the tenant runtime, which already counted the op) is
 // adopted, otherwise the sampler decides. Returns nil — and does no work —
-// for unsampled operations or when tracing is off.
-func (s *Store) beginTrace(write bool, key Key, now time.Duration) *obs.OpTrace {
+// for unsampled operations or when tracing is off; the key's name is looked
+// up for sampled operations only.
+func (s *Store) beginTrace(write bool, key KeyID, now time.Duration) *obs.OpTrace {
 	if s.tracer == nil {
 		return nil
 	}
 	if tr, fronted := s.tracer.Handoff(); fronted {
 		return tr
 	}
-	return s.tracer.Begin("", write, string(key), now)
+	tr := s.tracer.Begin("", write, "", now)
+	if tr != nil {
+		tr.Key = string(s.keys.Name(key))
+	}
+	return tr
 }
 
 // finishTrace closes a sampled span tree on a completion or failure path.
@@ -660,24 +628,6 @@ func (s *Store) finishTrace(tr *obs.OpTrace, at time.Duration, err error) {
 		msg = err.Error()
 	}
 	s.tracer.Finish(tr, at, msg)
-}
-
-// failOp delivers a failure result after a minimal client round trip.
-func (s *Store) failOp(kind OpKind, key Key, issued time.Duration, err error, cb func(Result)) {
-	if cb == nil {
-		return
-	}
-	delay := s.cluster.Network().ClientToNode() * 2
-	s.engine.After(delay, func(at time.Duration) {
-		cb(Result{
-			Kind:        kind,
-			Key:         key,
-			Err:         err,
-			IssuedAt:    issued,
-			CompletedAt: at,
-			Latency:     at - issued,
-		})
-	})
 }
 
 // pickCoordinator selects a random available node to coordinate an
@@ -694,8 +644,8 @@ func (s *Store) pickCoordinator() (*cluster.Node, bool) {
 // appendReplicas resolves the key's preference list into the store's scratch
 // buffer. The result is valid until the next operation; callers that need to
 // retain it past an event boundary must copy it.
-func (s *Store) appendReplicas(key Key) []cluster.NodeID {
-	s.replicaScratch = s.ring.AppendReplicasFor(s.replicaScratch[:0], key, s.rf)
+func (s *Store) appendReplicas(key KeyID) []cluster.NodeID {
+	s.replicaScratch = s.ring.appendReplicasAt(s.replicaScratch[:0], s.token(key), s.rf)
 	return s.replicaScratch
 }
 
@@ -727,19 +677,6 @@ func delayUntil(now, at time.Duration) time.Duration {
 	return at - now
 }
 
-// scheduleApply arranges for a replica to apply a version at the given
-// virtual time and for the write tracker to learn about it.
-func (s *Store) scheduleApply(id cluster.NodeID, key Key, ver version, at time.Duration, tracker *writeTracker) {
-	s.engine.After(delayUntil(s.engine.Now(), at), func(applied time.Duration) {
-		if rep, ok := s.replicas[id]; ok {
-			rep.apply(key, ver)
-		}
-		if tracker != nil {
-			tracker.applied(applied)
-		}
-	})
-}
-
 // maxPendingHintsPerNode bounds the hint backlog kept for one replica; real
 // stores bound their hint windows the same way and fall back to repair once
 // the backlog overflows.
@@ -756,64 +693,46 @@ const hintDeliveryCapacityShare = 0.15
 const maxHintsPerDelivery = 20000
 
 // queueHint records a mutation destined for an unavailable (or overloaded)
-// replica. With hinted handoff disabled and no anti-entropy, the update is
-// lost until a newer write arrives (counted as a lost update) and the tracker
-// is discounted so the window stays defined.
-func (s *Store) queueHint(id cluster.NodeID, key Key, ver version, tracker *writeTracker, origin cluster.NodeID) {
-	if !s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0 {
+// replica; the hint is the write's slot for that replica and holds the write.
+// With hinted handoff disabled and no anti-entropy, or with the replica's
+// hint window full, the update is lost until a newer write or a repair
+// arrives (counted as a lost update) and the replica is discounted so the
+// window stays defined.
+func (s *Store) queueHint(f *opSlot) {
+	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || len(s.pendingHints[f.id]) >= maxPendingHintsPerNode {
 		s.lostUpdates.Inc()
-		if tracker != nil {
-			tracker.discount(s.engine.Now())
-		}
-		return
-	}
-	if len(s.pendingHints[id]) >= maxPendingHintsPerNode {
-		// Hint window overflow: give up on tracking this mutation and leave
-		// convergence to anti-entropy.
-		s.lostUpdates.Inc()
-		if tracker != nil {
-			tracker.discount(s.engine.Now())
-		}
+		f.op.replicaSettled(s.engine.Now())
 		return
 	}
 	s.hintsQueued.Inc()
-	s.pendingHints[id] = append(s.pendingHints[id], pendingApply{key: key, ver: ver, tracker: tracker, origin: origin})
+	s.pushHint(f)
+}
+
+// pushHint appends a hint to its replica's backlog.
+func (s *Store) pushHint(f *opSlot) {
+	f.op.refs++
+	s.pendingHints[f.id] = append(s.pendingHints[f.id], f)
 }
 
 // retryHints periodically redelivers queued hints to nodes that are
 // available, so dropped mutations converge without waiting for the full
-// anti-entropy sweep.
+// anti-entropy sweep. Backlogs are visited in ascending node order: delivery
+// draws network jitter from a shared random stream and schedules events.
 func (s *Store) retryHints(time.Duration) {
-	for _, id := range s.hintedNodes() {
-		if node, ok := s.cluster.Node(id); ok && node.Available() {
-			s.deliverHints(id)
-		}
-	}
-}
-
-// hintedNodes returns the nodes with queued hints in ascending ID order.
-// Delivery draws network jitter from a shared random stream and schedules
-// events, so iterating the pendingHints map directly would let Go's
-// randomized map order leak into the simulation and break reproducibility.
-// The result lives in a scratch buffer reused across sweeps.
-func (s *Store) hintedNodes() []cluster.NodeID {
-	ids := s.hintIDScratch[:0]
 	for id := range s.pendingHints {
-		ids = append(ids, id)
+		s.deliverHints(cluster.NodeID(id))
 	}
-	slices.Sort(ids)
-	s.hintIDScratch = ids
-	return ids
 }
 
 // deliverHints flushes queued hints (up to maxHintsPerDelivery) to a node
 // that has become available. Each hint is replayed as a replication apply at
-// the time it would actually reach the node.
+// the time it would actually reach the node. The backlog is compacted in
+// place, in order, so a retry round allocates nothing however deep it is.
 func (s *Store) deliverHints(id cluster.NodeID) {
-	hints := s.pendingHints[id]
-	if len(hints) == 0 {
-		return
+	if uint(id) >= uint(len(s.pendingHints)) || len(s.pendingHints[id]) == 0 {
+		return // also a node that crashed and recovered before it ever joined
 	}
+	hints := s.pendingHints[id]
 	node, ok := s.cluster.Node(id)
 	net := s.cluster.Network()
 	if !ok || !node.Available() || net.Isolated(id) {
@@ -824,101 +743,64 @@ func (s *Store) deliverHints(id cluster.NodeID) {
 	// Throttle the replay to a fraction of the replica's capacity over one
 	// retry interval so hint delivery cannot keep the replica saturated.
 	limit := int(hintDeliveryCapacityShare * node.Config().CapacityOpsPerSec * s.cfg.HintRetryInterval.Seconds())
-	if limit < 100 {
-		limit = 100
-	}
-	if limit > maxHintsPerDelivery {
-		limit = maxHintsPerDelivery
-	}
-	var batch []pendingApply
-	if net.PartitionActive() {
-		// A hint replays only when its originating coordinator's side can
-		// reach the target: a write acknowledged on the minority side of a
-		// partition must stay invisible to the majority until the heal, or
-		// the split-brain inconsistency window would close at the first
-		// retry tick instead of at the heal. Scan for a deliverable hint
-		// first: when the whole backlog is cross-cut (the common case during
-		// a long partition) the retry tick must not rebuild it.
-		deliverable := false
-		for _, h := range hints {
-			if net.Reachable(h.origin, id) {
-				deliverable = true
-				break
-			}
-		}
-		if !deliverable {
-			return
-		}
-		keep := make([]pendingApply, 0, len(hints))
-		for _, h := range hints {
-			if len(batch) < limit && net.Reachable(h.origin, id) {
-				batch = append(batch, h)
-			} else {
-				keep = append(keep, h)
-			}
-		}
-		if len(keep) > 0 {
-			s.pendingHints[id] = keep
-		} else {
-			delete(s.pendingHints, id)
-		}
-	} else if len(hints) > limit {
-		batch = hints[:limit]
-		remaining := make([]pendingApply, len(hints)-limit)
-		copy(remaining, hints[limit:])
-		s.pendingHints[id] = remaining
-	} else {
-		batch = hints
-		delete(s.pendingHints, id)
-	}
-	if len(batch) == 0 {
-		return
-	}
+	limit = min(max(limit, 100), maxHintsPerDelivery)
+	// A hint replays only when its originating coordinator's side can reach
+	// the target: a write acknowledged on the minority side of a partition
+	// must stay invisible to the majority until the heal, or the split-brain
+	// inconsistency window would close at the first retry tick instead of at
+	// the heal.
+	partitioned := net.PartitionActive()
 	now := s.engine.Now()
 	at := now
-	for _, h := range batch {
-		h := h
+	keep := hints[:0]
+	for i, f := range hints {
+		if limit == 0 {
+			keep = append(keep, hints[i:]...)
+			break
+		}
+		if partitioned && !net.Reachable(f.op.coord.ID(), id) {
+			keep = append(keep, f)
+			continue
+		}
+		limit--
 		at += s.cfg.HintDeliveryDelay
 		arrive := at + net.NodeToNode()
-		s.engine.After(delayUntil(now, arrive), func(arrived time.Duration) {
-			// A partition may have opened between batch assembly and
-			// arrival; a delivery that can no longer cross the (new) cut is
-			// requeued rather than applied, the same arrival-time recheck
-			// every other replication path performs.
-			if !net.Reachable(h.origin, id) || net.Isolated(id) {
-				s.pendingHints[id] = append(s.pendingHints[id], h)
-				return
-			}
-			target, ok := s.cluster.Node(id)
-			if !ok || !target.Available() {
-				s.lostUpdates.Inc()
-				if h.tracker != nil {
-					h.tracker.discount(arrived)
-				}
-				return
-			}
-			d, okApply := target.Enqueue(arrived, cluster.ReplicationApply)
-			if !okApply {
-				s.lostUpdates.Inc()
-				if h.tracker != nil {
-					h.tracker.discount(arrived)
-				}
-				return
-			}
-			s.hintsDelivered.Inc()
-			s.scheduleApply(id, h.key, h.ver, arrived+d, h.tracker)
-		})
+		f.op.after(delayUntil(now, arrive), hintArriveEvent, f)
+		s.release(f.op)
 	}
+	clear(hints[len(keep):])
+	s.pendingHints[id] = keep
+}
+
+// arriveHint runs when a replayed hint reaches its replica.
+func (f *opSlot) arriveHint(arrived time.Duration) {
+	w, s, id := f.op, f.op.store, f.id
+	net := s.cluster.Network()
+	if !net.Reachable(w.coord.ID(), id) || net.Isolated(id) {
+		// A partition may have opened between batch assembly and arrival; a
+		// delivery that can no longer cross the (new) cut is requeued rather
+		// than applied, the same arrival-time recheck every other replication
+		// path performs.
+		s.pushHint(f)
+		return
+	}
+	if target, ok := s.cluster.Node(id); ok && target.Available() {
+		if d, accepted := target.Enqueue(arrived, cluster.ReplicationApply); accepted {
+			s.hintsDelivered.Inc()
+			w.after(delayUntil(s.engine.Now(), arrived+d), hintApplyEvent, f)
+			return
+		}
+	}
+	s.lostUpdates.Inc()
+	w.replicaSettled(arrived)
 }
 
 // runAntiEntropy periodically repairs divergence: every queued hint for an
 // available node is delivered, and every live replica is brought up to the
 // latest acknowledged version of the keys it owns.
-func (s *Store) runAntiEntropy(time.Duration) {
+func (s *Store) runAntiEntropy(now time.Duration) {
 	s.aeRuns.Inc()
-	for _, id := range s.hintedNodes() {
-		s.deliverHints(id)
-	}
+	s.retryHints(now)
 	s.repairAll()
 }
 
@@ -932,14 +814,16 @@ func (s *Store) runAntiEntropy(time.Duration) {
 // during the cut. Divergence therefore persists until nodes recover or the
 // partition heals, which is exactly the window the fault scenarios measure.
 func (s *Store) repairAll() {
-	net := s.cluster.Network()
-	if net.PartitionActive() {
+	if s.cluster.Network().PartitionActive() {
 		return
 	}
-	for key, ver := range s.latestAcked {
+	for key, ver := range s.latestAcked.all() {
+		if ver == 0 {
+			continue
+		}
 		for _, id := range s.replicasForRepair(key) {
-			rep, ok := s.replicas[id]
-			if !ok {
+			rep := s.replica(id)
+			if rep == nil {
 				continue
 			}
 			if node, up := s.cluster.Node(id); !up || !node.Available() {
@@ -953,116 +837,51 @@ func (s *Store) repairAll() {
 	}
 }
 
-// scheduleReadRepair propagates the newest acknowledged version of key to
-// the replicas that were contacted by a read and found (or suspected) stale.
-func (s *Store) scheduleReadRepair(key Key, contacted []cluster.NodeID) {
-	latest := s.latestAcked[key]
-	if latest == 0 {
+// replicaSettled is called when one replica has applied the write, or will
+// never apply it (node removed, update dropped) and is discounted.
+func (w *opState) replicaSettled(at time.Duration) {
+	if w.resolved {
 		return
 	}
-	// latestAcked is cluster-wide knowledge: while a partition is active it
-	// includes versions acknowledged on the *other* side of the cut (a
-	// minority coordinator keeps acking CL=ONE writes), which no repair
-	// message could physically carry across. Repairing from it in either
-	// direction would close the split-brain window early, so read repair
-	// pauses entirely for the duration of the partition, exactly like the
-	// anti-entropy sweep.
-	if s.cluster.Network().PartitionActive() {
-		return
+	if at > w.lastApply {
+		w.lastApply = at
 	}
-	for _, id := range contacted {
-		rep, ok := s.replicas[id]
-		if !ok || rep.read(key) >= latest {
-			continue
-		}
-		id := id
-		s.engine.After(s.cfg.ReadRepairDelay, func(time.Duration) {
-			// The node may have crashed or been partitioned away since the
-			// read; a repair mutation cannot reach it then.
-			node, up := s.cluster.Node(id)
-			if !up || !node.Available() || s.cluster.Network().Isolated(id) {
-				return
-			}
-			if rep, ok := s.replicas[id]; ok && rep.read(key) < latest {
-				rep.apply(key, latest)
-				s.readRepairs.Inc()
-			}
-		})
-	}
-}
-
-// applied is called when one replica has applied the tracked write.
-func (t *writeTracker) applied(at time.Duration) {
-	if t.resolved {
-		return
-	}
-	if at > t.lastApply {
-		t.lastApply = at
-	}
-	t.remaining--
-	if t.remaining <= 0 {
-		t.resolve()
-	}
-}
-
-// discount removes a replica that will never apply the write (node removed
-// or update dropped) from the tracker.
-func (t *writeTracker) discount(at time.Duration) {
-	if t.resolved {
-		return
-	}
-	if at > t.lastApply {
-		t.lastApply = at
-	}
-	t.remaining--
-	if t.remaining <= 0 {
-		t.resolve()
+	w.remaining--
+	if w.remaining <= 0 {
+		w.resolved = true
+		w.recordWindow()
 	}
 }
 
 // setAck records when the client was acknowledged. If every replica has
 // already applied the write (possible for strict consistency levels, where
 // the client acknowledgement trails the last apply), the window is recorded
-// now.
-func (t *writeTracker) setAck(at time.Duration) {
-	t.ackAt = at
-	if t.resolved {
-		t.record()
+// now; otherwise replicaSettled records it once no replica remains
+// outstanding.
+func (w *opState) setAck(at time.Duration) {
+	w.ackAt = at
+	if w.resolved {
+		w.recordWindow()
 	}
 }
 
-// resolve is called when no replica remains outstanding. The window is
-// recorded immediately when the acknowledgement time is already known;
-// otherwise setAck records it once the client acknowledgement fires.
-func (t *writeTracker) resolve() {
-	if t.resolved {
+// recordWindow writes the window into the store's ground-truth histograms
+// exactly once. Writes that were never acknowledged have no client-observable
+// window and are skipped.
+func (w *opState) recordWindow() {
+	if w.recorded || w.ackAt == 0 {
 		return
 	}
-	t.resolved = true
-	if t.ackAt != 0 {
-		t.record()
+	w.recorded = true
+	s := w.store
+	window := max(w.lastApply-w.ackAt, 0)
+	if w.trace != nil {
+		w.trace.Add(w.lastApply, "sla-account", 0)
+		s.finishTrace(w.trace, w.lastApply, nil)
 	}
-}
-
-// record writes the window into the store's ground-truth histograms exactly
-// once. Writes that were never acknowledged have no client-observable window
-// and are skipped.
-func (t *writeTracker) record() {
-	if t.recorded || t.ackAt == 0 {
-		return
-	}
-	t.recorded = true
-	window := t.lastApply - t.ackAt
-	if window < 0 {
-		window = 0
-	}
-	if t.trace != nil {
-		t.trace.Add(t.lastApply, "sla-account", 0)
-		t.store.finishTrace(t.trace, t.lastApply, nil)
-	}
-	t.store.windowHist.ObserveDuration(window)
-	t.store.recentWindow.Observe(window.Seconds())
-	if ts := t.store.tenant(t.tenant); ts != nil {
+	s.windowHist.ObserveDuration(window)
+	s.recentWindow.Observe(window.Seconds())
+	if ts := s.tenant(w.tenant); ts != nil {
 		ts.windowHist.ObserveDuration(window)
 		ts.recentWindow.Observe(window.Seconds())
 	}

@@ -1,11 +1,12 @@
 package store
 
-// Allocation-regression tests for the operation hot path. The thresholds are
-// deliberately above the measured steady state (exactly 1 allocation per
-// write and 1 per read — the operation state object — after the fan-out
-// closures were replaced with pre-bound ArgHandler events, see
-// PERFORMANCE.md) so routine noise does not flake, but a reintroduced
-// per-operation slice, map or closure regression trips them immediately.
+// Allocation-regression tests for the operation hot path. Steady state is
+// exactly zero: op state comes off the store's free list, every hop is a
+// pre-bound ArgHandler event, per-key state lives in slices indexed by key id
+// and failures, hints and read repair reuse the op's own replica slots (see
+// PERFORMANCE.md, round 7). AllocsPerRun reports whole objects per run, so a
+// reintroduced per-operation slice, map entry or closure trips these at once,
+// while a reservoir that still grows every few thousand operations does not.
 
 import (
 	"testing"
@@ -15,10 +16,10 @@ import (
 
 // maxWriteAllocs bounds the average allocations for one complete write
 // (coordinator hop, replica fan-out, acks, client ack, window tracking).
-const maxWriteAllocs = 4
+const maxWriteAllocs = 0
 
 // maxReadAllocs bounds the average allocations for one complete read.
-const maxReadAllocs = 3
+const maxReadAllocs = 0
 
 func TestWritePathAllocations(t *testing.T) {
 	rig := newBenchRig(t, 3)
@@ -94,7 +95,7 @@ func TestFaultChecksAllocationFree(t *testing.T) {
 	check := func(label string) {
 		t.Helper()
 		avg := testing.AllocsPerRun(300, func() {
-			replicas := rig.store.appendReplicas(rig.keys[0])
+			replicas := rig.store.appendReplicas(rig.ids[0])
 			rig.store.partitionReplicas(coord, replicas)
 			net.Reachable(coord, ids[1])
 			net.Isolated(ids[2])

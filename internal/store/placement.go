@@ -27,14 +27,9 @@ type classPlacement struct {
 // key, the data a later PinClass needs to repair every key onto the same
 // biased replica set its tenant's reads will contact. Scenarios that allow
 // placement enable it up front; scenarios that never will skip the per-write
-// map insert entirely. PinClass enables it implicitly — keys written before
-// that point then repair with the shared bias until a read-repair converges
-// them.
-func (s *Store) EnablePlacementTracking() {
-	if s.keyTenant == nil {
-		s.keyTenant = make(map[Key]TenantID)
-	}
-}
+// store entirely. PinClass enables it implicitly — keys written before that
+// point then repair with the shared bias until a read-repair converges them.
+func (s *Store) EnablePlacementTracking() { s.trackOwners = true }
 
 // PinClass dedicates the given nodes to one SLA class and marks the given
 // tenants as members of that class. The dedicated nodes are tagged on the
@@ -178,14 +173,14 @@ func (s *Store) tenantPoolNodes(id TenantID) []cluster.NodeID {
 // tenant's pool (its class's dedicated nodes, or the shared remainder for
 // unpinned tenants). Like appendReplicas, the result is valid until the next
 // operation.
-func (s *Store) appendReplicasTenant(tenant TenantID, key Key) []cluster.NodeID {
+func (s *Store) appendReplicasTenant(tenant TenantID, key KeyID) []cluster.NodeID {
 	if len(s.placements) == 0 {
 		return s.appendReplicas(key)
 	}
 	if pool := s.tenantPoolNodes(tenant); pool != nil {
-		s.replicaScratch = s.ring.AppendReplicasBiased(s.replicaScratch[:0], key, s.rf, pool, true)
+		s.replicaScratch = s.ring.appendBiasedAt(s.replicaScratch[:0], s.token(key), s.rf, pool, true)
 	} else {
-		s.replicaScratch = s.ring.AppendReplicasBiased(s.replicaScratch[:0], key, s.rf, s.dedicated, false)
+		s.replicaScratch = s.ring.appendBiasedAt(s.replicaScratch[:0], s.token(key), s.rf, s.dedicated, false)
 	}
 	return s.replicaScratch
 }
@@ -194,11 +189,11 @@ func (s *Store) appendReplicasTenant(tenant TenantID, key Key) []cluster.NodeID 
 // key onto. Under an active placement the key's owning tenant (recorded at
 // write time) decides the bias, so anti-entropy repairs the same replica set
 // reads will contact.
-func (s *Store) replicasForRepair(key Key) []cluster.NodeID {
-	if len(s.placements) == 0 || s.keyTenant == nil {
+func (s *Store) replicasForRepair(key KeyID) []cluster.NodeID {
+	if len(s.placements) == 0 || !s.trackOwners {
 		return s.appendReplicas(key)
 	}
-	return s.appendReplicasTenant(s.keyTenant[key], key)
+	return s.appendReplicasTenant(s.keyTenant.get(key), key)
 }
 
 // pickCoordinatorTenant selects the coordinator for one tenant's operation.

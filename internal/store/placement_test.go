@@ -19,7 +19,7 @@ func TestRingAppendReplicasBiased(t *testing.T) {
 	dedicated := []cluster.NodeID{2, 5}
 
 	// preferIn=true: the dedicated nodes lead the list.
-	got := ring.AppendReplicasBiased(nil, key, 3, dedicated, true)
+	got := ring.appendBiasedAt(nil, hashString(key), 3, dedicated, true)
 	if len(got) != 3 {
 		t.Fatalf("biased list %v, want 3 entries", got)
 	}
@@ -32,7 +32,7 @@ func TestRingAppendReplicasBiased(t *testing.T) {
 
 	// preferIn=false: no dedicated node appears while the shared pool can
 	// satisfy rf.
-	got = ring.AppendReplicasBiased(got[:0], key, 3, dedicated, false)
+	got = ring.appendBiasedAt(got[:0], hashString(key), 3, dedicated, false)
 	for _, id := range got {
 		if slices.Contains(dedicated, id) {
 			t.Errorf("shared walk %v landed on a dedicated node", got)
@@ -41,14 +41,14 @@ func TestRingAppendReplicasBiased(t *testing.T) {
 
 	// Spill: rf beyond the shared pool falls back onto dedicated nodes
 	// rather than shrinking the replica set.
-	got = ring.AppendReplicasBiased(got[:0], key, 6, dedicated, false)
+	got = ring.appendBiasedAt(got[:0], hashString(key), 6, dedicated, false)
 	if len(got) != 6 {
 		t.Errorf("spill walk returned %d replicas, want 6", len(got))
 	}
 
 	// Empty set: bit-for-bit the plain walk.
 	plain := ring.AppendReplicasFor(nil, key, 3)
-	biased := ring.AppendReplicasBiased(nil, key, 3, nil, false)
+	biased := ring.appendBiasedAt(nil, hashString(key), 3, nil, false)
 	for i := range plain {
 		if plain[i] != biased[i] {
 			t.Fatalf("empty-set biased walk %v != plain walk %v", biased, plain)
@@ -66,7 +66,7 @@ func TestStorePinClass(t *testing.T) {
 	st := rig.store
 	st.RegisterTenants(2)
 
-	plainReplicas := append([]cluster.NodeID(nil), st.appendReplicasTenant(1, rig.keys[0])...)
+	plainReplicas := append([]cluster.NodeID(nil), st.appendReplicasTenant(1, rig.ids[0])...)
 
 	nodes := st.cluster.AvailableNodes()
 	dedicated := []cluster.NodeID{nodes[0].ID(), nodes[1].ID(), nodes[2].ID()}
@@ -90,7 +90,7 @@ func TestStorePinClass(t *testing.T) {
 	}
 
 	// The pinned tenant's replica set is anchored on the dedicated pool.
-	reps := st.appendReplicasTenant(1, rig.keys[0])
+	reps := st.appendReplicasTenant(1, rig.ids[0])
 	for _, id := range reps {
 		if !slices.Contains(dedicated, id) {
 			t.Errorf("pinned tenant replica %v outside the dedicated pool %v", id, dedicated)
@@ -98,7 +98,7 @@ func TestStorePinClass(t *testing.T) {
 	}
 	// The other tenant's set leads with the shared pool (2 shared nodes,
 	// rf=3: two shared then one spill).
-	reps = st.appendReplicasTenant(2, rig.keys[0])
+	reps = st.appendReplicasTenant(2, rig.ids[0])
 	if slices.Contains(dedicated, reps[0]) || slices.Contains(dedicated, reps[1]) {
 		t.Errorf("unpinned tenant set %v does not lead with the shared pool", reps)
 	}
@@ -125,7 +125,7 @@ func TestStorePinClass(t *testing.T) {
 			t.Errorf("node %v still tagged after unpin", id)
 		}
 	}
-	after := st.appendReplicasTenant(1, rig.keys[0])
+	after := st.appendReplicasTenant(1, rig.ids[0])
 	for i := range plainReplicas {
 		if after[i] != plainReplicas[i] {
 			t.Fatalf("replica set after unpin %v != original %v", after, plainReplicas)
@@ -150,13 +150,13 @@ func TestPlacementOpsAllocationFree(t *testing.T) {
 	cb := func(Result) { fired++ }
 	issued := 0
 	for ; issued < 128; issued++ {
-		st.WriteAs(1, rig.keys[issued%len(rig.keys)], cb)
+		st.WriteAs(1, rig.ids[issued%len(rig.keys)], cb)
 		rig.settle(t, &fired, issued+1)
 	}
 
 	avg := testing.AllocsPerRun(300, func() {
 		issued++
-		st.WriteAs(1, rig.keys[issued%len(rig.keys)], cb)
+		st.WriteAs(1, rig.ids[issued%len(rig.keys)], cb)
 		rig.settle(t, &fired, issued)
 	})
 	if avg > maxWriteAllocs {
@@ -164,7 +164,7 @@ func TestPlacementOpsAllocationFree(t *testing.T) {
 	}
 	avg = testing.AllocsPerRun(300, func() {
 		issued++
-		st.ReadAs(1, rig.keys[issued%len(rig.keys)], cb)
+		st.ReadAs(1, rig.ids[issued%len(rig.keys)], cb)
 		rig.settle(t, &fired, issued)
 	})
 	if avg > maxReadAllocs {
@@ -175,7 +175,7 @@ func TestPlacementOpsAllocationFree(t *testing.T) {
 	// warmed scratch buffers.
 	coord := nodes[0].ID()
 	avg = testing.AllocsPerRun(300, func() {
-		replicas := st.appendReplicasTenant(1, rig.keys[0])
+		replicas := st.appendReplicasTenant(1, rig.ids[0])
 		st.partitionReplicas(coord, replicas)
 		st.pickCoordinatorTenant(1)
 	})
@@ -223,7 +223,7 @@ func TestStoreMultiPinClass(t *testing.T) {
 
 	// Each pinned tenant's replica set leads with its own class's pool; the
 	// unpinned tenant's set leads with the shared remainder.
-	key := rig.keys[0]
+	key := rig.ids[0]
 	reps := st.appendReplicasTenant(1, key)
 	if !slices.Contains(goldPool, reps[0]) || !slices.Contains(goldPool, reps[1]) {
 		t.Errorf("gold tenant replicas %v do not lead with the gold pool %v", reps, goldPool)

@@ -13,29 +13,35 @@ type version uint64
 // materialised — consistency behaviour depends only on versions.
 type replicaState struct {
 	node     cluster.NodeID
-	versions map[Key]version
-	applied  uint64
+	versions column[version]
+	// held counts the distinct keys with a version (versions start at 1).
+	held    int
+	applied uint64
 }
 
 func newReplicaState(node cluster.NodeID) *replicaState {
-	return &replicaState{node: node, versions: make(map[Key]version)}
+	return &replicaState{node: node}
 }
 
 // apply records that the replica has applied the given version of key,
 // unless it already holds a newer one (last-writer-wins).
-func (r *replicaState) apply(key Key, v version) {
+func (r *replicaState) apply(key KeyID, v version) {
 	r.applied++
-	if cur, ok := r.versions[key]; ok && cur >= v {
+	cur := r.versions.at(key)
+	if *cur >= v {
 		return
 	}
-	r.versions[key] = v
+	if *cur == 0 {
+		r.held++
+	}
+	*cur = v
 }
 
 // read returns the version the replica currently holds for key (zero when
 // the replica has never seen the key).
-func (r *replicaState) read(key Key) version {
-	return r.versions[key]
+func (r *replicaState) read(key KeyID) version {
+	return r.versions.get(key)
 }
 
 // keys returns the number of distinct keys the replica holds.
-func (r *replicaState) keys() int { return len(r.versions) }
+func (r *replicaState) keys() int { return r.held }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strconv"
@@ -57,11 +58,11 @@ func (r *Ring) Add(id cluster.NodeID) {
 		return
 	}
 	r.members[id] = true
+	name := id.String() + "#"
 	for v := 0; v < r.vnodes; v++ {
-		h := hashString(id.String() + "#" + strconv.Itoa(v))
-		r.tokens = append(r.tokens, ringToken{hash: h, node: id})
+		r.tokens = append(r.tokens, ringToken{hash: hashString(name + strconv.Itoa(v)), node: id})
 	}
-	sort.Slice(r.tokens, func(i, j int) bool { return r.tokens[i].hash < r.tokens[j].hash })
+	slices.SortFunc(r.tokens, func(a, b ringToken) int { return cmp.Compare(a.hash, b.hash) })
 }
 
 // Remove deletes a node from the ring. Removing a non-member is a no-op.
@@ -91,13 +92,19 @@ func (r *Ring) ReplicasFor(key Key, rf int) []cluster.NodeID {
 // preference lists hold at most the cluster's node count entries, where a
 // scan beats a map by a wide margin.
 func (r *Ring) AppendReplicasFor(dst []cluster.NodeID, key Key, rf int) []cluster.NodeID {
+	return r.appendReplicasAt(dst, hashString(key), rf)
+}
+
+// appendReplicasAt is AppendReplicasFor for a key whose ring token is already
+// known; the store memoises tokens per key id.
+func (r *Ring) appendReplicasAt(dst []cluster.NodeID, token uint64, rf int) []cluster.NodeID {
 	if rf <= 0 || len(r.tokens) == 0 {
 		return dst
 	}
 	if rf > len(r.members) {
 		rf = len(r.members)
 	}
-	lo := r.searchToken(hashString(string(key)))
+	lo := r.searchToken(token)
 	base := len(dst)
 walk:
 	for i := 0; i < len(r.tokens) && len(dst)-base < rf; i++ {
@@ -112,23 +119,23 @@ walk:
 	return dst
 }
 
-// AppendReplicasBiased is the placement-aware variant of AppendReplicasFor:
-// the clockwise walk runs twice, first admitting only nodes whose membership
+// appendBiasedAt is the placement-aware variant of appendReplicasAt: the
+// clockwise walk runs twice, first admitting only nodes whose membership
 // in set matches preferIn (the preferred pool), then filling any remaining
 // slots from the rest of the ring. A pinned tenant passes its class's
 // dedicated nodes with preferIn=true and gets a replica set anchored on
 // them; everyone else passes the same set with preferIn=false and is steered
 // onto the shared pool, spilling onto dedicated nodes only when the shared
-// pool cannot satisfy the replication factor. Like AppendReplicasFor it
+// pool cannot satisfy the replication factor. Like appendReplicasAt it
 // allocates nothing beyond dst's capacity.
-func (r *Ring) AppendReplicasBiased(dst []cluster.NodeID, key Key, rf int, set []cluster.NodeID, preferIn bool) []cluster.NodeID {
+func (r *Ring) appendBiasedAt(dst []cluster.NodeID, token uint64, rf int, set []cluster.NodeID, preferIn bool) []cluster.NodeID {
 	if rf <= 0 || len(r.tokens) == 0 {
 		return dst
 	}
 	if rf > len(r.members) {
 		rf = len(r.members)
 	}
-	lo := r.searchToken(hashString(string(key)))
+	lo := r.searchToken(token)
 	base := len(dst)
 preferred:
 	for i := 0; i < len(r.tokens) && len(dst)-base < rf; i++ {
@@ -191,8 +198,9 @@ const (
 // for short, similar strings such as "node-1#17", which skews ring ownership;
 // the finaliser restores uniformity. The FNV loop is written out rather than
 // using hash/fnv so per-lookup callers pay no allocation for the hasher or
-// the string-to-bytes conversion.
-func hashString(s string) uint64 {
+// the string-to-bytes conversion. It takes a key's name as a string or as the
+// bytes of one, so a canonical key hashes from a stack buffer.
+func hashString[S ~string | ~[]byte](s S) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -161,16 +161,16 @@ func TestReplicasForPropertyPreferenceListPrefix(t *testing.T) {
 
 func TestReplicaStateLastWriterWins(t *testing.T) {
 	rs := newReplicaState(1)
-	if rs.read("k") != 0 {
+	if rs.read(-1) != 0 {
 		t.Fatal("unseen key should read as version 0")
 	}
-	rs.apply("k", 5)
-	rs.apply("k", 3) // stale apply must not regress
-	if got := rs.read("k"); got != 5 {
+	rs.apply(-1, 5)
+	rs.apply(-1, 3) // stale apply must not regress
+	if got := rs.read(-1); got != 5 {
 		t.Fatalf("read = %d, want 5", got)
 	}
-	rs.apply("k", 9)
-	if got := rs.read("k"); got != 9 {
+	rs.apply(-1, 9)
+	if got := rs.read(-1); got != 9 {
 		t.Fatalf("read = %d, want 9", got)
 	}
 	if rs.keys() != 1 {

@@ -109,7 +109,12 @@ func (c Config) withDefaults() Config {
 
 // Result is delivered to the caller's callback when an operation completes.
 type Result struct {
-	Kind        OpKind
+	Kind OpKind
+	// ID identifies the key; Store.KeyName resolves it to the name on demand.
+	ID KeyID
+	// Key is the key's name where the target that produced the result speaks
+	// names (client-side test doubles). The store leaves it empty: building a
+	// name per operation is exactly what ids avoid.
 	Key         Key
 	Err         error
 	IssuedAt    time.Duration
@@ -178,12 +183,26 @@ type Store struct {
 	readCL  ConsistencyLevel
 	writeCL ConsistencyLevel
 
-	ring        *Ring
-	replicas    map[cluster.NodeID]*replicaState
-	latestAcked map[Key]version
+	ring *Ring
+	// replicas and pendingHints are indexed by node id (ids are small and
+	// allocated in sequence) and sized by addReplica; a nil replica was never
+	// a ring member. A backlog holds a node's hints oldest first.
+	replicas     []*replicaState
+	pendingHints [][]*opSlot
+
+	// Per-key state, indexed by KeyID (see keys.go). keys resolves names to
+	// ids and back; tokens memoises each key's ring token, hashed from the
+	// bytes of its name; latestAcked holds the newest acknowledged version
+	// and ackedKeys counts the keys that have one.
+	keys        Keys
+	tokens      column[uint64]
+	latestAcked column[version]
+	ackedKeys   int
 	nextVersion version
 
-	pendingHints map[cluster.NodeID][]pendingApply
+	// Recycled operation state. An op state returns here when its last
+	// holder — a scheduled event or a queued hint — lets go (see ops.go).
+	freeOps []*opState
 
 	observers []Observer
 
@@ -197,13 +216,14 @@ type Store struct {
 	// sorted union of every class's pool; tenantPool maps, by id-1, each
 	// tagged tenant to its class's placements index + 1 (0 = unpinned).
 	// keyTenant records which tenant last wrote each key — only once
-	// EnablePlacementTracking has run, so scenarios that never allow
-	// placement pay nothing — and lets repair paths converge a key onto the
-	// same biased replica set reads contact.
-	placements []classPlacement
-	dedicated  []cluster.NodeID
-	tenantPool []int
-	keyTenant  map[Key]TenantID
+	// EnablePlacementTracking has set trackOwners, so scenarios that never
+	// allow placement pay nothing — and lets repair paths converge a key onto
+	// the same biased replica set reads contact.
+	placements  []classPlacement
+	dedicated   []cluster.NodeID
+	tenantPool  []int
+	keyTenant   column[TenantID]
+	trackOwners bool
 	// coordScratch backs the per-operation preferred-coordinator pool under
 	// an active placement.
 	coordScratch []*cluster.Node
@@ -220,7 +240,6 @@ type Store struct {
 	replicaScratch []cluster.NodeID
 	liveScratch    []cluster.NodeID
 	downScratch    []cluster.NodeID
-	hintIDScratch  []cluster.NodeID
 
 	// ground-truth metrics
 	readLatency      *metrics.Histogram
@@ -248,34 +267,10 @@ type Store struct {
 	closed bool
 }
 
-type pendingApply struct {
-	key     Key
-	ver     version
-	tracker *writeTracker
-	// origin is the coordinator that queued the hint. Under a network
-	// partition a hint replays only when its origin's side can reach the
-	// target: a minority-side coordinator's writes must stay invisible to the
-	// majority until the heal.
-	origin cluster.NodeID
-}
-
-// writeTracker follows a single acknowledged write until every replica in
-// its preference list has applied it, at which point the true inconsistency
-// window is recorded.
-type writeTracker struct {
-	store     *Store
-	key       Key
-	ver       version
-	tenant    TenantID
-	ackAt     time.Duration
-	remaining int
-	lastApply time.Duration
-	resolved  bool
-	recorded  bool
-	// trace closes the write's sampled span tree at the SLA-accounting
-	// terminal; nil for unsampled writes.
-	trace *obs.OpTrace
-}
+// recycleOps is a test hook: while a test holds it false (export_test.go)
+// released op state is left to the garbage collector, as if every operation
+// allocated afresh, to prove that recycling is invisible in every report.
+var recycleOps = true
 
 // New creates a store on top of the given cluster and registers for
 // membership changes. All currently available nodes join the ring.
@@ -293,9 +288,6 @@ func New(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.RandSourc
 		readCL:       cfg.ReadConsistency,
 		writeCL:      cfg.WriteConsistency,
 		ring:         NewRing(cfg.VirtualNodes),
-		replicas:     make(map[cluster.NodeID]*replicaState),
-		latestAcked:  make(map[Key]version),
-		pendingHints: make(map[cluster.NodeID][]pendingApply),
 		readLatency:  metrics.NewHistogram(0),
 		writeLatency: metrics.NewHistogram(0),
 		windowHist:   metrics.NewHistogram(0),
@@ -303,7 +295,7 @@ func New(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.RandSourc
 	}
 	for _, n := range cl.AvailableNodes() {
 		s.ring.Add(n.ID())
-		s.replicas[n.ID()] = newReplicaState(n.ID())
+		s.addReplica(n.ID())
 	}
 	cl.Subscribe(s)
 
@@ -422,9 +414,7 @@ func (s *Store) startRebalance() {
 // up to the latest acknowledged versions of those keys, and any hints queued
 // for it while it was joining are delivered.
 func (s *Store) NodeJoined(id cluster.NodeID) {
-	if _, ok := s.replicas[id]; !ok {
-		s.replicas[id] = newReplicaState(id)
-	}
+	s.addReplica(id)
 	s.ring.Add(id)
 	s.streamOwnedRanges(id)
 	s.deliverHints(id)
@@ -435,11 +425,14 @@ func (s *Store) NodeJoined(id cluster.NodeID) {
 // acknowledged version. Under an active placement, ownership follows the
 // biased per-tenant preference lists.
 func (s *Store) streamOwnedRanges(id cluster.NodeID) {
-	rep, ok := s.replicas[id]
-	if !ok {
+	rep := s.replica(id)
+	if rep == nil {
 		return
 	}
-	for key, ver := range s.latestAcked {
+	for key, ver := range s.latestAcked.all() {
+		if ver == 0 {
+			continue
+		}
 		for _, owner := range s.replicasForRepair(key) {
 			if owner == id {
 				rep.apply(key, ver)
@@ -462,14 +455,55 @@ func (s *Store) NodeLeft(id cluster.NodeID) {
 		}
 		s.rebuildDedicated()
 	}
-	if hints, ok := s.pendingHints[id]; ok {
-		for _, h := range hints {
-			if h.tracker != nil {
-				h.tracker.discount(s.engine.Now())
-			}
+	if uint(id) < uint(len(s.pendingHints)) {
+		for _, h := range s.pendingHints[id] {
+			h.op.replicaSettled(s.engine.Now())
+			s.release(h.op)
 		}
-		delete(s.pendingHints, id)
+		s.pendingHints[id] = nil
 	}
+}
+
+// addReplica gives a node joining the ring its replica state, once, and
+// makes room for its hint backlog.
+func (s *Store) addReplica(id cluster.NodeID) {
+	if n := int(id) + 1 - len(s.replicas); n > 0 {
+		s.replicas = append(s.replicas, make([]*replicaState, n)...)
+		s.pendingHints = append(s.pendingHints, make([][]*opSlot, n)...)
+	}
+	if s.replicas[id] == nil {
+		s.replicas[id] = newReplicaState(id)
+	}
+}
+
+// replica returns a node's replica state, nil for a node that never joined.
+func (s *Store) replica(id cluster.NodeID) *replicaState {
+	if uint(id) < uint(len(s.replicas)) {
+		return s.replicas[id]
+	}
+	return nil
+}
+
+// KeyID resolves a key name to the id the by-id operations take.
+func (s *Store) KeyID(name Key) KeyID { return s.keys.ID(name) }
+
+// KeyName returns the name of a key id, as a span, a recorded trace or a
+// Result consumer needs it; the operation path never asks.
+func (s *Store) KeyName(id KeyID) Key { return s.keys.Name(id) }
+
+// token returns the key's ring token: hashString over the bytes of its name,
+// computed on the key's first operation and memoised.
+func (s *Store) token(id KeyID) uint64 {
+	tok := s.tokens.at(id)
+	if *tok == 0 {
+		if id < 0 {
+			*tok = hashString(s.keys.Name(id))
+		} else {
+			var buf [24]byte
+			*tok = hashString(appendCanonical(buf[:0], int(id)))
+		}
+	}
+	return *tok
 }
 
 // NodeFailed implements cluster.MembershipListener. A failed node keeps its
@@ -529,11 +563,11 @@ func (s *Store) ResetStats() {
 }
 
 // KeyCount returns the number of distinct keys acknowledged so far.
-func (s *Store) KeyCount() int { return len(s.latestAcked) }
+func (s *Store) KeyCount() int { return s.ackedKeys }
 
 // ReplicaKeyCount returns how many keys the given node currently holds.
 func (s *Store) ReplicaKeyCount(id cluster.NodeID) int {
-	if r, ok := s.replicas[id]; ok {
+	if r := s.replica(id); r != nil {
 		return r.keys()
 	}
 	return 0

@@ -397,7 +397,7 @@ func TestPartitionHoldsMinorityHintsUntilHeal(t *testing.T) {
 	crossCut := 0
 	for target, hints := range h.store.pendingHints {
 		for _, hint := range hints {
-			if !net.Reachable(hint.origin, target) {
+			if !net.Reachable(hint.op.coord.ID(), cluster.NodeID(target)) {
 				crossCut++
 			}
 		}

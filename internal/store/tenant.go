@@ -124,16 +124,19 @@ func (s *Store) TenantRecentWindowQuantile(id TenantID, q float64) float64 {
 	return t.recentWindow.Quantile(q)
 }
 
-// tenantWriteFailure and tenantReadFailure record a failed operation for a
-// tagged tenant; they are no-ops for the untagged aggregate.
-func (s *Store) tenantWriteFailure(id TenantID) {
-	if t := s.tenant(id); t != nil {
-		t.writeFailures.Inc()
+// countFailure records a failed operation in the aggregate set and, for a
+// tagged tenant, in the tenant's.
+func (s *Store) countFailure(id TenantID, write bool) {
+	t := s.tenant(id)
+	if write {
+		s.writeFailures.Inc()
+		if t != nil {
+			t.writeFailures.Inc()
+		}
+		return
 	}
-}
-
-func (s *Store) tenantReadFailure(id TenantID) {
-	if t := s.tenant(id); t != nil {
+	s.readFailures.Inc()
+	if t != nil {
 		t.readFailures.Inc()
 	}
 }

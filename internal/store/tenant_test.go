@@ -16,11 +16,11 @@ func TestTenantTagging(t *testing.T) {
 
 	issued := 0
 	for i := 0; i < 60; i++ {
-		rig.store.WriteAs(1, rig.keys[i], cb)
+		rig.store.WriteAs(1, rig.ids[i], cb)
 		issued++
 	}
 	for i := 0; i < 40; i++ {
-		rig.store.WriteAs(2, rig.keys[100+i], cb)
+		rig.store.WriteAs(2, rig.ids[100+i], cb)
 		issued++
 	}
 	for i := 0; i < 10; i++ {
@@ -29,11 +29,11 @@ func TestTenantTagging(t *testing.T) {
 	}
 	rig.settle(t, &fired, issued)
 	for i := 0; i < 30; i++ {
-		rig.store.ReadAs(1, rig.keys[i], cb)
+		rig.store.ReadAs(1, rig.ids[i], cb)
 		issued++
 	}
 	for i := 0; i < 20; i++ {
-		rig.store.ReadAs(2, rig.keys[100+i], cb)
+		rig.store.ReadAs(2, rig.ids[100+i], cb)
 		issued++
 	}
 	rig.settle(t, &fired, issued)
@@ -79,8 +79,8 @@ func TestTenantTaggingZeroAndUnregistered(t *testing.T) {
 	cb := func(Result) { fired++ }
 	// No tenants registered: tagged ops must not panic and must count in the
 	// aggregate only.
-	rig.store.WriteAs(3, rig.keys[0], cb)
-	rig.store.ReadAs(-1, rig.keys[0], cb)
+	rig.store.WriteAs(3, rig.ids[0], cb)
+	rig.store.ReadAs(-1, rig.ids[0], cb)
 	rig.settle(t, &fired, 2)
 	if got := rig.store.Stats().Writes; got != 1 {
 		t.Errorf("aggregate writes = %d, want 1", got)
@@ -103,13 +103,13 @@ func TestTenantTaggingAllocationFree(t *testing.T) {
 	cb := func(Result) { fired++ }
 	issued := 0
 	for ; issued < 128; issued++ {
-		rig.store.WriteAs(1, rig.keys[issued%len(rig.keys)], cb)
+		rig.store.WriteAs(1, rig.ids[issued%len(rig.keys)], cb)
 	}
 	rig.settle(t, &fired, issued)
 
 	avg := testing.AllocsPerRun(300, func() {
 		issued++
-		rig.store.WriteAs(1, rig.keys[issued%len(rig.keys)], cb)
+		rig.store.WriteAs(1, rig.ids[issued%len(rig.keys)], cb)
 		rig.settle(t, &fired, issued)
 	})
 	if avg > maxWriteAllocs {

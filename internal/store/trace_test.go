@@ -18,7 +18,7 @@ func TestStoreWriteTraceSpans(t *testing.T) {
 
 	fired := 0
 	cb := func(Result) { fired++ }
-	rig.store.WriteAs(0, rig.keys[0], cb)
+	rig.store.WriteAs(0, rig.ids[0], cb)
 	rig.settle(t, &fired, 1)
 	// Drain until the tracked write resolved (all replicas applied), then a
 	// little further so the late replica acks — in flight back to the
@@ -75,12 +75,12 @@ func TestStoreReadTraceSpans(t *testing.T) {
 	rig := newBenchRig(t, 3)
 	fired := 0
 	cb := func(Result) { fired++ }
-	rig.store.WriteAs(0, rig.keys[0], cb)
+	rig.store.WriteAs(0, rig.ids[0], cb)
 	rig.settle(t, &fired, 1)
 
 	tr := obs.NewTracer(1, 0)
 	rig.store.SetTracer(tr)
-	rig.store.ReadAs(0, rig.keys[0], cb)
+	rig.store.ReadAs(0, rig.ids[0], cb)
 	rig.settle(t, &fired, 2)
 
 	traces := tr.Traces()

@@ -10,12 +10,27 @@ import (
 	"autonosql/internal/store"
 )
 
-// Target is the subset of the store/monitor API a tenant drives; it matches
-// workload.Target structurally, so a Runtime can be handed straight to a
-// workload generator and can itself wrap a monitor's tagged view.
-type Target interface {
-	Read(key store.Key, cb func(store.Result))
-	Write(key store.Key, cb func(store.Result))
+// Target is what a Runtime is pointed at: anything with the store's
+// name-based Read/Write pair, like workload.Target, so a Runtime can be
+// handed straight to a workload generator and can itself wrap a monitor's
+// tagged view.
+type Target = store.NamedTarget
+
+// idTarget is what a Runtime needs of the layer below it: operations by key
+// id, and the name table behind the ids. The monitor's tagged views implement
+// it; byID adapts a Target that does not.
+type idTarget interface {
+	KeyID(name store.Key) store.KeyID
+	KeyName(id store.KeyID) store.Key
+	ReadID(key store.KeyID, cb func(store.Result))
+	WriteID(key store.KeyID, cb func(store.Result))
+}
+
+func byID(t Target) idTarget {
+	if it, ok := t.(idTarget); ok {
+		return it
+	}
+	return store.AdaptNames(t)
 }
 
 // Signal is the per-tenant slice of a monitoring snapshot: one tenant's
@@ -109,8 +124,10 @@ type Runtime struct {
 	name  string
 	class ClassSpec
 
-	inner   Target
+	inner   idTarget
 	tracker *sla.Tracker
+	// free recycles the completion records of forwarded operations.
+	free []*forwardedOp
 
 	readLat  *metrics.WindowedStat
 	writeLat *metrics.WindowedStat
@@ -159,7 +176,7 @@ const delayQueueCap = 4096
 // delayedOp is one arrival waiting in the delay-mode admission queue.
 type delayedOp struct {
 	write bool
-	key   store.Key
+	key   store.KeyID
 	cb    func(store.Result)
 	// at is the arrival's original virtual time; the queueing delay
 	// (forward time minus at) is added to the operation's observed latency.
@@ -189,7 +206,7 @@ func NewRuntime(id store.TenantID, name string, class Class, inner Target) (*Run
 		id:       id,
 		name:     name,
 		class:    spec,
-		inner:    inner,
+		inner:    byID(inner),
 		tracker:  sla.NewTracker(spec.SLA),
 		readLat:  metrics.NewWindowedStat(2048),
 		writeLat: metrics.NewWindowedStat(2048),
@@ -253,14 +270,17 @@ func (r *Runtime) SetTracer(t *obs.Tracer, clock func() time.Duration) error {
 }
 
 // beginTrace offers one arrival to the sampler. Nil when unsampled or when
-// tracing is off.
-func (r *Runtime) beginTrace(write bool, key store.Key) *obs.OpTrace {
+// tracing is off; only a sampled arrival has its key's name looked up.
+func (r *Runtime) beginTrace(write bool, key store.KeyID) *obs.OpTrace {
 	if r.tracer == nil {
 		return nil
 	}
 	now := r.traceClock()
-	tr := r.tracer.Begin(r.name, write, string(key), now)
-	tr.Add(now, "arrival", 0)
+	tr := r.tracer.Begin(r.name, write, "", now)
+	if tr != nil {
+		tr.Key = string(r.inner.KeyName(key))
+		tr.Add(now, "arrival", 0)
+	}
 	return tr
 }
 
@@ -324,7 +344,7 @@ func (r *Runtime) ThrottledTime(end time.Duration) time.Duration {
 // accounting sees a failure (the SLA availability clause prices the shed),
 // the ground-truth hook records the rejection, and the caller gets an
 // immediate ErrAdmissionShed result — the operation never reaches the store.
-func (r *Runtime) shed(write bool, key store.Key, cb func(store.Result), tr *obs.OpTrace) {
+func (r *Runtime) shed(write bool, key store.KeyID, cb func(store.Result), tr *obs.OpTrace) {
 	r.errsInterval++
 	r.shedInterval++
 	r.shedTotal++
@@ -344,7 +364,7 @@ func (r *Runtime) shed(write bool, key store.Key, cb func(store.Result), tr *obs
 		}
 		cb(store.Result{
 			Kind:        kind,
-			Key:         key,
+			ID:          key,
 			Err:         ErrAdmissionShed,
 			IssuedAt:    now,
 			CompletedAt: now,
@@ -357,20 +377,15 @@ func (r *Runtime) shed(write bool, key store.Key, cb func(store.Result), tr *obs
 // the operation spent in the delay-mode admission queue (zero for directly
 // admitted arrivals); it is added to the client-observed latency, because the
 // client has been waiting since the original arrival.
-func (r *Runtime) forward(write bool, key store.Key, cb func(store.Result), queued time.Duration, tr *obs.OpTrace) {
-	handler := func(res store.Result) {
-		res.Latency += queued
-		if res.Err != nil {
-			r.errsInterval++
-		} else if write {
-			r.writeLat.Observe(res.Latency.Seconds())
-		} else {
-			r.readLat.Observe(res.Latency.Seconds())
-		}
-		if cb != nil {
-			cb(res)
-		}
+func (r *Runtime) forward(write bool, key store.KeyID, cb func(store.Result), queued time.Duration, tr *obs.OpTrace) {
+	var op *forwardedOp
+	if n := len(r.free); n > 0 {
+		op, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		op = &forwardedOp{r: r}
+		op.done = op.complete
 	}
+	op.write, op.queued, op.cb = write, queued, cb
 	// The sampling decision made at arrival is staged — trace or nil — so
 	// the store adopts it instead of running its own sampler; the inner call
 	// chain is synchronous down to the store, which consumes the stage.
@@ -385,16 +400,44 @@ func (r *Runtime) forward(write bool, key store.Key, cb func(store.Result), queu
 		r.tracer.Stage(tr)
 	}
 	if write {
-		r.inner.Write(key, handler)
+		r.inner.WriteID(key, op.done)
 	} else {
-		r.inner.Read(key, handler)
+		r.inner.ReadID(key, op.done)
+	}
+}
+
+// forwardedOp is the completion record of one forwarded operation: what the
+// tenant's outcome accounting needs, behind a handler bound once, when the
+// record is first made, and reused every time the record is.
+type forwardedOp struct {
+	r      *Runtime
+	write  bool
+	queued time.Duration
+	cb     func(store.Result)
+	done   func(store.Result)
+}
+
+func (op *forwardedOp) complete(res store.Result) {
+	r, cb := op.r, op.cb
+	res.Latency += op.queued
+	if res.Err != nil {
+		r.errsInterval++
+	} else if op.write {
+		r.writeLat.Observe(res.Latency.Seconds())
+	} else {
+		r.readLat.Observe(res.Latency.Seconds())
+	}
+	op.cb = nil
+	r.free = append(r.free, op)
+	if cb != nil {
+		cb(res)
 	}
 }
 
 // enqueue places one arrival that failed admission into the delay queue and
 // arms the drain. It reports false when the queue is full, in which case the
 // caller sheds the arrival instead.
-func (r *Runtime) enqueue(write bool, key store.Key, cb func(store.Result), tr *obs.OpTrace) bool {
+func (r *Runtime) enqueue(write bool, key store.KeyID, cb func(store.Result), tr *obs.OpTrace) bool {
 	if len(r.queue) >= delayQueueCap {
 		return false
 	}
@@ -457,35 +500,30 @@ func (r *Runtime) flushQueue() {
 	}
 }
 
-// Read implements Target: the operation is forwarded with the tenant's
-// outcome accounting wrapped around the caller's callback. Arrivals that
-// fail admission control are queued (delay mode) or shed before they reach
-// the store.
-func (r *Runtime) Read(key store.Key, cb func(store.Result)) {
-	r.opsInterval++
-	tr := r.beginTrace(false, key)
-	if r.limiter.enabled && !r.limiter.Admit(r.clock()) {
-		if r.delayMode && r.enqueue(false, key, cb, tr) {
-			return
-		}
-		r.shed(false, key, cb, tr)
-		return
-	}
-	r.forward(false, key, cb, 0, tr)
-}
+// Read and Write are ReadID and WriteID for a key given by name.
+func (r *Runtime) Read(key store.Key, cb func(store.Result))  { r.ReadID(r.inner.KeyID(key), cb) }
+func (r *Runtime) Write(key store.Key, cb func(store.Result)) { r.WriteID(r.inner.KeyID(key), cb) }
 
-// Write implements Target, mirroring Read.
-func (r *Runtime) Write(key store.Key, cb func(store.Result)) {
+// ReadID issues one of the tenant's reads.
+func (r *Runtime) ReadID(key store.KeyID, cb func(store.Result)) { r.issue(false, key, cb) }
+
+// WriteID issues one of the tenant's writes.
+func (r *Runtime) WriteID(key store.KeyID, cb func(store.Result)) { r.issue(true, key, cb) }
+
+// issue forwards one operation with the tenant's outcome accounting wrapped
+// around the caller's callback. Arrivals that fail admission control are
+// queued (delay mode) or shed before they reach the store.
+func (r *Runtime) issue(write bool, key store.KeyID, cb func(store.Result)) {
 	r.opsInterval++
-	tr := r.beginTrace(true, key)
+	tr := r.beginTrace(write, key)
 	if r.limiter.enabled && !r.limiter.Admit(r.clock()) {
-		if r.delayMode && r.enqueue(true, key, cb, tr) {
+		if r.delayMode && r.enqueue(write, key, cb, tr) {
 			return
 		}
-		r.shed(true, key, cb, tr)
+		r.shed(write, key, cb, tr)
 		return
 	}
-	r.forward(true, key, cb, 0, tr)
+	r.forward(write, key, cb, 0, tr)
 }
 
 // Observe folds one sampling interval into the tenant's SLA tracker and

@@ -53,11 +53,24 @@ func PresetSpec(p Preset, keyspace int, rnd *sim.RandSource) (Mix, KeyChooser, e
 	}
 }
 
-// Target is the subset of the store API the generator drives. *store.Store
-// satisfies it.
-type Target interface {
-	Read(key store.Key, cb func(store.Result))
-	Write(key store.Key, cb func(store.Result))
+// Target is what a traffic source is pointed at: anything with the store's
+// name-based Read/Write pair. *store.Store, the monitor and the tenant
+// runtimes satisfy it, and so does a test double that only knows names.
+type Target = store.NamedTarget
+
+// IDTarget is the subset of the store API a traffic source actually drives:
+// operations by key id. The store, the monitor, its tagged views and the
+// tenant runtimes implement it; byID adapts a Target that does not.
+type IDTarget interface {
+	ReadID(key store.KeyID, cb func(store.Result))
+	WriteID(key store.KeyID, cb func(store.Result))
+}
+
+func byID(t Target) IDTarget {
+	if it, ok := t.(IDTarget); ok {
+		return it
+	}
+	return store.AdaptNames(t)
 }
 
 // Stats summarises the traffic a generator has produced and the outcomes it
@@ -97,7 +110,7 @@ type Config struct {
 type Generator struct {
 	cfg    Config
 	engine *sim.Engine
-	target Target
+	target IDTarget
 	rng    *sim.RandSource
 
 	stopped      bool
@@ -144,7 +157,7 @@ func NewGenerator(cfg Config, engine *sim.Engine, target Target, rnd *sim.RandSo
 	g := &Generator{
 		cfg:      cfg,
 		engine:   engine,
-		target:   target,
+		target:   byID(target),
 		rng:      rnd,
 		readLat:  metrics.NewHistogram(0),
 		writeLat: metrics.NewHistogram(0),
@@ -164,7 +177,7 @@ func (g *Generator) OnIdleTick(fn func()) { g.idleTickFn = fn }
 // Intercept replaces the generator's target with wrap(target). Trace
 // recording uses it to splice a recorder between the generator and the system
 // under test. It must be called before Start.
-func (g *Generator) Intercept(wrap func(Target) Target) {
+func (g *Generator) Intercept(wrap func(IDTarget) IDTarget) {
 	g.target = wrap(g.target)
 }
 
@@ -224,14 +237,14 @@ func (g *Generator) tick(time.Duration) {
 
 func (g *Generator) issueOne(rng *rand.Rand) {
 	if rng.Float64() < g.cfg.Mix.ReadFraction {
-		key := g.cfg.Keys.NextRead()
+		key := g.cfg.Keys.NextReadID()
 		g.readsIssued.Inc()
-		g.target.Read(key, g.onReadFn)
+		g.target.ReadID(key, g.onReadFn)
 		return
 	}
-	key := g.cfg.Keys.NextWrite()
+	key := g.cfg.Keys.NextWriteID()
 	g.writesIssued.Inc()
-	g.target.Write(key, g.onWriteFn)
+	g.target.WriteID(key, g.onWriteFn)
 }
 
 func (g *Generator) onRead(r store.Result) {

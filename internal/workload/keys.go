@@ -2,18 +2,22 @@ package workload
 
 import (
 	"math/rand"
-	"strconv"
-	"sync"
 
 	"autonosql/internal/sim"
 	"autonosql/internal/store"
 )
 
-// KeyChooser selects which key the next operation targets.
+// KeyChooser selects which key the next operation targets. Every built-in
+// chooser draws from the canonical "key-<i>" namespace, whose key ids are the
+// indices themselves: the ID forms are what the operation path uses, the name
+// forms are for callers that want to look at a key.
 type KeyChooser interface {
-	// NextRead returns the key for a read operation.
+	// NextReadID returns the key for a read operation.
+	NextReadID() store.KeyID
+	// NextWriteID returns the key for a write operation.
+	NextWriteID() store.KeyID
+	// NextRead and NextWrite are the same draws, by name.
 	NextRead() store.Key
-	// NextWrite returns the key for a write operation.
 	NextWrite() store.Key
 }
 
@@ -60,11 +64,17 @@ func (u *UniformKeys) Slice(base, size int) {
 	}
 }
 
+// NextReadID implements KeyChooser.
+func (u *UniformKeys) NextReadID() store.KeyID { return store.KeyID(u.base + u.rng.Intn(u.n)) }
+
+// NextWriteID implements KeyChooser.
+func (u *UniformKeys) NextWriteID() store.KeyID { return u.NextReadID() }
+
 // NextRead implements KeyChooser.
-func (u *UniformKeys) NextRead() store.Key { return keyName(u.base + u.rng.Intn(u.n)) }
+func (u *UniformKeys) NextRead() store.Key { return keyName(u.NextReadID()) }
 
 // NextWrite implements KeyChooser.
-func (u *UniformKeys) NextWrite() store.Key { return keyName(u.base + u.rng.Intn(u.n)) }
+func (u *UniformKeys) NextWrite() store.Key { return keyName(u.NextWriteID()) }
 
 // ZipfianKeys picks keys with a zipfian popularity distribution, as YCSB
 // does: a small set of hot keys receives most of the traffic.
@@ -92,11 +102,17 @@ func (z *ZipfianKeys) Slice(base, size int) {
 	}
 }
 
+// NextReadID implements KeyChooser.
+func (z *ZipfianKeys) NextReadID() store.KeyID { return store.KeyID(z.base + int(z.zipf.Next())%z.n) }
+
+// NextWriteID implements KeyChooser.
+func (z *ZipfianKeys) NextWriteID() store.KeyID { return z.NextReadID() }
+
 // NextRead implements KeyChooser.
-func (z *ZipfianKeys) NextRead() store.Key { return keyName(z.base + int(z.zipf.Next())%z.n) }
+func (z *ZipfianKeys) NextRead() store.Key { return keyName(z.NextReadID()) }
 
 // NextWrite implements KeyChooser.
-func (z *ZipfianKeys) NextWrite() store.Key { return keyName(z.base + int(z.zipf.Next())%z.n) }
+func (z *ZipfianKeys) NextWrite() store.Key { return keyName(z.NextWriteID()) }
 
 // LatestKeys models YCSB workload D: writes append new keys and reads are
 // skewed towards the most recently inserted ones.
@@ -134,15 +150,15 @@ func (l *LatestKeys) Slice(base, size int) {
 
 // key maps a logical insert index onto the physical key, wrapping sliced
 // choosers inside their window.
-func (l *LatestKeys) key(idx int) store.Key {
+func (l *LatestKeys) key(idx int) store.KeyID {
 	if l.bound > 0 {
 		idx %= l.bound
 	}
-	return keyName(l.base + idx)
+	return store.KeyID(l.base + idx)
 }
 
-// NextRead implements KeyChooser: reads target recent keys.
-func (l *LatestKeys) NextRead() store.Key {
+// NextReadID implements KeyChooser: reads target recent keys.
+func (l *LatestKeys) NextReadID() store.KeyID {
 	offset := int(l.zipf.Next())
 	idx := l.next - 1 - offset
 	if idx < 0 {
@@ -151,52 +167,25 @@ func (l *LatestKeys) NextRead() store.Key {
 	return l.key(idx)
 }
 
-// NextWrite implements KeyChooser: each write inserts the next key.
-func (l *LatestKeys) NextWrite() store.Key {
+// NextWriteID implements KeyChooser: each write inserts the next key.
+func (l *LatestKeys) NextWriteID() store.KeyID {
 	k := l.key(l.next)
 	l.next++
 	return k
 }
 
-// keyTableSize bounds the precomputed key-name table. The default keyspace
-// (10000 keys) fits comfortably; indices beyond the table fall back to
-// formatting. 1<<14 entries cost ~400 KB once per process.
-const keyTableSize = 1 << 14
+// NextRead implements KeyChooser.
+func (l *LatestKeys) NextRead() store.Key { return keyName(l.NextReadID()) }
 
-var (
-	keyTableOnce sync.Once
-	keyTable     []store.Key
-)
+// NextWrite implements KeyChooser.
+func (l *LatestKeys) NextWrite() store.Key { return keyName(l.NextWriteID()) }
 
 // KeyIndex reports the index i of a key in the canonical "key-<i>" namespace
 // every built-in chooser draws from. Keys outside the namespace (including
 // non-canonical spellings like "key-007") report ok=false; trace recording
 // falls back to carrying such keys verbatim.
-func KeyIndex(k store.Key) (int, bool) {
-	s := string(k)
-	if len(s) < 5 || s[:4] != "key-" {
-		return 0, false
-	}
-	i, err := strconv.Atoi(s[4:])
-	if err != nil || i < 0 || keyName(i) != k {
-		return 0, false
-	}
-	return i, true
-}
+func KeyIndex(k store.Key) (int, bool) { return store.CanonicalIndex(k) }
 
-// keyName returns the canonical name of key i. Key choosers call it once per
-// operation, so the common indices are served from a shared immutable table
-// instead of allocating a fresh string per operation.
-func keyName(i int) store.Key {
-	if i >= 0 && i < keyTableSize {
-		keyTableOnce.Do(func() {
-			t := make([]store.Key, keyTableSize)
-			for j := range t {
-				t[j] = store.Key("key-" + strconv.Itoa(j))
-			}
-			keyTable = t
-		})
-		return keyTable[i]
-	}
-	return store.Key("key-" + strconv.Itoa(i))
-}
+// keyName spells out the canonical name of a chooser's key. The operation
+// path carries ids; this is for callers that asked for a name.
+func keyName(id store.KeyID) store.Key { return store.CanonicalKey(int(id)) }

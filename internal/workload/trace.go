@@ -31,14 +31,6 @@ type TraceEvent struct {
 	RawKey store.Key
 }
 
-// key returns the store key the event targets.
-func (e TraceEvent) key() store.Key {
-	if e.RawKey != "" {
-		return e.RawKey
-	}
-	return keyName(e.Key)
-}
-
 // Trace is a recorded arrival stream: the tenant population it was captured
 // from and every arrival in fire order (non-decreasing time). A trace decouples
 // the arrivals from the random streams that produced them, so the exact same
@@ -315,34 +307,36 @@ func strictUnmarshal(data []byte, v any) error {
 // arming a recorder can never perturb the run it records.
 type TraceRecorder struct {
 	clock   func() time.Duration
+	keyName func(store.KeyID) store.Key
 	tenants []string
 	events  []TraceEvent
 }
 
 // NewTraceRecorder creates a recorder. clock supplies the virtual time
-// arrivals are stamped with; tenants is the scenario's tenant population in
-// declaration order (empty for a single anonymous workload).
-func NewTraceRecorder(clock func() time.Duration, tenants []string) (*TraceRecorder, error) {
-	if clock == nil {
-		return nil, errors.New("workload: trace recorder needs a clock")
+// arrivals are stamped with; keyName names the keys outside the canonical
+// namespace (the store's KeyName); tenants is the scenario's tenant
+// population in declaration order (empty for a single anonymous workload).
+func NewTraceRecorder(clock func() time.Duration, keyName func(store.KeyID) store.Key, tenants []string) (*TraceRecorder, error) {
+	if clock == nil || keyName == nil {
+		return nil, errors.New("workload: trace recorder needs a clock and a key namer")
 	}
-	return &TraceRecorder{clock: clock, tenants: tenants}, nil
+	return &TraceRecorder{clock: clock, keyName: keyName, tenants: tenants}, nil
 }
 
-// Wrap returns a Target that records every arrival under the given tenant name
+// Wrap returns a target that records every arrival under the given tenant name
 // (empty for the anonymous workload) before forwarding it to inner.
-func (r *TraceRecorder) Wrap(tenant string, inner Target) Target {
+func (r *TraceRecorder) Wrap(tenant string, inner IDTarget) IDTarget {
 	return &recordingTarget{rec: r, tenant: tenant, inner: inner}
 }
 
 // record appends one arrival. Arrivals flow in from event handlers in fire
 // order, so the resulting event list is time-ordered by construction.
-func (r *TraceRecorder) record(write bool, tenant string, key store.Key) {
+func (r *TraceRecorder) record(write bool, tenant string, key store.KeyID) {
 	e := TraceEvent{At: r.clock(), Tenant: tenant, Write: write}
-	if idx, ok := KeyIndex(key); ok {
-		e.Key = idx
+	if key >= 0 {
+		e.Key = int(key)
 	} else {
-		e.RawKey = key
+		e.RawKey = r.keyName(key)
 	}
 	r.events = append(r.events, e)
 }
@@ -358,17 +352,17 @@ func (r *TraceRecorder) Trace() *Trace {
 type recordingTarget struct {
 	rec    *TraceRecorder
 	tenant string
-	inner  Target
+	inner  IDTarget
 }
 
-func (t *recordingTarget) Read(key store.Key, cb func(store.Result)) {
+func (t *recordingTarget) ReadID(key store.KeyID, cb func(store.Result)) {
 	t.rec.record(false, t.tenant, key)
-	t.inner.Read(key, cb)
+	t.inner.ReadID(key, cb)
 }
 
-func (t *recordingTarget) Write(key store.Key, cb func(store.Result)) {
+func (t *recordingTarget) WriteID(key store.KeyID, cb func(store.Result)) {
 	t.rec.record(true, t.tenant, key)
-	t.inner.Write(key, cb)
+	t.inner.WriteID(key, cb)
 }
 
 // --- replay ------------------------------------------------------------------
@@ -381,8 +375,11 @@ func (t *recordingTarget) Write(key store.Key, cb func(store.Result)) {
 // live run's event ordering exactly (see the replay byte-identity test).
 type TraceSource struct {
 	engine *sim.Engine
-	target Target
+	target IDTarget
 	events []TraceEvent
+	// raw holds the ids of the events that carry a raw key, in event order.
+	raw     []store.KeyID
+	nextRaw int
 
 	next    int
 	stopped bool
@@ -391,18 +388,25 @@ type TraceSource struct {
 }
 
 // NewTraceSource creates a source replaying events (already filtered to one
-// tenant's stream, in fire order) against target. Start must be called to
-// begin issuing.
-func NewTraceSource(engine *sim.Engine, target Target, events []TraceEvent) (*TraceSource, error) {
-	if engine == nil || target == nil {
-		return nil, errors.New("workload: engine and target are required")
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			return nil, fmt.Errorf("workload: trace source event %d out of order", i)
-		}
+// tenant's stream, in fire order) against target. Raw keys are resolved to
+// ids here, through keyID (the store's KeyID), because ticks may fire on a
+// driver lane that must not touch the store's name table. Start must be
+// called to begin issuing.
+func NewTraceSource(engine *sim.Engine, target IDTarget, keyID func(store.Key) store.KeyID, events []TraceEvent) (*TraceSource, error) {
+	if engine == nil || target == nil || keyID == nil {
+		return nil, errors.New("workload: engine, target and key resolver are required")
 	}
 	s := &TraceSource{engine: engine, target: target, events: events}
+	for i, e := range events {
+		if i > 0 && e.At < events[i-1].At {
+			return nil, fmt.Errorf("workload: trace source event %d out of order", i)
+		}
+		if e.RawKey != "" {
+			s.raw = append(s.raw, keyID(e.RawKey))
+		} else if e.Key < 0 {
+			return nil, fmt.Errorf("workload: trace source event %d has negative key index %d", i, e.Key)
+		}
+	}
 	s.tickFn = s.tick
 	s.cbFn = func(store.Result) {}
 	return s, nil
@@ -411,7 +415,7 @@ func NewTraceSource(engine *sim.Engine, target Target, events []TraceEvent) (*Tr
 // Intercept replaces the source's target with wrap(target), mirroring
 // Generator.Intercept so a replayed run can itself be recorded. It must be
 // called before Start.
-func (s *TraceSource) Intercept(wrap func(Target) Target) {
+func (s *TraceSource) Intercept(wrap func(IDTarget) IDTarget) {
 	s.target = wrap(s.target)
 }
 
@@ -447,10 +451,15 @@ func (s *TraceSource) tick(time.Duration) {
 	}
 	e := s.events[s.next]
 	s.next++
+	key := store.KeyID(e.Key)
+	if e.RawKey != "" {
+		key = s.raw[s.nextRaw]
+		s.nextRaw++
+	}
 	if e.Write {
-		s.target.Write(e.key(), s.cbFn)
+		s.target.WriteID(key, s.cbFn)
 	} else {
-		s.target.Read(e.key(), s.cbFn)
+		s.target.ReadID(key, s.cbFn)
 	}
 	s.scheduleNext()
 }

@@ -18,8 +18,8 @@ func TestKeyIndex(t *testing.T) {
 	}{
 		{"key-0", 0, true},
 		{"key-17", 17, true},
-		{"key-16384", 16384, true}, // past the precomputed table
-		{"key-007", 0, false},      // non-canonical spelling
+		{"key-16384", 16384, true},
+		{"key-007", 0, false}, // non-canonical spelling
 		{"key-+7", 0, false},
 		{"key--1", 0, false},
 		{"key-", 0, false},
@@ -33,8 +33,8 @@ func TestKeyIndex(t *testing.T) {
 		}
 	}
 	// Every canonical name round-trips.
-	for _, i := range []int{0, 1, 9999, keyTableSize - 1, keyTableSize, keyTableSize + 12345} {
-		idx, ok := KeyIndex(keyName(i))
+	for _, i := range []int{0, 1, 9999, 16383, 16384, 199999, 1 << 20, 1<<20 + 12345} {
+		idx, ok := KeyIndex(keyName(store.KeyID(i)))
 		if !ok || idx != i {
 			t.Errorf("KeyIndex(keyName(%d)) = (%d, %v), want (%d, true)", i, idx, ok, i)
 		}
@@ -140,14 +140,15 @@ func (f *stampTarget) Write(key store.Key, cb func(store.Result)) {
 // including same-time events.
 func TestTraceSourceReplaysExactTimes(t *testing.T) {
 	engine := sim.NewEngine()
-	target := &stampTarget{engine: engine}
+	stamps := &stampTarget{engine: engine}
+	target := store.AdaptNames(stamps)
 	events := []TraceEvent{
 		{At: 0, Write: false, Key: 1},
 		{At: 10 * time.Millisecond, Write: true, Key: 2},
 		{At: 10 * time.Millisecond, Write: false, Key: 3},
 		{At: time.Second, Write: true, RawKey: "probe-9"},
 	}
-	src, err := NewTraceSource(engine, target, events)
+	src, err := NewTraceSource(engine, target, target.KeyID, events)
 	if err != nil {
 		t.Fatalf("NewTraceSource: %v", err)
 	}
@@ -158,13 +159,17 @@ func TestTraceSourceReplaysExactTimes(t *testing.T) {
 	if src.Remaining() != 0 {
 		t.Fatalf("%d events left unissued", src.Remaining())
 	}
-	if len(target.ops) != len(events) {
-		t.Fatalf("target saw %d ops, want %d", len(target.ops), len(events))
+	if len(stamps.ops) != len(events) {
+		t.Fatalf("target saw %d ops, want %d", len(stamps.ops), len(events))
 	}
 	for i, e := range events {
-		got := target.ops[i]
-		if got.At != e.At || got.Write != e.Write || got.RawKey != e.key() {
-			t.Errorf("op %d = %+v, want at=%v write=%v key=%s", i, got, e.At, e.Write, e.key())
+		want := e.RawKey
+		if want == "" {
+			want = keyName(store.KeyID(e.Key))
+		}
+		got := stamps.ops[i]
+		if got.At != e.At || got.Write != e.Write || got.RawKey != want {
+			t.Errorf("op %d = %+v, want at=%v write=%v key=%s", i, got, e.At, e.Write, want)
 		}
 	}
 }
@@ -175,8 +180,8 @@ func TestRecorderRoundTrip(t *testing.T) {
 	run := func(replay *Trace) *Trace {
 		engine := sim.NewEngine()
 		rnd := sim.NewRandSource(99)
-		target := &stampTarget{engine: engine}
-		rec, err := NewTraceRecorder(engine.Now, nil)
+		target := store.AdaptNames(&stampTarget{engine: engine})
+		rec, err := NewTraceRecorder(engine.Now, target.KeyName, nil)
 		if err != nil {
 			t.Fatalf("NewTraceRecorder: %v", err)
 		}
@@ -186,18 +191,18 @@ func TestRecorderRoundTrip(t *testing.T) {
 				Mix:     Mix{ReadFraction: 0.5},
 				Keys:    NewUniformKeys(100, rnd.Stream("keys")),
 				Until:   2 * time.Second,
-			}, engine, target, rnd)
+			}, engine, &stampTarget{engine: engine}, rnd)
 			if err != nil {
 				t.Fatalf("NewGenerator: %v", err)
 			}
-			gen.Intercept(func(inner Target) Target { return rec.Wrap("", inner) })
+			gen.Intercept(func(inner IDTarget) IDTarget { return rec.Wrap("", inner) })
 			gen.Start()
 		} else {
-			src, err := NewTraceSource(engine, target, replay.Events)
+			src, err := NewTraceSource(engine, target, target.KeyID, replay.Events)
 			if err != nil {
 				t.Fatalf("NewTraceSource: %v", err)
 			}
-			src.Intercept(func(inner Target) Target { return rec.Wrap("", inner) })
+			src.Intercept(func(inner IDTarget) IDTarget { return rec.Wrap("", inner) })
 			src.Start()
 		}
 		if err := engine.Run(2 * time.Second); err != nil {

@@ -398,7 +398,14 @@ type driver struct {
 type source interface {
 	Start()
 	Stop()
-	Intercept(func(workload.Target) workload.Target)
+	Intercept(func(workload.IDTarget) workload.IDTarget)
+}
+
+// driverTarget is what a driver is pointed at: the monitor, or a tenant's
+// runtime in front of it.
+type driverTarget interface {
+	workload.Target
+	workload.IDTarget
 }
 
 // addDriver builds the driver of one traffic source — the anonymous workload
@@ -408,14 +415,14 @@ type source interface {
 // carries the keys); otherwise a generator draws from the tenant's named
 // random streams, a declared tenant's keys confined to the keyspace slice
 // starting at keyBase.
-func (s *Scenario) addDriver(tenant string, target workload.Target, w WorkloadSpec, keyBase int) error {
+func (s *Scenario) addDriver(tenant string, target driverTarget, w WorkloadSpec, keyBase int) error {
 	deng, err := s.driverEngine()
 	if err != nil {
 		return err
 	}
 	d := driver{tenant: tenant}
 	if s.spec.Replay != nil {
-		src, err := workload.NewTraceSource(deng, target, s.spec.Replay.eventsFor(tenant))
+		src, err := workload.NewTraceSource(deng, target, s.store.KeyID, s.spec.Replay.eventsFor(tenant))
 		if err != nil {
 			return err
 		}
@@ -471,12 +478,12 @@ func (s *Scenario) RecordTrace() error {
 	for i, ts := range s.spec.Tenants {
 		names[i] = ts.Name
 	}
-	rec, err := workload.NewTraceRecorder(s.engine.Now, names)
+	rec, err := workload.NewTraceRecorder(s.engine.Now, s.store.KeyName, names)
 	if err != nil {
 		return fmt.Errorf("autonosql: %w", err)
 	}
 	for _, d := range s.drivers {
-		d.Intercept(func(inner workload.Target) workload.Target { return rec.Wrap(d.tenant, inner) })
+		d.Intercept(func(inner workload.IDTarget) workload.IDTarget { return rec.Wrap(d.tenant, inner) })
 	}
 	s.recorder = rec
 	return nil

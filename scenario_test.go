@@ -1,6 +1,7 @@
 package autonosql
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -262,5 +263,75 @@ func TestScenarioNoisyNeighbourWidensWindow(t *testing.T) {
 	if repNoisy.Window.P95 <= repQuiet.Window.P95 {
 		t.Fatalf("noisy-neighbour interference should widen the window: quiet p95=%v noisy p95=%v",
 			repQuiet.Window.P95, repNoisy.Window.P95)
+	}
+}
+
+// TestNewScenarioNotSizedByKeyspace pins that per-key state is grown on first
+// touch: assembling a scenario costs the same objects and bytes for a
+// 10 000-key and a 200 000-key workload, whatever the distribution and with
+// or without tenants, and the runs that follow still reach every key — the
+// append-only "latest" keyspace past its initial size, a second tenant's
+// window past the first's.
+func TestNewScenarioNotSizedByKeyspace(t *testing.T) {
+	specFor := func(keys KeyDistribution, keyspace int, tenants bool) ScenarioSpec {
+		spec := quickSpec()
+		spec.Duration = 20 * time.Second
+		spec.Monitor.ActiveProbes = false // probes write keys of their own
+		spec.Workload.Keys, spec.Workload.Keyspace = keys, keyspace
+		if tenants {
+			w := spec.Workload
+			w.BaseOpsPerSec /= 2
+			spec.Tenants = []TenantSpec{{Name: "a", Class: SLAGold, Workload: w}, {Name: "b", Class: SLABronze, Workload: w}}
+		}
+		return spec
+	}
+	// Objects and bytes of five NewScenario calls. Map buckets (hash seeds
+	// differ per map) and the race detector jitter the count by a few
+	// objects; anything sized by the keyspace would be 190 000 slots more.
+	cost := func(spec ScenarioSpec) (objects, bytes int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 5; i++ {
+			if _, err := NewScenario(spec); err != nil {
+				t.Fatalf("NewScenario: %v", err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	for _, keys := range []KeyDistribution{KeysUniform, KeysZipfian, KeysLatest} {
+		for _, tenants := range []bool{false, true} {
+			smallObjs, smallBytes := cost(specFor(keys, 10_000, tenants))
+			largeObjs, largeBytes := cost(specFor(keys, 200_000, tenants))
+			if d := largeObjs - smallObjs; d > 100 || d < -100 || largeBytes-smallBytes > 64<<10 {
+				t.Errorf("%s tenants=%v: five NewScenario calls cost %d objects / %d bytes for 10k keys, %d / %d for 200k",
+					keys, tenants, smallObjs, smallBytes, largeObjs, largeBytes)
+			}
+		}
+	}
+
+	run := func(spec ScenarioSpec) (*Scenario, *Report) {
+		sc, err := NewScenario(spec)
+		if err != nil {
+			t.Fatalf("NewScenario: %v", err)
+		}
+		rep, err := sc.Run()
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if rep.Writes == 0 || rep.FailedWrites != 0 {
+			t.Fatalf("%d writes, %d failed", rep.Writes, rep.FailedWrites)
+		}
+		return sc, rep
+	}
+	// Every "latest" write inserts a new key beyond the initial 300.
+	sc, rep := run(specFor(KeysLatest, 300, false))
+	if got := sc.store.KeyCount(); uint64(got) < rep.Writes*9/10 {
+		t.Errorf("latest keys: %d keys acknowledged after %d writes", got, rep.Writes)
+	}
+	// Two tenants of 300 uniform keys each own [0, 300) and [300, 600).
+	sc, _ = run(specFor(KeysUniform, 300, true))
+	if got := sc.store.KeyCount(); got <= 300 || got > 600 {
+		t.Errorf("two 300-key tenants: %d keys acknowledged, want (300, 600]", got)
 	}
 }

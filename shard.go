@@ -77,7 +77,7 @@ func (s *Scenario) driverEngine() (*sim.Engine, error) {
 func (sr *shardedRun) splice(s *Scenario) {
 	for i, d := range s.drivers {
 		var b *laneBridge
-		d.Intercept(func(inner workload.Target) workload.Target {
+		d.Intercept(func(inner workload.IDTarget) workload.IDTarget {
 			b = newLaneBridge(sr.driverLanes[i], sr.home, inner)
 			return b
 		})
@@ -104,7 +104,7 @@ func (sr *shardedRun) splice(s *Scenario) {
 type laneBridge struct {
 	lane   *sim.Lane
 	home   *sim.Lane
-	target workload.Target
+	target workload.IDTarget
 
 	// free recycles fired tick records. It is popped only by the driver's
 	// lane mid-round and refilled only at barriers, while that lane is
@@ -126,13 +126,13 @@ type laneBridge struct {
 type tickRec struct {
 	bridge *laneBridge
 	at     time.Duration
-	key    store.Key
+	key    store.KeyID
 	cb     func(store.Result)
 	write  bool
 	op     bool
 }
 
-func newLaneBridge(lane, home *sim.Lane, target workload.Target) *laneBridge {
+func newLaneBridge(lane, home *sim.Lane, target workload.IDTarget) *laneBridge {
 	return &laneBridge{lane: lane, home: home, target: target}
 }
 
@@ -141,10 +141,10 @@ func newLaneBridge(lane, home *sim.Lane, target workload.Target) *laneBridge {
 // single-engine Start performs at the same point.
 func (b *laneBridge) seed() { b.nextSeq = b.home.Engine().ReserveSeq() }
 
-func (b *laneBridge) Read(key store.Key, cb func(store.Result))  { b.send(key, cb, false) }
-func (b *laneBridge) Write(key store.Key, cb func(store.Result)) { b.send(key, cb, true) }
+func (b *laneBridge) ReadID(key store.KeyID, cb func(store.Result))  { b.send(key, cb, false) }
+func (b *laneBridge) WriteID(key store.KeyID, cb func(store.Result)) { b.send(key, cb, true) }
 
-func (b *laneBridge) send(key store.Key, cb func(store.Result), write bool) {
+func (b *laneBridge) send(key store.KeyID, cb func(store.Result), write bool) {
 	rec := b.newRec()
 	rec.at = b.lane.Engine().Now()
 	rec.key = key
@@ -218,9 +218,9 @@ func deliverTick(arg any, _ time.Duration) {
 	b := rec.bridge
 	if rec.op {
 		if rec.write {
-			b.target.Write(rec.key, rec.cb)
+			b.target.WriteID(rec.key, rec.cb)
 		} else {
-			b.target.Read(rec.key, rec.cb)
+			b.target.ReadID(rec.key, rec.cb)
 		}
 	}
 	seq := b.home.Engine().ReserveSeq()
@@ -229,7 +229,6 @@ func deliverTick(arg any, _ time.Duration) {
 	} else {
 		b.nextSeq = seq
 	}
-	rec.key = ""
 	rec.cb = nil
 	rec.write = false
 	rec.op = false
