@@ -72,7 +72,14 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	if len(h.samples) < h.cap {
+	if n := len(h.samples); n < h.cap {
+		if n == cap(h.samples) {
+			// Double, up to the cap: a full reservoir has then allocated
+			// about twice what it retains, and never more than it can hold.
+			grown := make([]float64, n, min(2*n, h.cap))
+			copy(grown, h.samples)
+			h.samples = grown
+		}
 		h.samples = append(h.samples, v)
 		return
 	}

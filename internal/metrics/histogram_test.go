@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -295,6 +296,28 @@ func TestHistogramQueryTimesAreInput(t *testing.T) {
 	}
 	if same {
 		t.Fatal("a mid-stream query left the retained set unchanged; query times are expected to be part of the result")
+	}
+}
+
+// TestHistogramGrowthBytes pins the reservoir's growth rule: filling a
+// default histogram to 1.1x its cap allocates the initial chunk plus at most
+// twice the cap's samples, which doubling from the initial chunk meets and
+// append's 1.25x rule, copying the samples a dozen times, does not.
+func TestHistogramGrowthBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := NewHistogram(0)
+	for i := 0; i < DefaultHistogramCap*11/10; i++ {
+		h.Observe(float64(i))
+	}
+	runtime.ReadMemStats(&after)
+	const initial, sample = 4096, 8
+	limit := uint64(2*DefaultHistogramCap*sample + initial*sample + 1024) // + the Histogram itself
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("filling a default histogram to 1.1x cap allocated %d B, want at most %d", got, limit)
+	}
+	if len(h.samples) != DefaultHistogramCap || cap(h.samples) != DefaultHistogramCap {
+		t.Errorf("reservoir holds %d samples in %d, want %d in %d", len(h.samples), cap(h.samples), DefaultHistogramCap, DefaultHistogramCap)
 	}
 }
 

@@ -134,8 +134,10 @@ type Monitor struct {
 	windowQuantiles [3]float64
 
 	// free recycles the per-operation completion records, so client-side
-	// accounting wraps the caller's callback without allocating.
-	free []*taggedOp
+	// accounting wraps the caller's callback without allocating; opSlab
+	// supplies a fresh one when the list is empty.
+	free   []*taggedOp
+	opSlab sim.Slab[taggedOp]
 }
 
 // snapshotWindowQs are the window quantiles every snapshot reports, queried
@@ -247,7 +249,8 @@ func (m *Monitor) observe(cb func(store.Result)) func(store.Result) {
 	if n := len(m.free); n > 0 {
 		o, m.free = m.free[n-1], m.free[:n-1]
 	} else {
-		o = &taggedOp{m: m}
+		o = m.opSlab.New()
+		o.m = m
 		o.done = o.complete
 	}
 	o.cb = cb

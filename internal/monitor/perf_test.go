@@ -2,9 +2,11 @@ package monitor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"autonosql/internal/cluster"
 	"autonosql/internal/sim"
 	"autonosql/internal/store"
 	"autonosql/internal/tenant"
@@ -67,5 +69,81 @@ func TestClientPathAllocationFree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFreeListSlabRefill pins that the completion records of the monitor's
+// and the tenant runtime's wrappers refill from slabs, as the store's op
+// state and events do: 10 000 writes in flight through one or two wrapping
+// layers allocate, per layer, the handler each record binds once and one
+// object per slab of records — on top of the store's slabs of op state and
+// events and a constant — not one object per record as well.
+func TestFreeListSlabRefill(t *testing.T) {
+	const writes, slab = 10_000, 64 // slab: the block size of sim.Slab
+	for _, viaRuntime := range []bool{false, true} {
+		t.Run(fmt.Sprintf("runtime=%v", viaRuntime), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.UseActive = false
+			rig := newRig(t, cfg, store.DefaultConfig(), 1)
+			var target interface {
+				WriteID(store.KeyID, func(store.Result))
+			} = rig.monitor
+			layers := 1
+			if viaRuntime {
+				rig.store.RegisterTenants(1)
+				rt, err := tenant.NewRuntime(1, "gold", tenant.Gold, rig.monitor.Tagged(1))
+				if err != nil {
+					t.Fatalf("NewRuntime: %v", err)
+				}
+				target, layers = rt, 2
+			}
+			cb := func(store.Result) {}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < writes; i++ {
+				target.WriteID(store.KeyID(i%512), cb)
+			}
+			runtime.ReadMemStats(&after)
+			limit := uint64(layers*writes + (2+layers)*writes/slab + 64)
+			if got := after.Mallocs - before.Mallocs; got > limit {
+				t.Errorf("%d writes in flight through %d layers allocated %d objects, want at most %d", writes, layers, got, limit)
+			}
+			if pending := rig.engine.Pending(); pending < writes {
+				t.Fatalf("%d events pending: the writes are not all in flight", pending)
+			}
+		})
+	}
+}
+
+// TestProberAllocatesOnlyKeyNames pins the active prober's steady state: a
+// probe's record, its write, poll and retry handlers are recycled, so what a
+// probe allocates is its new key's name (interned by the store) and its share
+// of the intern table's growth — not a formatted name, a closure per poll
+// and an event per retry.
+func TestProberAllocatesOnlyKeyNames(t *testing.T) {
+	engine := sim.NewEngine()
+	src := sim.NewRandSource(6)
+	cl := cluster.New(cluster.DefaultConfig(), engine, src)
+	st, err := store.New(store.DefaultConfig(), engine, cl, src)
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	p, err := NewProber(ProberConfig{Rate: 100}, engine, st, func(float64, int) {})
+	if err != nil {
+		t.Fatalf("NewProber: %v", err)
+	}
+	second := func() {
+		if err := engine.Run(engine.Now() + time.Second); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		second()
+	}
+	if avg := testing.AllocsPerRun(10, second); avg > 110 {
+		t.Errorf("100 probes allocate %.0f objects, want at most 110", avg)
+	}
+	if p.Completed() == 0 || p.Failed()+p.TimedOut() != 0 {
+		t.Fatalf("probes completed %d, failed %d, timed out %d", p.Completed(), p.Failed(), p.TimedOut())
 	}
 }

@@ -2,7 +2,7 @@ package monitor
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"time"
 
 	"autonosql/internal/sim"
@@ -35,8 +35,13 @@ type Prober struct {
 	store      *store.Store
 	onEstimate func(windowSeconds float64, opsUsed int)
 
-	ticker  *sim.Ticker
-	seq     uint64
+	ticker *sim.Ticker
+	seq    uint64
+	// name is the reused buffer probe key names are spelled in; free and
+	// slab recycle the probe records.
+	name    []byte
+	free    []*probe
+	slab    sim.Slab[probe]
 	started uint64
 	done    uint64
 	timeout uint64
@@ -94,39 +99,74 @@ func (p *Prober) Failed() uint64 { return p.failed }
 func (p *Prober) startProbe() {
 	p.seq++
 	p.started++
-	key := store.Key(fmt.Sprintf("%s-%d", p.cfg.KeyPrefix, p.seq))
-	ops := 1
-	p.store.Write(key, func(w store.Result) {
-		if w.Err != nil {
-			// A probe write rejected by a crashed or partitioned store is a
-			// consistency signal, not a gap in the data: dropping it silently
-			// would leave the monitor blind exactly when divergence is worst.
-			// Record the probe as failed and feed the censored timeout value
-			// into the estimate series, the same way an abandoned poll does.
-			p.failed++
-			p.onEstimate(p.cfg.Timeout.Seconds(), ops)
-			return
-		}
-		p.poll(key, w.Version, w.CompletedAt, w.CompletedAt, ops)
-	})
+	p.name = strconv.AppendUint(append(append(p.name[:0], p.cfg.KeyPrefix...), '-'), p.seq, 10)
+	var pr *probe
+	if n := len(p.free); n > 0 {
+		pr, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		pr = p.slab.New()
+		pr.p = p
+		pr.onWrite, pr.onRead = pr.written, pr.read
+	}
+	pr.key = p.store.KeyID(store.Key(p.name))
+	pr.ops = 1
+	p.store.WriteID(pr.key, pr.onWrite)
+}
+
+// probe is one read-after-write probe in flight: its key, the version it
+// waits for and the store operations it has used so far, behind handlers
+// bound once, when the record is first made, and reused every time the
+// record is.
+type probe struct {
+	p       *Prober
+	key     store.KeyID
+	want    uint64
+	ackedAt time.Duration
+	ops     int
+	onWrite func(store.Result)
+	onRead  func(store.Result)
+}
+
+func (pr *probe) written(w store.Result) {
+	if w.Err != nil {
+		// A probe write rejected by a crashed or partitioned store is a
+		// consistency signal, not a gap in the data: dropping it silently
+		// would leave the monitor blind exactly when divergence is worst.
+		// Record the probe as failed and feed the censored timeout value
+		// into the estimate series, the same way an abandoned poll does.
+		pr.p.failed++
+		pr.finish(pr.p.cfg.Timeout.Seconds())
+		return
+	}
+	pr.want, pr.ackedAt = w.Version, w.CompletedAt
+	pr.poll()
 }
 
 // poll reads the probe key until the written version is visible.
-func (p *Prober) poll(key store.Key, wantVersion uint64, ackedAt, deadlineBase time.Duration, ops int) {
-	p.store.Read(key, func(r store.Result) {
-		opsUsed := ops + 1
-		now := r.CompletedAt
-		switch {
-		case r.Err == nil && r.Version >= wantVersion:
-			p.done++
-			p.onEstimate((now - ackedAt).Seconds(), opsUsed)
-		case now-deadlineBase >= p.cfg.Timeout:
-			p.timeout++
-			p.onEstimate(p.cfg.Timeout.Seconds(), opsUsed)
-		default:
-			p.engine.After(p.cfg.PollInterval, func(time.Duration) {
-				p.poll(key, wantVersion, ackedAt, deadlineBase, opsUsed)
-			})
-		}
-	})
+func (pr *probe) poll() { pr.p.store.ReadID(pr.key, pr.onRead) }
+
+// pollEvent re-polls the probe passed as its argument.
+func pollEvent(arg any, _ time.Duration) { arg.(*probe).poll() }
+
+func (pr *probe) read(r store.Result) {
+	p := pr.p
+	pr.ops++
+	now := r.CompletedAt
+	switch {
+	case r.Err == nil && r.Version >= pr.want:
+		p.done++
+		pr.finish((now - pr.ackedAt).Seconds())
+	case now-pr.ackedAt >= p.cfg.Timeout:
+		p.timeout++
+		pr.finish(p.cfg.Timeout.Seconds())
+	default:
+		p.engine.AfterArg(p.cfg.PollInterval, pollEvent, pr)
+	}
+}
+
+// finish reports the probe's estimate and recycles the record.
+func (pr *probe) finish(window float64) {
+	p, ops := pr.p, pr.ops
+	p.free = append(p.free, pr)
+	p.onEstimate(window, ops)
 }

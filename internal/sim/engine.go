@@ -69,8 +69,10 @@ type Engine struct {
 	processed uint64
 	// free is the head of the recycled-event list. Events scheduled with
 	// After/AfterAt return here after firing, so a steady-state simulation
-	// schedules millions of events with a handful of allocations.
+	// schedules millions of events with a handful of allocations; a miss
+	// takes a never-used event from slab.
 	free *Event
+	slab Slab[Event]
 	// halted stops the current Run after the in-flight event completes. It is
 	// only ever set from a handler firing on this engine (same goroutine), so
 	// it needs no synchronisation.
@@ -89,7 +91,7 @@ type Profile struct {
 	// Processed counts events that have fired (excluding cancelled ones).
 	Processed uint64 `json:"processed"`
 	// PoolHits counts pooled schedules served from the free list;
-	// PoolMisses counts those that had to allocate a fresh event.
+	// PoolMisses counts those that took a never-used event.
 	PoolHits   uint64 `json:"pool_hits"`
 	PoolMisses uint64 `json:"pool_misses"`
 	// HeapPeak is the maximum number of simultaneously pending events.
@@ -186,16 +188,7 @@ func (e *Engine) AfterAt(at time.Duration, handler Handler) {
 	if at < e.now {
 		panic(fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now))
 	}
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
-		ev.canceled = false
-		e.poolHits++
-	} else {
-		ev = &Event{}
-		e.poolMisses++
-	}
+	ev := e.pooledEvent()
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
@@ -224,16 +217,7 @@ func (e *Engine) AfterArgAt(at time.Duration, h ArgHandler, arg any) {
 	if at < e.now {
 		panic(fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now))
 	}
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
-		ev.canceled = false
-		e.poolHits++
-	} else {
-		ev = &Event{}
-		e.poolMisses++
-	}
+	ev := e.pooledEvent()
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
@@ -242,6 +226,21 @@ func (e *Engine) AfterArgAt(at time.Duration, h ArgHandler, arg any) {
 	ev.pooled = true
 	e.queue.push(ev)
 	e.notePush()
+}
+
+// pooledEvent takes an event off the free list, or a never-used one from the
+// slab when the list is empty.
+func (e *Engine) pooledEvent() *Event {
+	ev := e.free
+	if ev == nil {
+		e.poolMisses++
+		return e.slab.New()
+	}
+	e.free = ev.next
+	ev.next = nil
+	ev.canceled = false
+	e.poolHits++
+	return ev
 }
 
 // release returns a pooled event to the free list. The handler and argument

@@ -191,6 +191,18 @@ func TestTickerFiresPeriodically(t *testing.T) {
 	}
 }
 
+// TestTickerRearmsWithoutAllocating pins that a running ticker re-arms the
+// event that just fired instead of scheduling a new one every period.
+func TestTickerRearmsWithoutAllocating(t *testing.T) {
+	e := NewEngine()
+	if _, err := NewTicker(e, time.Millisecond, func(time.Duration) {}); err != nil {
+		t.Fatalf("NewTicker: %v", err)
+	}
+	if avg := testing.AllocsPerRun(20, func() { _ = e.Run(e.Now() + 10*time.Millisecond) }); avg != 0 {
+		t.Errorf("ten ticks allocate %.0f objects, want 0", avg)
+	}
+}
+
 func TestTickerStop(t *testing.T) {
 	e := NewEngine()
 	count := 0

@@ -185,16 +185,7 @@ func (e *Engine) ScheduleReserved(at time.Duration, seq uint64, h ArgHandler, ar
 // its sender-assigned sequence number. The caller (the barrier drain) has
 // already checked at >= e.now.
 func (e *Engine) pushMail(at time.Duration, seq uint64, h ArgHandler, arg any) {
-	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
-		ev.canceled = false
-		e.poolHits++
-	} else {
-		ev = &Event{}
-		e.poolMisses++
-	}
+	ev := e.pooledEvent()
 	ev.at = at
 	ev.seq = seq
 	ev.argHandler = h

@@ -12,9 +12,7 @@ type Ticker struct {
 	engine  *Engine
 	period  time.Duration
 	handler Handler
-	// tickFn is the bound tick method, created once so re-arming does not
-	// allocate a new method value per period.
-	tickFn  Handler
+	// next is the ticker's one event, re-armed every period.
 	next    *Event
 	stopped bool
 	fired   uint64
@@ -33,20 +31,12 @@ func NewTicker(engine *Engine, period time.Duration, handler Handler) (*Ticker, 
 		return nil, errors.New("sim: nil ticker handler")
 	}
 	t := &Ticker{engine: engine, period: period, handler: handler}
-	t.tickFn = t.tick
-	if err := t.schedule(); err != nil {
+	ev, err := engine.Schedule(period, t.tick)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
-}
-
-func (t *Ticker) schedule() error {
-	ev, err := t.engine.Schedule(t.period, t.tickFn)
-	if err != nil {
-		return err
-	}
 	t.next = ev
-	return nil
+	return t, nil
 }
 
 func (t *Ticker) tick(now time.Duration) {
@@ -58,9 +48,14 @@ func (t *Ticker) tick(now time.Duration) {
 	if t.stopped {
 		return
 	}
-	// Re-arm. Scheduling from within an event handler cannot fail with a
-	// past timestamp because the period is positive.
-	_ = func() error { return t.schedule() }()
+	// Re-arm the event that just fired: it is off the queue and not pooled,
+	// so the ticker is its only holder. The sequence number is taken here,
+	// exactly where scheduling a fresh event would take it.
+	e := t.engine
+	e.seq++
+	t.next.at, t.next.seq = now+t.period, e.seq
+	e.queue.push(t.next)
+	e.notePush()
 }
 
 // Fired returns how many times the ticker has invoked its handler.

@@ -44,50 +44,74 @@ func CanonicalKey(i int) Key {
 	return Key(appendCanonical(buf[:0], i))
 }
 
-// column is one per-key attribute indexed by KeyID: a slice for the dense
-// canonical ids and one for the interned ids, both grown on first touch so
-// nothing is sized by a keyspace up front. The zero value of T means "never
-// set".
+// pageBits sets a column page to 1<<pageBits slots.
+const pageBits = 10
+
+// page is one fixed-size block of a column.
+type page[T any] [1 << pageBits]T
+
+// column is one per-key attribute indexed by KeyID: a directory of pages for
+// the dense canonical ids and one for the interned ids. A page is allocated
+// the first time one of its slots is touched and never moves, so nothing is
+// sized by a keyspace up front and growing copies nothing but the
+// directory's page pointers. The zero value of T means "never set".
 type column[T any] struct {
-	dense    []T
-	interned []T
+	dense    []*page[T]
+	interned []*page[T]
 }
 
-// at returns the slot of id, growing the column to reach it.
+// at returns the slot of id, allocating its page if need be.
 func (c *column[T]) at(id KeyID) *T {
-	s, i := &c.dense, int(id)
+	dir, i := &c.dense, int(id)
 	if id < 0 {
-		s, i = &c.interned, ^int(id)
+		dir, i = &c.interned, ^int(id)
 	}
-	if i >= len(*s) {
-		*s = slices.Grow(*s, i+1-len(*s))[:i+1]
+	p := i >> pageBits
+	if p >= len(*dir) {
+		*dir = slices.Grow(*dir, p+1-len(*dir))[:p+1]
 	}
-	return &(*s)[i]
+	pg := (*dir)[p]
+	if pg == nil {
+		pg = new(page[T])
+		(*dir)[p] = pg
+	}
+	return &pg[i&(len(pg)-1)]
 }
 
-// get returns the value held for id, zero when the column never reached it.
+// get returns the value held for id, zero when its page was never touched.
 func (c *column[T]) get(id KeyID) (v T) {
-	s, i := c.dense, int(id)
+	dir, i := c.dense, int(id)
 	if id < 0 {
-		s, i = c.interned, ^int(id)
+		dir, i = c.interned, ^int(id)
 	}
-	if i < len(s) {
-		v = s[i]
+	if p := i >> pageBits; p < len(dir) && dir[p] != nil {
+		v = dir[p][i&(len(dir[p])-1)]
 	}
 	return v
 }
 
-// all iterates every slot the column has reached, set or not.
+// all iterates every slot of every touched page, set or not: dense ids
+// ascending, then interned ids in the order they were interned.
 func (c *column[T]) all() iter.Seq2[KeyID, T] {
 	return func(yield func(KeyID, T) bool) {
-		for i, v := range c.dense {
-			if !yield(KeyID(i), v) {
-				return
+		for p, pg := range c.dense {
+			if pg == nil {
+				continue
+			}
+			for j, v := range pg {
+				if !yield(KeyID(p<<pageBits|j), v) {
+					return
+				}
 			}
 		}
-		for i, v := range c.interned {
-			if !yield(KeyID(^i), v) {
-				return
+		for p, pg := range c.interned {
+			if pg == nil {
+				continue
+			}
+			for j, v := range pg {
+				if !yield(KeyID(^(p<<pageBits | j)), v) {
+					return
+				}
 			}
 		}
 	}
@@ -118,8 +142,8 @@ func (k *Keys) intern(name Key) KeyID {
 	if k.ids == nil {
 		k.ids = make(map[Key]KeyID)
 	}
-	id := KeyID(^len(k.names.interned))
-	k.names.interned = append(k.names.interned, name)
+	id := KeyID(^len(k.ids))
+	*k.names.at(id) = name
 	k.ids[name] = id
 	return id
 }

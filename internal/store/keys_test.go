@@ -2,7 +2,10 @@ package store
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // keyNames are the spellings the key-id tests walk: canonical indices on
@@ -112,29 +115,123 @@ func TestKeyCountsCountKeysNotSlots(t *testing.T) {
 	}
 }
 
-// TestColumnGrowsOnFirstTouch pins the growth rule of per-key columns: a read
-// of a slot never reached is zero and grows nothing, a touch grows exactly the
-// side it is on, and every reached slot is iterated with its id.
+// TestColumnGrowsOnFirstTouch pins the growth rule of per-key columns at page
+// granularity: reading a slot never reached is zero and allocates nothing, a
+// touch allocates exactly the page that holds it, on the side it is on, and
+// all() yields every slot of every touched page with its id, dense ids
+// ascending and then interned ids in interning order.
 func TestColumnGrowsOnFirstTouch(t *testing.T) {
 	var c column[version]
-	if c.get(500) != 0 || c.get(-3) != 0 || len(c.dense)+len(c.interned) != 0 {
-		t.Fatal("reading an untouched column grew it")
+	if avg := testing.AllocsPerRun(10, func() { c.get(500); c.get(-3) }); avg != 0 || len(c.dense)+len(c.interned) != 0 {
+		t.Fatalf("reading an untouched column allocated %.0f objects and reached %d + %d pages", avg, len(c.dense), len(c.interned))
 	}
+	const pageSize = 1 << pageBits
+	const far KeyID = 2*pageSize + 7 // on the third dense page
 	*c.at(500) = 7
 	*c.at(-3) = 9
-	*c.at(2) = 1
-	if len(c.dense) != 501 || len(c.interned) != 3 {
-		t.Fatalf("column sized %d dense + %d interned, want 501 + 3", len(c.dense), len(c.interned))
+	*c.at(far) = 1
+	if len(c.dense) != 3 || c.dense[0] == nil || c.dense[1] != nil || c.dense[2] == nil || len(c.interned) != 1 || c.interned[0] == nil {
+		t.Fatalf("touching ids 500, %d and -3 reached dense pages %v and interned pages %v, want pages 0 and 2, and 0", far, c.dense, c.interned)
 	}
-	sum, slots := version(0), 0
+	if avg := testing.AllocsPerRun(10, func() { *c.at(501) = 2; *c.at(-4) = 2 }); avg != 0 {
+		t.Errorf("touching a slot on a touched page allocates %.0f objects, want 0", avg)
+	}
+	*c.at(501), *c.at(-4) = 0, 0
+	// A fresh column per run whose directory already reaches far's page.
+	fresh, n := make([]column[version], 11), 0
+	for i := range fresh {
+		fresh[i].dense = make([]*page[version], 3)
+	}
+	if avg := testing.AllocsPerRun(10, func() { *fresh[n].at(far) = 1; n++ }); avg != 1 {
+		t.Errorf("touching a new page allocates %.0f objects, want 1", avg)
+	}
+	sum, slots, last := version(0), 0, KeyID(-1)
 	for id, v := range c.all() {
 		if v != c.get(id) {
 			t.Errorf("all() yields %d for id %d, get says %d", v, id, c.get(id))
 		}
-		sum += v
-		slots++
+		if slots > 0 && !(last >= 0 && (id > last || id == -1)) && !(last < 0 && id == last-1) {
+			t.Errorf("all() yields id %d after %d", id, last)
+		}
+		sum, slots, last = sum+v, slots+1, id
 	}
-	if sum != 17 || slots != 504 {
-		t.Errorf("all() walked %d slots summing %d, want 504 and 17", slots, sum)
+	if want := 3 * pageSize; sum != 17 || slots != want {
+		t.Errorf("all() walked %d slots summing %d, want %d and 17", slots, sum, want)
 	}
+}
+
+// TestColumnGrowthNoCopy pins that a column reaching a 200 000-key uniform
+// keyspace allocates its touched pages and its page directory, nothing else:
+// no slot is copied as the column grows.
+func TestColumnGrowthNoCopy(t *testing.T) {
+	const keys = 200_000
+	ids := rand.New(rand.NewPCG(1, 2)).Perm(keys)
+	var c column[version]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		*c.at(KeyID(id)) = 1
+	}
+	runtime.ReadMemStats(&after)
+	pages := 0
+	for _, pg := range c.dense {
+		if pg != nil {
+			pages++
+		}
+	}
+	// The directory grows by append, so everything it ever allocated is at
+	// most twice its final capacity; 4 KiB covers the runtime's own noise.
+	limit := uint64(pages)*uint64(unsafe.Sizeof(page[version]{})) + 2*uint64(cap(c.dense))*8 + 4096
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("touching %d uniform ids allocated %d B, want at most %d (%d pages + directory)", keys, got, limit, pages)
+	}
+	if want := (keys + 1<<pageBits - 1) >> pageBits; pages != want {
+		t.Errorf("%d pages touched, want %d", pages, want)
+	}
+}
+
+// FuzzColumn plays scripts of at / get / all over dense and interned ids
+// against a map: every get and every yielded slot agrees with the map, all()
+// yields each set id exactly once, in order, and no slot outside a touched
+// page.
+func FuzzColumn(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 0, 1, 2, 0, 0, 0, 255, 255, 1, 255, 255, 2, 0, 0})
+	f.Add([]byte{0, 4, 0, 0, 128, 0, 1, 4, 1, 1, 127, 255, 2, 0, 0, 0, 3, 255})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var c column[uint32]
+		ref := map[KeyID]uint32{}
+		for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
+			id := KeyID(int16(uint16(script[1])<<8 | uint16(script[2])))
+			switch script[0] % 3 {
+			case 0:
+				*c.at(id) = uint32(step + 1)
+				ref[id] = uint32(step + 1)
+			case 1:
+				if got := c.get(id); got != ref[id] {
+					t.Fatalf("step %d: get(%d) = %d, want %d", step, id, got, ref[id])
+				}
+			case 2:
+				seen, slots, prev := 0, 0, KeyID(0)
+				for got, v := range c.all() {
+					if seen > 0 && !(prev >= 0 && (got > prev || got < 0)) && !(prev < 0 && got < prev) {
+						t.Fatalf("step %d: all() yields %d after %d", step, got, prev)
+					}
+					if v != ref[got] {
+						t.Fatalf("step %d: all() yields %d for id %d, want %d", step, v, got, ref[got])
+					}
+					if v != 0 {
+						seen++
+					}
+					slots, prev = slots+1, got
+				}
+				pages := map[KeyID]bool{}
+				for id := range ref {
+					pages[id>>pageBits] = true // negative for interned pages
+				}
+				if seen != len(ref) || slots != len(pages)<<pageBits {
+					t.Fatalf("step %d: all() yields %d set slots of %d, want %d of %d", step, seen, slots, len(ref), len(pages)<<pageBits)
+				}
+			}
+		}
+	})
 }

@@ -107,7 +107,7 @@ func (s *Store) newOp(write bool, tenant TenantID, key KeyID, cb func(Result)) *
 		op, s.freeOps = s.freeOps[n-1], s.freeOps[:n-1]
 		*op = opState{}
 	} else {
-		op = new(opState)
+		op = s.opSlab.New()
 	}
 	op.store, op.write, op.tenant, op.key, op.cb = s, write, tenant, key, cb
 	op.issuedAt = s.engine.Now()

@@ -9,6 +9,7 @@ package store
 // while a reservoir that still grows every few thousand operations does not.
 
 import (
+	"runtime"
 	"testing"
 
 	"autonosql/internal/cluster"
@@ -108,4 +109,27 @@ func TestFaultChecksAllocationFree(t *testing.T) {
 	net.Isolate(ids[1:2])
 	check("partition active")
 	net.Heal(ids[1:2])
+}
+
+// TestFreeListSlabRefill pins that op state and pooled events refill from
+// slabs: a fresh store taking 10 000 writes at one instant — 10 000 op states
+// and 10 000 dispatch events in flight, none of them recycled yet — allocates
+// one object per slab of each plus a constant (the event heap's growth), not
+// one object per state and per event.
+func TestFreeListSlabRefill(t *testing.T) {
+	const writes, slab = 10_000, 64 // slab: the block size of sim.Slab
+	rig := newBenchRig(t, 5)
+	cb := func(Result) {}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < writes; i++ {
+		rig.store.WriteID(rig.ids[i%len(rig.ids)], cb)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.Mallocs-before.Mallocs, uint64(2*writes/slab+64); got > limit {
+		t.Errorf("%d writes in flight allocated %d objects, want at most %d", writes, got, limit)
+	}
+	if p := rig.engine.Profile(); p.PoolMisses < writes || rig.engine.Pending() < writes {
+		t.Fatalf("%d pool misses, %d events pending: the writes are not all in flight", p.PoolMisses, rig.engine.Pending())
+	}
 }

@@ -201,8 +201,10 @@ type Store struct {
 	nextVersion version
 
 	// Recycled operation state. An op state returns here when its last
-	// holder — a scheduled event or a queued hint — lets go (see ops.go).
+	// holder — a scheduled event or a queued hint — lets go (see ops.go);
+	// opSlab supplies a fresh one when the list is empty.
 	freeOps []*opState
+	opSlab  sim.Slab[opState]
 
 	observers []Observer
 

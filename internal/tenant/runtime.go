@@ -6,6 +6,7 @@ import (
 
 	"autonosql/internal/metrics"
 	"autonosql/internal/obs"
+	"autonosql/internal/sim"
 	"autonosql/internal/sla"
 	"autonosql/internal/store"
 )
@@ -126,8 +127,10 @@ type Runtime struct {
 
 	inner   idTarget
 	tracker *sla.Tracker
-	// free recycles the completion records of forwarded operations.
-	free []*forwardedOp
+	// free recycles the completion records of forwarded operations; opSlab
+	// supplies a fresh one when the list is empty.
+	free   []*forwardedOp
+	opSlab sim.Slab[forwardedOp]
 
 	readLat  *metrics.WindowedStat
 	writeLat *metrics.WindowedStat
@@ -382,7 +385,8 @@ func (r *Runtime) forward(write bool, key store.KeyID, cb func(store.Result), qu
 	if n := len(r.free); n > 0 {
 		op, r.free = r.free[n-1], r.free[:n-1]
 	} else {
-		op = &forwardedOp{r: r}
+		op = r.opSlab.New()
+		op.r = r
 		op.done = op.complete
 	}
 	op.write, op.queued, op.cb = write, queued, cb
