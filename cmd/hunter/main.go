@@ -59,7 +59,7 @@ func run(args []string, out *os.File) int {
 	}
 
 	if *check != "" {
-		return runCheck(*check, *shared.Shards, out)
+		return runCheck(*check, out)
 	}
 	if *outDir != "" && *name == "" {
 		fmt.Fprintln(os.Stderr, "hunter: -out requires -name")
@@ -125,10 +125,8 @@ func run(args []string, out *os.File) int {
 	return 0
 }
 
-// runCheck verifies every committed case in dir bit-for-bit. Shards is
-// forced onto every case spec before verification: committed scores and
-// traces must reproduce at any shard count.
-func runCheck(dir string, shards int, out *os.File) int {
+// runCheck verifies every committed case in dir bit-for-bit.
+func runCheck(dir string, out *os.File) int {
 	cases, err := hunt.LoadCases(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hunter: %v\n", err)
@@ -140,7 +138,6 @@ func runCheck(dir string, shards int, out *os.File) int {
 	}
 	failed := 0
 	for _, c := range cases {
-		c.Spec.Shards = shards
 		if err := c.Verify(dir); err != nil {
 			fmt.Fprintf(out, "FAIL %s: %v\n", c.Name, err)
 			failed++

@@ -54,7 +54,7 @@ func run(args []string, out *os.File) int {
 		mixAxis     = fs.String("tenant-mixes", "", "comma-separated tenant mixes to sweep (none, gold-bronze, three-tier);\nempty keeps the base tenants")
 		tenantsCSV  = fs.String("tenants-csv", "", "write the per-tenant results as CSV to this file")
 		repeats     = fs.Int("repeats", 1, "runs per grid cell with distinct derived seeds")
-		shardAxis   = fs.String("shards", "", "comma-separated simulation shard counts to sweep; a pure performance\nknob — variants differing only in shards produce identical results")
+		shardAxis   = fs.String("shards", "", "deprecated and ignored beyond the variant names: comma-separated shard\ncounts still expand into shards=N variants that simulate the identical system")
 		baseOps     = fs.Float64("base", 2000, "base offered load (ops/s)")
 		peakOps     = fs.Float64("peak", 4000, "peak offered load for non-constant patterns (ops/s)")
 		nodeOps     = fs.Float64("node-ops", 2000, "per-node sustainable ops/s")

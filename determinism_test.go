@@ -12,6 +12,8 @@ package autonosql_test
 // the commit message.
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -224,5 +226,143 @@ func TestGoldenSuite(t *testing.T) {
 			fmt.Fprintf(&b, "== variant %s\n%s", v.Name, fingerprintReport(v.Report))
 		}
 		checkGolden(t, "suite_controllers_seed7", b.String())
+	}
+}
+
+// TestShardsEpochInert pins the deprecation contract of ScenarioSpec.Shards,
+// ScenarioSpec.Epoch and Grid.Shards: still accepted, without effect. A
+// golden spec with Shards and Epoch set renders the same report text, JSON
+// (the echoed spec aside) and span export as the unset spec; a Shards grid
+// axis still expands to shards=N variants with identical rows; negative
+// values are still rejected.
+func TestShardsEpochInert(t *testing.T) {
+	type run struct{ text, json, spans string }
+	observed := func(spec autonosql.ScenarioSpec) run {
+		rep, spans, _ := observedRun(t, observedSpec(spec))
+		rep.Spec.Shards, rep.Spec.Epoch = 0, 0
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("marshal report: %v", err)
+		}
+		return run{rep.String(), string(raw), string(spans)}
+	}
+	spec := goldenSpec(42, autonosql.ControllerNone)
+	want := observed(spec)
+	spec.Shards, spec.Epoch = 4, time.Millisecond
+	if got := observed(spec); got != want {
+		t.Error("Shards=4, Epoch=1ms changed the report text, JSON or span export")
+	}
+
+	base := goldenSpec(42, autonosql.ControllerNone)
+	base.Duration = 20 * time.Second
+	suite, err := autonosql.NewSuite(autonosql.SuiteSpec{Base: base, Grid: autonosql.Grid{Shards: []int{1, 4}}})
+	if err != nil {
+		t.Fatalf("NewSuite: %v", err)
+	}
+	rep, err := suite.Run()
+	if err != nil {
+		t.Fatalf("suite.Run: %v", err)
+	}
+	var csv bytes.Buffer
+	if err := rep.WriteCSV(&csv); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	rows := strings.Split(strings.TrimSpace(csv.String()), "\n")
+	if len(rows) != 3 || !strings.HasPrefix(rows[1], "shards=1,") || !strings.HasPrefix(rows[2], "shards=4,") {
+		t.Fatalf("Shards axis expanded to CSV rows %q, want a header plus shards=1 and shards=4", rows)
+	}
+	if strings.TrimPrefix(rows[1], "shards=1") != strings.TrimPrefix(rows[2], "shards=4") {
+		t.Errorf("shards=1 and shards=4 rows differ:\n%s\n%s", rows[1], rows[2])
+	}
+
+	for _, bad := range []func(*autonosql.ScenarioSpec){
+		func(s *autonosql.ScenarioSpec) { s.Shards = -1 },
+		func(s *autonosql.ScenarioSpec) { s.Epoch = -time.Second },
+	} {
+		spec := goldenSpec(1, autonosql.ControllerNone)
+		bad(&spec)
+		if _, err := autonosql.NewScenario(spec); err == nil {
+			t.Errorf("NewScenario accepted Shards=%d Epoch=%v", spec.Shards, spec.Epoch)
+		}
+	}
+}
+
+// TestShardEpochInvariance pins that the deprecated Shards/Epoch pair is
+// ignored on the golden path: a wide range of epochs at Shards=2 still
+// reproduces each committed golden fingerprint byte for byte.
+func TestShardEpochInvariance(t *testing.T) {
+	cases := []struct {
+		name   string
+		golden string
+		spec   func() autonosql.ScenarioSpec
+	}{
+		{"none", "scenario_none_seed42", func() autonosql.ScenarioSpec {
+			return goldenSpec(42, autonosql.ControllerNone)
+		}},
+		{"twotenants", "scenario_twotenants_seed4711", func() autonosql.ScenarioSpec {
+			return twoTenantSpec(4711, autonosql.ControllerNone)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "golden_"+c.golden+".txt"))
+			if err != nil {
+				t.Fatalf("reading golden file: %v", err)
+			}
+			for _, epoch := range []time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond} {
+				spec := c.spec()
+				spec.Shards = 2
+				spec.Epoch = epoch
+				if got := fingerprintReport(runGoldenScenario(t, spec)); got != string(want) {
+					t.Errorf("epoch=%v fingerprint diverged from golden_%s.txt", epoch, c.golden)
+				}
+			}
+		})
+	}
+}
+
+// TestSuiteShardsAxis pins the deprecated Grid.Shards axis: variants still
+// carry the shards=N name component, both variants simulate the identical
+// system, and the suite is the same run sequentially and concurrently.
+func TestSuiteShardsAxis(t *testing.T) {
+	base := twoTenantSpec(4711, autonosql.ControllerNone)
+	base.Duration = 45 * time.Second
+	suiteSpec := autonosql.SuiteSpec{
+		Base: base,
+		Grid: autonosql.Grid{
+			Shards: []int{1, 4},
+		},
+	}
+	fingerprint := func(parallelism int) string {
+		suiteSpec.Parallelism = parallelism
+		suite, err := autonosql.NewSuite(suiteSpec)
+		if err != nil {
+			t.Fatalf("NewSuite: %v", err)
+		}
+		rep, err := suite.Run()
+		if err != nil {
+			t.Fatalf("suite.Run: %v", err)
+		}
+		if len(rep.Variants) != 2 {
+			t.Fatalf("suite ran %d variants, want 2", len(rep.Variants))
+		}
+		if rep.Parallelism != parallelism {
+			t.Fatalf("SuiteReport.Parallelism = %d, want %d", rep.Parallelism, parallelism)
+		}
+		out := ""
+		for i, v := range rep.Variants {
+			out += "== variant " + v.Name + "\n" + fingerprintReport(v.Report)
+			wantComponent := []string{"shards=1", "shards=4"}[i]
+			if !strings.Contains(v.Name, wantComponent) {
+				t.Fatalf("variant %q does not carry the %s component", v.Name, wantComponent)
+			}
+		}
+		if fingerprintReport(rep.Variants[0].Report) != fingerprintReport(rep.Variants[1].Report) {
+			t.Fatal("shards=1 and shards=4 variants produced different fingerprints")
+		}
+		return out
+	}
+	if fingerprint(1) != fingerprint(2) {
+		t.Fatal("Shards-axis suite diverged between sequential and concurrent execution")
 	}
 }

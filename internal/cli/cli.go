@@ -27,8 +27,8 @@ var commandFlags = map[string]map[string]flagDoc{
 		"tenants":      {usage: "multi-tenant workload, comma-separated class:pattern:base[:peak=P][:read=F][:keys=K][:name=N]\n(classes: gold, silver, bronze; e.g. \"gold:diurnal:2000,bronze:constant:500\"); replaces -ops/-pattern traffic"},
 		"admission":    {usage: "tenant admission control for the smart controller:\noff | on[:frac=F][:floor=R][:cooldown=D][:hold=D] (e.g. \"on:frac=0.4:floor=100\")"},
 		"placement":    {usage: "allow the smart controller to dedicate nodes to an SLA class"},
-		"shards":       {usage: "simulation shards: >= 2 runs the workload drivers on their own\nlockstep lanes across cores; results are identical for any value"},
-		"epoch":        {usage: "lockstep epoch for -shards >= 2 (0 = default); results are invariant"},
+		"shards":       {usage: "deprecated and ignored: every run uses the single-heap engine"},
+		"epoch":        {usage: "deprecated and ignored: every run uses the single-heap engine"},
 		"trace-ops":    {usage: "write sampled op-trace spans (JSON lines) to the given file"},
 		"trace-every":  {usage: "with -trace-ops, sample every Nth operation"},
 		"trace-chrome": {usage: "write the sampled spans as a Chrome trace_event file\n(load in chrome://tracing or Perfetto)"},
@@ -50,7 +50,7 @@ var commandFlags = map[string]map[string]flagDoc{
 		"admission": {def: "on", usage: "admission control: off | on[:mode=][:frac=][:floor=][:cooldown=][:hold=]"},
 		"faults":    {usage: "base fault plan (kind:start:duration[:n=N][:sev=S], comma-separated)"},
 		"placement": {usage: "allow class-aware placement actions"},
-		"shards":    {usage: "simulation shards per evaluation; a pure performance knob that\nnever affects scores or verification results"},
+		"shards":    {usage: "deprecated and ignored: every evaluation uses the single-heap engine"},
 	},
 }
 

@@ -139,8 +139,8 @@ func TestMalformedDSLValues(t *testing.T) {
 }
 
 // TestCommandFlagSubsets pins that a command only grows the shared flags it
-// declares: suiterunner's -faults and -shards are grid axes it registers
-// itself, and hunter has no observe flags.
+// declares: suiterunner's -faults and (ignored) -shards are grid axes it
+// registers itself, and hunter has no observe flags.
 func TestCommandFlagSubsets(t *testing.T) {
 	for command, absent := range map[string][]string{
 		"suiterunner": {"faults", "shards", "epoch", "trace-chrome"},
@@ -151,6 +151,28 @@ func TestCommandFlagSubsets(t *testing.T) {
 		for _, name := range absent {
 			if fs.Lookup(name) != nil {
 				t.Errorf("%s registers shared flag -%s it does not declare", command, name)
+			}
+		}
+	}
+}
+
+// TestDeprecatedFlagsSayIgnored pins the deprecation surface: -shards and
+// -epoch still parse onto the spec (stored command lines keep working), and
+// their usage says they have no effect.
+func TestDeprecatedFlagsSayIgnored(t *testing.T) {
+	for command, names := range map[string][]string{
+		"nosqlsim": {"shards", "epoch"},
+		"hunter":   {"shards"},
+	} {
+		fs := flag.NewFlagSet(command, flag.ContinueOnError)
+		Register(fs)
+		for _, name := range names {
+			f := fs.Lookup(name)
+			if f == nil {
+				t.Fatalf("%s no longer accepts -%s", command, name)
+			}
+			if !strings.Contains(f.Usage, "ignored") {
+				t.Errorf("%s -%s usage %q does not say the flag is ignored", command, name, f.Usage)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -109,10 +108,6 @@ type Cluster struct {
 	availCache []*Node
 	availDirty bool
 
-	// noiseFeeds, when set, builds a pre-generated noise feed for every
-	// current and future entropy stream (see EnableNoiseFeeds).
-	noiseFeeds NoiseFeedFactory
-
 	// pendingJoins tracks nodes currently bootstrapping so that rebalance
 	// load can be removed once they finish.
 	pendingJoins int
@@ -137,27 +132,6 @@ func New(cfg Config, engine *sim.Engine, rnd *sim.RandSource) *Cluster {
 		c.nodes[id] = c.adopt(NewNode(id, cfg.Node, engine, rnd.Stream(fmt.Sprintf("node-%d", id))))
 	}
 	return c
-}
-
-// NoiseFeedFactory builds the pre-generated noise feed for one entropy
-// stream of the cluster. node is the owning node for service-time streams and
-// 0 for the network-jitter stream; the feed takes exclusive ownership of rng
-// and must reproduce its draw sequence for the given log-normal sigma.
-type NoiseFeedFactory func(node NodeID, rng *rand.Rand, sigma float64) *sim.NoiseFeed
-
-// EnableNoiseFeeds routes every log-normal noise draw — node service times
-// and network jitter — through feeds built by mk. Sharded runs use this to
-// pre-generate the factors on ring-segment owner lanes: the values every draw
-// site observes are bit-identical to direct draws, only the goroutine that
-// runs the underlying rng changes. Existing streams are bound immediately;
-// nodes provisioned later are bound by AddNode. Call before any draw has been
-// taken, i.e. before the simulation runs.
-func (c *Cluster) EnableNoiseFeeds(mk NoiseFeedFactory) {
-	c.noiseFeeds = mk
-	c.network.noise = mk(0, c.network.rng, c.network.cfg.JitterSigma)
-	for _, n := range c.Nodes() {
-		n.noise = mk(n.id, n.rng, n.cfg.ServiceTimeSigma)
-	}
 }
 
 // adopt wires a node's state-change notification to the availability cache
@@ -239,9 +213,6 @@ func (c *Cluster) AddNode() (NodeID, error) {
 	c.accountNodeSeconds()
 	id := c.allocateID()
 	node := c.adopt(NewNode(id, c.cfg.Node, c.engine, c.rnd.Stream(fmt.Sprintf("node-%d", id))))
-	if c.noiseFeeds != nil {
-		node.noise = c.noiseFeeds(id, node.rng, node.cfg.ServiceTimeSigma)
-	}
 	node.SetState(NodeJoining)
 	c.nodes[id] = node
 	c.pendingJoins++

@@ -72,11 +72,8 @@ func (c NetworkConfig) withDefaults() NetworkConfig {
 // the phenomenon the scenarios measure (minority islands diverging from the
 // majority) at a nil-map check's cost.
 type Network struct {
-	cfg NetworkConfig
-	rng *rand.Rand
-	// noise, when set, replaces direct jitter draws from rng with factors
-	// pre-generated on a sharded run's owner lane (see Node.noise).
-	noise      *sim.NoiseFeed
+	cfg        NetworkConfig
+	rng        *rand.Rand
 	congestion float64
 	selfLoad   float64
 	// storm is the fault-injected congestion component; it composes with the
@@ -195,12 +192,7 @@ func (n *Network) PartitionActive() bool { return n.isolated != nil }
 
 func (n *Network) delay(base time.Duration) time.Duration {
 	inflate := 1 + n.cfg.CongestionSensitivity*n.EffectiveCongestion()
-	var d time.Duration
-	if n.noise != nil {
-		d = time.Duration(n.noise.Value(float64(base) * inflate))
-	} else {
-		d = time.Duration(sim.LogNormal(n.rng, float64(base)*inflate, n.cfg.JitterSigma))
-	}
+	d := time.Duration(sim.LogNormal(n.rng, float64(base)*inflate, n.cfg.JitterSigma))
 	if d <= 0 {
 		d = base
 	}

@@ -124,11 +124,6 @@ type Node struct {
 	cfg    NodeConfig
 	engine *sim.Engine
 	rng    *rand.Rand
-	// noise, when set, replaces direct service-time draws from rng with
-	// factors pre-generated on a sharded run's owner lane. The feed owns rng
-	// and reproduces its draw sequence exactly, so enabling it changes where
-	// the entropy is computed, never its values.
-	noise *sim.NoiseFeed
 
 	state     NodeState
 	busyUntil time.Duration
@@ -256,12 +251,7 @@ func (n *Node) Enqueue(now time.Duration, kind WorkKind) (delay time.Duration, o
 	// Contention from co-tenants and rebalancing effectively slows the
 	// executor down: the same work occupies it for longer.
 	slowdown := 1.0 / (1.0 - n.contention())
-	var service time.Duration
-	if n.noise != nil {
-		service = time.Duration(n.noise.Value(float64(base) * slowdown))
-	} else {
-		service = time.Duration(sim.LogNormal(n.rng, float64(base)*slowdown, n.cfg.ServiceTimeSigma))
-	}
+	service := time.Duration(sim.LogNormal(n.rng, float64(base)*slowdown, n.cfg.ServiceTimeSigma))
 	if service <= 0 {
 		service = base
 	}

@@ -1,7 +1,7 @@
 // Package obs is the deterministic observability layer: sampled causal
 // op traces, stamped exclusively with virtual time and counter-derived
-// identifiers, so two runs of the same scenario — whatever the shard count
-// or goroutine schedule — export byte-identical spans.
+// identifiers, so two runs of the same scenario — whatever the goroutine
+// schedule — export byte-identical spans.
 //
 // The package is a leaf: it imports nothing from the rest of the module, so
 // the simulation engine, the store, the tenant runtimes and the controller
@@ -59,8 +59,8 @@ func (tr *OpTrace) AddNote(at time.Duration, phase string, node int, note string
 
 // Tracer decides which operations get a trace and owns the retained trace
 // list. Sampling is a plain every-Nth counter over arrivals — deterministic
-// by construction — and all state is single-goroutine (the simulation's home
-// lane), so no locking appears on the hot path.
+// by construction — and all state is single-goroutine (the simulation's),
+// so no locking appears on the hot path.
 type Tracer struct {
 	every int
 	limit int

@@ -8,72 +8,66 @@ import (
 	"time"
 )
 
-// shardedDigest runs a synthetic producer/consumer topology — one home lane
-// plus producers producer lanes each mailing ops at exponential-ish virtual
-// times — and folds the home lane's delivery order into a digest string.
+// shardedDigest runs one lead-0 lane plus lanes lead-1 lanes, each firing a
+// lane-dependent tick chain with deliberate same-time collisions between its
+// own events, and folds every lane's firing order into a digest string.
 // Identical digests mean identical firing order, bit for bit.
-func shardedDigest(t *testing.T, epoch time.Duration, workers, producers int, until time.Duration) string {
+func shardedDigest(t *testing.T, epoch time.Duration, workers, lanes int, until time.Duration) string {
 	t.Helper()
 	se, err := NewShardedEngine(epoch, workers)
 	if err != nil {
 		t.Fatalf("NewShardedEngine: %v", err)
 	}
-	home, err := se.NewLane(0)
-	if err != nil {
-		t.Fatalf("NewLane(home): %v", err)
-	}
-	digest := ""
-	deliver := func(arg any, now time.Duration) {
-		digest += fmt.Sprintf("%d@%d;", arg.(int), now)
-	}
-	for p := 0; p < producers; p++ {
-		lane, err := se.NewLane(1)
-		if err != nil {
-			t.Fatalf("NewLane(producer %d): %v", p, err)
+	digests := make([]string, lanes+1)
+	engines := make([]*Engine, lanes+1)
+	for i := range digests {
+		lead := 1
+		if i == 0 {
+			lead = 0
 		}
-		// Deterministic, lane-dependent arrival pattern with deliberate
-		// cross-lane virtual-time collisions (gcd of strides > 0 hits shared
-		// multiples), so the (at, lane, seq) tie-break is actually exercised.
-		stride := time.Duration(p+1) * 100 * time.Microsecond
-		id := p * 1_000_000
+		lane, err := se.NewLane(lead)
+		if err != nil {
+			t.Fatalf("NewLane(%d): %v", i, err)
+		}
+		e := lane.Engine()
+		engines[i] = e
+		stride := time.Duration(i+1) * 100 * time.Microsecond
+		id := 0
 		var tick Handler
 		tick = func(now time.Duration) {
-			lane.Send(home, deliver, id)
+			digests[i] += fmt.Sprintf("%d@%d;", id, now)
 			id++
-			// Occasionally mail a deliberately future-dated op.
+			// Occasionally schedule an extra event colliding with a later tick.
 			if id%7 == 0 {
-				lane.SendAt(home, now+3*stride, deliver, id)
-				id++
+				e.AfterArgAt(now+3*stride, func(arg any, at time.Duration) {
+					digests[i] += fmt.Sprintf("x%d@%d;", arg.(int), at)
+				}, id)
 			}
 			if next := now + stride; next <= until {
-				lane.Engine().AfterAt(next, tick)
+				e.AfterAt(next, tick)
 			}
 		}
-		lane.Engine().AfterAt(0, tick)
+		e.AfterAt(0, tick)
 	}
-	// Home-local traffic colliding with mailed times.
-	count := 0
-	var local Handler
-	local = func(now time.Duration) {
-		digest += fmt.Sprintf("local@%d;", now)
-		count++
-		if next := now + 250*time.Microsecond; next <= until {
-			home.Engine().AfterAt(next, local)
-		}
-	}
-	home.Engine().AfterAt(0, local)
-
 	if err := se.Run(until); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if count == 0 {
-		t.Fatal("home lane processed no local events")
+	out := ""
+	for i, d := range digests {
+		if d == "" {
+			t.Fatalf("lane %d processed no events", i)
+		}
+		if engines[i].Now() != until {
+			t.Fatalf("lane %d stopped at %v, want %v", i, engines[i].Now(), until)
+		}
+		out += fmt.Sprintf("lane %d: %s\n", i, d)
 	}
-	return digest
+	return out
 }
 
-// TestShardedWorkerInvariance pins the core determinism claim: the firing
-// order on every lane is identical whatever the worker count.
+// TestShardedWorkerInvariance pins that the firing order on every lane is
+// identical whatever the worker count, with the lanes running concurrently
+// on the worker pool.
 func TestShardedWorkerInvariance(t *testing.T) {
 	const until = 50 * time.Millisecond
 	want := shardedDigest(t, time.Millisecond, 1, 3, until)
@@ -86,7 +80,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 }
 
 // TestShardedEpochInvariance pins that the lockstep window length only
-// decides when mail is drained, never the firing order.
+// decides where the rounds cut the run, never the firing order.
 func TestShardedEpochInvariance(t *testing.T) {
 	const until = 50 * time.Millisecond
 	want := shardedDigest(t, time.Millisecond, 2, 3, until)
@@ -95,60 +89,6 @@ func TestShardedEpochInvariance(t *testing.T) {
 		if got != want {
 			t.Fatalf("digest diverged at epoch=%v", epoch)
 		}
-	}
-}
-
-// TestShardedTieOrder pins the cross-lane tie-break exactly: at equal virtual
-// time, the receiver's own events fire before lane 1's, lane 1's before lane
-// 2's, and each lane's in its own send order.
-func TestShardedTieOrder(t *testing.T) {
-	se, err := NewShardedEngine(time.Millisecond, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	home, _ := se.NewLane(0)
-	a, _ := se.NewLane(1)
-	b, _ := se.NewLane(1)
-	var got []string
-	deliver := func(arg any, _ time.Duration) { got = append(got, arg.(string)) }
-	at := 500 * time.Microsecond
-	// b schedules its sends before a in wall-clock terms (lane creation order
-	// does not matter — only lane id does).
-	b.Engine().AfterAt(0, func(time.Duration) {
-		b.SendAt(home, at, deliver, "b0")
-		b.SendAt(home, at, deliver, "b1")
-	})
-	a.Engine().AfterAt(0, func(time.Duration) {
-		a.SendAt(home, at, deliver, "a0")
-		a.SendAt(home, at, deliver, "a1")
-	})
-	home.Engine().AfterArgAt(at, deliver, "home0")
-	if err := se.Run(2 * time.Millisecond); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []string{"home0", "a0", "a1", "b0", "b1"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("tie order = %v, want %v", got, want)
-	}
-}
-
-// TestShardedDeterminismViolation pins that an illegal topology — a lane
-// mailing into a peer that runs at the same lead — fails loudly with
-// ErrDeterminism instead of silently reordering.
-func TestShardedDeterminismViolation(t *testing.T) {
-	se, err := NewShardedEngine(time.Millisecond, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := se.NewLane(0)
-	b, _ := se.NewLane(0)
-	deliver := func(any, time.Duration) {}
-	// a mails b mid-window; by the barrier b's clock has already passed it.
-	a.Engine().AfterAt(500*time.Microsecond, func(time.Duration) {
-		a.Send(b, deliver, nil)
-	})
-	if err := se.Run(10 * time.Millisecond); !errors.Is(err, ErrDeterminism) {
-		t.Fatalf("Run = %v, want ErrDeterminism", err)
 	}
 }
 
@@ -171,8 +111,8 @@ func TestShardedRunOnce(t *testing.T) {
 }
 
 // TestShardedSingleLaneMatchesEngine pins that a one-lane sharded engine is
-// bit-for-bit the plain engine: lane 0 keeps seq base 0, so the same event
-// program produces the same (at, seq) schedule.
+// bit-for-bit the plain engine: the same event program produces the same
+// schedule.
 func TestShardedSingleLaneMatchesEngine(t *testing.T) {
 	program := func(e *Engine) *string {
 		out := new(string)
@@ -208,37 +148,35 @@ func TestShardedSingleLaneMatchesEngine(t *testing.T) {
 	if lane.Engine().Now() != plain.Now() {
 		t.Fatalf("final clocks differ: %v vs %v", lane.Engine().Now(), plain.Now())
 	}
+	if rounds := se.Profile().Rounds; rounds != 21 {
+		t.Fatalf("Profile().Rounds = %d, want 21 (bootstrap + 20 epochs)", rounds)
+	}
 }
 
-// shardedSteadyState builds a producer/consumer engine whose per-epoch mail
-// volume is constant and runs it for the given number of epochs.
+// shardedSteadyState runs a two-lane engine whose per-epoch event volume is
+// constant for the given number of epochs.
 func shardedSteadyState(epochs int) {
 	const epoch = time.Millisecond
 	se, _ := NewShardedEngine(epoch, 1)
-	home, _ := se.NewLane(0)
-	lane, _ := se.NewLane(1)
-	sink := 0
-	deliver := func(arg any, _ time.Duration) { sink += arg.(int) }
 	until := time.Duration(epochs) * epoch
-	var tick Handler
-	tick = func(now time.Duration) {
-		for i := 0; i < 20; i++ {
-			lane.Send(home, deliver, i)
+	for lead := 0; lead < 2; lead++ {
+		lane, _ := se.NewLane(lead)
+		var tick Handler
+		tick = func(now time.Duration) {
+			if now < until {
+				lane.Engine().After(50*time.Microsecond, tick)
+			}
 		}
-		if now < until {
-			lane.Engine().After(200*time.Microsecond, tick)
-		}
+		lane.Engine().AfterAt(0, tick)
 	}
-	lane.Engine().AfterAt(0, tick)
 	if err := se.Run(until); err != nil {
 		panic(err)
 	}
 }
 
-// TestShardedSteadyStateAllocs pins that the sharded path stops allocating
-// once warm: mailboxes and the event pool are reused, so doubling the number
-// of epochs must not add allocations beyond noise. Run at workers=1 so the
-// measurement sees no goroutine machinery.
+// TestShardedSteadyStateAllocs pins that the lockstep rounds stop allocating
+// once warm: doubling the number of epochs must not add allocations beyond
+// noise. Run at workers=1 so the measurement sees no goroutine machinery.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	measure := func(epochs int) uint64 {
 		runtime.GC()
@@ -251,129 +189,9 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	measure(50) // warm up any lazy runtime state
 	short := measure(200)
 	long := measure(400)
-	// 200 extra epochs carry ~20k messages; any per-message or per-epoch
+	// 200 extra epochs fire ~8k events; any per-event or per-epoch
 	// allocation regression shows up thousands of times over this slack.
 	if long > short+500 {
 		t.Fatalf("sharded steady state allocates: %d mallocs for 200 epochs vs %d for 400", short, long)
-	}
-}
-
-// BenchmarkShardedEngine measures a decomposable synthetic load — P producer
-// lanes each burning scheduling work and mailing a fraction of it home — at
-// several worker counts. On a multi-CPU machine sim-ops/s scales with
-// workers; on one CPU the worker variants only pin that the lockstep overhead
-// is small.
-func BenchmarkShardedEngine(b *testing.B) {
-	const (
-		producers = 4
-		epoch     = time.Millisecond
-		until     = 100 * time.Millisecond
-		stride    = 2 * time.Microsecond
-	)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				se, _ := NewShardedEngine(epoch, workers)
-				home, _ := se.NewLane(0)
-				sink := time.Duration(0)
-				deliver := func(arg any, now time.Duration) { sink += now - arg.(time.Duration) }
-				for p := 0; p < producers; p++ {
-					lane, _ := se.NewLane(1)
-					n := 0
-					var tick Handler
-					tick = func(now time.Duration) {
-						n++
-						if n%50 == 0 {
-							lane.Send(home, deliver, now)
-						}
-						if now < until {
-							lane.Engine().After(stride, tick)
-						}
-					}
-					lane.Engine().AfterAt(0, tick)
-				}
-				if err := se.Run(until); err != nil {
-					b.Fatal(err)
-				}
-				events = 0
-				for _, l := range se.lanes {
-					events += l.eng.processed
-				}
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
-// laneHandoffRun drives a bridge-like handoff topology: one driver lane hands
-// off perTick records per 100µs tick; each handoff runs at the barrier and
-// replays onto the home lane through ReserveSeq/ScheduleReserved, mirroring
-// the scenario lane bridge. Returns the number of messages that crossed.
-func laneHandoffRun(workers, epochs int) uint64 {
-	const (
-		epoch   = time.Millisecond
-		perTick = 8
-	)
-	se, _ := NewShardedEngine(epoch, workers)
-	home, _ := se.NewLane(0)
-	lane, _ := se.NewLane(1)
-	var crossed uint64
-	sink := time.Duration(0)
-	deliver := func(_ any, now time.Duration) { sink += now }
-	handoff := func(arg any, at time.Duration) {
-		crossed++
-		home.Engine().ScheduleReserved(at, home.Engine().ReserveSeq(), deliver, arg)
-	}
-	until := time.Duration(epochs) * epoch
-	var tick Handler
-	tick = func(now time.Duration) {
-		for i := 0; i < perTick; i++ {
-			lane.Handoff(home, now, handoff, nil)
-		}
-		if now < until {
-			lane.Engine().After(100*time.Microsecond, tick)
-		}
-	}
-	lane.Engine().AfterAt(0, tick)
-	if err := se.Run(until); err != nil {
-		panic(err)
-	}
-	return crossed
-}
-
-// BenchmarkLaneHandoff measures cross-lane Handoff + barrier-drain + reserved
-// replay throughput — the cost every message of the scenario lane bridge and
-// any future replica mail pays per crossing.
-func BenchmarkLaneHandoff(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			// ~80 messages cross per epoch.
-			crossed := laneHandoffRun(workers, b.N/80+1)
-			b.ReportMetric(float64(crossed)/b.Elapsed().Seconds(), "msgs/s")
-		})
-	}
-}
-
-// TestLaneHandoffAllocBound pins the per-crossed-message allocation cost at
-// zero once warm: mailbox slots, pooled events and reserved replays are all
-// reused, so doubling the run length (≈16k extra crossings) must not add
-// allocations beyond noise.
-func TestLaneHandoffAllocBound(t *testing.T) {
-	measure := func(epochs int) uint64 {
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		laneHandoffRun(1, epochs)
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
-	}
-	measure(50) // warm up lazy runtime state
-	short := measure(200)
-	long := measure(400)
-	if long > short+500 {
-		t.Fatalf("handoff path allocates per message: %d mallocs for 200 epochs vs %d for 400", short, long)
 	}
 }

@@ -119,7 +119,7 @@ func (c *column[T]) all() iter.Seq2[KeyID, T] {
 
 // Keys resolves between key names and ids. The canonical namespace resolves
 // by arithmetic; everything else goes through the intern table, in the order
-// names are first seen. A Keys belongs to one goroutine (a store's home lane).
+// names are first seen. A Keys belongs to one goroutine (its store's).
 type Keys struct {
 	// names holds the interned names and, for dense ids, each canonical name
 	// the first time somebody asks for it.

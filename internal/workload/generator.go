@@ -125,12 +125,6 @@ type Generator struct {
 
 	// arrivals is the dedicated inter-arrival random stream, bound at Start.
 	arrivals *rand.Rand
-	// idleTickFn, if set, runs whenever an arrival tick fires without issuing
-	// an operation (the rate sampled at scheduling time was not positive).
-	// Such ticks are invisible through the target yet still allocate the next
-	// arrival event; observers that mirror the arrival chain on another
-	// engine need to see them.
-	idleTickFn func()
 	// tickFn, onReadFn and onWriteFn are the per-arrival handlers, bound once
 	// so the open-loop arrival chain does not allocate a closure per
 	// operation.
@@ -167,12 +161,6 @@ func NewGenerator(cfg Config, engine *sim.Engine, target Target, rnd *sim.RandSo
 	g.onWriteFn = g.onWrite
 	return g, nil
 }
-
-// OnIdleTick registers fn to run whenever an arrival tick fires without
-// issuing an operation. The sharded scenario bridge mirrors such ticks onto
-// the home lane so the home engine's allocation order stays identical to a
-// single-engine run. It must be called before Start.
-func (g *Generator) OnIdleTick(fn func()) { g.idleTickFn = fn }
 
 // Intercept replaces the generator's target with wrap(target). Trace
 // recording uses it to splice a recorder between the generator and the system
@@ -229,8 +217,6 @@ func (g *Generator) tick(time.Duration) {
 	}
 	if g.lastRate > 0 {
 		g.issueOne(g.arrivals)
-	} else if g.idleTickFn != nil {
-		g.idleTickFn()
 	}
 	g.scheduleNext()
 }

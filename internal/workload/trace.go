@@ -389,9 +389,8 @@ type TraceSource struct {
 
 // NewTraceSource creates a source replaying events (already filtered to one
 // tenant's stream, in fire order) against target. Raw keys are resolved to
-// ids here, through keyID (the store's KeyID), because ticks may fire on a
-// driver lane that must not touch the store's name table. Start must be
-// called to begin issuing.
+// ids once here, through keyID (the store's KeyID), so ticks issue by id.
+// Start must be called to begin issuing.
 func NewTraceSource(engine *sim.Engine, target IDTarget, keyID func(store.Key) store.KeyID, events []TraceEvent) (*TraceSource, error) {
 	if engine == nil || target == nil || keyID == nil {
 		return nil, errors.New("workload: engine, target and key resolver are required")

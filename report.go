@@ -8,7 +8,6 @@ import (
 
 	"autonosql/internal/core"
 	"autonosql/internal/fault"
-	"autonosql/internal/sim"
 	"autonosql/internal/sla"
 	"autonosql/internal/tenant"
 )
@@ -270,45 +269,31 @@ type SpanStats struct {
 	Dropped uint64
 }
 
-// LaneProfile is one engine lane's self-profiling counters (sharded runs
-// only). Every field is a pure function of the simulated computation.
-type LaneProfile struct {
-	// Lane is the lane index; Lead is its scheduling lead in events.
-	Lane int
-	Lead int
-	// Events counts events fired on this lane's heap.
-	Events uint64
-	// PoolHits and PoolMisses measure the pooled-event free list.
-	PoolHits   uint64
-	PoolMisses uint64
-	// HeapPeak is the lane's pending-event high-water mark.
-	HeapPeak int
-	// MailSent counts cross-lane messages this lane mailed.
-	MailSent uint64
-}
-
 // ProfileReport is the engine's deterministic self-profiling section,
-// populated only when Observe.Profile is set. Wall-clock quantities (lane
-// occupancy, barrier stall) are deliberately absent — they vary run to run —
-// and live in the benchmark's measurements (bench/) instead.
+// populated only when Observe.Profile is set. Wall-clock quantities are
+// deliberately absent — they vary run to run — and live in the benchmark's
+// measurements (bench/) instead.
 type ProfileReport struct {
-	// Events counts fired events across all lanes; PoolHits/PoolMisses
-	// measure the pooled-event free list, and HeapPeak is the largest
-	// pending-event heap any lane reached.
+	// Events counts fired events; PoolHits/PoolMisses measure the
+	// pooled-event free list, and HeapPeak is the largest pending-event heap
+	// the run reached.
 	Events     uint64
 	PoolHits   uint64
 	PoolMisses uint64
 	HeapPeak   int
-	// Rounds and MailDrained describe the sharded engine's lockstep barriers
-	// (zero for single-heap runs); Lanes holds the per-lane breakdown.
-	Rounds      uint64        `json:",omitempty"`
-	MailDrained uint64        `json:",omitempty"`
-	Lanes       []LaneProfile `json:",omitempty"`
-	// Feeds describes the noise-feed layer of a home-sharded run: how many
-	// entropy streams were pre-generated on owner lanes and how the refill
-	// protocol behaved. All fields are deterministic (the scheduling-dependent
-	// steal/wait split is deliberately not exported). Nil for plain runs.
-	Feeds *sim.FeedStats `json:",omitempty"`
+	// Rounds, MailDrained and Feeds are always zero or nil. They exist only
+	// because the benchmark's lane counters (bench/) still read them, and are
+	// deleted with those counters.
+	Rounds      uint64       `json:",omitempty"`
+	MailDrained uint64       `json:",omitempty"`
+	Feeds       *FeedProfile `json:",omitempty"`
+}
+
+// FeedProfile is always absent from reports. It exists only because the
+// benchmark's lane counters (bench/) still read it, and is deleted with them.
+type FeedProfile struct {
+	Refills uint64
+	Inline  uint64
 }
 
 // String renders the profile compactly.
@@ -318,16 +303,7 @@ func (p ProfileReport) String() string {
 	if total > 0 {
 		hitRate = float64(p.PoolHits) / float64(total)
 	}
-	s := fmt.Sprintf("%d events, pool hit %.1f%%, heap peak %d", p.Events, hitRate*100, p.HeapPeak)
-	if p.Rounds > 0 {
-		s += fmt.Sprintf(", %d lockstep rounds, %d mail drained over %d lanes",
-			p.Rounds, p.MailDrained, len(p.Lanes))
-	}
-	if p.Feeds != nil {
-		s += fmt.Sprintf(", %d noise feeds (%d refills, %d inline, %d values)",
-			p.Feeds.Feeds, p.Feeds.Refills, p.Feeds.Inline, p.Feeds.Values)
-	}
-	return s
+	return fmt.Sprintf("%d events, pool hit %.1f%%, heap peak %d", p.Events, hitRate*100, p.HeapPeak)
 }
 
 // Report is the outcome of one scenario run.
@@ -556,36 +532,8 @@ func auditEntries(trail []core.AuditRecord) []AuditEntry {
 	return out
 }
 
-// profileReport snapshots the run's engine counters, aggregating lanes in a
-// sharded run.
+// profileReport snapshots the run's engine counters.
 func (s *Scenario) profileReport() *ProfileReport {
-	if s.sharded != nil {
-		sp := s.sharded.se.Profile()
-		pr := &ProfileReport{Rounds: sp.Rounds, MailDrained: sp.MailDrained}
-		for _, l := range sp.Lanes {
-			pr.Events += l.Processed
-			pr.PoolHits += l.PoolHits
-			pr.PoolMisses += l.PoolMisses
-			if l.HeapPeak > pr.HeapPeak {
-				pr.HeapPeak = l.HeapPeak
-			}
-			pr.Lanes = append(pr.Lanes, LaneProfile{
-				Lane:       l.Lane,
-				Lead:       l.Lead,
-				Events:     l.Processed,
-				PoolHits:   l.PoolHits,
-				PoolMisses: l.PoolMisses,
-				HeapPeak:   l.HeapPeak,
-				MailSent:   l.MailSent,
-			})
-		}
-		if s.feeds != nil {
-			stats := s.feeds.Stats()
-			stats.Steals = 0 // scheduling-dependent; keep the section deterministic
-			pr.Feeds = &stats
-		}
-		return pr
-	}
 	p := s.engine.Profile()
 	return &ProfileReport{
 		Events:     p.Processed,

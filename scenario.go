@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"autonosql/internal/baseline"
@@ -73,18 +72,8 @@ type Scenario struct {
 	abortErr   error
 
 	// tracer is the op-trace sampler, non-nil only when Observe.TraceOps is
-	// set. It lives on the home lane: store and tenant-runtime hooks all fire
-	// there, so no locking guards it.
+	// set.
 	tracer *obs.Tracer
-
-	// Sharded mode (spec.Shards >= 2): the lockstep engine, the home lane
-	// (whose Engine is s.engine) and one source lane per workload driver,
-	// bridged back onto the home lane at Run. Nil in plain mode.
-	sharded *shardedRun
-	// feeds is the noise-feed set of a sharded run: the store's entropy
-	// streams, pre-generated in batches on ring-segment owner lanes. Nil in
-	// plain mode, where every draw stays inline.
-	feeds *sim.FeedSet
 }
 
 type hook struct {
@@ -104,22 +93,7 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 		spec.Controller.ControlInterval = 10 * time.Second
 	}
 
-	// Shards >= 2 swaps the single event heap for the lockstep sharded
-	// engine; everything below schedules on the home lane's engine and
-	// cannot tell the difference. Workload drivers get their own lanes via
-	// driverEngine.
-	var engine *sim.Engine
-	var sharded *shardedRun
-	if spec.Shards >= 2 {
-		sr, err := newShardedRun(spec)
-		if err != nil {
-			return nil, err
-		}
-		sharded = sr
-		engine = sr.home.Engine()
-	} else {
-		engine = sim.NewEngine()
-	}
+	engine := sim.NewEngine()
 	rnd := sim.NewRandSource(spec.Seed)
 	cl := cluster.New(spec.clusterConfig(), engine, rnd)
 
@@ -149,7 +123,6 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 		series:    make(map[string]*metrics.TimeSeries),
 		maxNodes:  cl.Size(),
 		minNodes:  cl.Size(),
-		sharded:   sharded,
 	}
 
 	// Fault injection. The injector is assembled only when the plan is
@@ -216,8 +189,6 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 	// Observability. The tracer fronts admission in the tenant runtimes (so a
 	// shed or delayed op still gets its span) and falls through to the store
 	// for anonymous traffic; the audit trail rides on the smart controller.
-	// All hooks fire on the home lane, so spans and audit records come out
-	// identical for every shard count.
 	if ob := spec.Observe; ob != nil {
 		if ob.TraceOps {
 			s.tracer = obs.NewTracer(ob.SampleEvery, ob.MaxTraces)
@@ -249,26 +220,6 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 		}
 	}
 
-	// Home-side sharding. With every driver on its own lane, the home lane's
-	// remaining entropy work — the store's service-time and network-jitter
-	// log-normal draws — moves onto the driver lanes too: each simulated
-	// node's draw stream is owned by the lane its ring segment maps to
-	// (store.OwnerSegment, a pure function of the node's ring token, so
-	// ownership survives scale-out/in and crash/restart), and the owner
-	// pre-generates noise factors in batches at its window starts. The home
-	// lane consumes the factors FIFO at the exact call sites, so the values —
-	// and therefore every golden fingerprint — are bit-identical to plain
-	// mode; only the goroutine that runs the generator changes. Nodes the
-	// controller provisions mid-run get feeds from the same factory.
-	if sharded != nil && len(sharded.driverLanes) > 0 {
-		owners := sharded.driverLanes
-		fs := sim.NewFeedSet(0)
-		fs.Attach(sharded.se)
-		cl.EnableNoiseFeeds(func(node cluster.NodeID, rng *rand.Rand, sigma float64) *sim.NoiseFeed {
-			return fs.NewFeed(owners[store.OwnerSegment(node, len(owners))], rng, sigma)
-		})
-		s.feeds = fs
-	}
 	return s, nil
 }
 
@@ -409,20 +360,15 @@ type driverTarget interface {
 }
 
 // addDriver builds the driver of one traffic source — the anonymous workload
-// (tenant "") or a declared tenant — on its own driver engine and appends it
-// to s.drivers. Replay drives the target from the tenant's recorded arrivals
-// and leaves key choosers and arrival streams unbuilt (the trace already
-// carries the keys); otherwise a generator draws from the tenant's named
-// random streams, a declared tenant's keys confined to the keyspace slice
-// starting at keyBase.
+// (tenant "") or a declared tenant — and appends it to s.drivers. Replay
+// drives the target from the tenant's recorded arrivals and leaves key
+// choosers and arrival streams unbuilt (the trace already carries the keys);
+// otherwise a generator draws from the tenant's named random streams, a
+// declared tenant's keys confined to the keyspace slice starting at keyBase.
 func (s *Scenario) addDriver(tenant string, target driverTarget, w WorkloadSpec, keyBase int) error {
-	deng, err := s.driverEngine()
-	if err != nil {
-		return err
-	}
 	d := driver{tenant: tenant}
 	if s.spec.Replay != nil {
-		src, err := workload.NewTraceSource(deng, target, s.store.KeyID, s.spec.Replay.eventsFor(tenant))
+		src, err := workload.NewTraceSource(s.engine, target, s.store.KeyID, s.spec.Replay.eventsFor(tenant))
 		if err != nil {
 			return err
 		}
@@ -448,7 +394,7 @@ func (s *Scenario) addDriver(tenant string, target driverTarget, w WorkloadSpec,
 			Keys:          keys,
 			Until:         s.spec.Duration,
 			ArrivalStream: arrivalStream,
-		}, deng, target, s.rnd)
+		}, s.engine, target, s.rnd)
 		if err != nil {
 			return err
 		}
@@ -503,8 +449,8 @@ func (s *Scenario) RecordedTrace() (*WorkloadTrace, error) {
 
 // WriteSpans writes the retained op traces as JSON lines, one span tree per
 // sampled operation, in sampling order. Virtual timestamps and counter ids
-// only: the bytes are identical for every shard count and every rerun of the
-// same spec. It errors unless the scenario was built with Observe.TraceOps.
+// only: the bytes are identical for every rerun of the same spec. It errors
+// unless the scenario was built with Observe.TraceOps.
 func (s *Scenario) WriteSpans(w io.Writer) error {
 	if s.tracer == nil {
 		return errors.New("autonosql: op tracing is not enabled (set Observe.TraceOps)")
@@ -559,16 +505,13 @@ func (s *Scenario) OnSample(fn func(SampleWindow) error) {
 	s.sampleHook = fn
 }
 
-// abort records the first abort reason and halts the engines so Run unwinds
-// at the next event (plain mode) or epoch barrier (sharded mode).
+// abort records the first abort reason and halts the engine so Run unwinds
+// at the next event.
 func (s *Scenario) abort(err error) {
 	if s.abortErr == nil {
 		s.abortErr = err
 	}
 	s.engine.Halt()
-	if s.sharded != nil {
-		s.sharded.se.Halt()
-	}
 }
 
 // At registers an intervention to run at the given virtual time during Run.
@@ -612,30 +555,10 @@ func (s *Scenario) Run() (*Report, error) {
 		}
 	}
 
-	// Sharded mode: bridge each workload driver onto its source lane. This
-	// must come after any RecordTrace wrap (the recorder belongs on the home
-	// side of the bridge) and before the drivers start.
-	if s.sharded != nil {
-		s.sharded.splice(s)
-	}
-
 	for _, d := range s.drivers {
 		d.Start()
 	}
-	// Sharded mode: claim each driver's first-arrival sequence number on the
-	// home engine, in driver order — the same consecutive positions the
-	// Starts above would have allocated on a single engine.
-	if s.sharded != nil {
-		for _, b := range s.sharded.bridges {
-			b.seed()
-		}
-	}
-	var runErr error
-	if s.sharded != nil {
-		runErr = s.sharded.se.Run(s.spec.Duration)
-	} else {
-		runErr = s.engine.Run(s.spec.Duration)
-	}
+	runErr := s.engine.Run(s.spec.Duration)
 	if s.abortErr != nil {
 		return nil, fmt.Errorf("autonosql: run aborted: %w", s.abortErr)
 	}

@@ -266,6 +266,40 @@ func TestScenarioNoisyNeighbourWidensWindow(t *testing.T) {
 	}
 }
 
+// TestScenarioAllocBound pins the steady-state allocation behaviour at
+// scenario level as an absolute per-operation bound: op state and completion
+// records are recycled and fired events return to the pool, so the second
+// 30 s of a run (60 000 operations at this spec's rate) may allocate only
+// what the sampling ticks, series and growing reservoirs do — a small
+// fraction of an object per operation.
+func TestScenarioAllocBound(t *testing.T) {
+	const ops, maxAllocsPerOp = 60_000, 0.05
+	mallocs := func(d time.Duration) uint64 {
+		spec := DefaultScenarioSpec()
+		spec.Seed = 42
+		spec.Duration = d
+		spec.Workload.BaseOpsPerSec = 2000
+		spec.Controller.Mode = ControllerNone
+		sc, err := NewScenario(spec)
+		if err != nil {
+			t.Fatalf("NewScenario: %v", err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := sc.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	growth := mallocs(time.Minute) - mallocs(30*time.Second)
+	t.Logf("+30s simulated costs %d allocations", growth)
+	if float64(growth) > maxAllocsPerOp*ops {
+		t.Errorf("steady state allocates %.3f objects per op, want <= %v", float64(growth)/ops, maxAllocsPerOp)
+	}
+}
+
 // TestNewScenarioNotSizedByKeyspace pins that per-key state is grown on first
 // touch: assembling a scenario costs the same objects and bytes for a
 // 10 000-key and a 200 000-key workload, whatever the distribution and with

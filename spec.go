@@ -207,7 +207,7 @@ type ObserveSpec struct {
 	// TraceOps enables sampled causal op tracing: every sampled operation
 	// records its span tree — arrival, admission, coordination, per-replica
 	// fan-out, acks, quorum, SLA accounting — stamped with virtual time only,
-	// so exports are byte-identical across shard counts and repeated runs.
+	// so exports are byte-identical across repeated runs.
 	TraceOps bool
 	// SampleEvery traces every Nth operation (values < 1 mean 1 — trace
 	// everything). The first operation is always sampled.
@@ -220,8 +220,8 @@ type ObserveSpec struct {
 	// planning branch taken. Surfaces as Report.Audit.
 	Audit bool
 	// Profile surfaces the engine's deterministic self-profiling counters
-	// (event pool hit rate, heap high-water mark, lockstep rounds, cross-lane
-	// mail) as Report.Profile.
+	// (event count, event pool hit rate, heap high-water mark) as
+	// Report.Profile.
 	Profile bool
 }
 
@@ -270,22 +270,15 @@ type ScenarioSpec struct {
 	// report byte-identical to an unobserved run.
 	Observe *ObserveSpec `json:",omitempty"`
 
-	// Shards selects the simulation engine layout. 0 or 1 runs the classic
-	// single-heap engine, bit-for-bit identical to every published golden;
-	// N >= 2 runs the sharded engine — up to N worker threads driving one
-	// home lane (store, cluster, monitor, control loop, faults) plus one
-	// source lane per workload driver in deterministic lockstep epochs.
-	// Sharding covers both sides of the simulation: the driver lanes
-	// generate workload arrivals, and the home side hands its service-time
-	// and network-jitter entropy streams off to those same lanes by ring
-	// segment (each simulated node's stream is refilled on the lane owning
-	// its ring position; see store.OwnerSegment). Reports and fingerprints
-	// are identical for every shard count; only wall-clock speed changes.
+	// Shards is accepted so stored specs keep loading, and must be
+	// non-negative. Every scenario runs on the single-heap engine.
+	//
+	// Deprecated: ignored.
 	Shards int `json:",omitempty"`
-	// Epoch is the lockstep window length of the sharded engine; zero means
-	// 10ms. It is ignored unless Shards >= 2, and results are invariant
-	// under its value — it only trades barrier overhead against mailbox
-	// buffering.
+	// Epoch is accepted so stored specs keep loading, and must be
+	// non-negative.
+	//
+	// Deprecated: ignored.
 	Epoch time.Duration `json:",omitempty"`
 }
 

@@ -129,3 +129,18 @@ func TestCostModelDefaultsWhenUnspecified(t *testing.T) {
 		t.Fatal("unspecified cost model should fall back to defaults")
 	}
 }
+
+// TestShardSpecValidation pins that the deprecated Shards and Epoch fields,
+// though ignored, still reject negative values.
+func TestShardSpecValidation(t *testing.T) {
+	spec := DefaultScenarioSpec()
+	spec.Shards = -1
+	if _, err := NewScenario(spec); err == nil {
+		t.Fatal("NewScenario accepted negative Shards")
+	}
+	spec = DefaultScenarioSpec()
+	spec.Epoch = -time.Second
+	if _, err := NewScenario(spec); err == nil {
+		t.Fatal("NewScenario accepted negative Epoch")
+	}
+}

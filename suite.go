@@ -81,10 +81,11 @@ type Grid struct {
 	// every controller variant faces byte-identical client traffic. A trace's
 	// tenant population must match the variant's tenant declarations.
 	Traces []NamedTrace
-	// Shards are the simulation engine shard counts to sweep over. Shards is
-	// a pure performance knob — every count produces bit-for-bit identical
-	// reports — so this axis exists for benchmarking and for regression
-	// sweeps proving exactly that.
+	// Shards still expands into shards=N variants carrying ScenarioSpec.Shards,
+	// so stored suites keep their variant names; every count simulates the
+	// identical system.
+	//
+	// Deprecated: ignored beyond the variant names.
 	Shards []int
 	// Repeats runs every cell with that many different derived seeds
 	// (0 and 1 both mean one run per cell).
@@ -207,11 +208,9 @@ func ExpandGrid(base ScenarioSpec, grid Grid) []Variant {
 											spec.Shards = shards
 										}
 										// The seed is derived from the name minus the
-										// shards component: shard count is a pure
-										// performance knob, so variants differing only in
-										// shards must simulate the identical system —
-										// which also makes the axis a live equivalence
-										// check on every sweep.
+										// shards component, so variants differing only in
+										// the ignored shard count simulate the identical
+										// system.
 										seedName := gridVariantName(gridNoShards, pattern, controller, size, tier, fp, mix, nt, shards, rep)
 										if seedName != "base" {
 											spec.Seed = sim.DeriveSeed(base.Seed, seedName)
