@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -32,6 +34,38 @@ func BenchmarkQueueChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(time.Duration(depth)*time.Millisecond, noop)
 		e.Step()
+	}
+}
+
+// BenchmarkQueueDeep holds the queue at a fixed depth with each new event a
+// uniformly random delay ahead, spread over a horizon that grows with depth:
+// the shapes of steady_mixed (64 pending over 2 ms), suite_grid (4 096 over
+// 2 s) and tenants_admission (40 000 over 20 s), whose replica steps queue
+// seconds behind node backlogs. Unlike QueueChurn's monotone times, a new
+// event here lands anywhere in the queue.
+func BenchmarkQueueDeep(b *testing.B) {
+	for _, c := range []struct {
+		depth  int
+		spread time.Duration
+	}{{64, 2 * time.Millisecond}, {4096, 2 * time.Second}, {40000, 20 * time.Second}} {
+		b.Run(fmt.Sprint(c.depth), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]time.Duration, 1<<16)
+			for i := range delays {
+				delays[i] = 1 + time.Duration(rng.Int63n(int64(c.spread)))
+			}
+			e := NewEngine()
+			noop := func(time.Duration) {}
+			for i := 0; i < c.depth; i++ {
+				e.After(delays[i], noop)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.After(delays[i&(len(delays)-1)], noop)
+				e.Step()
+			}
+		})
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -31,7 +33,8 @@ type Event struct {
 	// pooled marks events scheduled through After/AfterAt: no reference to
 	// them ever escapes the engine, so they are recycled after firing.
 	pooled bool
-	// next links recycled events into the engine's free list.
+	// next links a pending event into its queue bucket and a recycled one
+	// into the engine's free list.
 	next *Event
 }
 
@@ -48,6 +51,9 @@ func (e *Event) Cancel() {
 
 // Canceled reports whether the event has been cancelled.
 func (e *Event) Canceled() bool { return e != nil && e.canceled }
+
+// never is a horizon no event lies beyond.
+const never = time.Duration(math.MaxInt64)
 
 var (
 	// ErrPastEvent is returned when scheduling an event before the current
@@ -110,8 +116,8 @@ func (e *Engine) Profile() Profile {
 
 // notePush tracks the pending-heap high-water mark; call after queue.push.
 func (e *Engine) notePush() {
-	if len(e.queue) > e.heapPeak {
-		e.heapPeak = len(e.queue)
+	if e.queue.n > e.heapPeak {
+		e.heapPeak = e.queue.n
 	}
 }
 
@@ -125,7 +131,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of events currently scheduled (including
 // cancelled events that have not been drained yet).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.n }
 
 // Processed returns the number of events that have fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -285,8 +291,8 @@ func (e *Engine) discard(ev *Event) {
 // Step fires the next pending event, advancing the clock to its timestamp.
 // It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
+	for e.queue.n > 0 {
+		ev := e.queue.pop(never)
 		if ev.canceled {
 			e.discard(ev)
 			continue
@@ -320,16 +326,16 @@ func (e *Engine) Run(until time.Duration) error {
 	e.running = true
 	defer func() { e.running = false }()
 
-	for len(e.queue) > 0 && !e.halted {
-		next := e.queue[0]
-		if next.canceled {
-			e.discard(e.queue.pop())
-			continue
-		}
-		if next.at > until {
+	for e.queue.n > 0 && !e.halted {
+		ev := e.queue.pop(until)
+		if ev == nil {
 			break
 		}
-		e.fire(e.queue.pop())
+		if ev.canceled {
+			e.discard(ev)
+			continue
+		}
+		e.fire(ev)
 	}
 	if e.now < until && !e.halted {
 		e.now = until
@@ -347,11 +353,11 @@ func (e *Engine) RunAll(maxEvents uint64) error {
 	e.running = true
 	defer func() { e.running = false }()
 	start := e.processed
-	for len(e.queue) > 0 {
+	for e.queue.n > 0 {
 		if maxEvents > 0 && e.processed-start >= maxEvents {
 			return fmt.Errorf("sim: exceeded event cap of %d", maxEvents)
 		}
-		next := e.queue.pop()
+		next := e.queue.pop(never)
 		if next.canceled {
 			e.discard(next)
 			continue
@@ -361,74 +367,95 @@ func (e *Engine) RunAll(maxEvents uint64) error {
 	return nil
 }
 
-// eventQueue is a hand-rolled 4-ary min-heap ordered by (time, sequence).
-// Compared to container/heap over a 2-ary heap this avoids the interface
-// boxing on every push/pop, halves the sift-down depth (pop-heavy workloads
-// dominate a simulator), and lets the comparisons inline. Because (at, seq)
-// is a total order — seq is unique — the pop order is exactly ascending
-// (at, seq) whatever the internal arity, which keeps simulations bit-for-bit
-// reproducible.
-type eventQueue []*Event
-
-// eventBefore reports whether a fires before b.
-func eventBefore(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// eventQueue is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+// 1990) over the 128-bit key (at, seq). It keeps a floor, the key of the last
+// event it settled on, and files every pending event in the bucket named by
+// the highest bit in which its key differs from the floor: buckets 64–127
+// for a difference in at, 0–63 for one in seq alone. Every key in bucket i is
+// below every key in bucket i+1, so the minimum is in the lowest non-empty
+// bucket. Settling on it moves the floor up to it, and the rest of that
+// bucket then differs from the new floor in a lower bit and drops into lower
+// buckets; each event drops at most 127 times, however deep the queue.
+//
+// The floor must stay at or below every key still to be pushed. Events are
+// never scheduled before now and seq only grows, so any floor at or below the
+// last fired event is safe. Two cases would lift it past that, and pop avoids
+// both. Run stops at its horizon with the earliest event still pending, and
+// its caller may then schedule between the horizon and that event, so pop
+// never settles on an event it leaves queued, nor on a cancelled one beyond
+// the horizon that it drops. Step and RunAll may settle on a cancelled event
+// beyond now and then find the queue empty, so an empty queue drops the
+// floor to zero. A lone event leaves the floor where it is: nothing needs to
+// drop, and the old floor is still a lower bound.
+//
+// Each bucket is an intrusive singly-linked list through Event.next, which
+// the free list uses only for events off the queue, so the queue allocates
+// nothing. Because (at, seq) is a total order — seq is unique — and pop
+// always takes the minimum, events come out in exactly ascending (at, seq),
+// whatever the order inside a bucket, which keeps simulations bit-for-bit
+// reproducible. A key never equals the floor (the settled event leaves the
+// queue), so the textbook bucket for equal keys is not needed.
+type eventQueue struct {
+	n       int
+	at      time.Duration // floor key
+	seq     uint64
+	mask    [2]uint64 // bit i set iff buckets[i] is non-empty
+	buckets [128]*Event
 }
 
-// push inserts ev, sifting it up with the hole-movement idiom (the event is
-// written once at its final position instead of swapping at every level).
+// push adds ev; its key must lie above the floor.
 func (q *eventQueue) push(ev *Event) {
-	s := append(*q, ev)
-	*q = s
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !eventBefore(ev, s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = ev
+	q.file(ev)
+	q.n++
 }
 
-// pop removes and returns the earliest event.
-func (q *eventQueue) pop() *Event {
-	s := *q
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s[n] = nil
-	s = s[:n]
-	*q = s
-	if n > 0 {
-		// Sift the former tail down from the root.
-		i := 0
-		for {
-			first := i<<2 + 1
-			if first >= n {
-				break
-			}
-			best := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if eventBefore(s[c], s[best]) {
-					best = c
-				}
-			}
-			if !eventBefore(s[best], last) {
-				break
-			}
-			s[i] = s[best]
-			i = best
-		}
-		s[i] = last
+// file links ev into the bucket its key falls in under the current floor.
+func (q *eventQueue) file(ev *Event) {
+	var i int
+	if d := uint64(ev.at ^ q.at); d != 0 {
+		i = 63 + bits.Len64(d)
+	} else {
+		i = bits.Len64(ev.seq^q.seq) - 1
 	}
-	return top
+	ev.next = q.buckets[i]
+	q.buckets[i] = ev
+	q.mask[i>>6] |= 1 << (i & 63)
+}
+
+// pop removes and returns the earliest event. An earliest event that is live
+// and due after until stays queued, and pop returns nil without moving the
+// floor. The queue must not be empty.
+func (q *eventQueue) pop(until time.Duration) *Event {
+	i := bits.TrailingZeros64(q.mask[0])
+	if i == 64 {
+		i += bits.TrailingZeros64(q.mask[1])
+	}
+	best, link := q.buckets[i], &q.buckets[i]
+	for prev, ev := best, best.next; ev != nil; prev, ev = ev, ev.next {
+		if ev.at < best.at || ev.at == best.at && ev.seq < best.seq {
+			best, link = ev, &prev.next
+		}
+	}
+	if best.at > until && !best.canceled {
+		return nil
+	}
+	*link = best.next
+	if rest := q.buckets[i]; rest != nil && best.at <= until {
+		// Settle: best becomes the floor and the rest of the bucket drops.
+		q.buckets[i] = nil
+		q.at, q.seq = best.at, best.seq
+		for rest != nil {
+			ev := rest
+			rest = ev.next
+			q.file(ev)
+		}
+	}
+	if q.buckets[i] == nil {
+		q.mask[i>>6] &^= 1 << (i & 63)
+	}
+	best.next = nil
+	if q.n--; q.n == 0 {
+		q.at, q.seq = 0, 0
+	}
+	return best
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -135,6 +137,30 @@ func TestRunStopsAtBoundary(t *testing.T) {
 	}
 	if !fired {
 		t.Fatal("event did not fire after horizon extended")
+	}
+}
+
+// TestScheduleBelowPeekedMinimum schedules, after a Run that stopped short of
+// the earliest pending event, two events between the horizon and that event:
+// the queue must not have settled on the event it only looked at.
+func TestScheduleBelowPeekedMinimum(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	record := func(name string) Handler {
+		return func(now time.Duration) { order = append(order, fmt.Sprintf("%s@%v", name, now)) }
+	}
+	e.MustSchedule(100*time.Millisecond, record("c"))
+	if err := e.Run(50 * time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	e.MustSchedule(10*time.Millisecond, record("a"))
+	e.MustSchedule(10*time.Millisecond, record("b"))
+	if err := e.Run(200 * time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []string{"a@60ms", "b@60ms", "c@100ms"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
 	}
 }
 
