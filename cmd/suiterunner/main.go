@@ -54,7 +54,6 @@ func run(args []string, out *os.File) int {
 		mixAxis     = fs.String("tenant-mixes", "", "comma-separated tenant mixes to sweep (none, gold-bronze, three-tier);\nempty keeps the base tenants")
 		tenantsCSV  = fs.String("tenants-csv", "", "write the per-tenant results as CSV to this file")
 		repeats     = fs.Int("repeats", 1, "runs per grid cell with distinct derived seeds")
-		shardAxis   = fs.String("shards", "", "deprecated and ignored beyond the variant names: comma-separated shard\ncounts still expand into shards=N variants that simulate the identical system")
 		baseOps     = fs.Float64("base", 2000, "base offered load (ops/s)")
 		peakOps     = fs.Float64("peak", 4000, "peak offered load for non-constant patterns (ops/s)")
 		nodeOps     = fs.Float64("node-ops", 2000, "per-node sustainable ops/s")
@@ -86,7 +85,7 @@ func run(args []string, out *os.File) int {
 		return 2
 	}
 
-	grid, err := buildGrid(*patterns, *controllers, *nodes, *slaTiers, *faultAxis, *mixAxis, *shardAxis, *duration, *repeats)
+	grid, err := buildGrid(*patterns, *controllers, *nodes, *slaTiers, *faultAxis, *mixAxis, *duration, *repeats)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
 		return 2
@@ -266,7 +265,7 @@ func run(args []string, out *os.File) int {
 }
 
 // buildGrid parses the axis flags into a Grid.
-func buildGrid(patterns, controllers, nodes, slaTiers, faults, tenantMixes, shards string, duration time.Duration, repeats int) (autonosql.Grid, error) {
+func buildGrid(patterns, controllers, nodes, slaTiers, faults, tenantMixes string, duration time.Duration, repeats int) (autonosql.Grid, error) {
 	var grid autonosql.Grid
 	for _, p := range splitList(patterns) {
 		grid.Patterns = append(grid.Patterns, autonosql.LoadPattern(p))
@@ -301,13 +300,6 @@ func buildGrid(patterns, controllers, nodes, slaTiers, faults, tenantMixes, shar
 			return autonosql.Grid{}, fmt.Errorf("unknown tenant mix %q (available: none, gold-bronze, three-tier)", name)
 		}
 		grid.TenantMixes = append(grid.TenantMixes, mix)
-	}
-	for _, s := range splitList(shards) {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			return autonosql.Grid{}, fmt.Errorf("invalid shard count %q", s)
-		}
-		grid.Shards = append(grid.Shards, n)
 	}
 	grid.Repeats = repeats
 	return grid, nil

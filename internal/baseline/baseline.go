@@ -1,18 +1,11 @@
-// Package baseline implements the two alternatives the paper's autonomous
-// system is motivated against:
+// Package baseline implements the reactive alternative the paper's
+// autonomous system is motivated against: the classic cloud autoscaler that
+// watches CPU utilisation only. It is completely blind to the inconsistency
+// window, so it neither reacts to consistency drift under moderate CPU load
+// nor anticipates load it has not seen yet.
 //
-//   - StaticController: a fixed configuration chosen once at deployment
-//     time. Over-strict static configurations over-allocate resources; loose
-//     ones let the inconsistency window drift past what the application can
-//     tolerate.
-//   - ReactiveAutoscaler: the classic cloud autoscaler that watches CPU
-//     utilisation only. It is completely blind to the inconsistency window,
-//     so it neither reacts to consistency drift under moderate CPU load nor
-//     anticipates load it has not seen yet.
-//
-// Both satisfy the same stepping contract as the smart controller
-// (core.Controller), so experiment harnesses can swap controllers without
-// changing anything else.
+// Static provisioning, the other alternative, needs no code: a scenario with
+// no controller keeps the configuration it was deployed with.
 package baseline
 
 import (
@@ -21,51 +14,7 @@ import (
 
 	"autonosql/internal/core"
 	"autonosql/internal/monitor"
-	"autonosql/internal/sim"
 )
-
-// Stepper is the common contract experiment harnesses drive controllers
-// through: one control step per monitoring snapshot. core.Controller,
-// StaticController and ReactiveAutoscaler all satisfy it.
-type Stepper interface {
-	Step(snap monitor.Snapshot) core.Decision
-	Reconfigurations() int
-}
-
-var (
-	_ Stepper = (*core.Controller)(nil)
-	_ Stepper = (*StaticController)(nil)
-	_ Stepper = (*ReactiveAutoscaler)(nil)
-)
-
-// StaticController never reconfigures anything. It exists so that static
-// provisioning participates in experiments through exactly the same code
-// path as the other controllers.
-type StaticController struct {
-	decisions int
-}
-
-// NewStaticController creates a do-nothing controller.
-func NewStaticController() *StaticController { return &StaticController{} }
-
-// Step implements Stepper: it observes and does nothing.
-func (s *StaticController) Step(snap monitor.Snapshot) core.Decision {
-	s.decisions++
-	return core.Decision{
-		At:                snap.At,
-		Action:            core.Action{Kind: core.ActionNone, Reason: "static configuration"},
-		ClusterSize:       snap.ClusterSize,
-		ReplicationFactor: snap.ReplicationFactor,
-		ReadConsistency:   snap.ReadConsistency,
-		WriteConsistency:  snap.WriteConsistency,
-	}
-}
-
-// Reconfigurations implements Stepper; it is always zero.
-func (s *StaticController) Reconfigurations() int { return 0 }
-
-// Steps returns how many snapshots the controller has observed.
-func (s *StaticController) Steps() int { return s.decisions }
 
 // ReactiveConfig configures the CPU-threshold autoscaler.
 type ReactiveConfig struct {
@@ -132,11 +81,10 @@ type ReactiveAutoscaler struct {
 	applied   int
 	failed    int
 	decisions []core.Decision
-	ticker    *sim.Ticker
-	stopped   bool
 }
 
-// NewReactiveAutoscaler creates an autoscaler driving the given actuator.
+// NewReactiveAutoscaler creates an autoscaler driving the given actuator. The
+// owner calls Step once per control interval with the latest snapshot.
 func NewReactiveAutoscaler(cfg ReactiveConfig, actuator core.Actuator) (*ReactiveAutoscaler, error) {
 	if actuator == nil {
 		return nil, errors.New("baseline: actuator is required")
@@ -147,40 +95,7 @@ func NewReactiveAutoscaler(cfg ReactiveConfig, actuator core.Actuator) (*Reactiv
 // Config returns the autoscaler configuration with defaults applied.
 func (r *ReactiveAutoscaler) Config() ReactiveConfig { return r.cfg }
 
-// Attach starts the autoscaler on the simulation engine with the given
-// control interval, pulling snapshots from source.
-func (r *ReactiveAutoscaler) Attach(engine *sim.Engine, source core.SnapshotSource, interval time.Duration) error {
-	if engine == nil || source == nil {
-		return errors.New("baseline: engine and snapshot source are required")
-	}
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	if r.ticker != nil {
-		return errors.New("baseline: autoscaler already attached")
-	}
-	t, err := sim.NewTicker(engine, interval, func(time.Duration) {
-		if r.stopped {
-			return
-		}
-		r.Step(source.Snapshot())
-	})
-	if err != nil {
-		return err
-	}
-	r.ticker = t
-	return nil
-}
-
-// Stop halts the control loop.
-func (r *ReactiveAutoscaler) Stop() {
-	r.stopped = true
-	if r.ticker != nil {
-		r.ticker.Stop()
-	}
-}
-
-// Step implements Stepper: a pure CPU-threshold policy.
+// Step runs one control step: a pure CPU-threshold policy.
 func (r *ReactiveAutoscaler) Step(snap monitor.Snapshot) core.Decision {
 	d := core.Decision{At: snap.At}
 	size := r.actuator.ClusterSize()
@@ -225,7 +140,7 @@ func (r *ReactiveAutoscaler) Step(snap monitor.Snapshot) core.Decision {
 	return d
 }
 
-// Reconfigurations implements Stepper.
+// Reconfigurations returns how many scale actions were applied.
 func (r *ReactiveAutoscaler) Reconfigurations() int { return r.applied }
 
 // FailedActions returns how many scale actions failed to apply.

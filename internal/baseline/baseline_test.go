@@ -38,7 +38,6 @@ func (f *fakeActuator) SetWriteConsistency(cl store.ConsistencyLevel) error {
 	f.writeCL = cl
 	return nil
 }
-func (f *fakeActuator) SetReplicationFactor(rf int) error { f.rf = rf; return nil }
 func (f *fakeActuator) AddNode() error {
 	if f.fail != nil {
 		return f.fail
@@ -69,22 +68,6 @@ func snap(at time.Duration, util float64, size int) monitor.Snapshot {
 		ReadConsistency:   store.One,
 		WriteConsistency:  store.One,
 		WindowSamples:     100,
-	}
-}
-
-func TestStaticControllerNeverActs(t *testing.T) {
-	s := NewStaticController()
-	for i := 1; i <= 10; i++ {
-		d := s.Step(snap(time.Duration(i)*10*time.Second, 0.99, 3))
-		if !d.Action.IsNoop() || d.Applied {
-			t.Fatalf("static controller acted: %+v", d)
-		}
-	}
-	if s.Reconfigurations() != 0 {
-		t.Fatalf("Reconfigurations = %d, want 0", s.Reconfigurations())
-	}
-	if s.Steps() != 10 {
-		t.Fatalf("Steps = %d, want 10", s.Steps())
 	}
 }
 
@@ -205,9 +188,6 @@ func TestReactiveValidation(t *testing.T) {
 	if r.Config().ScaleOutUtilization <= 0 {
 		t.Fatal("zero config did not receive defaults")
 	}
-	if err := r.Attach(nil, nil, 0); err == nil {
-		t.Fatal("nil engine accepted by Attach")
-	}
 }
 
 func TestReactiveAttachIntegration(t *testing.T) {
@@ -232,11 +212,14 @@ func TestReactiveAttachIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReactiveAutoscaler: %v", err)
 	}
-	if err := r.Attach(engine, mon, 10*time.Second); err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	if err := r.Attach(engine, mon, 10*time.Second); err == nil {
-		t.Fatal("double Attach accepted")
+	// The autoscaler has no clock of its own: a ticker on the engine feeds
+	// it a monitor snapshot every control interval, as a Scenario's sampler
+	// does.
+	ticker, err := sim.NewTicker(engine, 10*time.Second, func(time.Duration) {
+		r.Step(mon.Snapshot())
+	})
+	if err != nil {
+		t.Fatalf("NewTicker: %v", err)
 	}
 
 	// Overload two small nodes so utilisation crosses the scale-out threshold.
@@ -259,12 +242,12 @@ func TestReactiveAttachIntegration(t *testing.T) {
 	if len(r.Decisions()) == 0 {
 		t.Fatal("no decisions recorded")
 	}
-	r.Stop()
+	ticker.Stop()
 	n := len(r.Decisions())
 	if err := engine.Run(engine.Now() + 30*time.Second); err != nil {
 		t.Fatalf("Run after stop: %v", err)
 	}
 	if len(r.Decisions()) != n {
-		t.Fatal("autoscaler kept deciding after Stop")
+		t.Fatal("autoscaler kept deciding once nothing drove it")
 	}
 }

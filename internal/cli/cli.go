@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"autonosql"
 )
@@ -27,8 +26,6 @@ var commandFlags = map[string]map[string]flagDoc{
 		"tenants":      {usage: "multi-tenant workload, comma-separated class:pattern:base[:peak=P][:read=F][:keys=K][:name=N]\n(classes: gold, silver, bronze; e.g. \"gold:diurnal:2000,bronze:constant:500\"); replaces -ops/-pattern traffic"},
 		"admission":    {usage: "tenant admission control for the smart controller:\noff | on[:frac=F][:floor=R][:cooldown=D][:hold=D] (e.g. \"on:frac=0.4:floor=100\")"},
 		"placement":    {usage: "allow the smart controller to dedicate nodes to an SLA class"},
-		"shards":       {usage: "deprecated and ignored: every run uses the single-heap engine"},
-		"epoch":        {usage: "deprecated and ignored: every run uses the single-heap engine"},
 		"trace-ops":    {usage: "write sampled op-trace spans (JSON lines) to the given file"},
 		"trace-every":  {usage: "with -trace-ops, sample every Nth operation"},
 		"trace-chrome": {usage: "write the sampled spans as a Chrome trace_event file\n(load in chrome://tracing or Perfetto)"},
@@ -50,7 +47,6 @@ var commandFlags = map[string]map[string]flagDoc{
 		"admission": {def: "on", usage: "admission control: off | on[:mode=][:frac=][:floor=][:cooldown=][:hold=]"},
 		"faults":    {usage: "base fault plan (kind:start:duration[:n=N][:sev=S], comma-separated)"},
 		"placement": {usage: "allow class-aware placement actions"},
-		"shards":    {usage: "deprecated and ignored: every evaluation uses the single-heap engine"},
 	},
 }
 
@@ -60,8 +56,6 @@ var commandFlags = map[string]map[string]flagDoc{
 type ScenarioFlags struct {
 	Tenants, Admission, Faults *string
 	Placement                  *bool
-	Shards                     *int
-	Epoch                      *time.Duration
 	TraceOps, TraceChrome      *string
 	TraceEvery                 *int
 	Audit, Profile             *bool
@@ -94,13 +88,9 @@ func Register(fs *flag.FlagSet) *ScenarioFlags {
 	f := &ScenarioFlags{
 		Tenants: str("tenants"), Admission: str("admission"), Faults: str("faults"),
 		Placement: boolean("placement"),
-		Shards:    one("shards"),
 		TraceOps:  str("trace-ops"), TraceChrome: str("trace-chrome"),
 		TraceEvery: one("trace-every"),
 		Audit:      boolean("audit"), Profile: boolean("profile"),
-	}
-	if d, ok := docs["epoch"]; ok {
-		f.Epoch = fs.Duration("epoch", 0, d.usage)
 	}
 	return f
 }
@@ -125,12 +115,6 @@ func (f *ScenarioFlags) Apply(spec *autonosql.ScenarioSpec) error {
 			return err
 		}
 		spec.Faults = plan
-	}
-	if f.Shards != nil {
-		spec.Shards = *f.Shards
-	}
-	if f.Epoch != nil {
-		spec.Epoch = *f.Epoch
 	}
 	if f.TraceOps != nil {
 		traceOps := *f.TraceOps != "" || (f.TraceChrome != nil && *f.TraceChrome != "")

@@ -56,9 +56,9 @@ func TestFlagsToScenarioSpec(t *testing.T) {
 		{
 			command: "nosqlsim",
 			argv: []string{"-tenants", tenantsArg, "-admission", admissionArg, "-faults", faultsArg, "-placement",
-				"-shards", "4", "-epoch", "5ms", "-trace-ops", "spans.jsonl", "-trace-every", "50", "-audit", "-profile"},
+				"-trace-ops", "spans.jsonl", "-trace-every", "50", "-audit", "-profile"},
 			want: autonosql.ScenarioSpec{
-				Tenants: tenants, Faults: faults, Shards: 4, Epoch: 5 * time.Millisecond,
+				Tenants: tenants, Faults: faults,
 				Controller: autonosql.ControllerSpec{Admission: admission, AllowPlacement: true},
 				Observe:    &autonosql.ObserveSpec{TraceOps: true, SampleEvery: 50, Audit: true, Profile: true},
 			},
@@ -68,7 +68,6 @@ func TestFlagsToScenarioSpec(t *testing.T) {
 			command: "nosqlsim",
 			argv:    []string{"-trace-chrome", "trace.json"},
 			want: autonosql.ScenarioSpec{
-				Shards:  1,
 				Observe: &autonosql.ObserveSpec{TraceOps: true, SampleEvery: 1},
 			},
 		},
@@ -88,9 +87,9 @@ func TestFlagsToScenarioSpec(t *testing.T) {
 		},
 		{
 			command: "hunter",
-			argv:    []string{"-tenants", tenantsArg, "-admission", admissionArg, "-faults", faultsArg, "-placement", "-shards", "4"},
+			argv:    []string{"-tenants", tenantsArg, "-admission", admissionArg, "-faults", faultsArg, "-placement"},
 			want: autonosql.ScenarioSpec{
-				Tenants: tenants, Faults: faults, Shards: 4,
+				Tenants: tenants, Faults: faults,
 				Controller: autonosql.ControllerSpec{Admission: admission, AllowPlacement: true},
 			},
 		},
@@ -111,9 +110,9 @@ func TestFlagsToScenarioSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hunter defaults: %v", err)
 	}
-	if len(got.Tenants) != 2 || !got.Controller.Admission.Enabled || got.Shards != 1 {
-		t.Errorf("hunter defaults = %d tenants, admission %v, shards %d; want 2, on, 1",
-			len(got.Tenants), got.Controller.Admission.Enabled, got.Shards)
+	if len(got.Tenants) != 2 || !got.Controller.Admission.Enabled {
+		t.Errorf("hunter defaults = %d tenants, admission %v; want 2, on",
+			len(got.Tenants), got.Controller.Admission.Enabled)
 	}
 }
 
@@ -139,40 +138,19 @@ func TestMalformedDSLValues(t *testing.T) {
 }
 
 // TestCommandFlagSubsets pins that a command only grows the shared flags it
-// declares: suiterunner's -faults and (ignored) -shards are grid axes it
-// registers itself, and hunter has no observe flags.
+// declares: suiterunner's -faults is a grid axis it registers itself, hunter
+// has no observe flags, and no command has -shards or -epoch any more.
 func TestCommandFlagSubsets(t *testing.T) {
 	for command, absent := range map[string][]string{
+		"nosqlsim":    {"shards", "epoch"},
 		"suiterunner": {"faults", "shards", "epoch", "trace-chrome"},
-		"hunter":      {"epoch", "trace-ops", "trace-every", "trace-chrome", "audit", "profile"},
+		"hunter":      {"shards", "epoch", "trace-ops", "trace-every", "trace-chrome", "audit", "profile"},
 	} {
 		fs := flag.NewFlagSet(command, flag.ContinueOnError)
 		Register(fs)
 		for _, name := range absent {
 			if fs.Lookup(name) != nil {
 				t.Errorf("%s registers shared flag -%s it does not declare", command, name)
-			}
-		}
-	}
-}
-
-// TestDeprecatedFlagsSayIgnored pins the deprecation surface: -shards and
-// -epoch still parse onto the spec (stored command lines keep working), and
-// their usage says they have no effect.
-func TestDeprecatedFlagsSayIgnored(t *testing.T) {
-	for command, names := range map[string][]string{
-		"nosqlsim": {"shards", "epoch"},
-		"hunter":   {"shards"},
-	} {
-		fs := flag.NewFlagSet(command, flag.ContinueOnError)
-		Register(fs)
-		for _, name := range names {
-			f := fs.Lookup(name)
-			if f == nil {
-				t.Fatalf("%s no longer accepts -%s", command, name)
-			}
-			if !strings.Contains(f.Usage, "ignored") {
-				t.Errorf("%s -%s usage %q does not say the flag is ignored", command, name, f.Usage)
 			}
 		}
 	}

@@ -8,9 +8,11 @@ import (
 	"autonosql/internal/store"
 )
 
-// ActionKind enumerates the reconfiguration actions the planner can take.
-// These are exactly the knobs the paper lists: the consistency levels of
-// query operations, the replication factor and the number of nodes.
+// ActionKind enumerates the reconfiguration actions the planner can take:
+// the consistency levels of query operations, the number of nodes, and the
+// tenant-scoped admission and class-scoped placement knobs. The replication
+// factor, the paper's third knob, is changed by experiments through the
+// scenario handle; no planner branch chooses it.
 type ActionKind int
 
 // Reconfiguration actions.
@@ -26,12 +28,6 @@ const (
 	ActionRelaxWriteConsistency
 	// ActionTightenReadConsistency raises the read consistency level one step.
 	ActionTightenReadConsistency
-	// ActionRelaxReadConsistency lowers the read consistency level one step.
-	ActionRelaxReadConsistency
-	// ActionIncreaseReplication raises the replication factor by one.
-	ActionIncreaseReplication
-	// ActionDecreaseReplication lowers the replication factor by one.
-	ActionDecreaseReplication
 	// ActionAddNode provisions one extra node.
 	ActionAddNode
 	// ActionRemoveNode decommissions one node.
@@ -65,12 +61,6 @@ func (k ActionKind) String() string {
 		return "relax-write-cl"
 	case ActionTightenReadConsistency:
 		return "tighten-read-cl"
-	case ActionRelaxReadConsistency:
-		return "relax-read-cl"
-	case ActionIncreaseReplication:
-		return "increase-rf"
-	case ActionDecreaseReplication:
-		return "decrease-rf"
 	case ActionAddNode:
 		return "add-node"
 	case ActionRemoveNode:
@@ -95,9 +85,6 @@ func ActionKinds() []ActionKind {
 		ActionTightenWriteConsistency,
 		ActionRelaxWriteConsistency,
 		ActionTightenReadConsistency,
-		ActionRelaxReadConsistency,
-		ActionIncreaseReplication,
-		ActionDecreaseReplication,
 		ActionAddNode,
 		ActionRemoveNode,
 		ActionThrottleTenant,
@@ -236,8 +223,6 @@ type Actuator interface {
 	SetReadConsistency(cl store.ConsistencyLevel) error
 	// SetWriteConsistency changes the write consistency level.
 	SetWriteConsistency(cl store.ConsistencyLevel) error
-	// SetReplicationFactor changes the replication factor.
-	SetReplicationFactor(rf int) error
 	// AddNode provisions one extra node.
 	AddNode() error
 	// RemoveNode decommissions one node.
@@ -273,9 +258,6 @@ var (
 	// ErrConsistencyBound is returned when a consistency level cannot be
 	// tightened or relaxed any further.
 	ErrConsistencyBound = errors.New("core: consistency level already at bound")
-	// ErrReplicationBound is returned when the replication factor cannot move
-	// further in the requested direction.
-	ErrReplicationBound = errors.New("core: replication factor already at bound")
 	// ErrNoRemovableNode is returned when no node is eligible for removal.
 	ErrNoRemovableNode = errors.New("core: no removable node")
 	// ErrNoTenantActuator is returned when a tenant- or class-scoped action is
@@ -363,11 +345,6 @@ func (a *SystemActuator) SetWriteConsistency(cl store.ConsistencyLevel) error {
 	}
 	a.store.SetWriteConsistency(cl)
 	return nil
-}
-
-// SetReplicationFactor implements Actuator.
-func (a *SystemActuator) SetReplicationFactor(rf int) error {
-	return a.store.SetReplicationFactor(rf)
 }
 
 // AddNode implements Actuator.

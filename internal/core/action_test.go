@@ -111,16 +111,6 @@ func TestSystemActuatorReadsAndWritesConfig(t *testing.T) {
 	if err := act.SetReadConsistency(store.ConsistencyLevel(0)); err == nil {
 		t.Fatal("invalid read consistency accepted")
 	}
-
-	if err := act.SetReplicationFactor(4); err != nil {
-		t.Fatalf("SetReplicationFactor: %v", err)
-	}
-	if st.ReplicationFactor() != 4 {
-		t.Fatal("replication factor not propagated")
-	}
-	if err := act.SetReplicationFactor(0); err == nil {
-		t.Fatal("invalid replication factor accepted")
-	}
 }
 
 func TestSystemActuatorAddAndRemoveNode(t *testing.T) {

@@ -42,18 +42,11 @@ type Config struct {
 	// ConsistencyCooldown is the minimum time between consistency-level
 	// changes.
 	ConsistencyCooldown time.Duration
-	// ReplicationCooldown is the minimum time between replication-factor
-	// changes.
-	ReplicationCooldown time.Duration
 
 	// MinNodes and MaxNodes bound the cluster sizes the controller will
 	// request.
 	MinNodes int
 	MaxNodes int
-	// MinReplication and MaxReplication bound the replication factors the
-	// controller will request.
-	MinReplication int
-	MaxReplication int
 	// MinWriteConsistency and MaxWriteConsistency bound the write consistency
 	// levels the controller will request.
 	MinWriteConsistency store.ConsistencyLevel
@@ -63,8 +56,6 @@ type Config struct {
 	EnableScaling bool
 	// EnableConsistencyActions allows consistency-level changes.
 	EnableConsistencyActions bool
-	// EnableReplicationActions allows replication-factor changes.
-	EnableReplicationActions bool
 	// EnablePrediction turns on proactive scaling from the load forecast.
 	EnablePrediction bool
 	// EnableAdmissionControl allows tenant-scoped throttle / unthrottle
@@ -125,16 +116,12 @@ func DefaultConfig(agreement sla.SLA) Config {
 		ScaleOutCooldown:         90 * time.Second,
 		ScaleInCooldown:          5 * time.Minute,
 		ConsistencyCooldown:      60 * time.Second,
-		ReplicationCooldown:      10 * time.Minute,
 		MinNodes:                 2,
 		MaxNodes:                 32,
-		MinReplication:           2,
-		MaxReplication:           5,
 		MinWriteConsistency:      store.One,
 		MaxWriteConsistency:      store.All,
 		EnableScaling:            true,
 		EnableConsistencyActions: true,
-		EnableReplicationActions: false,
 		EnablePrediction:         true,
 		PredictionHorizon:        2 * time.Minute,
 		PredictorWindow:          12,
@@ -174,20 +161,11 @@ func (c Config) withDefaults() Config {
 	if c.ConsistencyCooldown <= 0 {
 		c.ConsistencyCooldown = d.ConsistencyCooldown
 	}
-	if c.ReplicationCooldown <= 0 {
-		c.ReplicationCooldown = d.ReplicationCooldown
-	}
 	if c.MinNodes <= 0 {
 		c.MinNodes = d.MinNodes
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = d.MaxNodes
-	}
-	if c.MinReplication <= 0 {
-		c.MinReplication = d.MinReplication
-	}
-	if c.MaxReplication <= 0 {
-		c.MaxReplication = d.MaxReplication
 	}
 	if c.MinWriteConsistency == 0 {
 		c.MinWriteConsistency = d.MinWriteConsistency
@@ -232,9 +210,6 @@ func (c Config) Validate() error {
 	}
 	if c.MinNodes > c.MaxNodes {
 		return errors.New("core: MinNodes exceeds MaxNodes")
-	}
-	if c.MinReplication > c.MaxReplication {
-		return errors.New("core: MinReplication exceeds MaxReplication")
 	}
 	if c.MinWriteConsistency > c.MaxWriteConsistency {
 		return errors.New("core: MinWriteConsistency stricter than MaxWriteConsistency")

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"autonosql/internal/monitor"
-	"autonosql/internal/sim"
 	"autonosql/internal/store"
 )
 
@@ -56,14 +55,6 @@ func (d Decision) String() string {
 	return s
 }
 
-// SnapshotSource supplies periodic monitoring snapshots. *monitor.Monitor
-// satisfies it.
-type SnapshotSource interface {
-	Snapshot() monitor.Snapshot
-}
-
-var _ SnapshotSource = (*monitor.Monitor)(nil)
-
 // Controller is the SLA-driven autonomous controller: the paper's
 // contribution. Each control interval it analyses the latest monitoring
 // snapshot, plans at most one reconfiguration action and executes it through
@@ -78,8 +69,6 @@ type Controller struct {
 	decisions []Decision
 	applied   int
 	failed    int
-	ticker    *sim.Ticker
-	stopped   bool
 
 	// audit, when enabled, records one AuditRecord per Step with the causal
 	// inputs behind the decision (driving signal, cooldown consults, vetoes,
@@ -88,9 +77,8 @@ type Controller struct {
 	auditLog []AuditRecord
 }
 
-// New creates a controller driving the given actuator. Call Attach to run it
-// on a simulation engine, or Step to drive it manually (tests, baselines
-// comparisons).
+// New creates a controller driving the given actuator. The owner calls Step
+// once per control interval with the latest monitoring snapshot.
 func New(cfg Config, actuator Actuator) (*Controller, error) {
 	if actuator == nil {
 		return nil, errors.New("core: actuator is required")
@@ -111,39 +99,6 @@ func New(cfg Config, actuator Actuator) (*Controller, error) {
 
 // Config returns the controller configuration (with defaults applied).
 func (c *Controller) Config() Config { return c.cfg }
-
-// Knowledge returns the controller's knowledge base.
-func (c *Controller) Knowledge() *KnowledgeBase { return c.kb }
-
-// Attach starts the MAPE loop on the simulation engine, pulling a snapshot
-// from source every control interval.
-func (c *Controller) Attach(engine *sim.Engine, source SnapshotSource) error {
-	if engine == nil || source == nil {
-		return errors.New("core: engine and snapshot source are required")
-	}
-	if c.ticker != nil {
-		return errors.New("core: controller already attached")
-	}
-	t, err := sim.NewTicker(engine, c.cfg.ControlInterval, func(time.Duration) {
-		if c.stopped {
-			return
-		}
-		c.Step(source.Snapshot())
-	})
-	if err != nil {
-		return err
-	}
-	c.ticker = t
-	return nil
-}
-
-// Stop halts the control loop.
-func (c *Controller) Stop() {
-	c.stopped = true
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
-}
 
 // Step runs one MAPE iteration on the given snapshot and returns the
 // decision taken.
@@ -189,8 +144,7 @@ func (c *Controller) Step(snap monitor.Snapshot) Decision {
 			// Give membership changes longer to show their effect than pure
 			// configuration flips.
 			settle := 2 * c.cfg.ControlInterval
-			if action.Kind == ActionAddNode || action.Kind == ActionRemoveNode ||
-				action.Kind == ActionIncreaseReplication {
+			if action.Kind == ActionAddNode || action.Kind == ActionRemoveNode {
 				settle = 4 * c.cfg.ControlInterval
 			}
 			c.kb.RecordApplied(action, snap.At, snap.WindowP95, snap.WriteLatencyP99, settle)
@@ -239,16 +193,6 @@ func (c *Controller) execute(a Action, plant PlantState) error {
 			return err
 		}
 		return c.actuator.SetReadConsistency(next)
-	case ActionRelaxReadConsistency:
-		next, err := RelaxConsistency(plant.ReadConsistency)
-		if err != nil {
-			return err
-		}
-		return c.actuator.SetReadConsistency(next)
-	case ActionIncreaseReplication:
-		return c.actuator.SetReplicationFactor(plant.ReplicationFactor + 1)
-	case ActionDecreaseReplication:
-		return c.actuator.SetReplicationFactor(plant.ReplicationFactor - 1)
 	case ActionAddNode:
 		var firstErr error
 		for i := 0; i < a.Steps(); i++ {

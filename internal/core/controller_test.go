@@ -161,11 +161,13 @@ func TestControllerAttachRunsOnEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := ctl.Attach(rig.engine, rig.monitor); err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	if err := ctl.Attach(rig.engine, rig.monitor); err == nil {
-		t.Fatal("double Attach accepted")
+	// The controller has no clock of its own: a ticker on the engine feeds it
+	// a monitor snapshot every control interval, as a Scenario's sampler does.
+	ticker, err := sim.NewTicker(rig.engine, cfg.ControlInterval, func(time.Duration) {
+		ctl.Step(rig.monitor.Snapshot())
+	})
+	if err != nil {
+		t.Fatalf("NewTicker: %v", err)
 	}
 
 	// Drive enough write-heavy load that the default ONE/ONE configuration
@@ -188,23 +190,13 @@ func TestControllerAttachRunsOnEngine(t *testing.T) {
 	if len(ctl.Decisions()) < 10 {
 		t.Fatalf("controller took only %d decisions in 2 minutes at a 5 s interval", len(ctl.Decisions()))
 	}
-	ctl.Stop()
+	ticker.Stop()
 	decisionsAfterStop := len(ctl.Decisions())
 	if err := rig.engine.Run(rig.engine.Now() + 30*time.Second); err != nil {
 		t.Fatalf("Run after stop: %v", err)
 	}
 	if len(ctl.Decisions()) != decisionsAfterStop {
-		t.Fatal("controller kept deciding after Stop")
-	}
-}
-
-func TestControllerAttachValidation(t *testing.T) {
-	c, err := New(DefaultConfig(testSLA()), newFakeActuator())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := c.Attach(nil, nil); err == nil {
-		t.Fatal("nil engine and source accepted")
+		t.Fatal("controller kept deciding once nothing drove it")
 	}
 }
 
@@ -215,7 +207,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	cases := []func(*Config){
 		func(c *Config) { c.MinNodes = 5; c.MaxNodes = 2 },
-		func(c *Config) { c.MinReplication = 4; c.MaxReplication = 2 },
 		func(c *Config) { c.MinWriteConsistency = store.All; c.MaxWriteConsistency = store.One },
 	}
 	for i, mutate := range cases {

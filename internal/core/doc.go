@@ -14,11 +14,12 @@
 //     attributes a likely root cause (CPU saturation, network congestion,
 //     loose consistency configuration, excess capacity).
 //   - Plan: the Planner selects the single most appropriate reconfiguration
-//     action — change read/write consistency level, change the replication
-//     factor, add or remove a node — honouring per-action cooldowns,
+//     action — tighten or relax the write consistency level, tighten the
+//     read consistency level, add or remove nodes, throttle or release a
+//     tenant, pin or unpin an SLA class — honouring per-action cooldowns,
 //     hysteresis bands around the SLA targets and the paper's explicit
-//     warning that adding replicas under network congestion only makes the
-//     problem worse.
+//     warning that adding replication traffic under network congestion only
+//     makes the problem worse.
 //   - Execute: the Controller applies the action through an Actuator bound to
 //     the store and cluster.
 //   - Knowledge: the KnowledgeBase records the observed effect of every

@@ -50,13 +50,6 @@ func (f *fakeActuator) SetWriteConsistency(cl store.ConsistencyLevel) error {
 	f.writeCL = cl
 	return nil
 }
-func (f *fakeActuator) SetReplicationFactor(rf int) error {
-	if err := f.consumeFailure(); err != nil {
-		return err
-	}
-	f.rf = rf
-	return nil
-}
 func (f *fakeActuator) AddNode() error {
 	if err := f.consumeFailure(); err != nil {
 		return err

@@ -60,13 +60,13 @@ func TestKnowledgeEffectRecording(t *testing.T) {
 
 func TestKnowledgeHarmfulDetection(t *testing.T) {
 	kb := NewKnowledgeBase()
-	// Two applications of increase-rf that both made the window worse.
+	// Two applications of tighten-read-cl that both made the window worse.
 	for i := 0; i < 2; i++ {
 		at := time.Duration(i+1) * 10 * time.Minute
-		kb.RecordApplied(Action{Kind: ActionIncreaseReplication}, at, 0.100, 0.01, time.Minute)
+		kb.RecordApplied(Action{Kind: ActionTightenReadConsistency}, at, 0.100, 0.01, time.Minute)
 		kb.RecordObservation(at+2*time.Minute, 0.300, 0.02) // window tripled
 	}
-	eff := kb.Effectiveness(ActionIncreaseReplication)
+	eff := kb.Effectiveness(ActionTightenReadConsistency)
 	if eff.Samples != 2 {
 		t.Fatalf("samples = %d, want 2", eff.Samples)
 	}

@@ -487,33 +487,3 @@ func (p *Planner) tryTightenRead(an Analysis, plant PlantState, reason string) (
 	cooldownOK := !p.inCooldown(ActionTightenReadConsistency, an.At, p.cfg.ConsistencyCooldown)
 	return p.candidate(ActionTightenReadConsistency, an, p.cfg.EnableConsistencyActions, cooldownOK, reason)
 }
-
-// PlanReplication is exposed for completeness and for the ablation
-// experiments: when replication actions are enabled, a window persistently
-// beyond the SLA with idle resources and strict consistency can be attacked
-// by lowering the replication factor (fewer replicas have to converge), and
-// durability-driven policies can raise it again. The main planning paths use
-// it sparingly because the paper flags replication changes as the most
-// expensive reconfiguration.
-func (p *Planner) PlanReplication(an Analysis, plant PlantState, raise bool) (Action, bool) {
-	if !p.cfg.EnableReplicationActions {
-		return Action{}, false
-	}
-	if raise {
-		if plant.ReplicationFactor >= p.cfg.MaxReplication || plant.ReplicationFactor >= plant.ClusterSize {
-			return Action{}, false
-		}
-		// Raising RF under congestion is the paper's canonical wrong action.
-		if an.Cause == CauseNetworkCongestion {
-			p.noteVeto(ActionIncreaseReplication, ClusterScope(), "network congestion vetoes raising replication")
-			return Action{}, false
-		}
-		cooldownOK := !p.inCooldown(ActionIncreaseReplication, an.At, p.cfg.ReplicationCooldown)
-		return p.candidate(ActionIncreaseReplication, an, true, cooldownOK, "raise replication factor")
-	}
-	if plant.ReplicationFactor <= p.cfg.MinReplication {
-		return Action{}, false
-	}
-	cooldownOK := !p.inCooldown(ActionDecreaseReplication, an.At, p.cfg.ReplicationCooldown)
-	return p.candidate(ActionDecreaseReplication, an, true, cooldownOK, "lower replication factor")
-}

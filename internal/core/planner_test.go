@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"autonosql/internal/store"
+	"autonosql/internal/tenant"
 )
 
 func defaultPlant() PlantState {
@@ -58,7 +59,7 @@ func TestPlannerWindowHighCongestionAvoidsScaling(t *testing.T) {
 		t.Fatalf("precondition: cause = %v, want network-congestion", an.Cause)
 	}
 	a := p.Plan(an, defaultPlant())
-	if a.Kind == ActionAddNode || a.Kind == ActionIncreaseReplication {
+	if a.Kind == ActionAddNode {
 		t.Fatalf("planner chose %v under network congestion", a)
 	}
 	if a.Kind != ActionTightenWriteConsistency {
@@ -288,43 +289,107 @@ func TestPlannerConsistencyActionsDisabled(t *testing.T) {
 	}
 }
 
-func TestPlanReplication(t *testing.T) {
-	cfg := DefaultConfig(testSLA())
-	cfg.EnableReplicationActions = true
-	p := NewPlanner(cfg, nil)
-	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.02, readP99: 0.005, writeP99: 0.005, meanUtil: 0.5, clusterSize: 6})
-	plant := PlantState{ClusterSize: 6, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One}
-
-	if a, ok := p.PlanReplication(an, plant, true); !ok || a.Kind != ActionIncreaseReplication {
-		t.Fatalf("raise replication = %v, %v", a, ok)
+// TestPlannerEmitsEveryActionKind judges the action vocabulary: every kind
+// ActionKinds lists must be one Planner.Plan actually returns, from some
+// synthetic analysis, plant and planner history. A kind with no row here is
+// a knob no controller run can turn, and fails the test.
+func TestPlannerEmitsEveryActionKind(t *testing.T) {
+	admission := func() Config {
+		cfg := DefaultConfig(testSLA())
+		cfg.EnableAdmissionControl = true
+		cfg.EnablePlacementActions = true
+		return cfg
 	}
-	if a, ok := p.PlanReplication(an, plant, false); !ok || a.Kind != ActionDecreaseReplication {
-		t.Fatalf("lower replication = %v, %v", a, ok)
+	tenantPlant := PlantState{ClusterSize: 5, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One}
+	recovered := func(at time.Duration, throttled []ThrottledTenant) Analysis {
+		an := Analysis{
+			At:       at,
+			Snapshot: makeSnapshot(snapshotOpts{at: at, windowP95: 0.01, meanUtil: 0.5}),
+			Primary:  ConditionNominal,
+			Tenant:   "gold", TenantClass: string(tenant.Gold),
+			Throttled: throttled,
+		}
+		an.Snapshot.Tenants = []tenant.Signal{tenantSignal("gold", tenant.Gold, 0.01)}
+		return an
 	}
-
-	// RF cannot exceed the cluster size or the configured maximum.
-	plantSmall := PlantState{ClusterSize: 3, ReplicationFactor: 3}
-	if _, ok := p.PlanReplication(an, plantSmall, true); ok {
-		t.Fatal("raised RF beyond the cluster size")
+	rows := map[ActionKind]func() Action{
+		ActionTightenWriteConsistency: func() Action {
+			cfg := DefaultConfig(testSLA())
+			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.005, writeP99: 0.005, meanUtil: 0.2})
+			return NewPlanner(cfg, nil).Plan(an, defaultPlant())
+		},
+		ActionRelaxWriteConsistency: func() Action {
+			cfg := DefaultConfig(testSLA())
+			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.01, readP99: 0.002, writeP99: 0.05, meanUtil: 0.2, writeCL: store.All})
+			plant := defaultPlant()
+			plant.WriteConsistency = store.All
+			return NewPlanner(cfg, nil).Plan(an, plant)
+		},
+		// Window high with idle resources and the write level already at
+		// ALL: the read level is the only consistency knob left.
+		ActionTightenReadConsistency: func() Action {
+			cfg := DefaultConfig(testSLA())
+			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.005, writeP99: 0.005, meanUtil: 0.2, writeCL: store.All})
+			if an.Primary != ConditionWindowHigh || an.Cause != CauseLooseConsistency {
+				t.Fatalf("tighten-read precondition: %v / %v, want window-high / loose-consistency", an.Primary, an.Cause)
+			}
+			plant := defaultPlant()
+			plant.WriteConsistency = store.All
+			a := NewPlanner(cfg, nil).Plan(an, plant)
+			if a.Reason != "window high, write consistency already strict" {
+				t.Errorf("tighten-read reason = %q", a.Reason)
+			}
+			return a
+		},
+		ActionAddNode: func() Action {
+			cfg := DefaultConfig(testSLA())
+			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.1, readP99: 0.01, writeP99: 0.01, errorRate: 0.2, meanUtil: 0.9})
+			return NewPlanner(cfg, nil).Plan(an, defaultPlant())
+		},
+		ActionRemoveNode: func() Action {
+			cfg := DefaultConfig(testSLA())
+			cfg.EnablePrediction = false
+			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.005, readP99: 0.001, writeP99: 0.001, meanUtil: 0.1, clusterSize: 8})
+			return NewPlanner(cfg, nil).Plan(an, PlantState{ClusterSize: 8, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One})
+		},
+		ActionThrottleTenant: func() Action {
+			return NewPlanner(admission(), nil).Plan(protectionAnalysis(10*time.Minute), tenantPlant)
+		},
+		// A throttle that has stopped binding is released once the holdoff
+		// has run since the planner first saw it non-binding.
+		ActionUnthrottleTenant: func() Action {
+			cfg := admission()
+			p := NewPlanner(cfg, nil)
+			throttled := []ThrottledTenant{{Name: "bronze", Rate: 500, Offered: 300}}
+			p.Plan(recovered(20*time.Minute, throttled), tenantPlant)
+			return p.Plan(recovered(20*time.Minute+cfg.UnthrottleHoldoff, throttled), tenantPlant)
+		},
+		// Gold still at risk with no throttle left to impose or tighten.
+		ActionPinTenantClass: func() Action {
+			cfg := admission()
+			an := protectionAnalysis(10 * time.Minute)
+			an.ThrottleCandidate = ""
+			an.Throttled = []ThrottledTenant{{Name: "bronze", Rate: cfg.MinThrottleRate, Offered: 1000}}
+			return NewPlanner(cfg, nil).Plan(an, tenantPlant)
+		},
+		ActionUnpinTenantClass: func() Action {
+			plant := tenantPlant
+			plant.PinnedClass = string(tenant.Gold)
+			return NewPlanner(admission(), nil).Plan(recovered(30*time.Minute, nil), plant)
+		},
 	}
-	plantMin := PlantState{ClusterSize: 6, ReplicationFactor: cfg.MinReplication}
-	if _, ok := p.PlanReplication(an, plantMin, false); ok {
-		t.Fatal("lowered RF below the minimum")
+	for _, kind := range ActionKinds() {
+		row, ok := rows[kind]
+		if !ok {
+			t.Errorf("ActionKinds lists %v, but no row makes Planner.Plan emit it", kind)
+			continue
+		}
+		if got := row(); got.Kind != kind {
+			t.Errorf("row for %v: planned %v", kind, got)
+		}
+		delete(rows, kind)
 	}
-
-	// Raising RF under congestion is refused.
-	anCong := analyze(cfg, snapshotOpts{at: 20 * time.Second, windowP95: 0.5, readP99: 0.01, writeP99: 0.02, meanUtil: 0.2, clusterSize: 6})
-	if anCong.Cause != CauseNetworkCongestion {
-		t.Fatalf("precondition: cause = %v", anCong.Cause)
-	}
-	if _, ok := p.PlanReplication(anCong, plant, true); ok {
-		t.Fatal("raised RF under network congestion")
-	}
-
-	// Disabled replication actions plan nothing.
-	cfgOff := DefaultConfig(testSLA())
-	pOff := NewPlanner(cfgOff, nil)
-	if _, ok := pOff.PlanReplication(an, plant, true); ok {
-		t.Fatal("replication actions disabled but planned one")
+	for kind := range rows {
+		t.Errorf("row for %v, which ActionKinds does not list", kind)
 	}
 }

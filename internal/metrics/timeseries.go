@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -75,80 +73,6 @@ func (ts *TimeSeries) Max() float64 {
 		}
 	}
 	return max
-}
-
-// Between returns the points with At in [from, to).
-func (ts *TimeSeries) Between(from, to time.Duration) []Point {
-	var out []Point
-	for _, p := range ts.Points() {
-		if p.At >= from && p.At < to {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Resample aggregates the series into fixed buckets of the given width,
-// averaging the values inside each bucket. Empty buckets carry the previous
-// bucket's value forward (or zero at the start). The result always covers
-// [0, horizon).
-func (ts *TimeSeries) Resample(bucket, horizon time.Duration) []Point {
-	if bucket <= 0 || horizon <= 0 {
-		return nil
-	}
-	n := int(horizon / bucket)
-	if n == 0 {
-		n = 1
-	}
-	sums := make([]float64, n)
-	counts := make([]int, n)
-	for _, p := range ts.points {
-		idx := int(p.At / bucket)
-		if idx < 0 || idx >= n {
-			continue
-		}
-		sums[idx] += p.Value
-		counts[idx]++
-	}
-	out := make([]Point, n)
-	prev := 0.0
-	for i := 0; i < n; i++ {
-		v := prev
-		if counts[i] > 0 {
-			v = sums[i] / float64(counts[i])
-		}
-		out[i] = Point{At: time.Duration(i) * bucket, Value: v}
-		prev = v
-	}
-	return out
-}
-
-// ASCIIPlot renders a crude fixed-width plot of the series, useful for
-// figure-like output from the benchmark harness and examples.
-func (ts *TimeSeries) ASCIIPlot(bucket, horizon time.Duration, width int) string {
-	pts := ts.Resample(bucket, horizon)
-	if len(pts) == 0 {
-		return "(empty series)"
-	}
-	if width <= 0 {
-		width = 50
-	}
-	max := 0.0
-	for _, p := range pts {
-		if p.Value > max {
-			max = p.Value
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (max=%.4g)\n", ts.name, max)
-	for _, p := range pts {
-		bars := 0
-		if max > 0 {
-			bars = int(p.Value / max * float64(width))
-		}
-		fmt.Fprintf(&b, "%8s |%s %.4g\n", p.At.Truncate(time.Second), strings.Repeat("#", bars), p.Value)
-	}
-	return b.String()
 }
 
 // WindowedStat maintains summary statistics over a sliding window of the
@@ -315,28 +239,4 @@ func quantileOfSorted(cp []float64, q float64) float64 {
 		return cp[lo]
 	}
 	return cp[lo]*(1-frac) + cp[lo+1]*frac
-}
-
-// Trend returns a least-squares slope over the window contents interpreted
-// as equally spaced samples: positive when the metric is rising. The
-// controller's predictor uses it for simple load forecasting.
-func (w *WindowedStat) Trend() float64 {
-	vs := w.values()
-	n := float64(len(vs))
-	if n < 2 {
-		return 0
-	}
-	var sumX, sumY, sumXY, sumXX float64
-	for i, v := range vs {
-		x := float64(i)
-		sumX += x
-		sumY += v
-		sumXY += x * v
-		sumXX += x * x
-	}
-	denom := n*sumXX - sumX*sumX
-	if denom == 0 {
-		return 0
-	}
-	return (n*sumXY - sumX*sumY) / denom
 }

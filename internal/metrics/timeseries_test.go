@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 )
@@ -44,54 +43,6 @@ func TestTimeSeriesBetweenAndSorting(t *testing.T) {
 		if pts[i].At < pts[i-1].At {
 			t.Fatal("Points() not sorted by time")
 		}
-	}
-	between := ts.Between(1*time.Second, 3*time.Second)
-	if len(between) != 2 {
-		t.Fatalf("Between returned %d points, want 2", len(between))
-	}
-}
-
-func TestTimeSeriesResample(t *testing.T) {
-	ts := NewTimeSeries("load")
-	for i := 0; i < 10; i++ {
-		ts.Append(time.Duration(i)*time.Second, float64(i))
-	}
-	pts := ts.Resample(2*time.Second, 10*time.Second)
-	if len(pts) != 5 {
-		t.Fatalf("Resample returned %d buckets, want 5", len(pts))
-	}
-	if pts[0].Value != 0.5 {
-		t.Fatalf("bucket 0 = %v, want 0.5", pts[0].Value)
-	}
-	if pts[4].Value != 8.5 {
-		t.Fatalf("bucket 4 = %v, want 8.5", pts[4].Value)
-	}
-	if ts.Resample(0, time.Second) != nil {
-		t.Fatal("Resample with zero bucket should return nil")
-	}
-}
-
-func TestTimeSeriesResampleCarriesForward(t *testing.T) {
-	ts := NewTimeSeries("sparse")
-	ts.Append(0, 5)
-	ts.Append(9*time.Second, 10)
-	pts := ts.Resample(time.Second, 10*time.Second)
-	if pts[4].Value != 5 {
-		t.Fatalf("empty bucket should carry previous value, got %v", pts[4].Value)
-	}
-}
-
-func TestASCIIPlot(t *testing.T) {
-	ts := NewTimeSeries("plot")
-	ts.Append(0, 1)
-	ts.Append(time.Second, 2)
-	out := ts.ASCIIPlot(time.Second, 2*time.Second, 10)
-	if !strings.Contains(out, "plot") || !strings.Contains(out, "#") {
-		t.Fatalf("unexpected plot output: %q", out)
-	}
-	empty := NewTimeSeries("e")
-	if got := empty.ASCIIPlot(0, 0, 10); got != "(empty series)" {
-		t.Fatalf("empty plot = %q", got)
 	}
 }
 
@@ -219,28 +170,6 @@ func TestWindowedStatQuantileAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("one-quantile query allocates %.1f objects per call, want 0", avg)
-	}
-}
-
-func TestWindowedStatTrend(t *testing.T) {
-	w := NewWindowedStat(10)
-	for i := 0; i < 10; i++ {
-		w.Observe(float64(i) * 2)
-	}
-	if math.Abs(w.Trend()-2) > 1e-9 {
-		t.Fatalf("Trend = %v, want 2", w.Trend())
-	}
-	flat := NewWindowedStat(5)
-	for i := 0; i < 5; i++ {
-		flat.Observe(7)
-	}
-	if flat.Trend() != 0 {
-		t.Fatalf("Trend of constant = %v, want 0", flat.Trend())
-	}
-	short := NewWindowedStat(5)
-	short.Observe(1)
-	if short.Trend() != 0 {
-		t.Fatal("Trend with one sample should be 0")
 	}
 }
 

@@ -375,6 +375,43 @@ func TestDaemonRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsRemovedSpecFields pins the API break of the removed spec
+// surface: a client that still asks for replication control, an epoch or a
+// shard grid axis gets a 400 naming the field instead of a silent no-op,
+// while the deprecated scenario-level Shards still loads.
+func TestDaemonRejectsRemovedSpecFields(t *testing.T) {
+	ts := newTestDaemon(t)
+	for field, body := range map[string]string{
+		"AllowReplicationChanges": `{"scenario": {"Controller": {"Mode": "smart", "AllowReplicationChanges": true}}}`,
+		"Epoch":                   `{"scenario": {"Epoch": 1000000}}`,
+		"Shards":                  `{"suite": {"grid": {"Shards": [1, 4]}}}`,
+	} {
+		t.Run(field, func(t *testing.T) {
+			resp, b := postRaw(t, ts.URL+"/api/jobs", body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), field) {
+				t.Errorf("status %d, body %s; want 400 naming %s", resp.StatusCode, b, field)
+			}
+		})
+	}
+	if resp, b := postRaw(t, ts.URL+"/api/jobs", `{"scenario": {"Shards": 1}}`); resp.StatusCode != http.StatusCreated {
+		t.Errorf("spec with Shards: status %d, body %s; want 201", resp.StatusCode, b)
+	}
+}
+
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading response: %v", err)
+	}
+	return resp, b
+}
+
 func TestDaemonHealthListShutdown(t *testing.T) {
 	srv := NewServer(Options{})
 	ts := httptest.NewServer(srv.Handler())

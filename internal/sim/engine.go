@@ -310,9 +310,6 @@ func (e *Engine) Step() bool {
 // the events still queued.
 func (e *Engine) Halt() { e.halted = true }
 
-// Halted reports whether Halt has been called.
-func (e *Engine) Halted() bool { return e.halted }
-
 // Run processes events until the virtual clock reaches until or the event
 // queue drains, whichever comes first. The clock is advanced to until even if
 // the queue drains earlier, so repeated Run calls observe monotonic time.

@@ -137,7 +137,6 @@ type Runtime struct {
 
 	opsInterval  uint64
 	errsInterval uint64
-	lastSignal   Signal
 
 	// Admission control (nil clock = never installed). The limiter sits in
 	// front of inner: a shed operation is rejected synchronously, counted as
@@ -557,13 +556,9 @@ func (r *Runtime) Observe(at, interval time.Duration, windowP95 float64) Signal 
 	r.opsInterval = 0
 	r.errsInterval = 0
 	r.shedInterval = 0
-	r.lastSignal = sig
 	r.tracker.Observe(sig.observation(at, interval))
 	return sig
 }
-
-// LastSignal returns the most recent signal produced by Observe.
-func (r *Runtime) LastSignal() Signal { return r.lastSignal }
 
 // Summary is the tenant's final compliance-and-cost accounting for a run.
 type Summary struct {

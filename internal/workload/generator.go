@@ -16,43 +16,6 @@ type Mix struct {
 	ReadFraction float64
 }
 
-// YCSB-style workload presets. The key distributions follow the published
-// YCSB core workloads; absolute rates come from the load profile.
-type Preset string
-
-// Presets.
-const (
-	// PresetA is update heavy: 50% reads, 50% writes, zipfian keys.
-	PresetA Preset = "A"
-	// PresetB is read mostly: 95% reads, zipfian keys.
-	PresetB Preset = "B"
-	// PresetC is read only, zipfian keys.
-	PresetC Preset = "C"
-	// PresetD is read latest: 95% reads skewed to recent inserts.
-	PresetD Preset = "D"
-	// PresetF is read-modify-write approximated as 50/50 on zipfian keys.
-	PresetF Preset = "F"
-)
-
-// PresetSpec returns the mix and a key chooser factory for a preset.
-func PresetSpec(p Preset, keyspace int, rnd *sim.RandSource) (Mix, KeyChooser, error) {
-	rng := rnd.Stream("keys-" + string(p))
-	switch p {
-	case PresetA:
-		return Mix{ReadFraction: 0.5}, NewZipfianKeys(keyspace, 1.3, rng), nil
-	case PresetB:
-		return Mix{ReadFraction: 0.95}, NewZipfianKeys(keyspace, 1.3, rng), nil
-	case PresetC:
-		return Mix{ReadFraction: 1.0}, NewZipfianKeys(keyspace, 1.3, rng), nil
-	case PresetD:
-		return Mix{ReadFraction: 0.95}, NewLatestKeys(keyspace, rng), nil
-	case PresetF:
-		return Mix{ReadFraction: 0.5}, NewZipfianKeys(keyspace, 1.3, rng), nil
-	default:
-		return Mix{}, nil, errors.New("workload: unknown preset " + string(p))
-	}
-}
-
 // Target is what a traffic source is pointed at: anything with the store's
 // name-based Read/Write pair. *store.Store, the monitor and the tenant
 // runtimes satisfy it, and so does a test double that only knows names.

@@ -306,24 +306,6 @@ func TestSlicedChoosersStayInWindow(t *testing.T) {
 	}
 }
 
-func TestPresetSpecs(t *testing.T) {
-	for _, p := range []Preset{PresetA, PresetB, PresetC, PresetD, PresetF} {
-		mix, keys, err := PresetSpec(p, 1000, sim.NewRandSource(1))
-		if err != nil {
-			t.Fatalf("PresetSpec(%s): %v", p, err)
-		}
-		if keys == nil {
-			t.Fatalf("PresetSpec(%s): nil key chooser", p)
-		}
-		if mix.ReadFraction < 0 || mix.ReadFraction > 1 {
-			t.Fatalf("PresetSpec(%s): bad mix %v", p, mix)
-		}
-	}
-	if _, _, err := PresetSpec("Z", 10, sim.NewRandSource(1)); err == nil {
-		t.Fatal("unknown preset accepted")
-	}
-}
-
 func TestGeneratorAgainstRealStore(t *testing.T) {
 	engine := sim.NewEngine()
 	src := sim.NewRandSource(11)
@@ -332,14 +314,11 @@ func TestGeneratorAgainstRealStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store.New: %v", err)
 	}
-	mix, keys, err := PresetSpec(PresetA, 500, src)
-	if err != nil {
-		t.Fatalf("PresetSpec: %v", err)
-	}
+	// YCSB workload A: update heavy, 50/50 over zipfian keys.
 	g, err := NewGenerator(Config{
 		Profile: ConstantProfile{OpsPerSec: 400},
-		Mix:     mix,
-		Keys:    keys,
+		Mix:     Mix{ReadFraction: 0.5},
+		Keys:    NewZipfianKeys(500, 1.3, src.Stream("keys-A")),
 		Until:   5 * time.Second,
 	}, engine, st, src)
 	if err != nil {

@@ -572,12 +572,6 @@ func (s *Scenario) Run() (*Report, error) {
 	if s.tenant != nil {
 		s.tenant.Stop()
 	}
-	if s.smart != nil {
-		s.smart.Stop()
-	}
-	if s.reactive != nil {
-		s.reactive.Stop()
-	}
 	return s.buildReport(), nil
 }
 

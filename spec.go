@@ -184,9 +184,6 @@ type ControllerSpec struct {
 	// AllowConsistencyChanges lets the smart controller change consistency
 	// levels.
 	AllowConsistencyChanges bool
-	// AllowReplicationChanges lets the smart controller change the
-	// replication factor.
-	AllowReplicationChanges bool
 	// AllowScaling lets the controller add and remove nodes.
 	AllowScaling bool
 	// Admission configures tenant-scoped admission control (throttle /
@@ -275,11 +272,6 @@ type ScenarioSpec struct {
 	//
 	// Deprecated: ignored.
 	Shards int `json:",omitempty"`
-	// Epoch is accepted so stored specs keep loading, and must be
-	// non-negative.
-	//
-	// Deprecated: ignored.
-	Epoch time.Duration `json:",omitempty"`
 }
 
 // DefaultScenarioSpec returns a ready-to-run scenario: a three-node cluster,
@@ -405,9 +397,6 @@ func (s ScenarioSpec) Validate() error {
 	}
 	if s.Shards < 0 {
 		return errors.New("autonosql: Shards must be non-negative")
-	}
-	if s.Epoch < 0 {
-		return errors.New("autonosql: Epoch must be non-negative")
 	}
 	return nil
 }
@@ -543,7 +532,6 @@ func (s ScenarioSpec) controllerConfig() core.Config {
 	}
 	cfg.EnablePrediction = s.Controller.Predictive
 	cfg.EnableConsistencyActions = s.Controller.AllowConsistencyChanges
-	cfg.EnableReplicationActions = s.Controller.AllowReplicationChanges
 	cfg.EnableScaling = s.Controller.AllowScaling
 	cfg.EnableAdmissionControl = s.Controller.Admission.Enabled
 	cfg.EnablePlacementActions = s.Controller.AllowPlacement

@@ -130,17 +130,12 @@ func TestCostModelDefaultsWhenUnspecified(t *testing.T) {
 	}
 }
 
-// TestShardSpecValidation pins that the deprecated Shards and Epoch fields,
-// though ignored, still reject negative values.
+// TestShardSpecValidation pins that the deprecated Shards field, though
+// ignored, still rejects negative values.
 func TestShardSpecValidation(t *testing.T) {
 	spec := DefaultScenarioSpec()
 	spec.Shards = -1
 	if _, err := NewScenario(spec); err == nil {
 		t.Fatal("NewScenario accepted negative Shards")
-	}
-	spec = DefaultScenarioSpec()
-	spec.Epoch = -time.Second
-	if _, err := NewScenario(spec); err == nil {
-		t.Fatal("NewScenario accepted negative Epoch")
 	}
 }
