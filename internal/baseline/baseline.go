@@ -18,53 +18,31 @@ import (
 
 // ReactiveConfig configures the CPU-threshold autoscaler.
 type ReactiveConfig struct {
-	// ScaleOutUtilization is the mean utilisation above which a node is added.
-	ScaleOutUtilization float64
-	// ScaleInUtilization is the mean utilisation below which a node is removed.
-	ScaleInUtilization float64
-	// ScaleOutCooldown is the minimum time between node additions.
-	ScaleOutCooldown time.Duration
-	// ScaleInCooldown is the minimum time between node removals.
-	ScaleInCooldown time.Duration
 	// MinNodes and MaxNodes bound the cluster size.
 	MinNodes int
 	MaxNodes int
 }
 
-// DefaultReactiveConfig mirrors a typical cloud provider autoscaling policy:
-// scale out above 75% CPU, scale in below 30%, with conservative cooldowns.
-func DefaultReactiveConfig() ReactiveConfig {
-	return ReactiveConfig{
-		ScaleOutUtilization: 0.75,
-		ScaleInUtilization:  0.30,
-		ScaleOutCooldown:    90 * time.Second,
-		ScaleInCooldown:     5 * time.Minute,
-		MinNodes:            2,
-		MaxNodes:            32,
-	}
-}
+// The autoscaling policy mirrors a typical cloud provider's: scale out above
+// 75% CPU, scale in below 30%, with conservative cooldowns.
+const (
+	// scaleOutUtilization is the mean utilisation above which a node is
+	// added.
+	scaleOutUtilization = 0.75
+	// scaleInUtilization is the mean utilisation below which a node is
+	// removed.
+	scaleInUtilization = 0.30
+	// scaleOutCooldown is the minimum time between node additions.
+	scaleOutCooldown = 90 * time.Second
+	// scaleInCooldown is the minimum time between node removals, and the
+	// time a scale-out holds off the next removal.
+	scaleInCooldown = 5 * time.Minute
+)
 
-func (c ReactiveConfig) withDefaults() ReactiveConfig {
-	d := DefaultReactiveConfig()
-	if c.ScaleOutUtilization <= 0 || c.ScaleOutUtilization > 1 {
-		c.ScaleOutUtilization = d.ScaleOutUtilization
-	}
-	if c.ScaleInUtilization <= 0 || c.ScaleInUtilization >= c.ScaleOutUtilization {
-		c.ScaleInUtilization = d.ScaleInUtilization
-	}
-	if c.ScaleOutCooldown <= 0 {
-		c.ScaleOutCooldown = d.ScaleOutCooldown
-	}
-	if c.ScaleInCooldown <= 0 {
-		c.ScaleInCooldown = d.ScaleInCooldown
-	}
-	if c.MinNodes <= 0 {
-		c.MinNodes = d.MinNodes
-	}
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = d.MaxNodes
-	}
-	return c
+// DefaultReactiveConfig returns the cluster-size bounds of the default
+// policy.
+func DefaultReactiveConfig() ReactiveConfig {
+	return ReactiveConfig{MinNodes: 2, MaxNodes: 32}
 }
 
 // ReactiveAutoscaler is the classic utilisation-threshold autoscaler. It only
@@ -84,16 +62,14 @@ type ReactiveAutoscaler struct {
 }
 
 // NewReactiveAutoscaler creates an autoscaler driving the given actuator. The
-// owner calls Step once per control interval with the latest snapshot.
+// owner calls Step once per control interval with the latest snapshot. It
+// takes a complete config; start from DefaultReactiveConfig.
 func NewReactiveAutoscaler(cfg ReactiveConfig, actuator core.Actuator) (*ReactiveAutoscaler, error) {
 	if actuator == nil {
 		return nil, errors.New("baseline: actuator is required")
 	}
-	return &ReactiveAutoscaler{cfg: cfg.withDefaults(), actuator: actuator}, nil
+	return &ReactiveAutoscaler{cfg: cfg, actuator: actuator}, nil
 }
-
-// Config returns the autoscaler configuration with defaults applied.
-func (r *ReactiveAutoscaler) Config() ReactiveConfig { return r.cfg }
 
 // Step runs one control step: a pure CPU-threshold policy.
 func (r *ReactiveAutoscaler) Step(snap monitor.Snapshot) core.Decision {
@@ -101,8 +77,8 @@ func (r *ReactiveAutoscaler) Step(snap monitor.Snapshot) core.Decision {
 	size := r.actuator.ClusterSize()
 
 	switch {
-	case snap.MeanUtilization > r.cfg.ScaleOutUtilization && size < r.cfg.MaxNodes &&
-		(!r.scaledOut || snap.At-r.lastScaleOut >= r.cfg.ScaleOutCooldown):
+	case snap.MeanUtilization > scaleOutUtilization && size < r.cfg.MaxNodes &&
+		(!r.scaledOut || snap.At-r.lastScaleOut >= scaleOutCooldown):
 		d.Action = core.Action{Kind: core.ActionAddNode, Reason: "mean utilisation above scale-out threshold"}
 		if err := r.actuator.AddNode(); err != nil {
 			d.Err = err
@@ -114,9 +90,9 @@ func (r *ReactiveAutoscaler) Step(snap monitor.Snapshot) core.Decision {
 			r.scaledOut = true
 		}
 
-	case snap.MeanUtilization < r.cfg.ScaleInUtilization && size > r.cfg.MinNodes &&
-		(!r.scaledIn || snap.At-r.lastScaleIn >= r.cfg.ScaleInCooldown) &&
-		(!r.scaledOut || snap.At-r.lastScaleOut >= r.cfg.ScaleInCooldown):
+	case snap.MeanUtilization < scaleInUtilization && size > r.cfg.MinNodes &&
+		(!r.scaledIn || snap.At-r.lastScaleIn >= scaleInCooldown) &&
+		(!r.scaledOut || snap.At-r.lastScaleOut >= scaleInCooldown):
 		d.Action = core.Action{Kind: core.ActionRemoveNode, Reason: "mean utilisation below scale-in threshold"}
 		if err := r.actuator.RemoveNode(); err != nil {
 			d.Err = err

@@ -100,7 +100,7 @@ func TestReactiveScaleOutCooldown(t *testing.T) {
 	if d.Applied {
 		t.Fatal("second scale-out applied within the cooldown")
 	}
-	d = r.Step(snap(10*time.Second+DefaultReactiveConfig().ScaleOutCooldown, 0.9, 4))
+	d = r.Step(snap(10*time.Second+scaleOutCooldown, 0.9, 4))
 	if !d.Applied {
 		t.Fatal("scale-out after cooldown expired was not applied")
 	}
@@ -120,6 +120,33 @@ func TestReactiveScalesInOnLowUtilization(t *testing.T) {
 	d = r.Step(snap(10*time.Minute+10*time.Second, 0.1, 5))
 	if d.Applied {
 		t.Fatal("second scale-in applied within the cooldown")
+	}
+}
+
+// TestReactiveScaleInWaitsOutScaleOut pins the hold a scale-out puts on the
+// next removal: for the scale-in cooldown after a node was added, low
+// utilisation removes nothing, and the first step at the end of that
+// cooldown scales in.
+func TestReactiveScaleInWaitsOutScaleOut(t *testing.T) {
+	act := newFakeActuator(3)
+	r, err := NewReactiveAutoscaler(DefaultReactiveConfig(), act)
+	if err != nil {
+		t.Fatalf("NewReactiveAutoscaler: %v", err)
+	}
+	const interval = 10 * time.Second
+	out := interval
+	if d := r.Step(snap(out, 0.9, 3)); !d.Applied || d.Action.Kind != core.ActionAddNode {
+		t.Fatalf("decision %+v, want applied add-node", d)
+	}
+	if d := r.Step(snap(out+scaleInCooldown-interval, 0.1, 4)); d.Applied || !d.Action.IsNoop() {
+		t.Fatalf("one tick before the scale-in cooldown ended: %+v, want no action", d)
+	}
+	d := r.Step(snap(out+scaleInCooldown, 0.1, 4))
+	if !d.Applied || d.Action.Kind != core.ActionRemoveNode {
+		t.Fatalf("at the end of the scale-in cooldown: %+v, want applied remove-node", d)
+	}
+	if act.adds != 1 || act.removes != 1 {
+		t.Fatalf("adds=%d removes=%d, want 1 and 1", act.adds, act.removes)
 	}
 }
 
@@ -180,13 +207,6 @@ func TestReactiveRecordsActuationFailures(t *testing.T) {
 func TestReactiveValidation(t *testing.T) {
 	if _, err := NewReactiveAutoscaler(DefaultReactiveConfig(), nil); err == nil {
 		t.Fatal("nil actuator accepted")
-	}
-	r, err := NewReactiveAutoscaler(ReactiveConfig{}, newFakeActuator(3))
-	if err != nil {
-		t.Fatalf("zero config rejected: %v", err)
-	}
-	if r.Config().ScaleOutUtilization <= 0 {
-		t.Fatal("zero config did not receive defaults")
 	}
 }
 

@@ -9,65 +9,40 @@ import (
 	"autonosql/internal/sim"
 )
 
-// Config describes a cluster: its initial size, node profile, network
-// profile and provisioning behaviour.
+// Config describes a cluster: its initial size, node capacity and
+// provisioning behaviour. The network profile and the node cost model are
+// the package's constants.
 type Config struct {
 	// InitialNodes is the number of nodes present at simulation start.
 	InitialNodes int
-	// Node is the per-node capacity profile.
-	Node NodeConfig
-	// Network is the datacentre network profile.
-	Network NetworkConfig
+	// NodeOpsPerSec is the sustainable throughput of each node.
+	NodeOpsPerSec float64
 	// BootstrapTime is how long a newly provisioned node takes before it can
 	// serve traffic (VM start + data streaming).
 	BootstrapTime time.Duration
 	// DecommissionTime is how long a node drains before it is removed.
 	DecommissionTime time.Duration
-	// RebalanceLoad is the extra load fraction imposed on existing nodes
-	// while a node bootstraps or drains.
-	RebalanceLoad float64
 	// MinNodes and MaxNodes bound the cluster size reachable through
 	// AddNode/RemoveNode (they model a provider quota).
 	MinNodes int
 	MaxNodes int
 }
 
+// rebalanceLoad is the extra load fraction imposed on existing nodes while a
+// node bootstraps or drains.
+const rebalanceLoad = 0.15
+
 // DefaultConfig returns the cluster profile used by the experiments:
 // three nodes, 60 s bootstrap, 30 s decommission.
 func DefaultConfig() Config {
 	return Config{
 		InitialNodes:     3,
-		Node:             DefaultNodeConfig(),
-		Network:          DefaultNetworkConfig(),
+		NodeOpsPerSec:    DefaultNodeOpsPerSec,
 		BootstrapTime:    60 * time.Second,
 		DecommissionTime: 30 * time.Second,
-		RebalanceLoad:    0.15,
 		MinNodes:         1,
 		MaxNodes:         32,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.InitialNodes <= 0 {
-		c.InitialNodes = d.InitialNodes
-	}
-	if c.BootstrapTime <= 0 {
-		c.BootstrapTime = d.BootstrapTime
-	}
-	if c.DecommissionTime <= 0 {
-		c.DecommissionTime = d.DecommissionTime
-	}
-	if c.RebalanceLoad <= 0 {
-		c.RebalanceLoad = d.RebalanceLoad
-	}
-	if c.MinNodes <= 0 {
-		c.MinNodes = d.MinNodes
-	}
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = d.MaxNodes
-	}
-	return c
 }
 
 // Errors returned by cluster membership operations.
@@ -116,20 +91,20 @@ type Cluster struct {
 	lastAccountedAt time.Duration
 }
 
-// New creates a cluster with cfg.InitialNodes nodes already up.
+// New creates a cluster with cfg.InitialNodes nodes already up. It takes a
+// complete config; start from DefaultConfig.
 func New(cfg Config, engine *sim.Engine, rnd *sim.RandSource) *Cluster {
-	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:        cfg,
 		engine:     engine,
-		network:    NewNetwork(cfg.Network, rnd.Stream("network")),
+		network:    NewNetwork(rnd.Stream("network")),
 		rnd:        rnd,
 		nodes:      make(map[NodeID]*Node),
 		availDirty: true,
 	}
 	for i := 0; i < cfg.InitialNodes; i++ {
 		id := c.allocateID()
-		c.nodes[id] = c.adopt(NewNode(id, cfg.Node, engine, rnd.Stream(fmt.Sprintf("node-%d", id))))
+		c.nodes[id] = c.adopt(NewNode(id, cfg.NodeOpsPerSec, engine, rnd.Stream(fmt.Sprintf("node-%d", id))))
 	}
 	return c
 }
@@ -148,9 +123,6 @@ func (c *Cluster) allocateID() NodeID {
 	c.nextID++
 	return c.nextID
 }
-
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Network returns the cluster's network model.
 func (c *Cluster) Network() *Network { return c.network }
@@ -212,7 +184,7 @@ func (c *Cluster) AddNode() (NodeID, error) {
 	}
 	c.accountNodeSeconds()
 	id := c.allocateID()
-	node := c.adopt(NewNode(id, c.cfg.Node, c.engine, c.rnd.Stream(fmt.Sprintf("node-%d", id))))
+	node := c.adopt(NewNode(id, c.cfg.NodeOpsPerSec, c.engine, c.rnd.Stream(fmt.Sprintf("node-%d", id))))
 	node.SetState(NodeJoining)
 	c.nodes[id] = node
 	c.pendingJoins++
@@ -309,7 +281,7 @@ func (c *Cluster) RecoverNode(id NodeID) error {
 // applyRebalanceLoad recomputes the rebalance load imposed on available
 // nodes from the number of in-flight joins/drains.
 func (c *Cluster) applyRebalanceLoad() {
-	load := clamp(float64(c.pendingJoins)*c.cfg.RebalanceLoad, 0, 0.6)
+	load := clamp(float64(c.pendingJoins)*rebalanceLoad, 0, 0.6)
 	for _, n := range c.nodes {
 		if n.Available() {
 			n.SetRebalanceLoad(load)

@@ -49,16 +49,6 @@ func TestClusterInitialSize(t *testing.T) {
 	}
 }
 
-func TestClusterDefaultsApplied(t *testing.T) {
-	c := New(Config{}, sim.NewEngine(), sim.NewRandSource(1))
-	if c.Size() != DefaultConfig().InitialNodes {
-		t.Fatalf("default initial nodes = %d", c.Size())
-	}
-	if c.Config().MaxNodes <= 0 || c.Config().BootstrapTime <= 0 {
-		t.Fatal("config defaults not applied")
-	}
-}
-
 func TestAddNodeLifecycle(t *testing.T) {
 	c, engine := newTestCluster(t, 2)
 	var listener recordingListener
@@ -311,7 +301,7 @@ func TestTenantDriverDefaultInterval(t *testing.T) {
 // compose: a node isolated by two faults reconnects only when both heal, and
 // the heal of one fault never reconnects a node another still isolates.
 func TestPartitionIsolationRefcounts(t *testing.T) {
-	net := NewNetwork(DefaultNetworkConfig(), sim.NewRandSource(1).Stream("net"))
+	net := NewNetwork(sim.NewRandSource(1).Stream("net"))
 	a, b, c := NodeID(1), NodeID(2), NodeID(3)
 
 	if !net.Reachable(a, b) || net.PartitionActive() {

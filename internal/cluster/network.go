@@ -7,48 +7,20 @@ import (
 	"autonosql/internal/sim"
 )
 
-// NetworkConfig describes the datacentre network connecting nodes and
-// clients.
-type NetworkConfig struct {
+// The datacentre network model: a single-datacentre deployment with ~0.5 ms
+// node-to-node latency.
+const (
 	// BaseLatency is the median one-way latency between any two nodes.
-	BaseLatency time.Duration
-	// JitterSigma is the log-normal shape parameter of latency jitter.
-	JitterSigma float64
+	BaseLatency = 500 * time.Microsecond
 	// ClientLatency is the median one-way latency between clients and the
 	// coordinator node they talk to.
-	ClientLatency time.Duration
-	// CongestionSensitivity scales how strongly the congestion level
+	ClientLatency = 1 * time.Millisecond
+	// JitterSigma is the log-normal shape parameter of latency jitter.
+	JitterSigma = 0.3
+	// congestionSensitivity scales how strongly the congestion level
 	// inflates latency: latency *= 1 + sensitivity*congestion.
-	CongestionSensitivity float64
-}
-
-// DefaultNetworkConfig models a single-datacentre deployment with ~0.5 ms
-// node-to-node latency.
-func DefaultNetworkConfig() NetworkConfig {
-	return NetworkConfig{
-		BaseLatency:           500 * time.Microsecond,
-		JitterSigma:           0.3,
-		ClientLatency:         1 * time.Millisecond,
-		CongestionSensitivity: 8,
-	}
-}
-
-func (c NetworkConfig) withDefaults() NetworkConfig {
-	d := DefaultNetworkConfig()
-	if c.BaseLatency <= 0 {
-		c.BaseLatency = d.BaseLatency
-	}
-	if c.JitterSigma <= 0 {
-		c.JitterSigma = d.JitterSigma
-	}
-	if c.ClientLatency <= 0 {
-		c.ClientLatency = d.ClientLatency
-	}
-	if c.CongestionSensitivity <= 0 {
-		c.CongestionSensitivity = d.CongestionSensitivity
-	}
-	return c
-}
+	congestionSensitivity = 8
+)
 
 // Network models inter-node and client-node message delays. A congestion
 // level in [0, 1] uniformly inflates delays; the noisy-neighbour profile and
@@ -72,7 +44,6 @@ func (c NetworkConfig) withDefaults() NetworkConfig {
 // the phenomenon the scenarios measure (minority islands diverging from the
 // majority) at a nil-map check's cost.
 type Network struct {
-	cfg        NetworkConfig
 	rng        *rand.Rand
 	congestion float64
 	selfLoad   float64
@@ -90,12 +61,9 @@ type Network struct {
 }
 
 // NewNetwork creates a network model.
-func NewNetwork(cfg NetworkConfig, rng *rand.Rand) *Network {
-	return &Network{cfg: cfg.withDefaults(), rng: rng}
+func NewNetwork(rng *rand.Rand) *Network {
+	return &Network{rng: rng}
 }
-
-// Config returns the network configuration.
-func (n *Network) Config() NetworkConfig { return n.cfg }
 
 // SetCongestion sets the externally imposed congestion level in [0, 1].
 func (n *Network) SetCongestion(level float64) {
@@ -191,8 +159,8 @@ func (n *Network) Reachable(a, b NodeID) bool {
 func (n *Network) PartitionActive() bool { return n.isolated != nil }
 
 func (n *Network) delay(base time.Duration) time.Duration {
-	inflate := 1 + n.cfg.CongestionSensitivity*n.EffectiveCongestion()
-	d := time.Duration(sim.LogNormal(n.rng, float64(base)*inflate, n.cfg.JitterSigma))
+	inflate := 1 + congestionSensitivity*n.EffectiveCongestion()
+	d := time.Duration(sim.LogNormal(n.rng, float64(base)*inflate, JitterSigma))
 	if d <= 0 {
 		d = base
 	}
@@ -200,7 +168,7 @@ func (n *Network) delay(base time.Duration) time.Duration {
 }
 
 // NodeToNode returns a sampled one-way delay between two cluster nodes.
-func (n *Network) NodeToNode() time.Duration { return n.delay(n.cfg.BaseLatency) }
+func (n *Network) NodeToNode() time.Duration { return n.delay(BaseLatency) }
 
 // ClientToNode returns a sampled one-way delay between a client and a node.
-func (n *Network) ClientToNode() time.Duration { return n.delay(n.cfg.ClientLatency) }
+func (n *Network) ClientToNode() time.Duration { return n.delay(ClientLatency) }

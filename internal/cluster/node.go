@@ -60,59 +60,24 @@ func (s NodeState) String() string {
 	}
 }
 
-// NodeConfig describes the capacity and service-time characteristics of a
-// node. The defaults model a modest cloud VM running a storage engine.
-type NodeConfig struct {
-	// BaseServiceTime is the median time to execute one operation on an
-	// otherwise idle node.
-	BaseServiceTime time.Duration
+// The node cost model. A node is a serial executor, so its median service
+// time is the inverse of its capacity; the defaults model a modest cloud VM
+// running a storage engine.
+const (
+	// DefaultNodeOpsPerSec is the sustainable throughput of the default node:
+	// a 0.2 ms median service time.
+	DefaultNodeOpsPerSec = 5000
 	// ServiceTimeSigma is the log-normal shape parameter for service-time
 	// variability.
-	ServiceTimeSigma float64
-	// CapacityOpsPerSec is the sustainable operation throughput of the node.
-	// Arrivals beyond this rate queue and inflate latency.
-	CapacityOpsPerSec float64
-	// ReplicationApplyTime is the median time to apply a replicated mutation
-	// in the background (typically cheaper than a coordinated operation).
-	ReplicationApplyTime time.Duration
+	ServiceTimeSigma = 0.35
+	// ReplicationApplyShare is the cost of applying a replicated mutation in
+	// the background relative to a coordinated operation.
+	ReplicationApplyShare = 0.75
 	// ReplicationQueuePenalty models the lower scheduling priority of
 	// background replication: a replicated mutation waits this many times
-	// longer than the foreground queue delay before it is applied. Values
-	// below 1 are treated as 1 (no penalty).
-	ReplicationQueuePenalty float64
-}
-
-// DefaultNodeConfig returns the node profile used by the experiments: a node
-// that sustains roughly 5000 ops/s with a 0.2 ms median service time.
-func DefaultNodeConfig() NodeConfig {
-	return NodeConfig{
-		BaseServiceTime:         200 * time.Microsecond,
-		ServiceTimeSigma:        0.35,
-		CapacityOpsPerSec:       5000,
-		ReplicationApplyTime:    150 * time.Microsecond,
-		ReplicationQueuePenalty: 4,
-	}
-}
-
-func (c NodeConfig) withDefaults() NodeConfig {
-	d := DefaultNodeConfig()
-	if c.BaseServiceTime <= 0 {
-		c.BaseServiceTime = d.BaseServiceTime
-	}
-	if c.ServiceTimeSigma <= 0 {
-		c.ServiceTimeSigma = d.ServiceTimeSigma
-	}
-	if c.CapacityOpsPerSec <= 0 {
-		c.CapacityOpsPerSec = d.CapacityOpsPerSec
-	}
-	if c.ReplicationApplyTime <= 0 {
-		c.ReplicationApplyTime = d.ReplicationApplyTime
-	}
-	if c.ReplicationQueuePenalty < 1 {
-		c.ReplicationQueuePenalty = d.ReplicationQueuePenalty
-	}
-	return c
-}
+	// longer than the foreground queue delay before it is applied.
+	ReplicationQueuePenalty = 4
+)
 
 // Node is a simulated database host. Work submitted to a node is serviced by
 // a single logical executor: each operation waits for the work queued before
@@ -121,9 +86,15 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // which in turn widens the inconsistency window under load.
 type Node struct {
 	id     NodeID
-	cfg    NodeConfig
 	engine *sim.Engine
 	rng    *rand.Rand
+
+	// capacity is the sustainable operation throughput; arrivals beyond it
+	// queue and inflate latency. service and apply are the median times of a
+	// coordinated operation and of a background replication apply.
+	capacity float64
+	service  time.Duration
+	apply    time.Duration
 
 	state     NodeState
 	busyUntil time.Duration
@@ -151,14 +122,18 @@ type Node struct {
 	notify func()
 }
 
-// NewNode constructs a node in the NodeUp state.
-func NewNode(id NodeID, cfg NodeConfig, engine *sim.Engine, rng *rand.Rand) *Node {
+// NewNode constructs a node in the NodeUp state that sustains opsPerSec
+// operations per second.
+func NewNode(id NodeID, opsPerSec float64, engine *sim.Engine, rng *rand.Rand) *Node {
+	service := time.Duration(float64(time.Second) / opsPerSec)
 	return &Node{
-		id:     id,
-		cfg:    cfg.withDefaults(),
-		engine: engine,
-		rng:    rng,
-		state:  NodeUp,
+		id:       id,
+		engine:   engine,
+		rng:      rng,
+		capacity: opsPerSec,
+		service:  service,
+		apply:    time.Duration(float64(service) * ReplicationApplyShare),
+		state:    NodeUp,
 	}
 }
 
@@ -176,8 +151,9 @@ func (n *Node) SetState(s NodeState) {
 	}
 }
 
-// Config returns the node's capacity configuration.
-func (n *Node) Config() NodeConfig { return n.cfg }
+// Capacity returns the node's sustainable throughput in operations per
+// second.
+func (n *Node) Capacity() float64 { return n.capacity }
 
 // SetClass tags the node as dedicated to one SLA class ("" returns it to the
 // shared pool).
@@ -244,14 +220,14 @@ func (n *Node) Enqueue(now time.Duration, kind WorkKind) (delay time.Duration, o
 		n.opsRejected.Inc()
 		return 0, false
 	}
-	base := n.cfg.BaseServiceTime
+	base := n.service
 	if kind == ReplicationApply {
-		base = n.cfg.ReplicationApplyTime
+		base = n.apply
 	}
 	// Contention from co-tenants and rebalancing effectively slows the
 	// executor down: the same work occupies it for longer.
 	slowdown := 1.0 / (1.0 - n.contention())
-	service := time.Duration(sim.LogNormal(n.rng, float64(base)*slowdown, n.cfg.ServiceTimeSigma))
+	service := time.Duration(sim.LogNormal(n.rng, float64(base)*slowdown, ServiceTimeSigma))
 	if service <= 0 {
 		service = base
 	}
@@ -266,12 +242,12 @@ func (n *Node) Enqueue(now time.Duration, kind WorkKind) (delay time.Duration, o
 	n.opsServed.Inc()
 
 	completion := n.busyUntil - now
-	if kind == ReplicationApply && n.cfg.ReplicationQueuePenalty > 1 {
+	if kind == ReplicationApply {
 		// Background mutations sit behind the foreground backlog: the longer
 		// the queue, the further their application slips. This is the
 		// mechanism that makes the inconsistency window grow sharply as the
 		// node approaches saturation.
-		completion += time.Duration(float64(queueWait) * (n.cfg.ReplicationQueuePenalty - 1))
+		completion += time.Duration(float64(queueWait) * (ReplicationQueuePenalty - 1))
 	}
 	return completion, true
 }

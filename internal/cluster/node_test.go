@@ -11,7 +11,7 @@ func newTestNode(t *testing.T) (*Node, *sim.Engine) {
 	t.Helper()
 	engine := sim.NewEngine()
 	src := sim.NewRandSource(1)
-	n := NewNode(1, DefaultNodeConfig(), engine, src.Stream("node"))
+	n := NewNode(1, DefaultNodeOpsPerSec, engine, src.Stream("node"))
 	return n, engine
 }
 
@@ -34,10 +34,9 @@ func TestNodeStateString(t *testing.T) {
 }
 
 func TestNodeDefaults(t *testing.T) {
-	n := NewNode(1, NodeConfig{}, sim.NewEngine(), sim.NewRandSource(1).Stream("n"))
-	cfg := n.Config()
-	if cfg.BaseServiceTime <= 0 || cfg.CapacityOpsPerSec <= 0 || cfg.ReplicationApplyTime <= 0 {
-		t.Fatalf("defaults not applied: %+v", cfg)
+	n := NewNode(1, DefaultNodeOpsPerSec, sim.NewEngine(), sim.NewRandSource(1).Stream("n"))
+	if n.Capacity() != 5000 || n.service != 200*time.Microsecond || n.apply != 150*time.Microsecond {
+		t.Fatalf("capacity=%v service=%v apply=%v, want 5000 ops/s, 200µs, 150µs", n.Capacity(), n.service, n.apply)
 	}
 }
 
@@ -81,7 +80,7 @@ func TestNodeQueueingIncreasesDelay(t *testing.T) {
 func TestNodeBackgroundLoadSlowsService(t *testing.T) {
 	measure := func(bg float64) time.Duration {
 		engine := sim.NewEngine()
-		n := NewNode(1, DefaultNodeConfig(), engine, sim.NewRandSource(7).Stream("x"))
+		n := NewNode(1, DefaultNodeOpsPerSec, engine, sim.NewRandSource(7).Stream("x"))
 		n.SetBackgroundLoad(bg)
 		var total time.Duration
 		for i := 0; i < 200; i++ {
@@ -134,10 +133,10 @@ func TestNodeLoadClamping(t *testing.T) {
 
 func TestNodeReplicationApplyCheaper(t *testing.T) {
 	engine := sim.NewEngine()
-	cfg := DefaultNodeConfig()
-	cfg.ServiceTimeSigma = 0.01 // nearly deterministic for comparison
-	fg := NewNode(1, cfg, engine, sim.NewRandSource(3).Stream("a"))
-	bg := NewNode(2, cfg, engine, sim.NewRandSource(3).Stream("a"))
+	// Both nodes draw the same service-time noise, so every apply is cheaper
+	// than the foreground op it is paired with.
+	fg := NewNode(1, DefaultNodeOpsPerSec, engine, sim.NewRandSource(3).Stream("a"))
+	bg := NewNode(2, DefaultNodeOpsPerSec, engine, sim.NewRandSource(3).Stream("a"))
 	var fgTotal, bgTotal time.Duration
 	for i := 0; i < 100; i++ {
 		d1, _ := fg.Enqueue(fg.busyUntil, ForegroundOp)
@@ -152,7 +151,7 @@ func TestNodeReplicationApplyCheaper(t *testing.T) {
 
 func TestNetworkDelays(t *testing.T) {
 	rng := sim.NewRandSource(1).Stream("net")
-	n := NewNetwork(DefaultNetworkConfig(), rng)
+	n := NewNetwork(rng)
 	for i := 0; i < 100; i++ {
 		if d := n.NodeToNode(); d <= 0 || d > 100*time.Millisecond {
 			t.Fatalf("NodeToNode delay %v out of plausible range", d)
@@ -166,7 +165,7 @@ func TestNetworkDelays(t *testing.T) {
 func TestNetworkCongestionInflatesDelay(t *testing.T) {
 	sample := func(congestion float64) time.Duration {
 		rng := sim.NewRandSource(9).Stream("net")
-		n := NewNetwork(DefaultNetworkConfig(), rng)
+		n := NewNetwork(rng)
 		n.SetCongestion(congestion)
 		var total time.Duration
 		for i := 0; i < 500; i++ {
@@ -182,7 +181,7 @@ func TestNetworkCongestionInflatesDelay(t *testing.T) {
 }
 
 func TestNetworkReplicationSelfLoad(t *testing.T) {
-	n := NewNetwork(DefaultNetworkConfig(), sim.NewRandSource(2).Stream("n"))
+	n := NewNetwork(sim.NewRandSource(2).Stream("n"))
 	n.SetCongestion(0.4)
 	n.SetReplicationLoad(0.6)
 	if got := n.EffectiveCongestion(); got <= 0.4 {
@@ -199,13 +198,5 @@ func TestNetworkReplicationSelfLoad(t *testing.T) {
 	n.SetReplicationLoad(1)
 	if n.EffectiveCongestion() != 1 {
 		t.Fatalf("effective congestion not clamped: %v", n.EffectiveCongestion())
-	}
-}
-
-func TestNetworkDefaults(t *testing.T) {
-	n := NewNetwork(NetworkConfig{}, sim.NewRandSource(1).Stream("n"))
-	cfg := n.Config()
-	if cfg.BaseLatency <= 0 || cfg.ClientLatency <= 0 || cfg.CongestionSensitivity <= 0 {
-		t.Fatalf("network defaults not applied: %+v", cfg)
 	}
 }

@@ -179,12 +179,12 @@ type Analyzer struct {
 	util      *metrics.EWMA
 }
 
-// NewAnalyzer creates an analyzer for the given controller configuration.
+// NewAnalyzer creates an analyzer for the given controller configuration. It
+// takes a complete config; start from DefaultConfig.
 func NewAnalyzer(cfg Config) *Analyzer {
-	cfg = cfg.withDefaults()
 	return &Analyzer{
 		cfg:       cfg,
-		predictor: NewLoadPredictor(cfg.PredictorWindow),
+		predictor: NewLoadPredictor(predictorWindow),
 		util:      metrics.NewEWMA(0.4),
 	}
 }
@@ -259,7 +259,7 @@ func (a *Analyzer) Analyze(snap monitor.Snapshot) Analysis {
 	an.Headroom = head
 	an.LoadTrend = a.predictor.TrendPerSecond()
 	an.ForecastOpsPerSec = a.predictor.Forecast(snap.At + a.cfg.PredictionHorizon)
-	an.WindowTrusted = snap.WindowSamples >= a.cfg.MinWindowSamples
+	an.WindowTrusted = snap.WindowSamples >= minWindowSamples
 
 	an.Primary, an.Cause = a.classify(snap, obs, agreement, head, smoothedUtil, an.WindowTrusted)
 	return an
@@ -316,23 +316,20 @@ func (an *Analysis) annotateAdmission(sigs []tenant.Signal) {
 // effective observation and SLA — the aggregate pair for single-tenant
 // snapshots, the driving tenant's pair otherwise.
 func (a *Analyzer) classify(snap monitor.Snapshot, obs sla.Observation, agreement sla.SLA, head sla.Headroom, smoothedUtil float64, windowTrusted bool) (Condition, Cause) {
-	high := a.cfg.HighFraction
-	low := a.cfg.LowFraction
-
 	switch {
-	case head.Availability > high:
+	case head.Availability > highFraction:
 		// Failing operations are almost always a capacity or membership
 		// problem; saturation is the default attribution.
-		if snap.MaxUtilization >= a.cfg.TargetUtilization {
+		if snap.MaxUtilization >= targetUtilization {
 			return ConditionAvailabilityLow, CauseCPUSaturation
 		}
 		return ConditionAvailabilityLow, CauseUnknown
 
-	case windowTrusted && head.Window > high:
+	case windowTrusted && head.Window > highFraction:
 		return ConditionWindowHigh, a.windowCause(snap, obs, agreement, smoothedUtil)
 
-	case head.ReadLatency > high || head.WriteLatency > high:
-		if snap.MaxUtilization >= a.cfg.TargetUtilization || smoothedUtil >= a.cfg.TargetUtilization {
+	case head.ReadLatency > highFraction || head.WriteLatency > highFraction:
+		if snap.MaxUtilization >= targetUtilization || smoothedUtil >= targetUtilization {
 			return ConditionLatencyHigh, CauseCPUSaturation
 		}
 		// Latency high while nodes are idle: either the network is congested
@@ -342,8 +339,8 @@ func (a *Analyzer) classify(snap monitor.Snapshot, obs sla.Observation, agreemen
 		}
 		return ConditionLatencyHigh, CauseNetworkCongestion
 
-	case head.Window < low && head.ReadLatency < low && head.WriteLatency < low &&
-		head.Availability < low && smoothedUtil < a.cfg.LowUtilization:
+	case head.Window < lowFraction && head.ReadLatency < lowFraction && head.WriteLatency < lowFraction &&
+		head.Availability < lowFraction && smoothedUtil < lowUtilization:
 		return ConditionOverProvisioned, CauseExcessCapacity
 
 	default:
@@ -360,10 +357,10 @@ func (a *Analyzer) classify(snap monitor.Snapshot, obs sla.Observation, agreemen
 // configuration itself (asynchronous replication at CL=ONE) leaves the window
 // unbounded and should be tightened.
 func (a *Analyzer) windowCause(snap monitor.Snapshot, obs sla.Observation, agreement sla.SLA, smoothedUtil float64) Cause {
-	if snap.MaxUtilization >= a.cfg.TargetUtilization || smoothedUtil >= a.cfg.TargetUtilization {
+	if snap.MaxUtilization >= targetUtilization || smoothedUtil >= targetUtilization {
 		return CauseCPUSaturation
 	}
-	if smoothedUtil < a.cfg.TargetUtilization*0.7 {
+	if smoothedUtil < quietUtilization {
 		// Plenty of CPU headroom yet replicas lag: latency inflation points at
 		// the network when writes are slow too, otherwise at loose consistency.
 		writeLatencyElevated := agreement.MaxWriteLatencyP99 > 0 &&

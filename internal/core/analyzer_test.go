@@ -76,7 +76,7 @@ func TestAnalyzerUntrustedWindowIsIgnored(t *testing.T) {
 	a := NewAnalyzer(DefaultConfig(testSLA()))
 	an := a.Analyze(makeSnapshot(snapshotOpts{
 		at: 10 * time.Second, windowP95: 5.0, readP99: 0.005, writeP99: 0.005,
-		meanUtil: 0.5, samples: 2, // far below MinWindowSamples
+		meanUtil: 0.5, samples: 2, // far below minWindowSamples
 	}))
 	if an.WindowTrusted {
 		t.Fatal("2 samples should not be trusted")

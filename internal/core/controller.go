@@ -78,12 +78,12 @@ type Controller struct {
 }
 
 // New creates a controller driving the given actuator. The owner calls Step
-// once per control interval with the latest monitoring snapshot.
+// once per control interval with the latest monitoring snapshot. It takes a
+// complete config; start from DefaultConfig.
 func New(cfg Config, actuator Actuator) (*Controller, error) {
 	if actuator == nil {
 		return nil, errors.New("core: actuator is required")
 	}
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,9 +96,6 @@ func New(cfg Config, actuator Actuator) (*Controller, error) {
 		kb:       kb,
 	}, nil
 }
-
-// Config returns the controller configuration (with defaults applied).
-func (c *Controller) Config() Config { return c.cfg }
 
 // Step runs one MAPE iteration on the given snapshot and returns the
 // decision taken.

@@ -156,7 +156,6 @@ func TestControllerAttachRunsOnEngine(t *testing.T) {
 	}
 	cfg := DefaultConfig(agreement)
 	cfg.ControlInterval = 5 * time.Second
-	cfg.ConsistencyCooldown = 10 * time.Second
 	ctl, err := New(cfg, actuator)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -207,7 +206,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	cases := []func(*Config){
 		func(c *Config) { c.MinNodes = 5; c.MaxNodes = 2 },
-		func(c *Config) { c.MinWriteConsistency = store.All; c.MaxWriteConsistency = store.One },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig(testSLA())

@@ -44,12 +44,13 @@ type Planner struct {
 }
 
 // NewPlanner creates a planner using the given configuration and knowledge
-// base. The knowledge base may be shared with the controller's executor.
+// base. The knowledge base may be shared with the controller's executor. It
+// takes a complete config; start from DefaultConfig.
 func NewPlanner(cfg Config, kb *KnowledgeBase) *Planner {
 	if kb == nil {
 		kb = NewKnowledgeBase()
 	}
-	return &Planner{cfg: cfg.withDefaults(), kb: kb, nonBindingSince: make(map[string]time.Duration)}
+	return &Planner{cfg: cfg, kb: kb, nonBindingSince: make(map[string]time.Duration)}
 }
 
 // Plan selects the action for this control interval. It returns an
@@ -119,7 +120,7 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 	// waiting for gold to actually breach would let the latency branch scale
 	// out first — the exact action admission control exists to avoid.
 	goldPressure := an.GoldViolation ||
-		(tenant.Class(an.TenantClass) == tenant.Gold && an.Headroom.MaxRatio() >= p.cfg.HighFraction)
+		(tenant.Class(an.TenantClass) == tenant.Gold && an.Headroom.MaxRatio() >= highFraction)
 	if goldPressure {
 		if p.cfg.EnableAdmissionControl && an.ThrottleCandidate != "" {
 			name, offered := p.pickThrottleTarget(an)
@@ -146,8 +147,8 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 		if p.cfg.EnablePlacementActions && plant.PinnedClass == "" &&
 			plant.ClusterSize > plant.ReplicationFactor {
 			scope := ClassScope(string(tenant.Gold))
-			if !p.inCooldownScoped(ActionPinTenantClass, scope, now, p.cfg.PlacementCooldown) &&
-				!p.inCooldownScoped(ActionUnpinTenantClass, scope, now, p.cfg.PlacementCooldown) {
+			if !p.inCooldownScoped(ActionPinTenantClass, scope, now, placementCooldown) &&
+				!p.inCooldownScoped(ActionUnpinTenantClass, scope, now, placementCooldown) {
 				return Action{
 					Kind:   ActionPinTenantClass,
 					Scope:  scope,
@@ -183,7 +184,7 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 
 	// Recovery: release scoped protection once the driving tenant is
 	// comfortably inside its bounds, throttles first, placement last.
-	if an.Headroom.MaxRatio() >= p.cfg.HighFraction {
+	if an.Headroom.MaxRatio() >= highFraction {
 		return Action{}, false
 	}
 	if p.cfg.EnableAdmissionControl {
@@ -213,8 +214,8 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 	}
 	if p.cfg.EnablePlacementActions && plant.PinnedClass != "" && len(an.Throttled) == 0 {
 		scope := ClassScope(plant.PinnedClass)
-		if !p.inCooldownScoped(ActionPinTenantClass, scope, now, p.cfg.PlacementCooldown) &&
-			!p.inCooldownScoped(ActionUnpinTenantClass, scope, now, p.cfg.PlacementCooldown) {
+		if !p.inCooldownScoped(ActionPinTenantClass, scope, now, placementCooldown) &&
+			!p.inCooldownScoped(ActionUnpinTenantClass, scope, now, placementCooldown) {
 			return Action{
 				Kind:   ActionUnpinTenantClass,
 				Scope:  scope,
@@ -304,7 +305,7 @@ func (p *Planner) planWindow(an Analysis, plant PlantState) Action {
 		}
 
 	default:
-		if an.Snapshot.MeanUtilization >= p.cfg.TargetUtilization {
+		if an.Snapshot.MeanUtilization >= targetUtilization {
 			if a, ok := p.tryAddNode(an, plant, "window high, utilisation above target"); ok {
 				return a
 			}
@@ -330,7 +331,7 @@ func (p *Planner) planLatency(an Analysis, plant PlantState) Action {
 		// Strict write consistency is inflating latency; relax it only when
 		// the window has real headroom, otherwise the cure re-creates the
 		// original disease.
-		if an.Headroom.Window < p.cfg.LowFraction {
+		if an.Headroom.Window < lowFraction {
 			if a, ok := p.tryRelaxWrite(an, plant, "write latency high, window has headroom"); ok {
 				return a
 			}
@@ -350,7 +351,7 @@ func (p *Planner) planCostRecovery(an Analysis, plant PlantState) Action {
 	// Do not scale in if the forecast says the capacity will be needed again
 	// within the prediction horizon.
 	if p.cfg.EnablePrediction && p.cfg.EnableScaling {
-		needed := RequiredNodes(an.ForecastOpsPerSec, p.cfg.NodeCapacityOpsPerSec, p.cfg.TargetUtilization)
+		needed := RequiredNodes(an.ForecastOpsPerSec, p.cfg.NodeCapacityOpsPerSec, targetUtilization)
 		if needed >= plant.ClusterSize {
 			return Action{Kind: ActionNone, Reason: "over-provisioned now but forecast needs current capacity"}
 		}
@@ -360,7 +361,7 @@ func (p *Planner) planCostRecovery(an Analysis, plant PlantState) Action {
 	}
 	// With the smallest allowed cluster, relax consistency back towards the
 	// configured minimum to recover write latency and availability headroom.
-	if plant.WriteConsistency > p.cfg.MinWriteConsistency && an.Headroom.Window < p.cfg.LowFraction/2 {
+	if plant.WriteConsistency > store.One && an.Headroom.Window < lowFraction/2 {
 		if a, ok := p.tryRelaxWrite(an, plant, "window far below SLA at minimum cluster size"); ok {
 			return a
 		}
@@ -377,7 +378,7 @@ func (p *Planner) planNominal(an Analysis, plant PlantState) Action {
 	if an.LoadTrend <= 0 {
 		return Action{Kind: ActionNone, Reason: "nominal"}
 	}
-	needed := RequiredNodes(an.ForecastOpsPerSec, p.cfg.NodeCapacityOpsPerSec, p.cfg.TargetUtilization)
+	needed := RequiredNodes(an.ForecastOpsPerSec, p.cfg.NodeCapacityOpsPerSec, targetUtilization)
 	if needed > plant.ClusterSize {
 		reason := fmt.Sprintf("forecast %.0f ops/s needs %d nodes", an.ForecastOpsPerSec, needed)
 		if a, ok := p.tryAddNode(an, plant, reason); ok {
@@ -409,7 +410,7 @@ func (p *Planner) tryAddNode(an Analysis, plant PlantState, reason string) (Acti
 	if plant.ClusterSize >= p.cfg.MaxNodes {
 		return Action{}, false
 	}
-	cooldownOK := !p.inCooldown(ActionAddNode, an.At, p.cfg.ScaleOutCooldown)
+	cooldownOK := !p.inCooldown(ActionAddNode, an.At, scaleOutCooldown)
 	a, ok := p.candidate(ActionAddNode, an, p.cfg.EnableScaling, cooldownOK, reason)
 	if !ok {
 		return a, false
@@ -421,7 +422,7 @@ func (p *Planner) tryAddNode(an Analysis, plant PlantState, reason string) (Acti
 	if p.cfg.EnablePrediction && an.ForecastOpsPerSec > demand {
 		demand = an.ForecastOpsPerSec
 	}
-	needed := RequiredNodes(demand, p.cfg.NodeCapacityOpsPerSec, p.cfg.TargetUtilization)
+	needed := RequiredNodes(demand, p.cfg.NodeCapacityOpsPerSec, targetUtilization)
 	step := needed - plant.ClusterSize
 	if step < 1 {
 		step = 1
@@ -446,33 +447,33 @@ func (p *Planner) tryRemoveNode(an Analysis, plant PlantState, reason string) (A
 	}
 	// Removing a node shortly after adding one is the oscillation the paper
 	// warns about; the scale-in cooldown also applies to recent scale-outs.
-	cooldownOK := !p.inCooldown(ActionRemoveNode, an.At, p.cfg.ScaleInCooldown) &&
-		!p.inCooldown(ActionAddNode, an.At, p.cfg.ScaleInCooldown)
+	cooldownOK := !p.inCooldown(ActionRemoveNode, an.At, scaleInCooldown) &&
+		!p.inCooldown(ActionAddNode, an.At, scaleInCooldown)
 	return p.candidate(ActionRemoveNode, an, p.cfg.EnableScaling, cooldownOK, reason)
 }
 
 func (p *Planner) tryTightenWrite(an Analysis, plant PlantState, reason string) (Action, bool) {
 	next, err := TightenConsistency(plant.WriteConsistency)
-	if err != nil || next > p.cfg.MaxWriteConsistency {
+	if err != nil || next > store.All {
 		return Action{}, false
 	}
 	// Tightening trades write latency for consistency; refuse when write
 	// latency is itself near the SLA.
-	if an.Headroom.WriteLatency > p.cfg.HighFraction {
+	if an.Headroom.WriteLatency > highFraction {
 		p.noteVeto(ActionTightenWriteConsistency, ClusterScope(), "write latency too close to SLA to tighten")
 		return Action{}, false
 	}
-	cooldownOK := !p.inCooldown(ActionTightenWriteConsistency, an.At, p.cfg.ConsistencyCooldown)
+	cooldownOK := !p.inCooldown(ActionTightenWriteConsistency, an.At, consistencyCooldown)
 	return p.candidate(ActionTightenWriteConsistency, an, p.cfg.EnableConsistencyActions, cooldownOK, reason)
 }
 
 func (p *Planner) tryRelaxWrite(an Analysis, plant PlantState, reason string) (Action, bool) {
 	next, err := RelaxConsistency(plant.WriteConsistency)
-	if err != nil || next < p.cfg.MinWriteConsistency {
+	if err != nil || next < store.One {
 		return Action{}, false
 	}
-	cooldownOK := !p.inCooldown(ActionRelaxWriteConsistency, an.At, p.cfg.ConsistencyCooldown) &&
-		!p.inCooldown(ActionTightenWriteConsistency, an.At, p.cfg.ConsistencyCooldown)
+	cooldownOK := !p.inCooldown(ActionRelaxWriteConsistency, an.At, consistencyCooldown) &&
+		!p.inCooldown(ActionTightenWriteConsistency, an.At, consistencyCooldown)
 	return p.candidate(ActionRelaxWriteConsistency, an, p.cfg.EnableConsistencyActions, cooldownOK, reason)
 }
 
@@ -480,10 +481,10 @@ func (p *Planner) tryTightenRead(an Analysis, plant PlantState, reason string) (
 	if _, err := TightenConsistency(plant.ReadConsistency); err != nil {
 		return Action{}, false
 	}
-	if an.Headroom.ReadLatency > p.cfg.HighFraction {
+	if an.Headroom.ReadLatency > highFraction {
 		p.noteVeto(ActionTightenReadConsistency, ClusterScope(), "read latency too close to SLA to tighten")
 		return Action{}, false
 	}
-	cooldownOK := !p.inCooldown(ActionTightenReadConsistency, an.At, p.cfg.ConsistencyCooldown)
+	cooldownOK := !p.inCooldown(ActionTightenReadConsistency, an.At, consistencyCooldown)
 	return p.candidate(ActionTightenReadConsistency, an, p.cfg.EnableConsistencyActions, cooldownOK, reason)
 }

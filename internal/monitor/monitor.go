@@ -26,9 +26,10 @@ type Config struct {
 	// WindowSampleSize is the number of recent window estimates retained for
 	// quantile queries.
 	WindowSampleSize int
-	// LatencySampleSize is the number of recent client latencies retained.
-	LatencySampleSize int
 }
+
+// latencySampleSize is the number of recent client latencies retained.
+const latencySampleSize = 4096
 
 // DefaultConfig enables both techniques with one probe per second.
 func DefaultConfig() Config {
@@ -39,25 +40,7 @@ func DefaultConfig() Config {
 		ProbePollInterval: 5 * time.Millisecond,
 		ProbeTimeout:      10 * time.Second,
 		WindowSampleSize:  512,
-		LatencySampleSize: 4096,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.ProbePollInterval <= 0 {
-		c.ProbePollInterval = d.ProbePollInterval
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = d.ProbeTimeout
-	}
-	if c.WindowSampleSize <= 0 {
-		c.WindowSampleSize = d.WindowSampleSize
-	}
-	if c.LatencySampleSize <= 0 {
-		c.LatencySampleSize = d.LatencySampleSize
-	}
-	return c
 }
 
 // Snapshot is the periodic view of the system the controller works from. All
@@ -149,12 +132,12 @@ var (
 )
 
 // New creates a monitor for the given store and cluster. If active probing
-// is enabled the prober starts immediately.
+// is enabled the prober starts immediately. It takes a complete config;
+// start from DefaultConfig.
 func New(cfg Config, engine *sim.Engine, st *store.Store, cl *cluster.Cluster) (*Monitor, error) {
 	if engine == nil || st == nil || cl == nil {
 		return nil, errors.New("monitor: engine, store and cluster are required")
 	}
-	cfg = cfg.withDefaults()
 	m := &Monitor{
 		cfg:         cfg,
 		engine:      engine,
@@ -162,8 +145,8 @@ func New(cfg Config, engine *sim.Engine, st *store.Store, cl *cluster.Cluster) (
 		cluster:     cl,
 		utilSampler: cluster.NewUtilizationSampler(cl),
 		windowEst:   metrics.NewWindowedStat(cfg.WindowSampleSize),
-		readLat:     metrics.NewWindowedStat(cfg.LatencySampleSize),
-		writeLat:    metrics.NewWindowedStat(cfg.LatencySampleSize),
+		readLat:     metrics.NewWindowedStat(latencySampleSize),
+		writeLat:    metrics.NewWindowedStat(latencySampleSize),
 	}
 	if cfg.UsePassive {
 		st.Subscribe(m)

@@ -185,7 +185,7 @@ func TestProberLifecycle(t *testing.T) {
 		t.Fatalf("store.New: %v", err)
 	}
 	var estimates []float64
-	p, err := NewProber(ProberConfig{Rate: 10}, engine, st, func(w float64, ops int) {
+	p, err := NewProber(defaultProberConfig(10), engine, st, func(w float64, ops int) {
 		if ops < 2 {
 			t.Errorf("probe used %d ops, want >= 2", ops)
 		}
@@ -363,4 +363,11 @@ func TestMonitorAsTargetKeysIndependent(t *testing.T) {
 	if !done {
 		t.Fatal("write through monitor never completed")
 	}
+}
+
+// defaultProberConfig is the prober config Monitor builds from DefaultConfig
+// at the given rate.
+func defaultProberConfig(rate float64) ProberConfig {
+	d := DefaultConfig()
+	return ProberConfig{Rate: rate, PollInterval: d.ProbePollInterval, Timeout: d.ProbeTimeout}
 }

@@ -128,7 +128,7 @@ func TestProberAllocatesOnlyKeyNames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store.New: %v", err)
 	}
-	p, err := NewProber(ProberConfig{Rate: 100}, engine, st, func(float64, int) {})
+	p, err := NewProber(defaultProberConfig(100), engine, st, func(float64, int) {})
 	if err != nil {
 		t.Fatalf("NewProber: %v", err)
 	}

@@ -20,9 +20,10 @@ type ProberConfig struct {
 	// timeout value itself is recorded as a (censored) estimate so that
 	// severe divergence is not silently dropped.
 	Timeout time.Duration
-	// KeyPrefix namespaces probe keys away from application data.
-	KeyPrefix string
 }
+
+// probeKeyPrefix namespaces probe keys away from application data.
+const probeKeyPrefix = "__probe"
 
 // Prober performs read-after-write probes against the store, the technique
 // the paper proposes for artificially measuring consistency on a dummy
@@ -50,22 +51,14 @@ type Prober struct {
 
 // NewProber creates and starts a prober. onEstimate is invoked once per
 // completed probe with the estimated window in seconds and the number of
-// store operations the probe consumed.
+// store operations the probe consumed. It takes a complete config: every
+// field set, as Monitor does from its own.
 func NewProber(cfg ProberConfig, engine *sim.Engine, st *store.Store, onEstimate func(float64, int)) (*Prober, error) {
 	if engine == nil || st == nil || onEstimate == nil {
 		return nil, errors.New("monitor: engine, store and estimate callback are required")
 	}
 	if cfg.Rate <= 0 {
 		return nil, errors.New("monitor: probe rate must be positive")
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 5 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.KeyPrefix == "" {
-		cfg.KeyPrefix = "__probe"
 	}
 	p := &Prober{cfg: cfg, engine: engine, store: st, onEstimate: onEstimate}
 	period := time.Duration(float64(time.Second) / cfg.Rate)
@@ -99,7 +92,7 @@ func (p *Prober) Failed() uint64 { return p.failed }
 func (p *Prober) startProbe() {
 	p.seq++
 	p.started++
-	p.name = strconv.AppendUint(append(append(p.name[:0], p.cfg.KeyPrefix...), '-'), p.seq, 10)
+	p.name = strconv.AppendUint(append(append(p.name[:0], probeKeyPrefix...), '-'), p.seq, 10)
 	var pr *probe
 	if n := len(p.free); n > 0 {
 		pr, p.free = p.free[n-1], p.free[:n-1]

@@ -49,7 +49,7 @@ func TestHintBacklogDrainsInPlace(t *testing.T) {
 		before := len(h.store.pendingHints[down])
 		runtime.ReadMemStats(&ms)
 		mallocs := ms.Mallocs
-		if err := h.engine.Run(h.engine.Now() + h.store.cfg.HintRetryInterval); err != nil {
+		if err := h.engine.Run(h.engine.Now() + hintRetryInterval); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		runtime.ReadMemStats(&ms)

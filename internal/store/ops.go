@@ -382,7 +382,7 @@ func (f *opSlot) arriveWrite(arrive time.Duration) {
 		return
 	}
 	applyAt := arrive + applyDelay
-	if applyAt-w.issuedAt > s.cfg.MutationDropTimeout {
+	if applyAt-w.issuedAt > mutationDropTimeout {
 		s.droppedMutations.Inc()
 		f.hintInstead(arrive, "drop-timeout")
 		return
@@ -579,7 +579,7 @@ func (r *opState) scheduleReadRepair(latest version) {
 	r.repairTo = latest
 	for _, f := range r.contacted {
 		if rep := s.replica(f.id); rep != nil && rep.read(r.key) < latest {
-			r.after(s.cfg.ReadRepairDelay, readRepairEvent, f)
+			r.after(readRepairDelay, readRepairEvent, f)
 		}
 	}
 }
@@ -742,7 +742,7 @@ func (s *Store) deliverHints(id cluster.NodeID) {
 	}
 	// Throttle the replay to a fraction of the replica's capacity over one
 	// retry interval so hint delivery cannot keep the replica saturated.
-	limit := int(hintDeliveryCapacityShare * node.Config().CapacityOpsPerSec * s.cfg.HintRetryInterval.Seconds())
+	limit := int(hintDeliveryCapacityShare * node.Capacity() * hintRetryInterval.Seconds())
 	limit = min(max(limit, 100), maxHintsPerDelivery)
 	// A hint replays only when its originating coordinator's side can reach
 	// the target: a write acknowledged on the minority side of a partition
@@ -763,7 +763,7 @@ func (s *Store) deliverHints(id cluster.NodeID) {
 			continue
 		}
 		limit--
-		at += s.cfg.HintDeliveryDelay
+		at += hintDeliveryDelay
 		arrive := at + net.NodeToNode()
 		f.op.after(delayUntil(now, arrive), hintArriveEvent, f)
 		s.release(f.op)

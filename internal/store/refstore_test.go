@@ -64,9 +64,8 @@ type refWrite struct {
 }
 
 func newRefStore(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.RandSource) *refStore {
-	cfg = cfg.withDefaults()
 	s := &refStore{
-		engine: engine, cluster: cl, rng: rnd.Stream("store"), cfg: cfg, ring: NewRing(cfg.VirtualNodes),
+		engine: engine, cluster: cl, rng: rnd.Stream("store"), cfg: cfg, ring: NewRing(defaultVirtualNodes),
 		versions: map[cluster.NodeID]map[Key]uint64{}, latest: map[Key]uint64{}, hints: map[cluster.NodeID][]refHint{},
 	}
 	for _, n := range cl.AvailableNodes() {
@@ -82,7 +81,7 @@ func newRefStore(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.R
 		s.tickers = append(s.tickers, t)
 	}
 	tick(time.Second, func(time.Duration) {
-		load := float64(s.writesSinceTick) * float64(cfg.ReplicationFactor-1) / cfg.NominalNetworkOpsPerSec
+		load := float64(s.writesSinceTick) * float64(cfg.ReplicationFactor-1) / nominalNetworkOpsPerSec
 		s.writesSinceTick = 0
 		cl.Network().SetReplicationLoad(clampF(load, 0, 1))
 	})
@@ -91,7 +90,7 @@ func newRefStore(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.R
 		s.retryHints()
 		s.repairAll()
 	})
-	tick(cfg.HintRetryInterval, func(time.Duration) { s.retryHints() })
+	tick(hintRetryInterval, func(time.Duration) { s.retryHints() })
 	return s
 }
 
@@ -244,7 +243,7 @@ func (w *refWrite) arrive(id cluster.NodeID, arrive time.Duration) {
 		hint()
 		return
 	}
-	if arrive+d-w.issuedAt > s.cfg.MutationDropTimeout {
+	if arrive+d-w.issuedAt > mutationDropTimeout {
 		s.stats.DroppedMutations++
 		hint()
 		return
@@ -336,7 +335,7 @@ func (s *refStore) Read(key Key, cb func(Result)) {
 				if s.cfg.ReadRepair && (divergent || stale) && latest != 0 && !s.cluster.Network().PartitionActive() {
 					for _, id := range contacted {
 						if m := s.versions[id]; m != nil && m[key] < latest {
-							s.engine.After(s.cfg.ReadRepairDelay, func(time.Duration) {
+							s.engine.After(readRepairDelay, func(time.Duration) {
 								if s.up(id) && !s.cluster.Network().Isolated(id) && s.versions[id][key] < latest {
 									s.versions[id][key] = latest
 									s.stats.ReadRepairs++
@@ -409,7 +408,7 @@ func (s *refStore) deliverHints(id cluster.NodeID) {
 	if len(s.hints[id]) == 0 || !ok || !node.Available() || net.Isolated(id) {
 		return
 	}
-	limit := min(max(int(hintDeliveryCapacityShare*node.Config().CapacityOpsPerSec*s.cfg.HintRetryInterval.Seconds()), 100), maxHintsPerDelivery)
+	limit := min(max(int(hintDeliveryCapacityShare*node.Capacity()*hintRetryInterval.Seconds()), 100), maxHintsPerDelivery)
 	var batch, keep []refHint
 	for _, h := range s.hints[id] {
 		if len(batch) < limit && net.Reachable(h.origin, id) {
@@ -422,7 +421,7 @@ func (s *refStore) deliverHints(id cluster.NodeID) {
 	now := s.engine.Now()
 	at := now
 	for _, h := range batch {
-		at += s.cfg.HintDeliveryDelay
+		at += hintDeliveryDelay
 		s.engine.After(delayUntil(now, at+net.NodeToNode()), func(arrived time.Duration) {
 			if !net.Reachable(h.origin, id) || net.Isolated(id) {
 				s.hints[id] = append(s.hints[id], h)

@@ -32,79 +32,44 @@ type Config struct {
 	// AntiEntropyInterval is the period of the background repair process; a
 	// zero value disables anti-entropy.
 	AntiEntropyInterval time.Duration
-	// VirtualNodes is the number of ring tokens per node.
-	VirtualNodes int
-	// ReadRepairDelay is the extra delay before a read-repair mutation is
+}
+
+// The store's fixed timings and calibration, in the style of Cassandra's
+// defaults.
+const (
+	// readRepairDelay is the extra delay before a read-repair mutation is
 	// applied to a stale replica.
-	ReadRepairDelay time.Duration
-	// HintDeliveryDelay is the spacing between queued hint deliveries after
+	readRepairDelay = 2 * time.Millisecond
+	// hintDeliveryDelay is the spacing between queued hint deliveries after
 	// a replica recovers.
-	HintDeliveryDelay time.Duration
-	// MutationDropTimeout mirrors the dropped-mutation behaviour of
+	hintDeliveryDelay = 500 * time.Microsecond
+	// mutationDropTimeout mirrors the dropped-mutation behaviour of
 	// Dynamo-style stores: a replicated mutation that cannot be applied by a
 	// replica within this delay is dropped and turned into a hint, to be
 	// redelivered later. This is the mechanism that makes the inconsistency
 	// window blow up when replicas are overloaded.
-	MutationDropTimeout time.Duration
-	// HintRetryInterval is how often queued hints for live replicas are
+	mutationDropTimeout = time.Second
+	// hintRetryInterval is how often queued hints for live replicas are
 	// retried (dropped mutations are redelivered on this cadence, in addition
 	// to the anti-entropy sweep).
-	HintRetryInterval time.Duration
-	// NominalNetworkOpsPerSec calibrates how much replication traffic the
+	hintRetryInterval = 5 * time.Second
+	// nominalNetworkOpsPerSec calibrates how much replication traffic the
 	// network absorbs before replication itself causes congestion.
-	NominalNetworkOpsPerSec float64
-}
+	nominalNetworkOpsPerSec = 60000
+)
 
 // DefaultConfig is the Cassandra-like configuration used by the experiments:
 // RF=3, ONE/ONE consistency, read repair and hinted handoff enabled, and a
 // 60 s anti-entropy sweep.
 func DefaultConfig() Config {
 	return Config{
-		ReplicationFactor:       3,
-		ReadConsistency:         One,
-		WriteConsistency:        One,
-		ReadRepair:              true,
-		HintedHandoff:           true,
-		AntiEntropyInterval:     60 * time.Second,
-		VirtualNodes:            defaultVirtualNodes,
-		ReadRepairDelay:         2 * time.Millisecond,
-		HintDeliveryDelay:       500 * time.Microsecond,
-		MutationDropTimeout:     time.Second,
-		HintRetryInterval:       5 * time.Second,
-		NominalNetworkOpsPerSec: 60000,
+		ReplicationFactor:   3,
+		ReadConsistency:     One,
+		WriteConsistency:    One,
+		ReadRepair:          true,
+		HintedHandoff:       true,
+		AntiEntropyInterval: 60 * time.Second,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.ReplicationFactor <= 0 {
-		c.ReplicationFactor = d.ReplicationFactor
-	}
-	if c.ReadConsistency == 0 {
-		c.ReadConsistency = d.ReadConsistency
-	}
-	if c.WriteConsistency == 0 {
-		c.WriteConsistency = d.WriteConsistency
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = d.VirtualNodes
-	}
-	if c.ReadRepairDelay <= 0 {
-		c.ReadRepairDelay = d.ReadRepairDelay
-	}
-	if c.HintDeliveryDelay <= 0 {
-		c.HintDeliveryDelay = d.HintDeliveryDelay
-	}
-	if c.MutationDropTimeout <= 0 {
-		c.MutationDropTimeout = d.MutationDropTimeout
-	}
-	if c.HintRetryInterval <= 0 {
-		c.HintRetryInterval = d.HintRetryInterval
-	}
-	if c.NominalNetworkOpsPerSec <= 0 {
-		c.NominalNetworkOpsPerSec = d.NominalNetworkOpsPerSec
-	}
-	return c
 }
 
 // Result is delivered to the caller's callback when an operation completes.
@@ -275,12 +240,12 @@ type Store struct {
 var recycleOps = true
 
 // New creates a store on top of the given cluster and registers for
-// membership changes. All currently available nodes join the ring.
+// membership changes. All currently available nodes join the ring. It takes
+// a complete config; start from DefaultConfig.
 func New(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.RandSource) (*Store, error) {
 	if engine == nil || cl == nil || rnd == nil {
 		return nil, errors.New("store: engine, cluster and rand source are required")
 	}
-	cfg = cfg.withDefaults()
 	s := &Store{
 		engine:       engine,
 		cluster:      cl,
@@ -289,7 +254,7 @@ func New(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.RandSourc
 		rf:           cfg.ReplicationFactor,
 		readCL:       cfg.ReadConsistency,
 		writeCL:      cfg.WriteConsistency,
-		ring:         NewRing(cfg.VirtualNodes),
+		ring:         NewRing(defaultVirtualNodes),
 		readLatency:  metrics.NewHistogram(0),
 		writeLatency: metrics.NewHistogram(0),
 		windowHist:   metrics.NewHistogram(0),
@@ -313,7 +278,7 @@ func New(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.RandSourc
 		}
 	}
 	if cfg.HintedHandoff {
-		s.hintTicker, err = sim.NewTicker(engine, cfg.HintRetryInterval, s.retryHints)
+		s.hintTicker, err = sim.NewTicker(engine, hintRetryInterval, s.retryHints)
 		if err != nil {
 			return nil, fmt.Errorf("store: hint retry ticker: %w", err)
 		}
@@ -584,7 +549,7 @@ func (s *Store) updateReplicationLoad(time.Duration) {
 	if fanout < 0 {
 		fanout = 0
 	}
-	load := float64(writes) * fanout / s.cfg.NominalNetworkOpsPerSec
+	load := float64(writes) * fanout / nominalNetworkOpsPerSec
 	s.cluster.Network().SetReplicationLoad(clampF(load, 0, 1))
 }
 

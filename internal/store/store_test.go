@@ -371,7 +371,6 @@ func TestPartitionHoldsMinorityHintsUntilHeal(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AntiEntropyInterval = 0 // isolate hinted handoff
 	cfg.ReadRepair = false
-	cfg.HintRetryInterval = time.Second
 	h := newHarness(t, clusterCfg, cfg, 21)
 	net := h.cluster.Network()
 
@@ -391,7 +390,7 @@ func TestPartitionHoldsMinorityHintsUntilHeal(t *testing.T) {
 
 	// Run through several retry intervals with the partition still active:
 	// hints whose origin cannot reach their target must stay queued.
-	if err := h.engine.Run(h.engine.Now() + 5*time.Second); err != nil {
+	if err := h.engine.Run(h.engine.Now() + 5*hintRetryInterval); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	crossCut := 0
@@ -408,7 +407,7 @@ func TestPartitionHoldsMinorityHintsUntilHeal(t *testing.T) {
 
 	// Heal and let the retry ticker run: everything converges.
 	net.Heal([]cluster.NodeID{minority})
-	if err := h.engine.Run(h.engine.Now() + 10*time.Second); err != nil {
+	if err := h.engine.Run(h.engine.Now() + 2*hintRetryInterval); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if h.store.Stats().HintsDelivered == 0 {

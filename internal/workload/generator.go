@@ -59,9 +59,6 @@ type Config struct {
 	Keys KeyChooser
 	// Until stops the generator at this virtual time (0 = run until Stop).
 	Until time.Duration
-	// MaxRate caps the instantaneous rate to protect the event queue from
-	// runaway profiles; zero means no cap.
-	MaxRate float64
 	// ArrivalStream names the random stream the inter-arrival draws come
 	// from; it defaults to "arrivals". Scenarios hosting several generators
 	// (one per tenant) must give each its own name, or every generator would
@@ -151,9 +148,6 @@ func (g *Generator) scheduleNext() {
 		return
 	}
 	rate := g.cfg.Profile.Rate(now)
-	if g.cfg.MaxRate > 0 && rate > g.cfg.MaxRate {
-		rate = g.cfg.MaxRate
-	}
 	g.lastRate = rate
 	var gap time.Duration
 	if rate <= 0 {

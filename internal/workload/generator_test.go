@@ -161,25 +161,6 @@ func TestGeneratorZeroRateIdles(t *testing.T) {
 	}
 }
 
-func TestGeneratorMaxRateCap(t *testing.T) {
-	engine := sim.NewEngine()
-	target := &fakeTarget{engine: engine}
-	g := newGenerator(t, Config{
-		Profile: ConstantProfile{OpsPerSec: 100000},
-		Mix:     Mix{ReadFraction: 1},
-		Keys:    NewUniformKeys(10, sim.NewRandSource(5).Stream("k")),
-		Until:   time.Second,
-		MaxRate: 100,
-	}, target, engine)
-	g.Start()
-	if err := engine.Run(2 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if target.reads > 200 {
-		t.Fatalf("rate cap not applied: %d ops in 1s", target.reads)
-	}
-}
-
 func TestGeneratorErrorAndStaleAccounting(t *testing.T) {
 	engine := sim.NewEngine()
 	target := &fakeTarget{engine: engine, fail: true}

@@ -413,12 +413,7 @@ func (s ScenarioSpec) clusterConfig() cluster.Config {
 		cfg.MaxNodes = s.Cluster.MaxNodes
 	}
 	if s.Cluster.NodeOpsPerSec > 0 {
-		// The node executor is serial, so its sustainable throughput is the
-		// inverse of the per-operation service time. Keep both fields in sync
-		// with the requested capacity.
-		cfg.Node.CapacityOpsPerSec = s.Cluster.NodeOpsPerSec
-		cfg.Node.BaseServiceTime = time.Duration(float64(time.Second) / s.Cluster.NodeOpsPerSec)
-		cfg.Node.ReplicationApplyTime = cfg.Node.BaseServiceTime * 3 / 4
+		cfg.NodeOpsPerSec = s.Cluster.NodeOpsPerSec
 	}
 	if s.Cluster.BootstrapTime > 0 {
 		cfg.BootstrapTime = s.Cluster.BootstrapTime
@@ -570,7 +565,7 @@ func (s ScenarioSpec) controllerConfig() core.Config {
 func (s ScenarioSpec) effectiveNodeCapacity() float64 {
 	nodeOps := s.Cluster.NodeOpsPerSec
 	if nodeOps <= 0 {
-		nodeOps = cluster.DefaultNodeConfig().CapacityOpsPerSec
+		nodeOps = cluster.DefaultNodeOpsPerSec
 	}
 	rf := s.Store.ReplicationFactor
 	if rf < 1 {
@@ -579,7 +574,7 @@ func (s ScenarioSpec) effectiveNodeCapacity() float64 {
 	readFrac := s.Workload.ReadFraction
 	service := 1.0 / nodeOps
 	readCost := 2 * service
-	writeCost := service + 0.75*service*float64(rf)
+	writeCost := service + cluster.ReplicationApplyShare*service*float64(rf)
 	perOp := readFrac*readCost + (1-readFrac)*writeCost
 	if perOp <= 0 {
 		return nodeOps
