@@ -9,8 +9,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -35,11 +37,12 @@ type Histogram struct {
 	max     float64
 	cap     int
 	// samples[:ordered] was ascending after the last quantile query and has
-	// since been overwritten only at the slots listed in dirty (a slot can be
-	// listed twice); samples[ordered:] was appended after that query. A
-	// stream of n samples replaces, and so lists, about cap*ln(n/cap) times.
+	// since been overwritten only at the ndirty slots whose bits are set in
+	// dirty, a bitmap of one bit per slot allocated at the first such
+	// replacement; samples[ordered:] was appended after that query.
 	ordered  int
-	dirty    []int
+	dirty    []uint64
+	ndirty   int
 	scratch  []float64 // the changed values while order merges them back
 	rngState uint64
 }
@@ -89,7 +92,13 @@ func (h *Histogram) Observe(v float64) {
 	if idx < uint64(h.cap) {
 		h.samples[idx] = v
 		if idx < uint64(h.ordered) {
-			h.dirty = append(h.dirty, int(idx))
+			if h.dirty == nil {
+				h.dirty = make([]uint64, (h.cap+63)/64)
+			}
+			if w, bit := idx/64, uint64(1)<<(idx%64); h.dirty[w]&bit == 0 {
+				h.dirty[w] |= bit
+				h.ndirty++
+			}
 		}
 	}
 }
@@ -157,38 +166,46 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // order sorts samples ascending, producing the array a full sort would, in
-// O(n + k log n) for the k values that changed since the last call: the
-// overwritten slots are lifted out of the ordered prefix, which is closed up
-// behind them, and sorted together with the appended tail; each then goes
-// back, largest first, at the place a binary search finds for it. With
-// nothing ordered yet it is a plain in-place sort, so scratch never holds
-// more than what changed between two queries.
+// O(n + k log k) for the k values that changed since the last call, and at
+// once when none did: the overwritten slots are lifted out of the ordered
+// prefix, which is closed up behind them, and sorted together with the
+// appended tail; one backward pass then merges the two. On a tie the kept
+// value goes after the changed one, where a binary search for the changed
+// value would put it, so equal-comparing values (±0, NaNs) keep their order.
+// With nothing ordered yet it is a plain in-place sort, so scratch never
+// holds more than what changed between two queries.
 func (h *Histogram) order() {
 	s := h.samples
-	if h.ordered == 0 {
+	switch {
+	case h.ordered == len(s) && h.ndirty == 0:
+		return
+	case h.ordered == 0:
 		slices.Sort(s)
-	} else {
-		slices.Sort(h.dirty)
-		dirty := slices.Compact(h.dirty)
+	default:
 		changed := h.scratch[:0]
 		clean, from := 0, 0 // s[:clean] holds what s[:from] kept of its order
-		for _, d := range dirty {
-			changed = append(changed, s[d])
-			clean += copy(s[clean:], s[from:d])
-			from = d + 1
+		for w := 0; len(changed) < h.ndirty; w++ {
+			for word := h.dirty[w]; word != 0; word &= word - 1 {
+				d := w*64 + bits.TrailingZeros64(word)
+				changed = append(changed, s[d])
+				clean += copy(s[clean:], s[from:d])
+				from = d + 1
+			}
+			h.dirty[w] = 0
 		}
 		clean += copy(s[clean:], s[from:h.ordered])
 		changed = append(changed, s[h.ordered:]...)
 		slices.Sort(changed)
-		for j := len(changed) - 1; j >= 0; j-- {
-			pos, _ := slices.BinarySearch(s[:clean], changed[j])
-			copy(s[pos+j+1:], s[pos:clean])
-			s[pos+j] = changed[j]
-			clean = pos
+		for i, j, k := clean-1, len(changed)-1, len(s)-1; j >= 0; k-- {
+			if i >= 0 && !cmp.Less(s[i], changed[j]) {
+				s[k], i = s[i], i-1
+			} else {
+				s[k], j = changed[j], j-1
+			}
 		}
 		h.scratch = changed
 	}
-	h.ordered, h.dirty = len(s), h.dirty[:0]
+	h.ordered, h.ndirty = len(s), 0
 }
 
 // QuantileDuration returns the q-quantile interpreted as a duration in
@@ -204,7 +221,8 @@ func (h *Histogram) Reset() {
 	h.sum = 0
 	h.min = math.Inf(1)
 	h.max = math.Inf(-1)
-	h.ordered, h.dirty = 0, h.dirty[:0]
+	h.ordered, h.ndirty = 0, 0
+	clear(h.dirty)
 }
 
 // Snapshot captures the common summary statistics of a histogram.

@@ -19,13 +19,18 @@ type benchRig struct {
 }
 
 func newBenchRig(tb testing.TB, nodes int) *benchRig {
+	return newBenchRigConfig(tb, nodes, DefaultConfig())
+}
+
+// newBenchRigConfig is newBenchRig over a store config of the caller's.
+func newBenchRigConfig(tb testing.TB, nodes int, cfg Config) *benchRig {
 	tb.Helper()
 	engine := sim.NewEngine()
 	src := sim.NewRandSource(1)
 	clusterCfg := cluster.DefaultConfig()
 	clusterCfg.InitialNodes = nodes
 	cl := cluster.New(clusterCfg, engine, src)
-	st, err := New(DefaultConfig(), engine, cl, src)
+	st, err := New(cfg, engine, cl, src)
 	if err != nil {
 		tb.Fatalf("store.New: %v", err)
 	}

@@ -135,28 +135,39 @@ func (w *storeWorld) run(t *testing.T, script []byte) {
 // staleness verdict, completion time — and counter for counter. It also
 // asserts that every callback fires exactly once by the time the engine has
 // drained, which a recycled op state handed out too early would break.
+//
+// The first byte sets the world: its top four bits the write and read
+// consistency levels, its low four the replication factor (1–6) and the
+// initial cluster size (4–6). Low bits 0 give the store's default factor 3
+// on 4 nodes. A factor of 6 puts an operation's slots past the op state's
+// inline five and into its overflow slice, hints and read repair included.
 func FuzzStoreOpScript(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 50, 4, 0})
-	f.Add([]byte{0, 1, 7, 0, 1, 1, 2, 1, 11, 40, 7, 1, 11, 40, 5, 1})                      // crash, hints, recover
-	f.Add([]byte{0, 6, 8, 2, 1, 6, 2, 6, 4, 6, 10, 200, 8, 1, 11, 30, 5, 6})               // partition, heal, read repair
-	f.Add([]byte{9, 0, 0, 7, 11, 200, 1, 7, 9, 3, 2, 7, 11, 100, 6, 7})                    // join, leave
-	f.Add([]byte{7, 0, 7, 2, 0, 9, 1, 10, 7, 4, 3, 11, 11, 8, 7, 1, 7, 3, 7, 5, 4, 9})     // too few replicas
-	f.Add([]byte{0, 8, 0, 9, 0, 10, 0, 11, 5, 8, 5, 9, 5, 10, 5, 11, 11, 255, 11, 255, 4}) // interned keys, a sweep
+	f.Add([]byte{0, 1, 7, 0, 1, 1, 2, 1, 11, 40, 7, 1, 11, 40, 5, 1})                                         // crash, hints, recover
+	f.Add([]byte{0, 6, 8, 2, 1, 6, 2, 6, 4, 6, 10, 200, 8, 1, 11, 30, 5, 6})                                  // partition, heal, read repair
+	f.Add([]byte{9, 0, 0, 7, 11, 200, 1, 7, 9, 3, 2, 7, 11, 100, 6, 7})                                       // join, leave
+	f.Add([]byte{7, 0, 7, 2, 0, 9, 1, 10, 7, 4, 3, 11, 11, 8, 7, 1, 7, 3, 7, 5, 4, 9})                        // too few replicas
+	f.Add([]byte{0, 8, 0, 9, 0, 10, 0, 11, 5, 8, 5, 9, 5, 10, 5, 11, 11, 255, 11, 255, 4})                    // interned keys, a sweep
+	f.Add([]byte{4, 1, 4, 1, 7, 0, 0, 1, 5, 1, 11, 40, 7, 1, 4, 1, 10, 9, 5, 1})                              // RF 1: no second replica to hint or repair
+	f.Add([]byte{63, 2, 7, 2, 0, 2, 0, 3, 11, 60, 7, 3, 8, 4, 0, 2, 10, 50, 8, 1, 4, 2, 10, 200, 5, 3, 6, 3}) // RF 6 on 6 nodes, ALL reads: overflow slots hinted, then read-repaired
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
 		}
-		cfg := DefaultConfig()
-		if len(script) > 0 { // the first byte picks the consistency levels
+		cfg, nodes := DefaultConfig(), 4
+		if len(script) > 0 { // the first byte picks the world, see above
 			cfg.WriteConsistency = ConsistencyLevel(1 + script[0]>>6)
 			cfg.ReadConsistency = ConsistencyLevel(1 + script[0]>>4&3)
+			shape := int(script[0] & 15)
+			cfg.ReplicationFactor = 1 + (shape+2)%6
+			nodes += shape / 6
 		}
 		world := func(mk func(*sim.Engine, *cluster.Cluster, *sim.RandSource) (read, write func(Key, func(Result)), stop func())) *storeWorld {
 			engine := sim.NewEngine()
 			rnd := sim.NewRandSource(11)
 			ccfg := cluster.DefaultConfig()
-			ccfg.InitialNodes = 4
+			ccfg.InitialNodes = nodes
 			ccfg.MaxNodes = 6
 			cl := cluster.New(ccfg, engine, rnd)
 			w := &storeWorld{engine: engine, cluster: cl}

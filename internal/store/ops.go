@@ -31,73 +31,113 @@ import (
 // still arrive, when the client was acknowledged, and — until every replica
 // in the preference list has applied it — the true inconsistency window. For
 // a read: the answers so far and the freshest version among them.
+//
+// A write stays resident until its slowest replica settles, so a saturated
+// run holds tens of thousands of these at once and the layout is packed to
+// 256 bytes (TestOpStateSize): pointers and slices first, then the 8-byte
+// times and versions, then 4-byte counters, then the one-byte flags and the
+// failure code, with no padding between groups.
 type opState struct {
-	store    *Store
-	write    bool
-	key      KeyID
-	issuedAt time.Duration
-	tenant   TenantID
-	cb       func(Result)
-	coord    *cluster.Node
-	// refs counts the state's holders, see above.
-	refs int
-	// err is the failure a scheduled failEvent will deliver.
-	err error
-	// slots holds one pre-bound slot per replica the operation involves, in
-	// preference order: the first live are the ones the coordinator fans out
-	// to (for a read, the `required` replicas it contacts, and all there is);
-	// a write's remaining slots are the replicas unreachable at issue time,
-	// which start as hints. Slot addresses are event arguments and backlog
-	// entries, so slots is bound once; slotsBuf backs it inline for the
-	// common replication factors.
-	slots    []opSlot
-	slotsBuf [8]opSlot
-	live     int
+	store *Store
+	cb    func(Result)
+	coord *cluster.Node
 	// trace is the sampled span tree for this operation, nil for unsampled
 	// operations (and always nil with tracing off).
 	trace *obs.OpTrace
+	// The operation's slots (see slots) live inline for a replication
+	// factor up to len(slotsBuf) — every factor a scenario uses — and in
+	// overflow for a larger one. overflow survives recycling, so a store
+	// running a large factor allocates it once per state, not per operation.
+	slotsBuf [5]opSlot
+	overflow []opSlot
 
-	required int
-	// possible is the number of replicas that can still answer (live
-	// replicas whose mutation or request has not been dropped).
-	possible int
-	// answered: the consistency level was met and the client's answer is on
-	// its way. failed: it cannot be met any more.
-	answered bool
-	failed   bool
+	key      KeyID
+	issuedAt time.Duration
 
-	// Write side.
+	// Write side. Window tracking: remaining replicas have neither applied
+	// the write nor been discounted; the window runs from ackAt to
+	// lastApply.
 	ver          version
-	acked        int
 	ackDecidedAt time.Duration
 	lastAckAt    time.Duration
-	observed     bool
-	// Window tracking: remaining replicas have neither applied the write nor
-	// been discounted; the window runs from ackAt to lastApply.
-	ackAt     time.Duration
-	remaining int
-	lastApply time.Duration
+	ackAt        time.Duration
+	lastApply    time.Duration
+
+	// Read side: the freshest version among the answers, and the version
+	// read repair brings the stale answering replicas up to.
+	freshest version
+	repairTo version
+
+	tenant int32
+	// refs counts the state's holders, see above.
+	refs int32
+	// nslots is the number of slots, live the first of them the coordinator
+	// fans out to.
+	nslots, live int32
+	required     int32
+	// possible is the number of replicas that can still answer (live
+	// replicas whose mutation or request has not been dropped).
+	possible  int32
+	acked     int32
+	remaining int32
+	responses int32
+
+	write bool
+	// answered: the consistency level was met and the client's answer is on
+	// its way. failed: it cannot be met any more.
+	answered  bool
+	failed    bool
+	observed  bool
 	resolved  bool
 	recorded  bool
+	divergent bool
+	// err is the failure a scheduled failEvent will deliver.
+	err opErr
+}
 
-	// Read side. contacted lists the slots that answered, in arrival order;
-	// repairTo is the version read repair brings them up to.
-	responses    int
-	freshest     version
-	divergent    bool
-	contacted    []*opSlot
-	contactedBuf [8]*opSlot
-	repairTo     version
+// slots returns one pre-bound slot per replica the operation involves, in
+// preference order: the first live are the ones the coordinator fans out to
+// (for a read, the `required` replicas it contacts, and all there is); a
+// write's remaining slots are the replicas unreachable at issue time, which
+// start as hints. Slot addresses are event arguments and backlog entries, so
+// the slots are bound once, at admission.
+func (op *opState) slots() []opSlot {
+	if op.nslots <= int32(len(op.slotsBuf)) {
+		return op.slotsBuf[:op.nslots]
+	}
+	return op.overflow[:op.nslots]
 }
 
 // opSlot is one replica's slot of an operation: the argument of that
 // replica's events (arrival, apply or respond, hint replay, read repair) and,
 // for a write, its entry in the hint backlog. It points back at the
 // operation so package-level handlers can be scheduled with the engine's
-// allocation-free AfterArg path.
+// allocation-free AfterArg path. A read's slot also records where its
+// replica's answer came in: read repair visits the answering replicas in
+// arrival order. The two 4-byte fields keep the slot at 16 bytes.
 type opSlot struct {
 	op *opState
-	id cluster.NodeID
+	id int32 // the replica's cluster.NodeID
+	// rank is the answer's place in arrival order, from 1; 0 until it
+	// answers.
+	rank int32
+}
+
+// node is the slot's replica.
+func (f *opSlot) node() cluster.NodeID { return cluster.NodeID(f.id) }
+
+// opErr is an operation's failure in one byte; zero is none.
+type opErr uint8
+
+const (
+	errStopped opErr = iota + 1
+	errNoNodes
+	errUnavailable
+)
+
+// error returns the exported error the code stands for.
+func (e opErr) error() error {
+	return [...]error{nil, ErrStopped, ErrNoNodes, ErrUnavailable}[e]
 }
 
 // newOp takes an operation state off the free list; the caller holds it.
@@ -105,11 +145,11 @@ func (s *Store) newOp(write bool, tenant TenantID, key KeyID, cb func(Result)) *
 	var op *opState
 	if n := len(s.freeOps); n > 0 {
 		op, s.freeOps = s.freeOps[n-1], s.freeOps[:n-1]
-		*op = opState{}
+		*op = opState{overflow: op.overflow}
 	} else {
 		op = s.opSlab.New()
 	}
-	op.store, op.write, op.tenant, op.key, op.cb = s, write, tenant, key, cb
+	op.store, op.write, op.tenant, op.key, op.cb = s, write, int32(tenant), key, cb
 	op.issuedAt = s.engine.Now()
 	op.refs = 1
 	return op
@@ -210,46 +250,48 @@ func (s *Store) issue(write bool, tenant TenantID, key KeyID, cb func(Result)) {
 func (s *Store) admit(op *opState) {
 	now := op.issuedAt
 	if s.closed {
-		s.fail(op, ErrStopped)
+		s.fail(op, errStopped)
 		return
 	}
 	op.trace = s.beginTrace(op.write, op.key, now)
-	coord, ok := s.pickCoordinatorTenant(op.tenant)
+	tenant := TenantID(op.tenant)
+	coord, ok := s.pickCoordinatorTenant(tenant)
 	if !ok {
-		s.reject(op, now, ErrNoNodes)
+		s.reject(op, now, errNoNodes)
 		return
 	}
-	replicaIDs := s.appendReplicasTenant(op.tenant, op.key)
+	replicaIDs := s.appendReplicasTenant(tenant, op.key)
 	if len(replicaIDs) == 0 {
-		s.reject(op, now, ErrNoNodes)
+		s.reject(op, now, errNoNodes)
 		return
 	}
 	cl := s.readCL
 	if op.write {
 		cl = s.writeCL
 	}
-	op.required = cl.Required(len(replicaIDs))
+	required := cl.Required(len(replicaIDs))
+	op.required = int32(required)
 	live, down := s.partitionReplicas(coord.ID(), replicaIDs)
-	if len(live) < op.required {
-		s.reject(op, now, ErrUnavailable)
+	if len(live) < required {
+		s.reject(op, now, errUnavailable)
 		return
 	}
 
 	op.coord = coord
-	t := s.tenant(op.tenant)
+	t := s.tenant(tenant)
 	if op.write {
 		s.writes.Inc()
 		if t != nil {
 			t.writes.Inc()
 		}
-		if s.trackOwners && op.tenant > 0 {
-			*s.keyTenant.at(op.key) = op.tenant
+		if s.trackOwners && tenant > 0 {
+			*s.keyTenant.at(op.key) = tenant
 		}
 		s.writesSinceTick++
 		s.nextVersion++
 		op.ver = s.nextVersion
-		op.possible = len(live)
-		op.remaining = len(replicaIDs)
+		op.possible = int32(len(live))
+		op.remaining = int32(len(replicaIDs))
 	} else {
 		s.reads.Inc()
 		if t != nil {
@@ -258,27 +300,27 @@ func (s *Store) admit(op *opState) {
 		// Contact exactly `required` live replicas in preference order, as a
 		// token-aware driver would.
 		op.possible = op.required
-		live, down = live[:op.required], nil
-		op.contacted = op.contactedBuf[:0]
+		live, down = live[:required], nil
 	}
 	op.trace.Add(now, "dispatch", int(coord.ID()))
 
 	// live and down point into per-operation scratch buffers, which the next
 	// operation overwrites; the slots keep them.
-	op.slots = op.slotsBuf[:0]
-	if n := len(live) + len(down); n > len(op.slotsBuf) {
-		op.slots = make([]opSlot, 0, n)
+	n := len(live) + len(down)
+	if n > len(op.slotsBuf) && cap(op.overflow) < n {
+		op.overflow = make([]opSlot, n)
 	}
-	for _, id := range live {
-		op.slots = append(op.slots, opSlot{op: op, id: id})
+	op.nslots, op.live = int32(n), int32(len(live))
+	slots := op.slots()
+	for i, id := range live {
+		slots[i] = opSlot{op: op, id: int32(id)}
 	}
-	op.live = len(live)
-	for _, id := range down {
-		op.slots = append(op.slots, opSlot{op: op, id: id})
+	for i, id := range down {
+		slots[len(live)+i] = opSlot{op: op, id: int32(id)}
 	}
 	// Unreachable replicas get hints (or are dropped, counted as lost).
-	for i := op.live; i < len(op.slots); i++ {
-		s.queueHint(&op.slots[i])
+	for i := len(live); i < n; i++ {
+		s.queueHint(&slots[i])
 	}
 
 	// Client -> coordinator.
@@ -287,15 +329,15 @@ func (s *Store) admit(op *opState) {
 
 // reject fails the operation: failure counters, the span's end, and a
 // failure result after a minimal client round trip.
-func (s *Store) reject(op *opState, at time.Duration, err error) {
+func (s *Store) reject(op *opState, at time.Duration, err opErr) {
 	op.failed = true
-	s.countFailure(op.tenant, op.write)
-	s.finishTrace(op.trace, at, err)
+	s.countFailure(TenantID(op.tenant), op.write)
+	s.finishTrace(op.trace, at, err.error())
 	s.fail(op, err)
 }
 
 // fail delivers a failure result after a minimal client round trip.
-func (s *Store) fail(op *opState, err error) {
+func (s *Store) fail(op *opState, err opErr) {
 	if op.cb == nil {
 		return
 	}
@@ -305,7 +347,7 @@ func (s *Store) fail(op *opState, err error) {
 
 func (op *opState) deliverFailure(at time.Duration) {
 	res := op.result(at)
-	res.Err = op.err
+	res.Err = op.err.error()
 	op.cb(res)
 }
 
@@ -317,17 +359,18 @@ func (op *opState) coordinate(arrival time.Duration) {
 	coordDelay, accepted := op.coord.Enqueue(arrival, cluster.ForegroundOp)
 	if !accepted {
 		op.trace.AddNote(arrival, "coordinate", int(op.coord.ID()), "reject")
-		s.reject(op, arrival, ErrUnavailable)
+		s.reject(op, arrival, errUnavailable)
 		return
 	}
 	coordDone := arrival + coordDelay
 	op.trace.Add(coordDone, "coordinate", int(op.coord.ID()))
 	net := s.cluster.Network()
 
-	for i := range op.slots[:op.live] {
-		f := &op.slots[i]
+	slots := op.slots()[:op.live]
+	for i := range slots {
+		f := &slots[i]
 		switch {
-		case f.id != op.coord.ID():
+		case f.node() != op.coord.ID():
 			arrive := writeArriveEvent
 			if !op.write {
 				arrive = readArriveEvent
@@ -355,7 +398,7 @@ func (op *opState) onReplicaLost() {
 	op.possible--
 	if !op.answered {
 		if op.possible < op.required {
-			op.store.reject(op, op.store.engine.Now(), ErrUnavailable)
+			op.store.reject(op, op.store.engine.Now(), errUnavailable)
 		}
 	} else if op.acked >= op.possible {
 		op.emitObservation()
@@ -368,7 +411,7 @@ func (op *opState) onReplicaLost() {
 // hint — the overload behaviour of Dynamo-style stores, and the mechanism
 // that blows the inconsistency window up when replicas cannot keep up.
 func (f *opSlot) arriveWrite(arrive time.Duration) {
-	w, s, id := f.op, f.op.store, f.id
+	w, s, id := f.op, f.op.store, f.node()
 	node, ok := s.cluster.Node(id)
 	if !ok || !node.Available() || !s.cluster.Network().Reachable(w.coord.ID(), id) {
 		// Down, removed, or a partition opened between dispatch and arrival:
@@ -409,7 +452,7 @@ func (f *opSlot) applyWrite(applied time.Duration) {
 // the regular replication path.
 func (f *opSlot) applyHint(applied time.Duration) {
 	w := f.op
-	if rep := w.store.replica(f.id); rep != nil {
+	if rep := w.store.replica(f.node()); rep != nil {
 		rep.apply(w.key, w.ver)
 	}
 	w.replicaSettled(applied)
@@ -452,8 +495,8 @@ func (w *opState) emitObservation() {
 		IssuedAt:  w.issuedAt,
 		AckedAt:   w.ackDecidedAt,
 		LastAckAt: w.lastAckAt,
-		Replicas:  len(w.slots),
-		Acked:     w.acked,
+		Replicas:  int(w.nslots),
+		Acked:     int(w.acked),
 	}
 	for _, o := range w.store.observers {
 		o.ObserveWrite(ob)
@@ -474,7 +517,7 @@ func (w *opState) ackClient(at time.Duration) {
 	res := w.result(at)
 	res.Version = uint64(w.ver)
 	s.writeLatency.ObserveDuration(res.Latency)
-	if t := s.tenant(w.tenant); t != nil {
+	if t := s.tenant(TenantID(w.tenant)); t != nil {
 		t.writeLatency.ObserveDuration(res.Latency)
 	}
 	if w.cb != nil {
@@ -485,7 +528,7 @@ func (w *opState) ackClient(at time.Duration) {
 // arriveRead runs on a replica when a read request arrives; the replica
 // reports the version it holds once it has processed the request.
 func (f *opSlot) arriveRead(arrive time.Duration) {
-	r, s, id := f.op, f.op.store, f.id
+	r, s, id := f.op, f.op.store, f.node()
 	node, ok := s.cluster.Node(id)
 	if !ok || !node.Available() || !s.cluster.Network().Reachable(r.coord.ID(), id) {
 		r.trace.AddNote(arrive, "replica-lost", int(id), "unreachable")
@@ -512,11 +555,11 @@ func (f *opSlot) respond(at time.Duration) {
 		return
 	}
 	v := version(0)
-	if rep := r.store.replica(f.id); rep != nil {
+	if rep := r.store.replica(f.node()); rep != nil {
 		v = rep.read(r.key)
 	}
 	r.responses++
-	r.contacted = append(r.contacted, f)
+	f.rank = r.responses
 	r.trace.Add(at, "replica-respond", int(f.id))
 	if v != r.freshest && r.responses > 1 {
 		r.divergent = true
@@ -551,7 +594,7 @@ func (r *opState) finishRead(at time.Duration) {
 		r.scheduleReadRepair(latest)
 	}
 	s.readLatency.ObserveDuration(res.Latency)
-	if t := s.tenant(r.tenant); t != nil {
+	if t := s.tenant(TenantID(r.tenant)); t != nil {
 		if res.Stale {
 			t.staleReads.Inc()
 		}
@@ -563,7 +606,8 @@ func (r *opState) finishRead(at time.Duration) {
 }
 
 // scheduleReadRepair propagates the newest acknowledged version of the read's
-// key to the replicas the read contacted and found (or suspected) stale.
+// key to the replicas that answered the read and are (or are suspected)
+// stale, in the order their answers arrived.
 func (r *opState) scheduleReadRepair(latest version) {
 	s := r.store
 	// latestAcked is cluster-wide knowledge: while a partition is active it
@@ -577,8 +621,14 @@ func (r *opState) scheduleReadRepair(latest version) {
 		return
 	}
 	r.repairTo = latest
-	for _, f := range r.contacted {
-		if rep := s.replica(f.id); rep != nil && rep.read(r.key) < latest {
+	slots := r.slots()
+	for rank := int32(1); rank <= r.responses; rank++ {
+		i := 0
+		for slots[i].rank != rank {
+			i++
+		}
+		f := &slots[i]
+		if rep := s.replica(f.node()); rep != nil && rep.read(r.key) < latest {
 			r.after(readRepairDelay, readRepairEvent, f)
 		}
 	}
@@ -589,10 +639,10 @@ func (r *opState) scheduleReadRepair(latest version) {
 // read — a repair mutation cannot reach it then.
 func (f *opSlot) repair(time.Duration) {
 	r, s := f.op, f.op.store
-	if node, up := s.cluster.Node(f.id); !up || !node.Available() || s.cluster.Network().Isolated(f.id) {
+	if node, up := s.cluster.Node(f.node()); !up || !node.Available() || s.cluster.Network().Isolated(f.node()) {
 		return
 	}
-	if rep := s.replica(f.id); rep != nil && rep.read(r.key) < r.repairTo {
+	if rep := s.replica(f.node()); rep != nil && rep.read(r.key) < r.repairTo {
 		rep.apply(r.key, r.repairTo)
 		s.readRepairs.Inc()
 	}
@@ -774,7 +824,7 @@ func (s *Store) deliverHints(id cluster.NodeID) {
 
 // arriveHint runs when a replayed hint reaches its replica.
 func (f *opSlot) arriveHint(arrived time.Duration) {
-	w, s, id := f.op, f.op.store, f.id
+	w, s, id := f.op, f.op.store, f.node()
 	net := s.cluster.Network()
 	if !net.Reachable(w.coord.ID(), id) || net.Isolated(id) {
 		// A partition may have opened between batch assembly and arrival; a
@@ -881,7 +931,7 @@ func (w *opState) recordWindow() {
 	}
 	s.windowHist.ObserveDuration(window)
 	s.recentWindow.Observe(window.Seconds())
-	if ts := s.tenant(w.tenant); ts != nil {
+	if ts := s.tenant(TenantID(w.tenant)); ts != nil {
 		ts.windowHist.ObserveDuration(window)
 		ts.recentWindow.Observe(window.Seconds())
 	}

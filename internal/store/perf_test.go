@@ -7,10 +7,24 @@ package store
 // PERFORMANCE.md, round 7). AllocsPerRun reports whole objects per run, so a
 // reintroduced per-operation slice, map entry or closure trips these at once,
 // while a reservoir that still grows every few thousand operations does not.
+//
+// The write and read guards run over replication factors on both sides of
+// the op state's inline slots:
+//
+//	RF  nodes  slots
+//	 1      3  inline
+//	 3      3  inline (the default)
+//	 5      5  inline, all of them
+//	 9      9  the overflow slice, allocated once per state in warm-up
+//
+// Reads run at ALL so that each one fans out to, and keeps a slot for, every
+// replica of the factor.
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"autonosql/internal/cluster"
 )
@@ -22,44 +36,64 @@ const maxWriteAllocs = 0
 // maxReadAllocs bounds the average allocations for one complete read.
 const maxReadAllocs = 0
 
-func TestWritePathAllocations(t *testing.T) {
-	rig := newBenchRig(t, 3)
+// TestOpStateSize pins the per-operation footprint: a saturated scenario
+// holds tens of thousands of op states at once, each until its slowest
+// replica settles, so their size is a large share of the peak heap.
+func TestOpStateSize(t *testing.T) {
+	const maxOpState, maxOpSlot = 256, 16
+	op, slot := unsafe.Sizeof(opState{}), unsafe.Sizeof(opSlot{})
+	t.Logf("opState %d B (%d inline slots), opSlot %d B", op, len(opState{}.slotsBuf), slot)
+	if op > maxOpState {
+		t.Errorf("opState is %d B, want at most %d", op, maxOpState)
+	}
+	if slot > maxOpSlot {
+		t.Errorf("opSlot is %d B, want at most %d", slot, maxOpSlot)
+	}
+}
+
+// slotCases are the replication factors of the table above.
+var slotCases = []struct{ rf, nodes int }{{1, 3}, {3, 3}, {5, 5}, {9, 9}}
+
+// opPathAllocs warms a rig of the given shape with writes, then returns the
+// average allocations of one complete operation issued by op.
+func opPathAllocs(t *testing.T, rf, nodes int, op func(*Store, Key, func(Result))) float64 {
+	cfg := DefaultConfig()
+	cfg.ReplicationFactor = rf
+	cfg.ReadConsistency = All
+	rig := newBenchRigConfig(t, nodes, cfg)
 	fired := 0
 	cb := func(Result) { fired++ }
-	// Warm the event pool and the store's scratch buffers.
+	// Warm the event pool, the store's scratch buffers and, past the inline
+	// slots, the overflow slices of the free list's states.
 	issued := 0
 	for ; issued < 128; issued++ {
 		rig.store.Write(rig.keys[issued%len(rig.keys)], cb)
 	}
 	rig.settle(t, &fired, issued)
-
-	avg := testing.AllocsPerRun(300, func() {
+	return testing.AllocsPerRun(300, func() {
 		issued++
-		rig.store.Write(rig.keys[issued%len(rig.keys)], cb)
+		op(rig.store, rig.keys[issued%len(rig.keys)], cb)
 		rig.settle(t, &fired, issued)
 	})
-	if avg > maxWriteAllocs {
-		t.Errorf("write path allocates %.1f objects per op, want <= %d — a per-operation allocation crept back in", avg, maxWriteAllocs)
+}
+
+func TestWritePathAllocations(t *testing.T) {
+	for _, c := range slotCases {
+		t.Run(fmt.Sprintf("rf%d", c.rf), func(t *testing.T) {
+			if avg := opPathAllocs(t, c.rf, c.nodes, (*Store).Write); avg > maxWriteAllocs {
+				t.Errorf("write path allocates %.1f objects per op, want <= %d — a per-operation allocation crept back in", avg, maxWriteAllocs)
+			}
+		})
 	}
 }
 
 func TestReadPathAllocations(t *testing.T) {
-	rig := newBenchRig(t, 3)
-	fired := 0
-	cb := func(Result) { fired++ }
-	issued := 0
-	for ; issued < 128; issued++ {
-		rig.store.Write(rig.keys[issued%len(rig.keys)], cb)
-	}
-	rig.settle(t, &fired, issued)
-
-	avg := testing.AllocsPerRun(300, func() {
-		issued++
-		rig.store.Read(rig.keys[issued%len(rig.keys)], cb)
-		rig.settle(t, &fired, issued)
-	})
-	if avg > maxReadAllocs {
-		t.Errorf("read path allocates %.1f objects per op, want <= %d — a per-operation allocation crept back in", avg, maxReadAllocs)
+	for _, c := range slotCases {
+		t.Run(fmt.Sprintf("rf%d", c.rf), func(t *testing.T) {
+			if avg := opPathAllocs(t, c.rf, c.nodes, (*Store).Read); avg > maxReadAllocs {
+				t.Errorf("read path allocates %.1f objects per op, want <= %d — a per-operation allocation crept back in", avg, maxReadAllocs)
+			}
+		})
 	}
 }
 
@@ -118,18 +152,24 @@ func TestFaultChecksAllocationFree(t *testing.T) {
 // one object per state and per event.
 func TestFreeListSlabRefill(t *testing.T) {
 	const writes, slab = 10_000, 64 // slab: the block size of sim.Slab
-	rig := newBenchRig(t, 5)
-	cb := func(Result) {}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < writes; i++ {
-		rig.store.WriteID(rig.ids[i%len(rig.ids)], cb)
-	}
-	runtime.ReadMemStats(&after)
-	if got, limit := after.Mallocs-before.Mallocs, uint64(2*writes/slab+64); got > limit {
-		t.Errorf("%d writes in flight allocated %d objects, want at most %d", writes, got, limit)
-	}
-	if p := rig.engine.Profile(); p.PoolMisses < writes || rig.engine.Pending() < writes {
-		t.Fatalf("%d pool misses, %d events pending: the writes are not all in flight", p.PoolMisses, rig.engine.Pending())
+	for _, rf := range []int{3, 5} {
+		t.Run(fmt.Sprintf("rf%d", rf), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.ReplicationFactor = rf
+			rig := newBenchRigConfig(t, 5, cfg)
+			cb := func(Result) {}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < writes; i++ {
+				rig.store.WriteID(rig.ids[i%len(rig.ids)], cb)
+			}
+			runtime.ReadMemStats(&after)
+			if got, limit := after.Mallocs-before.Mallocs, uint64(2*writes/slab+64); got > limit {
+				t.Errorf("%d writes in flight allocated %d objects, want at most %d", writes, got, limit)
+			}
+			if p := rig.engine.Profile(); p.PoolMisses < writes || rig.engine.Pending() < writes {
+				t.Fatalf("%d pool misses, %d events pending: the writes are not all in flight", p.PoolMisses, rig.engine.Pending())
+			}
+		})
 	}
 }

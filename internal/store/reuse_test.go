@@ -62,6 +62,18 @@ func TestOpStateReuseInvisible(t *testing.T) {
 		t.Errorf("fault scenario: report differs with recycling off\nrecycled:\n%s\nfresh:\n%s", recycled, fresh)
 	}
 
+	// The same faults at RF 6 on 6 nodes, reads at ALL: every operation's
+	// six slots live in the overflow slice, which a recycled state keeps
+	// from whatever operation it served before (a read that failed before
+	// fan-out, a write that hinted) and a fresh state allocates anew.
+	wide := faults
+	wide.Cluster.InitialNodes = 6
+	wide.Store.ReplicationFactor = 6
+	wide.Store.ReadConsistency = autonosql.ConsistencyAll
+	if recycled, fresh := bothWays(fingerprint(wide)); recycled != fresh {
+		t.Errorf("RF 6 fault scenario: report differs with recycling off\nrecycled:\n%s\nfresh:\n%s", recycled, fresh)
+	}
+
 	// Both tenant goldens: the recycled result is pinned by the golden tests
 	// of the root package, so the fresh-state run is held to the same files
 	// (which also proves these specs mirror the root package's).
