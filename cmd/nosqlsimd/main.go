@@ -37,7 +37,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
-	retain := flag.Int("retain-windows", 4096, "metric windows retained per job for stream replay (0 = unbounded)")
+	retain := flag.Int("retain-windows", 4096, "metric windows, and separately op-trace spans, retained per job for stream replay (0 = unbounded)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "nosqlsimd: unexpected arguments %v\n", flag.Args())

@@ -126,11 +126,9 @@ type Job struct {
 	windows  []MetricWindow
 	firstSeq int
 	nextSeq  int
-	// Retained span stream, mirroring the window ring. Empty unless the
-	// job's spec enables Observe.TraceOps.
-	spans        []SpanRecord
-	firstSpanSeq int
-	nextSpanSeq  int
+	// Retained span stream, bounded by retain like the window ring. Empty
+	// unless the job's spec enables Observe.TraceOps.
+	spans spanLog
 	// notify is closed and replaced whenever windows or state change;
 	// streamers wait on the channel they saw instead of holding the lock.
 	notify chan struct{}
@@ -276,22 +274,12 @@ func (j *Job) observe(variant string) func(autonosql.SampleWindow) error {
 }
 
 // publishSpan returns the OnSpan sink for one variant: the finished trace is
-// marshalled once and appended to the span ring. It runs on a simulation
-// goroutine, so the span stream follows the run live.
+// appended to the span log. It runs on a simulation goroutine, so the span
+// stream follows the run live.
 func (j *Job) publishSpan(variant string) func(*obs.OpTrace) {
 	return func(tr *obs.OpTrace) {
-		raw, err := json.Marshal(tr)
-		if err != nil {
-			return
-		}
 		j.mu.Lock()
-		j.spans = append(j.spans, SpanRecord{Job: j.id, Variant: variant, Seq: j.nextSpanSeq, Span: raw})
-		j.nextSpanSeq++
-		if j.retain > 0 && len(j.spans) > j.retain {
-			drop := len(j.spans) - j.retain
-			j.spans = append(j.spans[:0], j.spans[drop:]...)
-			j.firstSpanSeq += drop
-		}
+		j.spans.add(variant, tr, j.retain)
 		j.wakeLocked()
 		j.mu.Unlock()
 	}
@@ -312,6 +300,7 @@ func (j *Job) run() {
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.runErr = err
+	j.spans.rebase() // no span comes after Run returns: drop the growth slack
 	switch {
 	case j.canceled:
 		j.state = StateCanceled
@@ -444,17 +433,13 @@ func (j *Job) snapshotFrom(from int) (batch []MetricWindow, next int, terminal b
 	return batch, from + len(batch), j.state.Terminal(), j.notify
 }
 
-// snapshotSpansFrom is snapshotFrom over the span ring.
-func (j *Job) snapshotSpansFrom(from int) (batch []SpanRecord, next int, terminal bool, wait <-chan struct{}) {
+// snapshotSpansFrom is snapshotFrom over the span log; the view needs no
+// lock to decode.
+func (j *Job) snapshotSpansFrom(from int) (batch spanView, next int, terminal bool, wait <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if from < j.firstSpanSeq {
-		from = j.firstSpanSeq
-	}
-	for i := from - j.firstSpanSeq; i < len(j.spans); i++ {
-		batch = append(batch, j.spans[i])
-	}
-	return batch, from + len(batch), j.state.Terminal(), j.notify
+	batch, next = j.spans.view(from)
+	return batch, next, j.state.Terminal(), j.notify
 }
 
 // audit exposes a finished scenario job's MAPE audit trail.
@@ -486,6 +471,6 @@ func (j *Job) metrics() jobMetrics {
 		state:    j.state,
 		variants: j.variants,
 		windows:  j.nextSeq,
-		spans:    j.nextSpanSeq,
+		spans:    j.spans.next(),
 	}
 }

@@ -17,8 +17,9 @@ import (
 // Options configures a Server.
 type Options struct {
 	// RetainWindows bounds the metric windows each job keeps for stream
-	// replay; older windows fall off the front (streamers resume from the
-	// oldest retained sequence). Zero keeps every window.
+	// replay, and separately the op-trace spans it keeps for span replay;
+	// older entries fall off the front (streamers resume from the oldest
+	// retained sequence). Zero keeps everything.
 	RetainWindows int
 }
 
@@ -277,45 +278,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad from sequence %q", q))
-			return
-		}
-		from = n
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush() // commit headers before the first window closes
-	}
 	enc := json.NewEncoder(w)
-	next := from
-	for {
-		batch, n, terminal, wait := j.snapshotFrom(next)
-		next = n
+	follow(w, r, func(from int) (int, bool, <-chan struct{}, error) {
+		batch, next, terminal, wait := j.snapshotFrom(from)
 		for _, mw := range batch {
 			if err := enc.Encode(mw); err != nil {
-				return // client gone
+				return next, terminal, wait, err
 			}
 		}
-		if len(batch) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			// One final snapshot raced nothing: terminal was read after the
-			// batch, and windows only grow before the terminal transition.
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-wait:
-		}
-	}
+		return next, terminal, wait, nil
+	})
 }
 
 // handleSpans replays the retained op-trace spans from the requested
@@ -328,6 +300,20 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
+	sw := newSpanWriter(w, j.id)
+	follow(w, r, func(from int) (int, bool, <-chan struct{}, error) {
+		batch, next, terminal, wait := j.snapshotSpansFrom(from)
+		return next, terminal, wait, sw.write(&batch)
+	})
+}
+
+// follow serves one of a job's sequenced JSON-lines streams from ?from=N.
+// send writes the retained lines from a sequence on and returns the
+// sequence after them, whether the job was terminal, and a channel that
+// closes when more may come; follow flushes each batch and calls send again
+// until the job is terminal, send fails (the client is gone) or the client
+// disconnects.
+func follow(w http.ResponseWriter, r *http.Request, send func(from int) (next int, terminal bool, wait <-chan struct{}, err error)) {
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
 		n, err := strconv.Atoi(q)
@@ -341,22 +327,20 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
-		flusher.Flush()
+		flusher.Flush() // commit headers before the first line
 	}
-	enc := json.NewEncoder(w)
-	next := from
 	for {
-		batch, n, terminal, wait := j.snapshotSpansFrom(next)
-		next = n
-		for _, rec := range batch {
-			if err := enc.Encode(rec); err != nil {
-				return // client gone
-			}
+		next, terminal, wait, err := send(from)
+		if err != nil {
+			return
 		}
-		if len(batch) > 0 && flusher != nil {
+		if next > from && flusher != nil {
 			flusher.Flush()
 		}
+		from = next
 		if terminal {
+			// One final snapshot raced nothing: terminal was read after the
+			// batch, and lines only grow before the terminal transition.
 			return
 		}
 		select {
