@@ -18,7 +18,7 @@
 //	suiterunner -controllers none,reactive,smart -replay-trace run.trace.jsonl
 //	suiterunner -record-trace traces/                 # one trace file per variant
 //	suiterunner -csv sweep.csv -json sweep.json       # export the results
-//	suiterunner -stream-agg -spill-dir results/       # O(parallelism) memory
+//	suiterunner -spill-dir results/                   # one JSON file per variant
 //	suiterunner -list                                 # print the grid and exit
 package main
 
@@ -63,8 +63,7 @@ func run(args []string, out *os.File) int {
 		replayTrace = fs.String("replay-trace", "", "comma-separated trace files replayed as a grid axis; every variant on a\ntrace faces those exact recorded arrivals instead of generated ones")
 		csvPath     = fs.String("csv", "", "write the per-variant results as CSV to this file")
 		jsonPath    = fs.String("json", "", "write the full suite report as JSON to this file")
-		streamAgg   = fs.Bool("stream-agg", false, "aggregate results one variant at a time, retaining O(parallelism)\nreports instead of the whole grid; exports stream straight to their files")
-		spillDir    = fs.String("spill-dir", "", "write each variant's full result to its own JSON file in this\ndirectory as it completes (implies -stream-agg)")
+		spillDir    = fs.String("spill-dir", "", "write each variant's full result to its own JSON file in this\ndirectory as it completes")
 		list        = fs.Bool("list", false, "print the expanded variants and exit without running")
 	)
 	shared := cli.Register(fs)
@@ -152,10 +151,9 @@ func run(args []string, out *os.File) int {
 	fmt.Fprintf(out, "autonosql suite: %d variants, %v simulated each\n\n", len(variants), *duration)
 	started := time.Now()
 
-	// Both run modes render through one SuiteAggregator: -stream-agg folds
-	// each result in as it completes, retaining O(parallelism) reports; the
-	// default runs the whole grid, then feeds the finished report. Either
-	// way a mid-suite failure keeps the completed variants: tables and
+	// The SuiteAggregator folds each result in as it completes, retaining
+	// O(parallelism) reports, and streams the exports straight to their
+	// files. A mid-suite failure keeps the completed variants: tables and
 	// exports cover the completed prefix and the failure is reported
 	// alongside.
 	var (
@@ -166,17 +164,7 @@ func run(args []string, out *os.File) int {
 		agg = autonosql.NewSuiteAggregator(autonosql.SuiteAggregatorOptions{
 			CSV: ws[0], JSON: ws[1], TenantsCSV: ws[2], SpillDir: *spillDir,
 		})
-		if *streamAgg || *spillDir != "" {
-			_, runErr = suite.RunStream(agg.Consume())
-		} else {
-			var report *autonosql.SuiteReport
-			report, runErr = suite.Run()
-			for _, v := range report.Variants {
-				if err := agg.Add(v); err != nil {
-					return err
-				}
-			}
-		}
+		_, runErr = suite.RunStream(agg.Consume())
 		return agg.Close()
 	})
 	if agg == nil {

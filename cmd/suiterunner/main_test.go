@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"autonosql"
+	"autonosql/internal/cli"
 )
 
 func TestDetectTraceCollisions(t *testing.T) {
@@ -49,55 +54,63 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 	return code, string(b)
 }
 
-func TestStreamAggExportsMatchDefaultPath(t *testing.T) {
+// TestCLIExportsMatchSuiteRun pins that the CLI's streamed CSV and JSON
+// exports carry the same bytes as Suite.Run plus SuiteReport.WriteCSV and
+// WriteJSON over the same grid, with a spill file per variant beside them.
+func TestCLIExportsMatchSuiteRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	common := []string{
-		"-duration", "20s", "-patterns", "constant", "-controllers", "none,smart",
-		"-nodes", "2", "-base", "600", "-peak", "1200",
-	}
-	defDir, strDir := t.TempDir(), t.TempDir()
-
-	args := append([]string{}, common...)
-	args = append(args, "-csv", filepath.Join(defDir, "r.csv"), "-json", filepath.Join(defDir, "r.json"))
-	code, defOut := runCLI(t, args...)
+	dir := t.TempDir()
+	code, out := runCLI(t, "-duration", "20s", "-patterns", "constant", "-controllers", "none,smart",
+		"-nodes", "2", "-base", "600", "-peak", "1200", "-spill-dir", filepath.Join(dir, "spill"),
+		"-csv", filepath.Join(dir, "r.csv"), "-json", filepath.Join(dir, "r.json"))
 	if code != 0 {
-		t.Fatalf("default run exited %d:\n%s", code, defOut)
-	}
-
-	args = append([]string{}, common...)
-	args = append(args, "-stream-agg", "-spill-dir", filepath.Join(strDir, "spill"),
-		"-csv", filepath.Join(strDir, "r.csv"), "-json", filepath.Join(strDir, "r.json"))
-	code, out := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("streamed run exited %d:\n%s", code, out)
+		t.Fatalf("run exited %d:\n%s", code, out)
 	}
 	if !strings.Contains(out, "cheapest fully compliant variant") {
-		t.Errorf("streamed run output missing the cheapest-compliant line:\n%s", out)
-	}
-	// Tables and winner come from one aggregator in both modes: up to the
-	// wall-clock line the two stdouts are identical, and so is the winner.
-	for _, part := range []func(string) string{tablesOf, cheapestLineOf} {
-		if got, want := part(out), part(defOut); got != want || want == "" {
-			t.Errorf("streamed stdout differs from the default path's:\n--- streamed\n%s\n--- default\n%s", got, want)
-		}
+		t.Errorf("output missing the cheapest-compliant line:\n%s", out)
 	}
 
-	for _, name := range []string{"r.csv", "r.json"} {
-		want, err := os.ReadFile(filepath.Join(defDir, name))
-		if err != nil {
-			t.Fatalf("reading default %s: %v", name, err)
+	// The suite the flags above build, run in memory.
+	base := autonosql.DefaultScenarioSpec()
+	base.Seed, base.Duration = 1, 20*time.Second
+	base.Cluster.NodeOpsPerSec, base.Cluster.MaxNodes = 2000, 12
+	base.Workload.BaseOpsPerSec, base.Workload.PeakOpsPerSec = 600, 1200
+	fs := flag.NewFlagSet("suiterunner", flag.ContinueOnError)
+	shared := cli.Register(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.Apply(&base); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := buildGrid("constant", "none,smart", "2", "", "", "", base.Duration, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := autonosql.NewSuite(autonosql.SuiteSpec{Base: base, Grid: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := suite.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, write := range map[string]func(io.Writer) error{"r.csv": report.WriteCSV, "r.json": report.WriteJSON} {
+		var want bytes.Buffer
+		if err := write(&want); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := os.ReadFile(filepath.Join(strDir, name))
+		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			t.Fatalf("reading streamed %s: %v", name, err)
+			t.Fatalf("reading %s: %v", name, err)
 		}
-		if string(got) != string(want) {
-			t.Errorf("streamed %s differs from the default path's export", name)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("CLI %s differs from the in-memory suite report's export", name)
 		}
 	}
-	spilled, err := os.ReadDir(filepath.Join(strDir, "spill"))
+	spilled, err := os.ReadDir(filepath.Join(dir, "spill"))
 	if err != nil {
 		t.Fatalf("reading spill dir: %v", err)
 	}
@@ -106,37 +119,17 @@ func TestStreamAggExportsMatchDefaultPath(t *testing.T) {
 	}
 }
 
-// tablesOf returns a run's stdout up to the wall-clock "completed in" line:
-// the suite header and every comparison table.
-func tablesOf(stdout string) string {
-	tables, _, _ := strings.Cut(stdout, "\ncompleted in ")
-	return tables
-}
-
-// cheapestLineOf returns the "cheapest fully compliant variant" line.
-func cheapestLineOf(stdout string) string {
-	for _, line := range strings.Split(stdout, "\n") {
-		if strings.HasPrefix(line, "cheapest fully compliant variant") {
-			return line
-		}
-	}
-	return ""
-}
-
 // TestExportCreateFailureRunsNothing pins the fail-fast export set-up: when a
 // later export file cannot be created the run exits 1 before any variant
 // runs (the files already created are closed by cli.WriteFiles, which its
 // own test pins).
 func TestExportCreateFailureRunsNothing(t *testing.T) {
 	dir := t.TempDir()
-	for _, mode := range [][]string{nil, {"-stream-agg"}} {
-		args := append([]string{"-csv", filepath.Join(dir, "r.csv"), "-json", filepath.Join(dir, "missing", "r.json")}, mode...)
-		code, out := runCLI(t, args...)
-		if code != 1 {
-			t.Errorf("%v: exited %d, want 1", args, code)
-		}
-		if strings.Contains(out, "suite comparison") {
-			t.Errorf("%v: the suite ran although an export could not be created:\n%s", args, out)
-		}
+	code, out := runCLI(t, "-csv", filepath.Join(dir, "r.csv"), "-json", filepath.Join(dir, "missing", "r.json"))
+	if code != 1 {
+		t.Errorf("exited %d, want 1", code)
+	}
+	if strings.Contains(out, "suite comparison") {
+		t.Errorf("the suite ran although an export could not be created:\n%s", out)
 	}
 }

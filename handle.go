@@ -63,21 +63,12 @@ func (h *Handle) SetReplicationFactor(rf int) error {
 
 // AddNode provisions one extra node; it becomes available after the
 // cluster's bootstrap time.
-func (h *Handle) AddNode() error {
-	_, err := h.scenario.cluster.AddNode()
-	return err
-}
+func (h *Handle) AddNode() error { return h.scenario.actuator.AddNode() }
 
-// RemoveNode decommissions the newest fully-up node.
-func (h *Handle) RemoveNode() error {
-	nodes := h.scenario.cluster.Nodes()
-	for i := len(nodes) - 1; i >= 0; i-- {
-		if nodes[i].State() == cluster.NodeUp {
-			return h.scenario.cluster.RemoveNode(nodes[i].ID())
-		}
-	}
-	return errors.New("autonosql: no removable node")
-}
+// RemoveNode decommissions the newest fully-up node, under the controller's
+// policy: a node dedicated to a pinned SLA class goes only when no shared
+// node is up.
+func (h *Handle) RemoveNode() error { return h.scenario.actuator.RemoveNode() }
 
 // FailNode crashes the node with the given ordinal (0 = oldest serving node).
 // The node keeps its ring position and can be recovered with RecoverNode.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"autonosql"
+	"autonosql/internal/cluster"
 )
 
 // e1BaseSpec is the common scenario every E1 cell starts from: a three-node
@@ -49,7 +50,7 @@ func effectiveCapacity(nodes int, nodeOpsPerSec, readFraction float64, rf int) f
 		rf = nodes
 	}
 	service := 1.0 / nodeOpsPerSec // seconds of node time per foreground op
-	replApply := 0.75 * service
+	replApply := cluster.ReplicationApplyShare * service
 	n := float64(nodes)
 	// A read at CL=ONE contacts one replica, which coincides with the
 	// coordinator 1/n of the time.

@@ -131,15 +131,13 @@ func NewInjector(engine *sim.Engine, cl *cluster.Cluster, rng *rand.Rand, runDur
 func (in *Injector) Schedule(plan Plan) error {
 	for i, ev := range plan.Events {
 		ev := ev
-		if ev.At < 0 {
-			return fmt.Errorf("fault: event %d strikes at negative time %v", i, ev.At)
+		if now := in.engine.Now(); ev.At < now {
+			return fmt.Errorf("fault: event %d strikes at %v, before the engine's clock %v", i, ev.At, now)
 		}
 		if ev.Duration < 0 {
 			return fmt.Errorf("fault: event %d has negative duration %v", i, ev.Duration)
 		}
-		if _, err := in.engine.ScheduleAt(ev.At, func(now time.Duration) { in.strike(ev, now) }); err != nil {
-			return fmt.Errorf("fault: scheduling event %d: %w", i, err)
-		}
+		in.engine.AfterAt(ev.At, func(now time.Duration) { in.strike(ev, now) })
 	}
 	return nil
 }

@@ -55,6 +55,13 @@ func TestInjectorValidation(t *testing.T) {
 	if err := inj.Schedule(Plan{Events: []Event{{Kind: KindCrash, At: time.Second, Duration: -time.Second}}}); err == nil {
 		t.Error("negative duration accepted")
 	}
+	// A strike before the engine's clock is an error, not a panic.
+	if err := engine.Run(10 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := inj.Schedule(Plan{Events: []Event{{Kind: KindCrash, At: 5 * time.Second}}}); err == nil {
+		t.Error("strike before the engine's clock accepted")
+	}
 }
 
 func TestCrashAndRestart(t *testing.T) {

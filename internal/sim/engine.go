@@ -20,37 +20,25 @@ type Handler func(now time.Duration)
 // allocate.
 type ArgHandler func(arg any, now time.Duration)
 
-// Event is a scheduled callback inside the simulation.
-type Event struct {
+// callHandler fires a Handler event: After and AfterAt box the Handler as
+// the event's argument (a func value is pointer-shaped, so boxing it
+// allocates nothing), so every event carries an ArgHandler.
+func callHandler(arg any, now time.Duration) { arg.(Handler)(now) }
+
+// event is a scheduled callback inside the simulation.
+type event struct {
 	at      time.Duration
 	seq     uint64
-	handler Handler
-	// argHandler and arg carry an ArgHandler event (scheduled with
-	// AfterArg/AfterArgAt); handler and argHandler are mutually exclusive.
-	argHandler ArgHandler
-	arg        any
-	canceled   bool
-	// pooled marks events scheduled through After/AfterAt: no reference to
-	// them ever escapes the engine, so they are recycled after firing.
+	handler ArgHandler
+	arg     any
+	// pooled marks events scheduled through After/AfterArg and their
+	// absolute-time variants: no reference to them ever escapes the engine,
+	// so they are recycled after firing. A Ticker's event is its own.
 	pooled bool
 	// next links a pending event into its queue bucket and a recycled one
 	// into the engine's free list.
-	next *Event
+	next *event
 }
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() time.Duration { return e.at }
-
-// Cancel marks the event so that it will not fire. Cancelling an already
-// fired event is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
-	}
-}
-
-// Canceled reports whether the event has been cancelled.
-func (e *Event) Canceled() bool { return e != nil && e.canceled }
 
 // never is a horizon no event lies beyond.
 const never = time.Duration(math.MaxInt64)
@@ -71,14 +59,14 @@ type Engine struct {
 	queue   eventQueue
 	seq     uint64
 	running bool
-	// processed counts events that have fired (excluding cancelled ones).
+	// processed counts events that have fired.
 	processed uint64
-	// free is the head of the recycled-event list. Events scheduled with
-	// After/AfterAt return here after firing, so a steady-state simulation
-	// schedules millions of events with a handful of allocations; a miss
-	// takes a never-used event from slab.
-	free *Event
-	slab Slab[Event]
+	// free is the head of the recycled-event list. Pooled events return here
+	// after firing, so a steady-state simulation schedules millions of events
+	// with a handful of allocations; a miss takes a never-used event from
+	// slab.
+	free *event
+	slab Slab[event]
 	// halted stops the current Run after the in-flight event completes. It is
 	// only ever set from a handler firing on this engine (same goroutine), so
 	// it needs no synchronisation.
@@ -94,7 +82,7 @@ type Engine struct {
 
 // Profile is a snapshot of the engine's self-profiling counters.
 type Profile struct {
-	// Processed counts events that have fired (excluding cancelled ones).
+	// Processed counts events that have fired.
 	Processed uint64 `json:"processed"`
 	// PoolHits counts pooled schedules served from the free list;
 	// PoolMisses counts those that took a never-used event.
@@ -114,13 +102,6 @@ func (e *Engine) Profile() Profile {
 	}
 }
 
-// notePush tracks the pending-heap high-water mark; call after queue.push.
-func (e *Engine) notePush() {
-	if e.queue.n > e.heapPeak {
-		e.heapPeak = e.queue.n
-	}
-}
-
 // NewEngine returns an engine whose clock starts at virtual time zero.
 func NewEngine() *Engine {
 	return &Engine{}
@@ -129,178 +110,96 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled events that have not been drained yet).
+// Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return e.queue.n }
 
 // Processed returns the number of events that have fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Schedule schedules handler to run after delay from the current virtual
-// time. A negative delay is an error; a zero delay schedules the handler at
-// the current time, after all handlers already scheduled for that time.
-func (e *Engine) Schedule(delay time.Duration, handler Handler) (*Event, error) {
-	if delay < 0 {
-		return nil, fmt.Errorf("%w: delay %v", ErrPastEvent, delay)
-	}
-	return e.ScheduleAt(e.now+delay, handler)
-}
-
-// ScheduleAt schedules handler to run at absolute virtual time at. The
-// returned event is never recycled, so the caller may hold it indefinitely
-// (e.g. to cancel it); hot paths that do not need the handle should prefer
-// After/AfterAt.
-func (e *Engine) ScheduleAt(at time.Duration, handler Handler) (*Event, error) {
-	if handler == nil {
-		return nil, errors.New("sim: nil handler")
-	}
-	if at < e.now {
-		return nil, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
-	}
-	e.seq++
-	ev := &Event{at: at, seq: e.seq, handler: handler}
-	e.queue.push(ev)
-	e.notePush()
-	return ev, nil
-}
-
-// MustSchedule is Schedule but panics on error. It is intended for internal
-// simulator wiring where a scheduling error indicates a programming bug.
-func (e *Engine) MustSchedule(delay time.Duration, handler Handler) *Event {
-	ev, err := e.Schedule(delay, handler)
-	if err != nil {
-		panic(err)
-	}
-	return ev
-}
-
-// After schedules handler to run after delay without handing out the event,
-// panicking on error. It is the fire-and-forget variant of MustSchedule for
-// hot paths that never cancel: because no reference escapes, the engine
-// recycles the event object after it fires instead of allocating a new one
-// per schedule.
+// After schedules handler to run after delay from the current virtual time.
+// A zero delay schedules it at the current time, after every event already
+// scheduled for that time. Events are fire-and-forget: no reference escapes,
+// so the engine recycles each event after it fires instead of allocating a
+// new one per schedule. Scheduling in the past or a nil handler is a
+// programming bug and panics, as do the other schedule methods.
 func (e *Engine) After(delay time.Duration, handler Handler) {
-	if delay < 0 {
-		panic(fmt.Errorf("%w: delay %v", ErrPastEvent, delay))
-	}
 	e.AfterAt(e.now+delay, handler)
 }
 
 // AfterAt is After with an absolute virtual timestamp.
 func (e *Engine) AfterAt(at time.Duration, handler Handler) {
-	if handler == nil {
-		panic(errors.New("sim: nil handler"))
-	}
-	if at < e.now {
-		panic(fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now))
-	}
-	ev := e.pooledEvent()
-	e.seq++
-	ev.at = at
-	ev.seq = e.seq
-	ev.handler = handler
-	ev.pooled = true
-	e.queue.push(ev)
-	e.notePush()
+	e.schedule(at, callHandler, handler, handler == nil)
 }
 
-// AfterArg schedules h(arg) to run after delay. Like After it is
-// fire-and-forget and pooled; unlike After the handler is a plain function
-// plus a pre-bound argument, so scheduling allocates nothing when h is a
-// package-level function and arg is a pointer.
+// AfterArg schedules h(arg) to run after delay. Unlike After the handler is
+// a plain function plus a pre-bound argument, so scheduling allocates
+// nothing when h is a package-level function and arg is a pointer.
 func (e *Engine) AfterArg(delay time.Duration, h ArgHandler, arg any) {
-	if delay < 0 {
-		panic(fmt.Errorf("%w: delay %v", ErrPastEvent, delay))
-	}
 	e.AfterArgAt(e.now+delay, h, arg)
 }
 
 // AfterArgAt is AfterArg with an absolute virtual timestamp.
 func (e *Engine) AfterArgAt(at time.Duration, h ArgHandler, arg any) {
-	if h == nil {
+	e.schedule(at, h, arg, h == nil)
+}
+
+// schedule queues a pooled h(arg) at at, panicking on a nil handler (which
+// the caller reports, since a boxed nil Handler is a non-nil arg) or a time
+// before now.
+func (e *Engine) schedule(at time.Duration, h ArgHandler, arg any, nilHandler bool) {
+	if nilHandler {
 		panic(errors.New("sim: nil handler"))
 	}
 	if at < e.now {
 		panic(fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now))
 	}
-	ev := e.pooledEvent()
-	e.seq++
-	ev.at = at
-	ev.seq = e.seq
-	ev.argHandler = h
-	ev.arg = arg
-	ev.pooled = true
-	e.queue.push(ev)
-	e.notePush()
-}
-
-// pooledEvent takes an event off the free list, or a never-used one from the
-// slab when the list is empty.
-func (e *Engine) pooledEvent() *Event {
 	ev := e.free
 	if ev == nil {
 		e.poolMisses++
-		return e.slab.New()
+		ev = e.slab.New()
+	} else {
+		e.free = ev.next
+		e.poolHits++
 	}
-	e.free = ev.next
-	ev.next = nil
-	ev.canceled = false
-	e.poolHits++
-	return ev
+	ev.handler, ev.arg, ev.pooled = h, arg, true
+	e.push(ev, at)
 }
 
-// release returns a pooled event to the free list. The handler and argument
-// references are dropped so the closure (and anything it captures) can be
-// collected.
-func (e *Engine) release(ev *Event) {
-	ev.handler = nil
-	ev.argHandler = nil
-	ev.arg = nil
-	ev.pooled = false
-	ev.next = e.free
-	e.free = ev
+// push stamps ev with at and the next sequence number and queues it.
+func (e *Engine) push(ev *event, at time.Duration) {
+	e.seq++
+	ev.at, ev.seq = at, e.seq
+	e.queue.push(ev)
+	if e.queue.n > e.heapPeak {
+		e.heapPeak = e.queue.n
+	}
 }
 
 // fire advances the clock to ev's timestamp and invokes its handler. The
-// event must already be popped and not cancelled. Pooled events are recycled
-// before the handler runs: the event is fully off the queue, so the handler
-// (which may schedule new work) can reuse it immediately.
-func (e *Engine) fire(ev *Event) {
+// event must already be popped. Pooled events are recycled before the
+// handler runs: the event is fully off the queue, so the handler (which may
+// schedule new work) can reuse it immediately. The handler and argument
+// references are dropped so the closure (and anything it captures) can be
+// collected.
+func (e *Engine) fire(ev *event) {
 	e.now = ev.at
 	e.processed++
-	h := ev.handler
-	ah, arg := ev.argHandler, ev.arg
+	h, arg := ev.handler, ev.arg
 	if ev.pooled {
-		e.release(ev)
+		ev.handler, ev.arg = nil, nil
+		ev.next, e.free = e.free, ev
 	}
-	if h != nil {
-		h(e.now)
-		return
-	}
-	ah(arg, e.now)
-}
-
-// discard drops a cancelled event that has been popped, recycling it when
-// pooled.
-func (e *Engine) discard(ev *Event) {
-	if ev.pooled {
-		e.release(ev)
-	}
+	h(arg, e.now)
 }
 
 // Step fires the next pending event, advancing the clock to its timestamp.
 // It returns false when no events remain.
 func (e *Engine) Step() bool {
-	for e.queue.n > 0 {
-		ev := e.queue.pop(never)
-		if ev.canceled {
-			e.discard(ev)
-			continue
-		}
-		e.fire(ev)
-		return true
+	if e.queue.n == 0 {
+		return false
 	}
-	return false
+	e.fire(e.queue.pop(never))
+	return true
 }
 
 // Halt stops the engine's current (or next) Run after the in-flight event
@@ -328,10 +227,6 @@ func (e *Engine) Run(until time.Duration) error {
 		if ev == nil {
 			break
 		}
-		if ev.canceled {
-			e.discard(ev)
-			continue
-		}
 		e.fire(ev)
 	}
 	if e.now < until && !e.halted {
@@ -354,12 +249,7 @@ func (e *Engine) RunAll(maxEvents uint64) error {
 		if maxEvents > 0 && e.processed-start >= maxEvents {
 			return fmt.Errorf("sim: exceeded event cap of %d", maxEvents)
 		}
-		next := e.queue.pop(never)
-		if next.canceled {
-			e.discard(next)
-			continue
-		}
-		e.fire(next)
+		e.fire(e.queue.pop(never))
 	}
 	return nil
 }
@@ -376,16 +266,14 @@ func (e *Engine) RunAll(maxEvents uint64) error {
 //
 // The floor must stay at or below every key still to be pushed. Events are
 // never scheduled before now and seq only grows, so any floor at or below the
-// last fired event is safe. Two cases would lift it past that, and pop avoids
-// both. Run stops at its horizon with the earliest event still pending, and
-// its caller may then schedule between the horizon and that event, so pop
-// never settles on an event it leaves queued, nor on a cancelled one beyond
-// the horizon that it drops. Step and RunAll may settle on a cancelled event
-// beyond now and then find the queue empty, so an empty queue drops the
-// floor to zero. A lone event leaves the floor where it is: nothing needs to
-// drop, and the old floor is still a lower bound.
+// last fired event is safe. Every popped event fires, so only one case would
+// lift it past that: Run stops at its horizon with the earliest event still
+// pending, and its caller may then schedule between the horizon and that
+// event, so pop never settles on an event it leaves queued. A lone event
+// leaves the floor where it is: nothing needs to drop, and the old floor is
+// still a lower bound.
 //
-// Each bucket is an intrusive singly-linked list through Event.next, which
+// Each bucket is an intrusive singly-linked list through event.next, which
 // the free list uses only for events off the queue, so the queue allocates
 // nothing. Because (at, seq) is a total order — seq is unique — and pop
 // always takes the minimum, events come out in exactly ascending (at, seq),
@@ -397,17 +285,17 @@ type eventQueue struct {
 	at      time.Duration // floor key
 	seq     uint64
 	mask    [2]uint64 // bit i set iff buckets[i] is non-empty
-	buckets [128]*Event
+	buckets [128]*event
 }
 
 // push adds ev; its key must lie above the floor.
-func (q *eventQueue) push(ev *Event) {
+func (q *eventQueue) push(ev *event) {
 	q.file(ev)
 	q.n++
 }
 
 // file links ev into the bucket its key falls in under the current floor.
-func (q *eventQueue) file(ev *Event) {
+func (q *eventQueue) file(ev *event) {
 	var i int
 	if d := uint64(ev.at ^ q.at); d != 0 {
 		i = 63 + bits.Len64(d)
@@ -419,10 +307,10 @@ func (q *eventQueue) file(ev *Event) {
 	q.mask[i>>6] |= 1 << (i & 63)
 }
 
-// pop removes and returns the earliest event. An earliest event that is live
-// and due after until stays queued, and pop returns nil without moving the
-// floor. The queue must not be empty.
-func (q *eventQueue) pop(until time.Duration) *Event {
+// pop removes and returns the earliest event. An earliest event due after
+// until stays queued, and pop returns nil without moving the floor. The queue
+// must not be empty.
+func (q *eventQueue) pop(until time.Duration) *event {
 	i := bits.TrailingZeros64(q.mask[0])
 	if i == 64 {
 		i += bits.TrailingZeros64(q.mask[1])
@@ -433,11 +321,11 @@ func (q *eventQueue) pop(until time.Duration) *Event {
 			best, link = ev, &prev.next
 		}
 	}
-	if best.at > until && !best.canceled {
+	if best.at > until {
 		return nil
 	}
 	*link = best.next
-	if rest := q.buckets[i]; rest != nil && best.at <= until {
+	if rest := q.buckets[i]; rest != nil {
 		// Settle: best becomes the floor and the rest of the bucket drops.
 		q.buckets[i] = nil
 		q.at, q.seq = best.at, best.seq
@@ -451,8 +339,6 @@ func (q *eventQueue) pop(until time.Duration) *Event {
 		q.mask[i>>6] &^= 1 << (i & 63)
 	}
 	best.next = nil
-	if q.n--; q.n == 0 {
-		q.at, q.seq = 0, 0
-	}
+	q.n--
 	return best
 }

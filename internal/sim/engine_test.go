@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -22,9 +24,9 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestScheduleAndRunOrdersByTime(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.MustSchedule(30*time.Millisecond, func(time.Duration) { order = append(order, 3) })
-	e.MustSchedule(10*time.Millisecond, func(time.Duration) { order = append(order, 1) })
-	e.MustSchedule(20*time.Millisecond, func(time.Duration) { order = append(order, 2) })
+	e.After(30*time.Millisecond, func(time.Duration) { order = append(order, 3) })
+	e.After(10*time.Millisecond, func(time.Duration) { order = append(order, 1) })
+	e.After(20*time.Millisecond, func(time.Duration) { order = append(order, 2) })
 	if err := e.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -47,7 +49,7 @@ func TestSameTimestampFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.MustSchedule(5*time.Millisecond, func(time.Duration) { order = append(order, i) })
+		e.After(5*time.Millisecond, func(time.Duration) { order = append(order, i) })
 	}
 	if err := e.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -59,52 +61,58 @@ func TestSameTimestampFIFO(t *testing.T) {
 	}
 }
 
+// panicValue runs fn and returns what it panicked with, or nil.
+func panicValue(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
 func TestScheduleInPastFails(t *testing.T) {
 	e := NewEngine()
-	e.MustSchedule(10*time.Millisecond, func(time.Duration) {})
+	e.After(10*time.Millisecond, func(time.Duration) {})
 	if err := e.Run(20 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, err := e.ScheduleAt(5*time.Millisecond, func(time.Duration) {}); err == nil {
-		t.Fatal("ScheduleAt in the past succeeded, want error")
+	for name, schedule := range map[string]func(){
+		"AfterAt in the past":          func() { e.AfterAt(5*time.Millisecond, func(time.Duration) {}) },
+		"After with negative delay":    func() { e.After(-time.Millisecond, func(time.Duration) {}) },
+		"AfterArg with negative delay": func() { e.AfterArg(-time.Millisecond, func(any, time.Duration) {}, nil) },
+		"AfterArgAt in the past":       func() { e.AfterArgAt(5*time.Millisecond, func(any, time.Duration) {}, nil) },
+	} {
+		err, _ := panicValue(schedule).(error)
+		if !errors.Is(err, ErrPastEvent) {
+			t.Errorf("%s panicked with %v, want ErrPastEvent", name, err)
+		}
 	}
-	if _, err := e.Schedule(-time.Millisecond, func(time.Duration) {}); err == nil {
-		t.Fatal("Schedule with negative delay succeeded, want error")
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after rejected schedules, want 0", e.Pending())
 	}
 }
 
 func TestScheduleNilHandlerFails(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.Schedule(time.Millisecond, nil); err == nil {
-		t.Fatal("Schedule(nil handler) succeeded, want error")
+	for name, schedule := range map[string]func(){
+		"After":    func() { e.After(time.Millisecond, nil) },
+		"AfterAt":  func() { e.AfterAt(time.Millisecond, nil) },
+		"AfterArg": func() { e.AfterArg(time.Millisecond, nil, 1) },
+	} {
+		err, _ := panicValue(schedule).(error)
+		if err == nil || !strings.Contains(err.Error(), "nil handler") {
+			t.Errorf("%s(nil handler) panicked with %v, want a nil handler error", name, err)
+		}
 	}
-}
-
-func TestCancelPreventsFiring(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.MustSchedule(10*time.Millisecond, func(time.Duration) { fired = true })
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
-	if err := e.Run(time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Processed() != 0 {
-		t.Fatalf("Processed() = %d, want 0", e.Processed())
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after rejected schedules, want 0", e.Pending())
 	}
 }
 
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var times []time.Duration
-	e.MustSchedule(10*time.Millisecond, func(now time.Duration) {
+	e.After(10*time.Millisecond, func(now time.Duration) {
 		times = append(times, now)
-		e.MustSchedule(15*time.Millisecond, func(now time.Duration) {
+		e.After(15*time.Millisecond, func(now time.Duration) {
 			times = append(times, now)
 		})
 	})
@@ -122,7 +130,7 @@ func TestNestedScheduling(t *testing.T) {
 func TestRunStopsAtBoundary(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.MustSchedule(100*time.Millisecond, func(time.Duration) { fired = true })
+	e.After(100*time.Millisecond, func(time.Duration) { fired = true })
 	if err := e.Run(50 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -149,12 +157,12 @@ func TestScheduleBelowPeekedMinimum(t *testing.T) {
 	record := func(name string) Handler {
 		return func(now time.Duration) { order = append(order, fmt.Sprintf("%s@%v", name, now)) }
 	}
-	e.MustSchedule(100*time.Millisecond, record("c"))
+	e.After(100*time.Millisecond, record("c"))
 	if err := e.Run(50 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	e.MustSchedule(10*time.Millisecond, record("a"))
-	e.MustSchedule(10*time.Millisecond, record("b"))
+	e.After(10*time.Millisecond, record("a"))
+	e.After(10*time.Millisecond, record("b"))
 	if err := e.Run(200 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -177,8 +185,8 @@ func TestRunBackwardsFails(t *testing.T) {
 func TestRunAllCap(t *testing.T) {
 	e := NewEngine()
 	var loop func(now time.Duration)
-	loop = func(time.Duration) { e.MustSchedule(time.Millisecond, loop) }
-	e.MustSchedule(time.Millisecond, loop)
+	loop = func(time.Duration) { e.After(time.Millisecond, loop) }
+	e.After(time.Millisecond, loop)
 	if err := e.RunAll(100); err == nil {
 		t.Fatal("RunAll with runaway loop succeeded, want cap error")
 	}
@@ -246,8 +254,27 @@ func TestTickerStop(t *testing.T) {
 	if err := e.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
+	if count != 3 || tk.Fired() != 3 {
+		t.Fatalf("count = %d, Fired() = %d, want 3", count, tk.Fired())
+	}
+
+	// Stopped from outside its handler, a ticker's already queued tick
+	// still fires, as a no-op that re-arms nothing.
+	count = 0
+	tk, err = NewTicker(e, 10*time.Millisecond, func(time.Duration) { count++ })
+	if err != nil {
+		t.Fatalf("NewTicker: %v", err)
+	}
+	tk.Stop()
+	before := e.Processed()
+	if err := e.Run(2 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if count != 0 || tk.Fired() != 0 {
+		t.Fatalf("stopped ticker fired its handler %d times (Fired() = %d), want 0", count, tk.Fired())
+	}
+	if got := e.Processed() - before; got != 1 || e.Pending() != 0 {
+		t.Fatalf("after Stop: %d events fired and %d pending, want the queued tick to fire once and nothing left", got, e.Pending())
 	}
 }
 
@@ -362,10 +389,10 @@ func TestEngineDeterminism(t *testing.T) {
 			out = append(out, now)
 			if len(out) < 50 {
 				d := time.Duration(Exponential(rng, float64(time.Millisecond)))
-				e.MustSchedule(d+time.Microsecond, gen)
+				e.After(d+time.Microsecond, gen)
 			}
 		}
-		e.MustSchedule(time.Millisecond, gen)
+		e.After(time.Millisecond, gen)
 		if err := e.Run(time.Hour); err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -12,11 +12,15 @@ type Ticker struct {
 	engine  *Engine
 	period  time.Duration
 	handler Handler
-	// next is the ticker's one event, re-armed every period.
-	next    *Event
+	// ev is the ticker's one event, re-armed every period. It is not pooled:
+	// the ticker is its only holder.
+	ev      event
 	stopped bool
 	fired   uint64
 }
+
+// tickEvent fires the ticker passed as its argument.
+func tickEvent(arg any, now time.Duration) { arg.(*Ticker).tick(now) }
 
 // NewTicker creates and starts a ticker on engine with the given period.
 // The first tick fires one period from now.
@@ -31,11 +35,8 @@ func NewTicker(engine *Engine, period time.Duration, handler Handler) (*Ticker, 
 		return nil, errors.New("sim: nil ticker handler")
 	}
 	t := &Ticker{engine: engine, period: period, handler: handler}
-	ev, err := engine.Schedule(period, t.tick)
-	if err != nil {
-		return nil, err
-	}
-	t.next = ev
+	t.ev.handler, t.ev.arg = tickEvent, t
+	engine.push(&t.ev, engine.now+period)
 	return t, nil
 }
 
@@ -48,14 +49,10 @@ func (t *Ticker) tick(now time.Duration) {
 	if t.stopped {
 		return
 	}
-	// Re-arm the event that just fired: it is off the queue and not pooled,
-	// so the ticker is its only holder. The sequence number is taken here,
-	// exactly where scheduling a fresh event would take it.
-	e := t.engine
-	e.seq++
-	t.next.at, t.next.seq = now+t.period, e.seq
-	e.queue.push(t.next)
-	e.notePush()
+	// Re-arm the event that just fired: it is off the queue, and the
+	// sequence number is taken here, exactly where scheduling a fresh event
+	// would take it.
+	t.engine.push(&t.ev, now+t.period)
 }
 
 // Fired returns how many times the ticker has invoked its handler.
@@ -64,11 +61,6 @@ func (t *Ticker) Fired() uint64 { return t.fired }
 // Period returns the tick period.
 func (t *Ticker) Period() time.Duration { return t.period }
 
-// Stop cancels future ticks. It is safe to call multiple times and from
-// within the ticker's own handler.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	if t.next != nil {
-		t.next.Cancel()
-	}
-}
+// Stop ends future ticks. It is safe to call multiple times and from within
+// the ticker's own handler. A tick already queued still fires, as a no-op.
+func (t *Ticker) Stop() { t.stopped = true }

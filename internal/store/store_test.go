@@ -88,10 +88,10 @@ func (h *harness) generateLoad(writeRate, readRate float64, dur time.Duration, k
 				gap = time.Microsecond
 			}
 			if h.engine.Now()+gap < dur {
-				h.engine.MustSchedule(gap, next)
+				h.engine.After(gap, next)
 			}
 		}
-		h.engine.MustSchedule(time.Millisecond, next)
+		h.engine.After(time.Millisecond, next)
 	}
 	schedule(writeRate, func(k Key) { h.store.Write(k, nil) })
 	schedule(readRate, func(k Key) { h.store.Read(k, nil) })

@@ -28,7 +28,7 @@ func (f *fakeTarget) Read(key store.Key, cb func(store.Result)) {
 		res.Err = errors.New("injected")
 	}
 	if cb != nil {
-		f.engine.MustSchedule(time.Millisecond, func(time.Duration) { cb(res) })
+		f.engine.After(time.Millisecond, func(time.Duration) { cb(res) })
 	}
 }
 
@@ -39,7 +39,7 @@ func (f *fakeTarget) Write(key store.Key, cb func(store.Result)) {
 		res.Err = errors.New("injected")
 	}
 	if cb != nil {
-		f.engine.MustSchedule(time.Millisecond, func(time.Duration) { cb(res) })
+		f.engine.After(time.Millisecond, func(time.Duration) { cb(res) })
 	}
 }
 

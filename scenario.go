@@ -40,6 +40,11 @@ type Scenario struct {
 	// so it is part of every golden fingerprint.
 	drivers []driver
 
+	// actuator is the execution surface the controller and Handle both act
+	// through, so an intervention adds and removes nodes under the same
+	// policy as the controller.
+	actuator core.Actuator
+
 	// Multi-tenant mode: one runtime per declared tenant. tenantAct is the
 	// scoped-action surface (admission + placement) the controller and
 	// Handle execute tenant- and class-scoped actions through.
@@ -164,20 +169,20 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("autonosql: assembling actuator: %w", err)
 	}
-	var actuator core.Actuator = sysActuator
+	s.actuator = sysActuator
 	if len(spec.Tenants) > 0 {
 		s.tenantAct = &tenantActuator{SystemActuator: sysActuator, scenario: s}
-		actuator = s.tenantAct
+		s.actuator = s.tenantAct
 	}
 	switch spec.Controller.Mode {
 	case ControllerSmart:
-		ctl, err := core.New(spec.controllerConfig(), actuator)
+		ctl, err := core.New(spec.controllerConfig(), s.actuator)
 		if err != nil {
 			return nil, fmt.Errorf("autonosql: assembling controller: %w", err)
 		}
 		s.smart = ctl
 	case ControllerReactive:
-		ra, err := baseline.NewReactiveAutoscaler(spec.reactiveConfig(), actuator)
+		ra, err := baseline.NewReactiveAutoscaler(spec.reactiveConfig(), s.actuator)
 		if err != nil {
 			return nil, fmt.Errorf("autonosql: assembling reactive autoscaler: %w", err)
 		}
@@ -543,9 +548,7 @@ func (s *Scenario) Run() (*Report, error) {
 	handle := &Handle{scenario: s}
 	for _, h := range s.hooks {
 		h := h
-		if _, err := s.engine.ScheduleAt(h.at, func(time.Duration) { h.fn(handle) }); err != nil {
-			return nil, fmt.Errorf("autonosql: scheduling intervention at %v: %w", h.at, err)
-		}
+		s.engine.AfterAt(h.at, func(time.Duration) { h.fn(handle) })
 	}
 
 	// Planned fault events.

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"autonosql/internal/cluster"
 )
 
 // quickSpec returns a scenario small enough for unit tests: 90 simulated
@@ -192,6 +194,60 @@ func TestScenarioHandleErrors(t *testing.T) {
 		}
 		if err := h.SetReplicationFactor(0); err == nil {
 			t.Error("zero replication factor accepted")
+		}
+	})
+	if _, err := sc.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestHandleRemoveNodeSparesPinnedClass pins that an intervention removes
+// nodes under the controller's policy: while a shared node is up, no node
+// dedicated to the pinned SLA class is removed.
+func TestHandleRemoveNodeSparesPinnedClass(t *testing.T) {
+	spec := quickSpec()
+	spec.Duration = 30 * time.Second
+	spec.Cluster.InitialNodes = 5
+	spec.Controller.AllowPlacement = true
+	spec.Tenants = []TenantSpec{
+		{Name: "gold", Class: SLAGold, Workload: WorkloadSpec{Pattern: LoadConstant, BaseOpsPerSec: 300}},
+		{Name: "bronze", Class: SLABronze, Workload: WorkloadSpec{Pattern: LoadConstant, BaseOpsPerSec: 300}},
+	}
+	sc, err := NewScenario(spec)
+	if err != nil {
+		t.Fatalf("NewScenario: %v", err)
+	}
+	// The oldest node is down while gold is pinned, so it stays shared.
+	sc.At(5*time.Second, func(h *Handle) {
+		if err := h.FailNode(0); err != nil {
+			t.Fatalf("FailNode: %v", err)
+		}
+		if err := h.PinClass("gold"); err != nil {
+			t.Fatalf("PinClass: %v", err)
+		}
+		if err := h.RecoverNode(); err != nil {
+			t.Fatalf("RecoverNode: %v", err)
+		}
+		upByClass := func() map[string]int {
+			up := map[string]int{}
+			for _, n := range sc.cluster.Nodes() {
+				if n.State() == cluster.NodeUp {
+					up[n.Class()]++
+				}
+			}
+			return up
+		}
+		before := upByClass()
+		if before["gold"] == 0 || before[""] != 2 {
+			t.Fatalf("before the removals %v nodes are up by class, want gold ones and 2 shared", before)
+		}
+		for i := 0; i < 2; i++ {
+			if err := h.RemoveNode(); err != nil {
+				t.Fatalf("RemoveNode %d: %v", i+1, err)
+			}
+		}
+		if after := upByClass(); after["gold"] != before["gold"] || after[""] != 0 {
+			t.Errorf("after two removals %v nodes are up by class, want all %d gold ones kept and both shared ones removed", after, before["gold"])
 		}
 	})
 	if _, err := sc.Run(); err != nil {
