@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"autonosql/internal/metrics"
@@ -133,25 +132,10 @@ type Analysis struct {
 	// ThrottleCandidateRate is the candidate's observed offered rate in
 	// ops/s, the base the planner derives the admission rate from.
 	ThrottleCandidateRate float64
-	// ThrottleCandidates ranks every eligible throttle target best-first by
-	// the same offered-load-per-penalty score that picks ThrottleCandidate
-	// (which is always the first entry when any exist). The planner walks the
-	// ranking so it can pass over a candidate whose past throttles the
-	// knowledge base has learned do nothing.
-	ThrottleCandidates []ThrottleTarget
 	// Throttled lists the currently throttled tenants in declaration order,
 	// with each tenant's admission state, for the planner's escalation and
 	// recovery paths.
 	Throttled []ThrottledTenant
-}
-
-// ThrottleTarget is one eligible admission-control target in the analyzer's
-// ranking.
-type ThrottleTarget struct {
-	// Name identifies the tenant.
-	Name string
-	// Rate is the tenant's observed offered rate in ops/s.
-	Rate float64
 }
 
 // ThrottledTenant is one currently throttled tenant's admission state as
@@ -272,11 +256,7 @@ func (a *Analyzer) Analyze(snap monitor.Snapshot) Analysis {
 // at the least contractual cost — with ties broken by declaration order so
 // the choice is deterministic.
 func (an *Analysis) annotateAdmission(sigs []tenant.Signal) {
-	type scoredTarget struct {
-		target ThrottleTarget
-		score  float64
-	}
-	var ranked []scoredTarget
+	best := 0.0
 	for _, sig := range sigs {
 		if sig.Throttled {
 			an.Throttled = append(an.Throttled, ThrottledTenant{
@@ -293,21 +273,13 @@ func (an *Analysis) annotateAdmission(sigs []tenant.Signal) {
 		if weight < 0.01 {
 			weight = 0.01
 		}
-		ranked = append(ranked, scoredTarget{
-			target: ThrottleTarget{Name: sig.Name, Rate: sig.OfferedOpsPerSec},
-			score:  sig.OfferedOpsPerSec / weight,
-		})
-	}
-	// Rank best-first; the stable sort keeps declaration order as the tie
-	// break, so the top entry is exactly the tenant the strictly-greater scan
-	// used to pick.
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score > ranked[j].score })
-	for _, r := range ranked {
-		an.ThrottleCandidates = append(an.ThrottleCandidates, r.target)
-	}
-	if len(ranked) > 0 {
-		an.ThrottleCandidate = ranked[0].target.Name
-		an.ThrottleCandidateRate = ranked[0].target.Rate
+		// Every score is positive, so the first maximum in declaration
+		// order wins a tie.
+		if score := sig.OfferedOpsPerSec / weight; score > best {
+			best = score
+			an.ThrottleCandidate = sig.Name
+			an.ThrottleCandidateRate = sig.OfferedOpsPerSec
+		}
 	}
 }
 

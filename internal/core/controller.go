@@ -64,7 +64,6 @@ type Controller struct {
 	actuator Actuator
 	analyzer *Analyzer
 	planner  *Planner
-	kb       *KnowledgeBase
 
 	decisions []Decision
 	applied   int
@@ -87,13 +86,11 @@ func New(cfg Config, actuator Actuator) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	kb := NewKnowledgeBase()
 	return &Controller{
 		cfg:      cfg,
 		actuator: actuator,
 		analyzer: NewAnalyzer(cfg),
-		planner:  NewPlanner(cfg, kb),
-		kb:       kb,
+		planner:  NewPlanner(cfg),
 	}, nil
 }
 
@@ -102,9 +99,9 @@ func New(cfg Config, actuator Actuator) (*Controller, error) {
 func (c *Controller) Step(snap monitor.Snapshot) Decision {
 	// Monitor + Analyze.
 	analysis := c.analyzer.Analyze(snap)
-	// Feed the knowledge base so a previously applied action gets its
-	// post-action measurement.
-	c.kb.RecordObservation(snap.At, snap.WindowP95, snap.WriteLatencyP99)
+	// Feed the planner's knowledge base so a previously applied action gets
+	// its post-action measurement.
+	c.planner.kb.RecordObservation(snap.At, snap.WindowP95)
 
 	// Plan.
 	plant := PlantState{
@@ -144,7 +141,7 @@ func (c *Controller) Step(snap monitor.Snapshot) Decision {
 			if action.Kind == ActionAddNode || action.Kind == ActionRemoveNode {
 				settle = 4 * c.cfg.ControlInterval
 			}
-			c.kb.RecordApplied(action, snap.At, snap.WindowP95, snap.WriteLatencyP99, settle)
+			c.planner.kb.RecordApplied(action, snap.At, snap.WindowP95, settle)
 		} else {
 			c.failed++
 		}

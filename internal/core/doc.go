@@ -22,9 +22,12 @@
 //     makes the problem worse.
 //   - Execute: the Controller applies the action through an Actuator bound to
 //     the store and cluster.
-//   - Knowledge: the KnowledgeBase records the observed effect of every
-//     applied action so the planner can learn which actions actually help in
-//     the current environment, and so experiments can audit the decisions.
+//   - Knowledge: the planner's KnowledgeBase keeps a cooldown ledger per
+//     (action kind, scope) and, per action kind, the mean relative window
+//     change of its settled applications, behind the Harmful veto that stops
+//     the planner repeating an action that made the window worse. Only one
+//     application is pending at a time: an action followed by another before
+//     it settles is never scored.
 //
 // A LoadPredictor adds the "smart" part of smart auto-scaling: it forecasts
 // the offered load one bootstrap-time ahead and provisions capacity before

@@ -7,15 +7,13 @@ import (
 )
 
 // EffectRecord is one completed observation of an action's effect: the window
-// and latency estimates in the control interval before the action and in the
-// interval after it had time to act.
+// estimate in the control interval before the action and in the interval
+// after it had time to act.
 type EffectRecord struct {
-	Action        Action
-	AppliedAt     time.Duration
-	WindowBefore  float64
-	WindowAfter   float64
-	LatencyBefore float64
-	LatencyAfter  float64
+	Action       Action
+	AppliedAt    time.Duration
+	WindowBefore float64
+	WindowAfter  float64
 }
 
 // WindowImprovement is the relative reduction of the window estimate
@@ -34,8 +32,6 @@ type Effectiveness struct {
 	Samples uint64
 	// MeanWindowImprovement is the mean relative window reduction.
 	MeanWindowImprovement float64
-	// StdDev is the standard deviation of the relative window reduction.
-	StdDev float64
 }
 
 // Harmful reports whether the action has, on average, made the window worse
@@ -44,15 +40,6 @@ type Effectiveness struct {
 // network congestion made things worse" stops being repeated.
 func (e Effectiveness) Harmful() bool {
 	return e.Samples >= 2 && e.MeanWindowImprovement < -0.05
-}
-
-// Ineffective reports whether the action has, across at least two
-// observations, failed to buy any window improvement on average. Weaker than
-// Harmful — the action did not make things worse, it just did nothing — it is
-// the signal the planner uses to deprioritise a target, never to rule one
-// out entirely.
-func (e Effectiveness) Ineffective() bool {
-	return e.Samples >= 2 && e.MeanWindowImprovement <= 0
 }
 
 // actionKey is the cooldown-map key: an action kind together with the scope
@@ -65,22 +52,18 @@ type actionKey struct {
 	scope string
 }
 
-// KnowledgeBase is the K in MAPE-K: it remembers when each (action kind,
-// scope) pair was last applied (for cooldown enforcement) and what effect
-// applied actions had on the window (for action ranking and post-mortem
-// analysis). Effectiveness is learned per kind — what tightening consistency
-// does to the window does not depend on who triggered it — except for tenant
-// throttles, which are additionally learned per tenant: whether shedding one
-// particular neighbour's load actually moves the window depends entirely on
-// how much pressure that neighbour was contributing.
+// KnowledgeBase is the K in MAPE-K. It keeps two things: a cooldown ledger
+// of when each (action kind, scope) pair was last applied, and, per action
+// kind, the mean relative window change the kind's settled applications
+// bought — the input of the planner's Harmful veto. Effectiveness is learned
+// per kind: what tightening consistency does to the window does not depend
+// on who triggered it. Only one application is pending at a time; an action
+// applied before the previous one settled replaces it, so the earlier
+// action's effect is never scored.
 type KnowledgeBase struct {
 	lastApplied map[actionKey]time.Duration
-	everApplied map[actionKey]bool
 	effects     map[ActionKind]*metrics.MeanVariance
-	// tenantThrottle tracks, per throttled tenant, the window improvement
-	// observed after each of that tenant's throttles settled.
-	tenantThrottle map[string]*metrics.MeanVariance
-	history        []EffectRecord
+	history     []EffectRecord
 
 	// pending is the most recently applied action still waiting for its
 	// "after" observation.
@@ -91,39 +74,29 @@ type KnowledgeBase struct {
 // NewKnowledgeBase creates an empty knowledge base.
 func NewKnowledgeBase() *KnowledgeBase {
 	return &KnowledgeBase{
-		lastApplied:    make(map[actionKey]time.Duration),
-		everApplied:    make(map[actionKey]bool),
-		effects:        make(map[ActionKind]*metrics.MeanVariance),
-		tenantThrottle: make(map[string]*metrics.MeanVariance),
+		lastApplied: make(map[actionKey]time.Duration),
+		effects:     make(map[ActionKind]*metrics.MeanVariance),
 	}
 }
 
 // RecordApplied notes that the action was applied at the given time with the
-// given pre-action window and latency estimates (seconds). settleTime is how
-// long to wait before attributing post-action measurements to the action.
-func (k *KnowledgeBase) RecordApplied(a Action, at time.Duration, windowBefore, latencyBefore float64, settleTime time.Duration) {
-	key := actionKey{kind: a.Kind, scope: a.Scope.key()}
-	k.lastApplied[key] = at
-	k.everApplied[key] = true
-	k.pending = &EffectRecord{
-		Action:        a,
-		AppliedAt:     at,
-		WindowBefore:  windowBefore,
-		LatencyBefore: latencyBefore,
-	}
+// given pre-action window estimate (seconds). settleTime is how long to wait
+// before attributing post-action measurements to the action.
+func (k *KnowledgeBase) RecordApplied(a Action, at time.Duration, windowBefore float64, settleTime time.Duration) {
+	k.lastApplied[actionKey{kind: a.Kind, scope: a.Scope.key()}] = at
+	k.pending = &EffectRecord{Action: a, AppliedAt: at, WindowBefore: windowBefore}
 	k.pendingSettled = at + settleTime
 }
 
-// RecordObservation feeds the current window and latency estimates. If an
-// applied action is waiting for its post-action measurement and enough time
-// has passed for the action to take effect, the effect record is completed.
-func (k *KnowledgeBase) RecordObservation(at time.Duration, window, latency float64) {
+// RecordObservation feeds the current window estimate. If an applied action
+// is waiting for its post-action measurement and enough time has passed for
+// the action to take effect, the effect record is completed.
+func (k *KnowledgeBase) RecordObservation(at time.Duration, window float64) {
 	if k.pending == nil || at < k.pendingSettled {
 		return
 	}
 	rec := *k.pending
 	rec.WindowAfter = window
-	rec.LatencyAfter = latency
 	k.pending = nil
 
 	mv, ok := k.effects[rec.Action.Kind]
@@ -132,14 +105,6 @@ func (k *KnowledgeBase) RecordObservation(at time.Duration, window, latency floa
 		k.effects[rec.Action.Kind] = mv
 	}
 	mv.Update(rec.WindowImprovement())
-	if rec.Action.Kind == ActionThrottleTenant && rec.Action.Scope.Tenant != "" {
-		tmv, ok := k.tenantThrottle[rec.Action.Scope.Tenant]
-		if !ok {
-			tmv = &metrics.MeanVariance{}
-			k.tenantThrottle[rec.Action.Scope.Tenant] = tmv
-		}
-		tmv.Update(rec.WindowImprovement())
-	}
 	k.history = append(k.history, rec)
 }
 
@@ -180,27 +145,7 @@ func (k *KnowledgeBase) Effectiveness(kind ActionKind) Effectiveness {
 	if !ok {
 		return Effectiveness{}
 	}
-	return Effectiveness{
-		Samples:               mv.Count(),
-		MeanWindowImprovement: mv.Mean(),
-		StdDev:                mv.StdDev(),
-	}
-}
-
-// ThrottleEffectiveness returns what has been learned about throttling one
-// specific tenant: the window improvement observed after each of that
-// tenant's throttles settled. A tenant never throttled (or whose throttles
-// never settled) reports zero samples.
-func (k *KnowledgeBase) ThrottleEffectiveness(tenantName string) Effectiveness {
-	mv, ok := k.tenantThrottle[tenantName]
-	if !ok {
-		return Effectiveness{}
-	}
-	return Effectiveness{
-		Samples:               mv.Count(),
-		MeanWindowImprovement: mv.Mean(),
-		StdDev:                mv.StdDev(),
-	}
+	return Effectiveness{Samples: mv.Count(), MeanWindowImprovement: mv.Mean()}
 }
 
 // History returns a copy of all completed effect records in application

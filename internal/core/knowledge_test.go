@@ -10,7 +10,7 @@ func TestKnowledgeCooldowns(t *testing.T) {
 	if kb.InCooldown(ActionAddNode, time.Minute, time.Hour) {
 		t.Fatal("never-applied action reported in cooldown")
 	}
-	kb.RecordApplied(Action{Kind: ActionAddNode}, 10*time.Minute, 0.1, 0.01, time.Minute)
+	kb.RecordApplied(Action{Kind: ActionAddNode}, 10*time.Minute, 0.1, time.Minute)
 	if !kb.InCooldown(ActionAddNode, 11*time.Minute, 5*time.Minute) {
 		t.Fatal("recently applied action should be in cooldown")
 	}
@@ -28,16 +28,16 @@ func TestKnowledgeCooldowns(t *testing.T) {
 
 func TestKnowledgeEffectRecording(t *testing.T) {
 	kb := NewKnowledgeBase()
-	kb.RecordApplied(Action{Kind: ActionTightenWriteConsistency}, time.Minute, 0.200, 0.01, 30*time.Second)
+	kb.RecordApplied(Action{Kind: ActionTightenWriteConsistency}, time.Minute, 0.200, 30*time.Second)
 
 	// Observations before the settle time must not complete the record.
-	kb.RecordObservation(time.Minute+10*time.Second, 0.500, 0.02)
+	kb.RecordObservation(time.Minute+10*time.Second, 0.500)
 	if got := kb.Effectiveness(ActionTightenWriteConsistency).Samples; got != 0 {
 		t.Fatalf("effect recorded before settle time: %d samples", got)
 	}
 
 	// After settling, the window dropped from 200 ms to 50 ms: 75% improvement.
-	kb.RecordObservation(2*time.Minute, 0.050, 0.02)
+	kb.RecordObservation(2*time.Minute, 0.050)
 	eff := kb.Effectiveness(ActionTightenWriteConsistency)
 	if eff.Samples != 1 {
 		t.Fatalf("samples = %d, want 1", eff.Samples)
@@ -63,8 +63,8 @@ func TestKnowledgeHarmfulDetection(t *testing.T) {
 	// Two applications of tighten-read-cl that both made the window worse.
 	for i := 0; i < 2; i++ {
 		at := time.Duration(i+1) * 10 * time.Minute
-		kb.RecordApplied(Action{Kind: ActionTightenReadConsistency}, at, 0.100, 0.01, time.Minute)
-		kb.RecordObservation(at+2*time.Minute, 0.300, 0.02) // window tripled
+		kb.RecordApplied(Action{Kind: ActionTightenReadConsistency}, at, 0.100, time.Minute)
+		kb.RecordObservation(at+2*time.Minute, 0.300) // window tripled
 	}
 	eff := kb.Effectiveness(ActionTightenReadConsistency)
 	if eff.Samples != 2 {
@@ -75,8 +75,8 @@ func TestKnowledgeHarmfulDetection(t *testing.T) {
 	}
 	// A single bad observation is not enough to call an action harmful.
 	kb2 := NewKnowledgeBase()
-	kb2.RecordApplied(Action{Kind: ActionAddNode}, time.Minute, 0.1, 0.01, time.Second)
-	kb2.RecordObservation(2*time.Minute, 0.2, 0.02)
+	kb2.RecordApplied(Action{Kind: ActionAddNode}, time.Minute, 0.1, time.Second)
+	kb2.RecordObservation(2*time.Minute, 0.2)
 	if kb2.Effectiveness(ActionAddNode).Harmful() {
 		t.Fatal("one observation should not mark an action harmful")
 	}
@@ -84,8 +84,8 @@ func TestKnowledgeHarmfulDetection(t *testing.T) {
 
 func TestKnowledgeEffectWithZeroBaseline(t *testing.T) {
 	kb := NewKnowledgeBase()
-	kb.RecordApplied(Action{Kind: ActionAddNode}, time.Minute, 0, 0, time.Second)
-	kb.RecordObservation(2*time.Minute, 0.1, 0.01)
+	kb.RecordApplied(Action{Kind: ActionAddNode}, time.Minute, 0, time.Second)
+	kb.RecordObservation(2*time.Minute, 0.1)
 	eff := kb.Effectiveness(ActionAddNode)
 	if eff.Samples != 1 || eff.MeanWindowImprovement != 0 {
 		t.Fatalf("zero baseline should yield zero improvement, got %+v", eff)
@@ -100,52 +100,10 @@ func TestKnowledgeUnknownActionEffectiveness(t *testing.T) {
 	}
 }
 
-func TestKnowledgeTenantThrottleEffectiveness(t *testing.T) {
-	kb := NewKnowledgeBase()
-	// Two bronze throttles that bought nothing: the window never moved.
-	for i := 0; i < 2; i++ {
-		at := time.Duration(i+1) * 10 * time.Minute
-		kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: TenantScope("bronze"), Rate: 500},
-			at, 0.200, 0.01, time.Minute)
-		kb.RecordObservation(at+2*time.Minute, 0.200, 0.01)
-	}
-	// One silver throttle that halved the window.
-	kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: TenantScope("silver"), Rate: 300},
-		40*time.Minute, 0.200, 0.01, time.Minute)
-	kb.RecordObservation(42*time.Minute, 0.100, 0.01)
-
-	bronze := kb.ThrottleEffectiveness("bronze")
-	if bronze.Samples != 2 || !bronze.Ineffective() {
-		t.Fatalf("two do-nothing throttles should read ineffective, got %+v", bronze)
-	}
-	if bronze.Harmful() {
-		t.Fatalf("do-nothing throttles are not harmful, got %+v", bronze)
-	}
-	silver := kb.ThrottleEffectiveness("silver")
-	if silver.Samples != 1 || silver.Ineffective() {
-		t.Fatalf("a working throttle should not read ineffective, got %+v", silver)
-	}
-	if eff := kb.ThrottleEffectiveness("gold"); eff.Samples != 0 || eff.Ineffective() {
-		t.Fatalf("never-throttled tenant should report empty effectiveness, got %+v", eff)
-	}
-	// The per-kind aggregate still sees all three observations.
-	if eff := kb.Effectiveness(ActionThrottleTenant); eff.Samples != 3 {
-		t.Fatalf("per-kind throttle effectiveness lost samples: %+v", eff)
-	}
-	// A single useless observation is not enough to deprioritise a tenant.
-	kb2 := NewKnowledgeBase()
-	kb2.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: TenantScope("b"), Rate: 500},
-		time.Minute, 0.2, 0.01, time.Second)
-	kb2.RecordObservation(2*time.Minute, 0.2, 0.01)
-	if kb2.ThrottleEffectiveness("b").Ineffective() {
-		t.Fatal("one observation should not mark a tenant's throttles ineffective")
-	}
-}
-
 func TestKnowledgeHistoryIsCopy(t *testing.T) {
 	kb := NewKnowledgeBase()
-	kb.RecordApplied(Action{Kind: ActionAddNode}, time.Minute, 0.2, 0.01, time.Second)
-	kb.RecordObservation(2*time.Minute, 0.1, 0.01)
+	kb.RecordApplied(Action{Kind: ActionAddNode}, time.Minute, 0.2, time.Second)
+	kb.RecordObservation(2*time.Minute, 0.1)
 	h := kb.History()
 	h[0].WindowAfter = 99
 	if kb.History()[0].WindowAfter == 99 {

@@ -43,14 +43,10 @@ type Planner struct {
 	nonBindingSince map[string]time.Duration
 }
 
-// NewPlanner creates a planner using the given configuration and knowledge
-// base. The knowledge base may be shared with the controller's executor. It
-// takes a complete config; start from DefaultConfig.
-func NewPlanner(cfg Config, kb *KnowledgeBase) *Planner {
-	if kb == nil {
-		kb = NewKnowledgeBase()
-	}
-	return &Planner{cfg: cfg, kb: kb, nonBindingSince: make(map[string]time.Duration)}
+// NewPlanner creates a planner, with its own empty knowledge base, using the
+// given configuration. It takes a complete config; start from DefaultConfig.
+func NewPlanner(cfg Config) *Planner {
+	return &Planner{cfg: cfg, kb: NewKnowledgeBase(), nonBindingSince: make(map[string]time.Duration)}
 }
 
 // Plan selects the action for this control interval. It returns an
@@ -123,8 +119,8 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 		(tenant.Class(an.TenantClass) == tenant.Gold && an.Headroom.MaxRatio() >= highFraction)
 	if goldPressure {
 		if p.cfg.EnableAdmissionControl && an.ThrottleCandidate != "" {
-			name, offered := p.pickThrottleTarget(an)
-			scope := TenantScope(name)
+			scope := TenantScope(an.ThrottleCandidate)
+			offered := an.ThrottleCandidateRate
 			rate := offered * p.cfg.ThrottleFraction
 			if rate < p.cfg.MinThrottleRate {
 				rate = p.cfg.MinThrottleRate
@@ -224,38 +220,6 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 		}
 	}
 	return Action{}, false
-}
-
-// pickThrottleTarget chooses the tenant to throttle from the analyzer's
-// pressure-ranked candidates, consulting the knowledge base's per-tenant
-// throttle history: a candidate whose past throttles demonstrably bought no
-// window improvement is passed over — but only when an alternative exists.
-// When every candidate's history is equally useless (or there is only one
-// candidate), the raw pressure ranking decides exactly as before, so learning
-// can deprioritise a target but never paralyse the protection branch.
-func (p *Planner) pickThrottleTarget(an Analysis) (name string, offered float64) {
-	name, offered = an.ThrottleCandidate, an.ThrottleCandidateRate
-	if len(an.ThrottleCandidates) < 2 {
-		return name, offered
-	}
-	chosen := -1
-	for i, cand := range an.ThrottleCandidates {
-		if p.kb.ThrottleEffectiveness(cand.Name).Ineffective() {
-			continue
-		}
-		chosen = i
-		break
-	}
-	if chosen <= 0 {
-		// Either the top candidate's history is fine (chosen == 0) or every
-		// candidate's is bad (chosen == -1): the pressure ranking stands.
-		return name, offered
-	}
-	for _, cand := range an.ThrottleCandidates[:chosen] {
-		p.noteVeto(ActionThrottleTenant, TenantScope(cand.Name),
-			"knowledge base rates this tenant's throttles ineffective")
-	}
-	return an.ThrottleCandidates[chosen].Name, an.ThrottleCandidates[chosen].Rate
 }
 
 // planAvailability reacts to failing operations: capacity is added if

@@ -20,7 +20,7 @@ func analyze(cfg Config, o snapshotOpts) Analysis {
 
 func TestPlannerNominalDoesNothing(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.02, readP99: 0.005, writeP99: 0.005, meanUtil: 0.5})
 	if a := p.Plan(an, defaultPlant()); !a.IsNoop() {
 		t.Fatalf("nominal state planned %v", a)
@@ -29,7 +29,7 @@ func TestPlannerNominalDoesNothing(t *testing.T) {
 
 func TestPlannerWindowHighSaturationAddsNode(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.01, writeP99: 0.01, meanUtil: 0.9, maxUtil: 0.95})
 	a := p.Plan(an, defaultPlant())
 	if a.Kind != ActionAddNode {
@@ -40,7 +40,7 @@ func TestPlannerWindowHighSaturationAddsNode(t *testing.T) {
 func TestPlannerWindowHighSaturationAtMaxNodesTightensConsistency(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.MaxNodes = 3
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.01, writeP99: 0.01, meanUtil: 0.9, maxUtil: 0.95})
 	a := p.Plan(an, defaultPlant())
 	if a.Kind != ActionTightenWriteConsistency {
@@ -53,7 +53,7 @@ func TestPlannerWindowHighCongestionAvoidsScaling(t *testing.T) {
 	// replication factor) under network congestion. The planner must pick a
 	// consistency-level change instead.
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.01, writeP99: 0.02, meanUtil: 0.2})
 	if an.Cause != CauseNetworkCongestion {
 		t.Fatalf("precondition: cause = %v, want network-congestion", an.Cause)
@@ -69,7 +69,7 @@ func TestPlannerWindowHighCongestionAvoidsScaling(t *testing.T) {
 
 func TestPlannerWindowHighCongestionStrictConsistencyNoops(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.01, writeP99: 0.02, meanUtil: 0.2, writeCL: store.All})
 	plant := defaultPlant()
 	plant.WriteConsistency = store.All
@@ -81,7 +81,7 @@ func TestPlannerWindowHighCongestionStrictConsistencyNoops(t *testing.T) {
 
 func TestPlannerWindowHighLooseConsistencyTightens(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.005, writeP99: 0.005, meanUtil: 0.2})
 	a := p.Plan(an, defaultPlant())
 	if a.Kind != ActionTightenWriteConsistency {
@@ -91,7 +91,7 @@ func TestPlannerWindowHighLooseConsistencyTightens(t *testing.T) {
 
 func TestPlannerTightenRefusedWhenWriteLatencyNearSLA(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	// Window high with idle CPU, but write latency is already at 97% of its
 	// limit: tightening would trade one violation for another.
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.005, writeP99: 0.029, meanUtil: 0.2})
@@ -103,7 +103,7 @@ func TestPlannerTightenRefusedWhenWriteLatencyNearSLA(t *testing.T) {
 
 func TestPlannerAvailabilityAddsNode(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.1, readP99: 0.01, writeP99: 0.01, errorRate: 0.2, meanUtil: 0.9})
 	a := p.Plan(an, defaultPlant())
 	if a.Kind != ActionAddNode {
@@ -114,7 +114,7 @@ func TestPlannerAvailabilityAddsNode(t *testing.T) {
 func TestPlannerAvailabilityAtMaxRelaxesWrites(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.MaxNodes = 3
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.1, readP99: 0.01, writeP99: 0.01, errorRate: 0.2, meanUtil: 0.9, writeCL: store.Quorum})
 	plant := defaultPlant()
 	plant.WriteConsistency = store.Quorum
@@ -126,7 +126,7 @@ func TestPlannerAvailabilityAtMaxRelaxesWrites(t *testing.T) {
 
 func TestPlannerLatencyHighFromStrictConsistencyRelaxes(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.01, readP99: 0.002, writeP99: 0.05, meanUtil: 0.2, writeCL: store.All})
 	plant := defaultPlant()
 	plant.WriteConsistency = store.All
@@ -138,7 +138,7 @@ func TestPlannerLatencyHighFromStrictConsistencyRelaxes(t *testing.T) {
 
 func TestPlannerLatencyHighCongestionWaits(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.01, readP99: 0.05, writeP99: 0.05, meanUtil: 0.2})
 	if an.Cause != CauseNetworkCongestion {
 		t.Fatalf("precondition: cause = %v", an.Cause)
@@ -152,7 +152,7 @@ func TestPlannerLatencyHighCongestionWaits(t *testing.T) {
 func TestPlannerOverProvisionedRemovesNode(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnablePrediction = false
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.005, readP99: 0.001, writeP99: 0.001, meanUtil: 0.1, clusterSize: 8})
 	plant := PlantState{ClusterSize: 8, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One}
 	a := p.Plan(an, plant)
@@ -165,7 +165,7 @@ func TestPlannerOverProvisionedRespectsMinNodesAndRF(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnablePrediction = false
 	cfg.MinNodes = 3
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.005, readP99: 0.001, writeP99: 0.001, meanUtil: 0.1})
 	a := p.Plan(an, defaultPlant()) // 3 nodes, RF 3
 	if a.Kind == ActionRemoveNode {
@@ -176,8 +176,7 @@ func TestPlannerOverProvisionedRespectsMinNodesAndRF(t *testing.T) {
 func TestPlannerOverProvisionedKeepsCapacityForForecast(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.NodeCapacityOpsPerSec = 1000
-	kb := NewKnowledgeBase()
-	p := NewPlanner(cfg, kb)
+	p := NewPlanner(cfg)
 	analyzer := NewAnalyzer(cfg)
 	// Feed a rising load history so the forecast stays high even though the
 	// instantaneous utilisation is low.
@@ -202,7 +201,7 @@ func TestPlannerOverProvisionedKeepsCapacityForForecast(t *testing.T) {
 func TestPlannerPredictiveScaleOut(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.NodeCapacityOpsPerSec = 1000
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	analyzer := NewAnalyzer(cfg)
 	var an Analysis
 	for i := 1; i <= 12; i++ {
@@ -223,7 +222,7 @@ func TestPlannerPredictiveScaleOut(t *testing.T) {
 	// With prediction disabled the same state plans nothing.
 	cfgNoPred := cfg
 	cfgNoPred.EnablePrediction = false
-	p2 := NewPlanner(cfgNoPred, nil)
+	p2 := NewPlanner(cfgNoPred)
 	if a2 := p2.Plan(an, defaultPlant()); !a2.IsNoop() {
 		t.Fatalf("prediction disabled but planned %v", a2)
 	}
@@ -231,14 +230,13 @@ func TestPlannerPredictiveScaleOut(t *testing.T) {
 
 func TestPlannerCooldownBlocksRepeatedScaleOut(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	kb := NewKnowledgeBase()
-	p := NewPlanner(cfg, kb)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 100 * time.Second, windowP95: 0.5, readP99: 0.01, writeP99: 0.01, meanUtil: 0.9, maxUtil: 0.95})
 	a := p.Plan(an, defaultPlant())
 	if a.Kind != ActionAddNode {
 		t.Fatalf("first plan = %v, want add-node", a)
 	}
-	kb.RecordApplied(a, an.At, an.Snapshot.WindowP95, an.Snapshot.WriteLatencyP99, time.Minute)
+	p.kb.RecordApplied(a, an.At, an.Snapshot.WindowP95, time.Minute)
 
 	// Same situation 10 s later: the scale-out cooldown (90 s) blocks another
 	// node addition; the planner falls back to tightening consistency.
@@ -251,15 +249,14 @@ func TestPlannerCooldownBlocksRepeatedScaleOut(t *testing.T) {
 
 func TestPlannerSkipsHarmfulAction(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
-	kb := NewKnowledgeBase()
+	p := NewPlanner(cfg)
 	// Teach the knowledge base that tightening write consistency made the
 	// window worse twice (e.g. because coordinator queues exploded).
 	for i := 0; i < 2; i++ {
 		at := time.Duration(i+1) * 10 * time.Minute
-		kb.RecordApplied(Action{Kind: ActionTightenWriteConsistency}, at, 0.1, 0.01, time.Minute)
-		kb.RecordObservation(at+2*time.Minute, 0.4, 0.02)
+		p.kb.RecordApplied(Action{Kind: ActionTightenWriteConsistency}, at, 0.1, time.Minute)
+		p.kb.RecordObservation(at+2*time.Minute, 0.4)
 	}
-	p := NewPlanner(cfg, kb)
 	an := analyze(cfg, snapshotOpts{at: time.Hour, windowP95: 0.5, readP99: 0.005, writeP99: 0.005, meanUtil: 0.2})
 	a := p.Plan(an, defaultPlant())
 	if a.Kind == ActionTightenWriteConsistency {
@@ -270,7 +267,7 @@ func TestPlannerSkipsHarmfulAction(t *testing.T) {
 func TestPlannerScalingDisabled(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnableScaling = false
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.01, writeP99: 0.01, meanUtil: 0.9, maxUtil: 0.95})
 	a := p.Plan(an, defaultPlant())
 	if a.Kind == ActionAddNode || a.Kind == ActionRemoveNode {
@@ -281,7 +278,7 @@ func TestPlannerScalingDisabled(t *testing.T) {
 func TestPlannerConsistencyActionsDisabled(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnableConsistencyActions = false
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.005, writeP99: 0.005, meanUtil: 0.2})
 	a := p.Plan(an, defaultPlant())
 	if a.Kind == ActionTightenWriteConsistency || a.Kind == ActionRelaxWriteConsistency {
@@ -316,14 +313,14 @@ func TestPlannerEmitsEveryActionKind(t *testing.T) {
 		ActionTightenWriteConsistency: func() Action {
 			cfg := DefaultConfig(testSLA())
 			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.5, readP99: 0.005, writeP99: 0.005, meanUtil: 0.2})
-			return NewPlanner(cfg, nil).Plan(an, defaultPlant())
+			return NewPlanner(cfg).Plan(an, defaultPlant())
 		},
 		ActionRelaxWriteConsistency: func() Action {
 			cfg := DefaultConfig(testSLA())
 			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.01, readP99: 0.002, writeP99: 0.05, meanUtil: 0.2, writeCL: store.All})
 			plant := defaultPlant()
 			plant.WriteConsistency = store.All
-			return NewPlanner(cfg, nil).Plan(an, plant)
+			return NewPlanner(cfg).Plan(an, plant)
 		},
 		// Window high with idle resources and the write level already at
 		// ALL: the read level is the only consistency knob left.
@@ -335,7 +332,7 @@ func TestPlannerEmitsEveryActionKind(t *testing.T) {
 			}
 			plant := defaultPlant()
 			plant.WriteConsistency = store.All
-			a := NewPlanner(cfg, nil).Plan(an, plant)
+			a := NewPlanner(cfg).Plan(an, plant)
 			if a.Reason != "window high, write consistency already strict" {
 				t.Errorf("tighten-read reason = %q", a.Reason)
 			}
@@ -344,22 +341,22 @@ func TestPlannerEmitsEveryActionKind(t *testing.T) {
 		ActionAddNode: func() Action {
 			cfg := DefaultConfig(testSLA())
 			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.1, readP99: 0.01, writeP99: 0.01, errorRate: 0.2, meanUtil: 0.9})
-			return NewPlanner(cfg, nil).Plan(an, defaultPlant())
+			return NewPlanner(cfg).Plan(an, defaultPlant())
 		},
 		ActionRemoveNode: func() Action {
 			cfg := DefaultConfig(testSLA())
 			cfg.EnablePrediction = false
 			an := analyze(cfg, snapshotOpts{at: 10 * time.Second, windowP95: 0.005, readP99: 0.001, writeP99: 0.001, meanUtil: 0.1, clusterSize: 8})
-			return NewPlanner(cfg, nil).Plan(an, PlantState{ClusterSize: 8, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One})
+			return NewPlanner(cfg).Plan(an, PlantState{ClusterSize: 8, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One})
 		},
 		ActionThrottleTenant: func() Action {
-			return NewPlanner(admission(), nil).Plan(protectionAnalysis(10*time.Minute), tenantPlant)
+			return NewPlanner(admission()).Plan(protectionAnalysis(10*time.Minute), tenantPlant)
 		},
 		// A throttle that has stopped binding is released once the holdoff
 		// has run since the planner first saw it non-binding.
 		ActionUnthrottleTenant: func() Action {
 			cfg := admission()
-			p := NewPlanner(cfg, nil)
+			p := NewPlanner(cfg)
 			throttled := []ThrottledTenant{{Name: "bronze", Rate: 500, Offered: 300}}
 			p.Plan(recovered(20*time.Minute, throttled), tenantPlant)
 			return p.Plan(recovered(20*time.Minute+cfg.UnthrottleHoldoff, throttled), tenantPlant)
@@ -370,12 +367,12 @@ func TestPlannerEmitsEveryActionKind(t *testing.T) {
 			an := protectionAnalysis(10 * time.Minute)
 			an.ThrottleCandidate = ""
 			an.Throttled = []ThrottledTenant{{Name: "bronze", Rate: cfg.MinThrottleRate, Offered: 1000}}
-			return NewPlanner(cfg, nil).Plan(an, tenantPlant)
+			return NewPlanner(cfg).Plan(an, tenantPlant)
 		},
 		ActionUnpinTenantClass: func() Action {
 			plant := tenantPlant
 			plant.PinnedClass = string(tenant.Gold)
-			return NewPlanner(admission(), nil).Plan(recovered(30*time.Minute, nil), plant)
+			return NewPlanner(admission()).Plan(recovered(30*time.Minute, nil), plant)
 		},
 	}
 	for _, kind := range ActionKinds() {

@@ -18,7 +18,7 @@ func TestKnowledgeBaseScopedCooldowns(t *testing.T) {
 	b := TenantScope("b")
 
 	kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: a, Rate: 100},
-		10*time.Minute, 0.1, 0.01, time.Minute)
+		10*time.Minute, 0.1, time.Minute)
 
 	if !kb.InCooldownScoped(ActionThrottleTenant, a, 10*time.Minute+time.Second, time.Minute) {
 		t.Error("throttling tenant a did not start tenant a's cooldown")
@@ -37,7 +37,7 @@ func TestKnowledgeBaseScopedCooldowns(t *testing.T) {
 	}
 
 	// Cluster-scoped actions stay keyed on the empty scope.
-	kb.RecordApplied(Action{Kind: ActionAddNode}, 20*time.Minute, 0.1, 0.01, time.Minute)
+	kb.RecordApplied(Action{Kind: ActionAddNode}, 20*time.Minute, 0.1, time.Minute)
 	if !kb.InCooldown(ActionAddNode, 20*time.Minute+time.Second, time.Minute) {
 		t.Error("cluster-scoped cooldown broken")
 	}
@@ -93,7 +93,7 @@ func protectionAnalysis(at time.Duration) Analysis {
 func TestPlannerThrottlesBeforeScaling(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnableAdmissionControl = true
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	plant := PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: 1, WriteConsistency: 1}
 
 	a := p.Plan(protectionAnalysis(10*time.Minute), plant)
@@ -107,7 +107,7 @@ func TestPlannerThrottlesBeforeScaling(t *testing.T) {
 	// Without admission control the same analysis falls through to the
 	// cluster-wide window branch (add-node under CPU saturation).
 	cfg.EnableAdmissionControl = false
-	p2 := NewPlanner(cfg, nil)
+	p2 := NewPlanner(cfg)
 	if a := p2.Plan(protectionAnalysis(10*time.Minute), plant); a.Kind != ActionAddNode {
 		t.Fatalf("with admission off: planned %v, want add-node", a)
 	}
@@ -119,8 +119,7 @@ func TestPlannerThrottlesBeforeScaling(t *testing.T) {
 func TestPlannerThrottleCooldownPerTenant(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnableAdmissionControl = true
-	kb := NewKnowledgeBase()
-	p := NewPlanner(cfg, kb)
+	p := NewPlanner(cfg)
 	plant := PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: 1, WriteConsistency: 1}
 
 	an := protectionAnalysis(10 * time.Minute)
@@ -128,7 +127,7 @@ func TestPlannerThrottleCooldownPerTenant(t *testing.T) {
 	if first.Kind != ActionThrottleTenant || first.Scope.Tenant != "bronze" {
 		t.Fatalf("planned %v, want throttle-tenant[bronze]", first)
 	}
-	kb.RecordApplied(first, an.At, 0.3, 0.01, time.Minute)
+	p.kb.RecordApplied(first, an.At, 0.3, time.Minute)
 
 	// Ten seconds later bronze is throttled and a silver tenant is now the
 	// candidate; its throttle must be available immediately.
@@ -149,11 +148,10 @@ func TestPlannerThrottleCooldownPerTenant(t *testing.T) {
 func TestPlannerUnthrottleOnRecovery(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnableAdmissionControl = true
-	kb := NewKnowledgeBase()
-	p := NewPlanner(cfg, kb)
+	p := NewPlanner(cfg)
 	plant := PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: 1, WriteConsistency: 1}
-	kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: TenantScope("bronze"), Rate: 500},
-		10*time.Minute, 0.3, 0.01, time.Minute)
+	p.kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: TenantScope("bronze"), Rate: 500},
+		10*time.Minute, 0.3, time.Minute)
 
 	recoveredAt := func(at time.Duration, offered float64) Analysis {
 		an := Analysis{
@@ -196,7 +194,7 @@ func TestPlannerUnthrottleOnRecovery(t *testing.T) {
 func TestPlannerSkipsNonBindingThrottle(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnableAdmissionControl = true
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	plant := PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: 1, WriteConsistency: 1}
 
 	an := protectionAnalysis(10 * time.Minute)
@@ -214,7 +212,7 @@ func TestPlannerPinsClassWhenThrottleUnavailable(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnableAdmissionControl = true
 	cfg.EnablePlacementActions = true
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	plant := PlantState{ClusterSize: 5, ReplicationFactor: 3, ReadConsistency: 1, WriteConsistency: 1}
 
 	an := protectionAnalysis(10 * time.Minute)
@@ -356,108 +354,42 @@ func TestControllerRejectsScopedActionsWithoutTenantActuator(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRanksThrottleCandidates pins the ranked candidate list: every
-// eligible (unthrottled, non-gold, offering) tenant appears best-first by
-// offered load per penalty dollar, the legacy ThrottleCandidate fields mirror
-// the top entry, and throttled or gold tenants never appear.
+// TestAnalyzerRanksThrottleCandidates pins the throttle-target choice: the
+// unthrottled non-gold tenant with the most offered load per penalty dollar,
+// ties going to the first such tenant in declaration order; throttled and
+// gold tenants are never chosen, and the throttled ones are listed instead.
 func TestAnalyzerRanksThrottleCandidates(t *testing.T) {
-	gold := tenantSignal("gold", tenant.Gold, 0.30)
-	gold.OfferedOpsPerSec = 5000 // gold never becomes a target, however loud
-	bronze := tenantSignal("bronze", tenant.Bronze, 0.10)
-	bronze.OfferedOpsPerSec = 1000
-	silver := tenantSignal("silver", tenant.Silver, 0.10)
-	silver.OfferedOpsPerSec = 900
-	capped := tenantSignal("capped", tenant.Bronze, 0.10)
-	capped.OfferedOpsPerSec = 400
+	signal := func(name string, class tenant.Class, offered float64) tenant.Signal {
+		sig := tenantSignal(name, class, 0.10)
+		sig.OfferedOpsPerSec = offered
+		return sig
+	}
+	// Gold never becomes a target, however loud.
+	gold := signal("gold", tenant.Gold, 5000)
+	capped := signal("capped", tenant.Bronze, 400)
 	capped.Throttled = true
 	capped.ThrottleRate = 300
 
-	var an Analysis
-	an.annotateAdmission([]tenant.Signal{gold, silver, bronze, capped})
-
-	if len(an.ThrottleCandidates) != 2 {
-		t.Fatalf("candidates = %+v, want exactly bronze and silver", an.ThrottleCandidates)
-	}
-	// Bronze: 1000 ops/s at the bronze penalty; silver: 900 ops/s at the
-	// (pricier) silver penalty — bronze must rank first.
-	if an.ThrottleCandidates[0].Name != "bronze" || an.ThrottleCandidates[1].Name != "silver" {
-		t.Fatalf("ranking = %+v, want [bronze silver]", an.ThrottleCandidates)
-	}
-	if an.ThrottleCandidate != "bronze" || an.ThrottleCandidateRate != 1000 {
-		t.Fatalf("legacy candidate fields = %q/%v, want bronze/1000",
-			an.ThrottleCandidate, an.ThrottleCandidateRate)
-	}
-	if len(an.Throttled) != 1 || an.Throttled[0].Name != "capped" {
-		t.Fatalf("throttled list = %+v, want [capped]", an.Throttled)
-	}
-}
-
-// ineffectiveThrottleHistory feeds the knowledge base two settled throttles
-// of the tenant that bought no window improvement at all.
-func ineffectiveThrottleHistory(kb *KnowledgeBase, name string) {
-	for i := 0; i < 2; i++ {
-		at := time.Duration(i+1) * time.Hour
-		kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: TenantScope(name), Rate: 500},
-			at, 0.200, 0.01, time.Minute)
-		kb.RecordObservation(at+2*time.Minute, 0.200, 0.01)
-	}
-}
-
-// TestPlannerPrefersEffectiveThrottleTarget pins the learned-throttle
-// preference: when the pressure-ranked best candidate's past throttles
-// demonstrably did nothing, the planner throttles the next candidate instead
-// — and surfaces the passed-over tenant as an audit veto. With no
-// alternative, or with every alternative equally discredited, the pressure
-// ranking stands exactly as before.
-func TestPlannerPrefersEffectiveThrottleTarget(t *testing.T) {
-	cfg := DefaultConfig(testSLA())
-	cfg.EnableAdmissionControl = true
-	plant := PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: 1, WriteConsistency: 1}
-	twoCandidates := func() Analysis {
-		an := protectionAnalysis(30 * time.Hour)
-		an.ThrottleCandidates = []ThrottleTarget{{Name: "bronze", Rate: 1000}, {Name: "silver", Rate: 600}}
-		return an
-	}
-
-	// Bronze's throttles never moved the window: silver is next in line.
-	kb := NewKnowledgeBase()
-	ineffectiveThrottleHistory(kb, "bronze")
-	p := NewPlanner(cfg, kb)
-	p.trace = &AuditRecord{}
-	a := p.Plan(twoCandidates(), plant)
-	if a.Kind != ActionThrottleTenant || a.Scope.Tenant != "silver" {
-		t.Fatalf("planned %v, want throttle-tenant[silver] past the ineffective bronze", a)
-	}
-	if want := 600 * cfg.ThrottleFraction; a.Rate != want {
-		t.Errorf("throttle rate = %v, want %v (derived from silver's offered rate)", a.Rate, want)
-	}
-	found := false
-	for _, v := range p.trace.Vetoes {
-		if v.Kind == ActionThrottleTenant.String() && v.Scope == TenantScope("bronze").String() {
-			found = true
+	for _, tc := range []struct {
+		name     string
+		sigs     []tenant.Signal
+		want     string
+		wantRate float64
+	}{
+		// Bronze: 1000 ops/s at the bronze penalty; silver: 900 ops/s at the
+		// pricier silver penalty — bronze wins.
+		{"penalty-weighted", []tenant.Signal{gold, signal("silver", tenant.Silver, 900), signal("bronze", tenant.Bronze, 1000), capped}, "bronze", 1000},
+		{"tie-declaration-order", []tenant.Signal{gold, signal("b2", tenant.Bronze, 700), capped, signal("b1", tenant.Bronze, 700)}, "b2", 700},
+		{"no-candidate", []tenant.Signal{gold, capped}, "", 0},
+	} {
+		var an Analysis
+		an.annotateAdmission(tc.sigs)
+		if an.ThrottleCandidate != tc.want || an.ThrottleCandidateRate != tc.wantRate {
+			t.Errorf("%s: candidate = %q/%v, want %q/%v", tc.name,
+				an.ThrottleCandidate, an.ThrottleCandidateRate, tc.want, tc.wantRate)
 		}
-	}
-	if !found {
-		t.Errorf("passing over bronze left no audit veto: %+v", p.trace.Vetoes)
-	}
-
-	// Every candidate discredited: fall back to the raw pressure ranking.
-	kb2 := NewKnowledgeBase()
-	ineffectiveThrottleHistory(kb2, "bronze")
-	ineffectiveThrottleHistory(kb2, "silver")
-	p2 := NewPlanner(cfg, kb2)
-	if a := p2.Plan(twoCandidates(), plant); a.Kind != ActionThrottleTenant || a.Scope.Tenant != "bronze" {
-		t.Fatalf("with all candidates ineffective planned %v, want throttle-tenant[bronze]", a)
-	}
-
-	// A single candidate is throttled regardless of its history: skipping it
-	// would abandon the cheapest protection step with nothing to replace it.
-	kb3 := NewKnowledgeBase()
-	ineffectiveThrottleHistory(kb3, "bronze")
-	p3 := NewPlanner(cfg, kb3)
-	an := protectionAnalysis(30 * time.Hour)
-	an.ThrottleCandidates = []ThrottleTarget{{Name: "bronze", Rate: 1000}}
-	if a := p3.Plan(an, plant); a.Kind != ActionThrottleTenant || a.Scope.Tenant != "bronze" {
-		t.Fatalf("single ineffective candidate planned %v, want throttle-tenant[bronze]", a)
+		if len(an.Throttled) != 1 || an.Throttled[0] != (ThrottledTenant{Name: "capped", Rate: 300, Offered: 400}) {
+			t.Errorf("%s: throttled list = %+v, want [capped]", tc.name, an.Throttled)
+		}
 	}
 }

@@ -72,7 +72,7 @@ func TestAnalyzerSingleTenantUnchanged(t *testing.T) {
 func TestPlannerVetoesScaleInDuringGoldViolation(t *testing.T) {
 	cfg := DefaultConfig(testSLA())
 	cfg.EnablePrediction = false
-	p := NewPlanner(cfg, nil)
+	p := NewPlanner(cfg)
 	plant := PlantState{ClusterSize: 8, ReplicationFactor: 3, ReadConsistency: 1, WriteConsistency: 1}
 
 	an := Analysis{

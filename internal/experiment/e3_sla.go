@@ -21,8 +21,6 @@ type e3Outcome struct {
 	windowP95  float64 // seconds
 	writeP99   float64 // seconds
 	totalCost  float64
-	compliance float64
-	violations float64 // minutes
 	finalNodes int
 	finalCL    autonosql.ConsistencyLevel
 	reconfigs  int
@@ -72,8 +70,6 @@ func RunE3(scale Scale) (*Result, error) {
 			windowP95:  rep.Window.P95,
 			writeP99:   rep.WriteLatency.P99,
 			totalCost:  rep.Cost.Total,
-			compliance: rep.ComplianceRatio,
-			violations: rep.Violations.Total,
 			finalNodes: rep.FinalConfiguration.ClusterSize,
 			finalCL:    rep.FinalConfiguration.WriteConsistency,
 			reconfigs:  rep.Reconfigurations,

@@ -1,7 +1,5 @@
 package metrics
 
-import "math"
-
 // EWMA is an exponentially weighted moving average. Monitors use it to
 // smooth inconsistency-window and latency estimates before handing them to
 // the controller, so that single outliers do not trigger reconfiguration.
@@ -74,13 +72,12 @@ func (g *Gauge) Set(v float64) { g.v = v }
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return g.v }
 
-// MeanVariance accumulates mean and variance online (Welford's algorithm).
-// The controller's knowledge base uses it to track the observed effect of
-// reconfiguration actions.
+// MeanVariance accumulates a running mean online (the mean step of
+// Welford's algorithm). The controller's knowledge base uses it to track the
+// observed effect of reconfiguration actions.
 type MeanVariance struct {
 	n    uint64
 	mean float64
-	m2   float64
 }
 
 // Update folds in a new sample.
@@ -88,7 +85,6 @@ func (m *MeanVariance) Update(x float64) {
 	m.n++
 	delta := x - m.mean
 	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
 }
 
 // Count returns the number of samples.
@@ -96,14 +92,3 @@ func (m *MeanVariance) Count() uint64 { return m.n }
 
 // Mean returns the running mean.
 func (m *MeanVariance) Mean() float64 { return m.mean }
-
-// Variance returns the sample variance (zero for fewer than two samples).
-func (m *MeanVariance) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m *MeanVariance) StdDev() float64 { return math.Sqrt(m.Variance()) }

@@ -109,7 +109,6 @@ type Monitor struct {
 	errorsInterval uint64
 	probeOpsTotal  uint64
 	probeOpsPrev   uint64
-	opsTotal       uint64
 	lastSnapshotAt time.Duration
 
 	// windowQuantiles is the reused result buffer for the batched window
@@ -227,7 +226,6 @@ type taggedOp struct {
 // its outcome before passing it on to cb.
 func (m *Monitor) observe(cb func(store.Result)) func(store.Result) {
 	m.opsInterval++
-	m.opsTotal++
 	var o *taggedOp
 	if n := len(m.free); n > 0 {
 		o, m.free = m.free[n-1], m.free[:n-1]

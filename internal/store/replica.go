@@ -15,8 +15,7 @@ type replicaState struct {
 	node     cluster.NodeID
 	versions column[version]
 	// held counts the distinct keys with a version (versions start at 1).
-	held    int
-	applied uint64
+	held int
 }
 
 func newReplicaState(node cluster.NodeID) *replicaState {
@@ -26,7 +25,6 @@ func newReplicaState(node cluster.NodeID) *replicaState {
 // apply records that the replica has applied the given version of key,
 // unless it already holds a newer one (last-writer-wins).
 func (r *replicaState) apply(key KeyID, v version) {
-	r.applied++
 	cur := r.versions.at(key)
 	if *cur >= v {
 		return

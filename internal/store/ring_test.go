@@ -176,7 +176,4 @@ func TestReplicaStateLastWriterWins(t *testing.T) {
 	if rs.keys() != 1 {
 		t.Fatalf("keys = %d, want 1", rs.keys())
 	}
-	if rs.applied != 3 {
-		t.Fatalf("applied = %d, want 3", rs.applied)
-	}
 }

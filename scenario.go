@@ -55,9 +55,8 @@ type Scenario struct {
 	// the drivers.
 	recorder *workload.TraceRecorder
 
-	agreement sla.SLA
-	costs     sla.CostModel
-	tracker   *sla.Tracker
+	costs   sla.CostModel
+	tracker *sla.Tracker
 
 	smart    *core.Controller
 	reactive *baseline.ReactiveAutoscaler
@@ -116,18 +115,17 @@ func NewScenario(spec ScenarioSpec) (*Scenario, error) {
 	}
 
 	s := &Scenario{
-		spec:      spec,
-		engine:    engine,
-		rnd:       rnd,
-		cluster:   cl,
-		store:     st,
-		monitor:   mon,
-		agreement: spec.slaModel(),
-		costs:     spec.costModel(),
-		tracker:   sla.NewTracker(spec.slaModel()),
-		series:    make(map[string]*metrics.TimeSeries),
-		maxNodes:  cl.Size(),
-		minNodes:  cl.Size(),
+		spec:     spec,
+		engine:   engine,
+		rnd:      rnd,
+		cluster:  cl,
+		store:    st,
+		monitor:  mon,
+		costs:    spec.costModel(),
+		tracker:  sla.NewTracker(spec.slaModel()),
+		series:   make(map[string]*metrics.TimeSeries),
+		maxNodes: cl.Size(),
+		minNodes: cl.Size(),
 	}
 
 	// Fault injection. The injector is assembled only when the plan is
