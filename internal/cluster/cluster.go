@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"autonosql/internal/sim"
@@ -72,8 +71,12 @@ type Cluster struct {
 	network *Network
 	rnd     *sim.RandSource
 
-	nodes     map[NodeID]*Node
-	nextID    NodeID
+	// nodes is indexed by id: a new node's id is the next index (from 1),
+	// so the op path finds a node without hashing and a walk visits them in
+	// ascending id order. A removed node's entry is nil; count is the number
+	// of nodes present.
+	nodes     []*Node
+	count     int
 	listeners []MembershipListener
 
 	// availCache is the memoised result of AvailableNodes. The store asks for
@@ -99,30 +102,28 @@ func New(cfg Config, engine *sim.Engine, rnd *sim.RandSource) *Cluster {
 		engine:     engine,
 		network:    NewNetwork(rnd.Stream("network")),
 		rnd:        rnd,
-		nodes:      make(map[NodeID]*Node),
+		nodes:      make([]*Node, 1), // no node has id 0
 		availDirty: true,
 	}
 	for i := 0; i < cfg.InitialNodes; i++ {
-		id := c.allocateID()
-		c.nodes[id] = c.adopt(NewNode(id, cfg.NodeOpsPerSec, engine, rnd.Stream(fmt.Sprintf("node-%d", id))))
+		c.addNode()
 	}
 	return c
 }
 
-// adopt wires a node's state-change notification to the availability cache
-// and marks the cache stale.
-func (c *Cluster) adopt(n *Node) *Node {
+// addNode creates a node with the next id, wires its state-change
+// notification to the availability cache and marks the cache stale.
+func (c *Cluster) addNode() *Node {
+	id := NodeID(len(c.nodes))
+	n := NewNode(id, c.cfg.NodeOpsPerSec, c.engine, c.rnd.Stream(fmt.Sprintf("node-%d", id)))
 	n.notify = c.invalidateAvail
 	c.availDirty = true
+	c.nodes = append(c.nodes, n)
+	c.count++
 	return n
 }
 
 func (c *Cluster) invalidateAvail() { c.availDirty = true }
-
-func (c *Cluster) allocateID() NodeID {
-	c.nextID++
-	return c.nextID
-}
 
 // Network returns the cluster's network model.
 func (c *Cluster) Network() *Network { return c.network }
@@ -136,17 +137,22 @@ func (c *Cluster) Subscribe(l MembershipListener) {
 
 // Node returns the node with the given ID.
 func (c *Cluster) Node(id NodeID) (*Node, bool) {
-	n, ok := c.nodes[id]
-	return n, ok
+	if uint(id) < uint(len(c.nodes)) {
+		if n := c.nodes[id]; n != nil {
+			return n, true
+		}
+	}
+	return nil, false
 }
 
 // Nodes returns all nodes (any state) ordered by ID.
 func (c *Cluster) Nodes() []*Node {
-	out := make([]*Node, 0, len(c.nodes))
+	out := make([]*Node, 0, c.count)
 	for _, n := range c.nodes {
-		out = append(out, n)
+		if n != nil {
+			out = append(out, n)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
 
@@ -156,13 +162,12 @@ func (c *Cluster) Nodes() []*Node {
 // rebuild, so a list obtained before a change remains a valid snapshot.
 func (c *Cluster) AvailableNodes() []*Node {
 	if c.availDirty {
-		out := make([]*Node, 0, len(c.nodes))
+		out := make([]*Node, 0, c.count)
 		for _, n := range c.nodes {
-			if n.Available() {
+			if n != nil && n.Available() {
 				out = append(out, n)
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 		c.availCache = out
 		c.availDirty = false
 	}
@@ -173,26 +178,25 @@ func (c *Cluster) AvailableNodes() []*Node {
 func (c *Cluster) Size() int { return len(c.AvailableNodes()) }
 
 // TotalNodes returns the number of nodes in any state (including joining).
-func (c *Cluster) TotalNodes() int { return len(c.nodes) }
+func (c *Cluster) TotalNodes() int { return c.count }
 
 // AddNode provisions a new node. The node spends BootstrapTime in the
 // NodeJoining state (imposing rebalance load on existing nodes) before it
 // becomes available and listeners are notified.
 func (c *Cluster) AddNode() (NodeID, error) {
-	if len(c.nodes) >= c.cfg.MaxNodes {
+	if c.count >= c.cfg.MaxNodes {
 		return 0, ErrMaxNodes
 	}
 	c.accountNodeSeconds()
-	id := c.allocateID()
-	node := c.adopt(NewNode(id, c.cfg.NodeOpsPerSec, c.engine, c.rnd.Stream(fmt.Sprintf("node-%d", id))))
+	node := c.addNode()
+	id := node.ID()
 	node.SetState(NodeJoining)
-	c.nodes[id] = node
 	c.pendingJoins++
 	c.applyRebalanceLoad()
 
 	c.engine.After(c.cfg.BootstrapTime, func(time.Duration) {
 		// The node may have been failed or removed while bootstrapping.
-		n, ok := c.nodes[id]
+		n, ok := c.Node(id)
 		if !ok || n.State() != NodeJoining {
 			c.pendingJoins--
 			c.applyRebalanceLoad()
@@ -213,7 +217,7 @@ func (c *Cluster) AddNode() (NodeID, error) {
 // notified immediately (so replicas move off the node) and the node is
 // deleted after DecommissionTime.
 func (c *Cluster) RemoveNode(id NodeID) error {
-	n, ok := c.nodes[id]
+	n, ok := c.Node(id)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownNode, id)
 	}
@@ -232,9 +236,10 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 	}
 	c.engine.After(c.cfg.DecommissionTime, func(time.Duration) {
 		c.accountNodeSeconds()
-		if cur, ok := c.nodes[id]; ok && cur.State() == NodeDraining {
+		if cur, ok := c.Node(id); ok && cur.State() == NodeDraining {
 			cur.SetState(NodeDown)
-			delete(c.nodes, id)
+			c.nodes[id] = nil
+			c.count--
 			c.invalidateAvail()
 		}
 		c.pendingJoins--
@@ -247,7 +252,7 @@ func (c *Cluster) RemoveNode(id NodeID) error {
 // listeners of the transient failure. The node keeps its ring position and is
 // still paid for until it is repaired or decommissioned.
 func (c *Cluster) FailNode(id NodeID) error {
-	n, ok := c.nodes[id]
+	n, ok := c.Node(id)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownNode, id)
 	}
@@ -264,7 +269,7 @@ func (c *Cluster) FailNode(id NodeID) error {
 // RecoverNode brings a previously failed node back up and notifies
 // listeners of the recovery.
 func (c *Cluster) RecoverNode(id NodeID) error {
-	n, ok := c.nodes[id]
+	n, ok := c.Node(id)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownNode, id)
 	}
@@ -283,7 +288,7 @@ func (c *Cluster) RecoverNode(id NodeID) error {
 func (c *Cluster) applyRebalanceLoad() {
 	load := clamp(float64(c.pendingJoins)*rebalanceLoad, 0, 0.6)
 	for _, n := range c.nodes {
-		if n.Available() {
+		if n != nil && n.Available() {
 			n.SetRebalanceLoad(load)
 		}
 	}
@@ -292,7 +297,9 @@ func (c *Cluster) applyRebalanceLoad() {
 // SetBackgroundLoad applies a noisy-neighbour load fraction to every node.
 func (c *Cluster) SetBackgroundLoad(f float64) {
 	for _, n := range c.nodes {
-		n.SetBackgroundLoad(f)
+		if n != nil {
+			n.SetBackgroundLoad(f)
+		}
 	}
 }
 
@@ -310,7 +317,7 @@ func (c *Cluster) accountNodeSeconds() {
 func (c *Cluster) billableNodes() int {
 	count := 0
 	for _, n := range c.nodes {
-		if n.State() != NodeDown {
+		if n != nil && n.State() != NodeDown {
 			count++
 		}
 	}

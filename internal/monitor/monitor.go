@@ -115,11 +115,9 @@ type Monitor struct {
 	// quantile query issued on every snapshot.
 	windowQuantiles [3]float64
 
-	// free recycles the per-operation completion records, so client-side
-	// accounting wraps the caller's callback without allocating; opSlab
-	// supplies a fresh one when the list is empty.
-	free   []*taggedOp
-	opSlab sim.Slab[taggedOp]
+	// ops recycles the per-operation completion records, so client-side
+	// accounting wraps the caller's callback without allocating.
+	ops sim.Pool[taggedOp]
 }
 
 // snapshotWindowQs are the window quantiles every snapshot reports, queried
@@ -226,11 +224,8 @@ type taggedOp struct {
 // its outcome before passing it on to cb.
 func (m *Monitor) observe(cb func(store.Result)) func(store.Result) {
 	m.opsInterval++
-	var o *taggedOp
-	if n := len(m.free); n > 0 {
-		o, m.free = m.free[n-1], m.free[:n-1]
-	} else {
-		o = m.opSlab.New()
+	o, fresh := m.ops.Get()
+	if fresh {
 		o.m = m
 		o.done = o.complete
 	}
@@ -241,7 +236,7 @@ func (m *Monitor) observe(cb func(store.Result)) func(store.Result) {
 func (o *taggedOp) complete(r store.Result) {
 	m, cb := o.m, o.cb
 	o.cb = nil
-	m.free = append(m.free, o)
+	m.ops.Put(o)
 	switch {
 	case r.Err != nil:
 		m.errorsInterval++

@@ -76,10 +76,11 @@ func TestClientPathAllocationFree(t *testing.T) {
 // and the tenant runtime's wrappers refill from slabs, as the store's op
 // state and events do: 10 000 writes in flight through one or two wrapping
 // layers allocate, per layer, the handler each record binds once and one
-// object per slab of records — on top of the store's slabs of op state and
-// events and a constant — not one object per record as well.
+// object per slab of records — on top of the store's slabs of op state,
+// window trackers and events and a constant — not one object per record as
+// well.
 func TestFreeListSlabRefill(t *testing.T) {
-	const writes, slab = 10_000, 64 // slab: the block size of sim.Slab
+	const writes, slab = 10_000, 64 // slab: the fewest elements a sim.Slab block holds
 	for _, viaRuntime := range []bool{false, true} {
 		t.Run(fmt.Sprintf("runtime=%v", viaRuntime), func(t *testing.T) {
 			cfg := DefaultConfig()

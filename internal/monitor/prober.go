@@ -38,11 +38,10 @@ type Prober struct {
 
 	ticker *sim.Ticker
 	seq    uint64
-	// name is the reused buffer probe key names are spelled in; free and
-	// slab recycle the probe records.
+	// name is the reused buffer probe key names are spelled in; probes
+	// recycles the probe records.
 	name    []byte
-	free    []*probe
-	slab    sim.Slab[probe]
+	probes  sim.Pool[probe]
 	started uint64
 	done    uint64
 	timeout uint64
@@ -93,11 +92,8 @@ func (p *Prober) startProbe() {
 	p.seq++
 	p.started++
 	p.name = strconv.AppendUint(append(append(p.name[:0], probeKeyPrefix...), '-'), p.seq, 10)
-	var pr *probe
-	if n := len(p.free); n > 0 {
-		pr, p.free = p.free[n-1], p.free[:n-1]
-	} else {
-		pr = p.slab.New()
+	pr, fresh := p.probes.Get()
+	if fresh {
 		pr.p = p
 		pr.onWrite, pr.onRead = pr.written, pr.read
 	}
@@ -160,6 +156,6 @@ func (pr *probe) read(r store.Result) {
 // finish reports the probe's estimate and recycles the record.
 func (pr *probe) finish(window float64) {
 	p, ops := pr.p, pr.ops
-	p.free = append(p.free, pr)
+	p.probes.Put(pr)
 	p.onEstimate(window, ops)
 }

@@ -36,7 +36,7 @@ func TestHintBacklogDrainsInPlace(t *testing.T) {
 		t.Fatalf("%d hints queued for the crashed node, want %d", got, backlog)
 	}
 
-	ascending := func(a, b *opSlot) int { return int(a.op.ver) - int(b.op.ver) }
+	ascending := func(a, b *hint) int { return int(a.ver) - int(b.ver) }
 	if err := h.cluster.RecoverNode(down); err != nil { // replays the first batch
 		t.Fatalf("RecoverNode: %v", err)
 	}
@@ -60,9 +60,9 @@ func TestHintBacklogDrainsInPlace(t *testing.T) {
 		if !slices.IsSortedFunc(rest, ascending) {
 			t.Fatalf("round %d reordered the backlog", round)
 		}
-		if len(rest) > 0 && int(rest[0].op.ver) != backlog-len(rest)+1 {
+		if len(rest) > 0 && int(rest[0].ver) != backlog-len(rest)+1 {
 			t.Fatalf("round %d replayed out of order: oldest remaining hint is version %d, want %d",
-				round, rest[0].op.ver, backlog-len(rest)+1)
+				round, rest[0].ver, backlog-len(rest)+1)
 		}
 		// The first round grows the event pool to a batch's worth of
 		// in-flight events; after that a round is O(1) (measured: 6 to 12).
@@ -79,5 +79,173 @@ func TestHintBacklogDrainsInPlace(t *testing.T) {
 	}
 	if got := h.store.ReplicaKeyCount(down); got != backlog {
 		t.Fatalf("recovered replica holds %d keys, want %d", got, backlog)
+	}
+}
+
+// TestHintsDoNotHoldTheirWrite pins what a queued hint keeps alive: its own
+// 32-byte record and its write's 48-byte window tracker, not the write's op
+// state. With one replica crashed, 10 000 writes at CL=ONE each leave a hint
+// for it; once every client has its acknowledgement and the writes' events
+// have run, every op state is back in its pool while all 10 000 hints, and
+// the 10 000 windows they settle, stay queued.
+func TestHintsDoNotHoldTheirWrite(t *testing.T) {
+	const writes = 10_000
+	cfg := DefaultConfig()
+	cfg.AntiEntropyInterval = 0
+	h := newHarness(t, cluster.DefaultConfig(), cfg, 3)
+	down := h.cluster.AvailableNodes()[1].ID()
+	if err := h.cluster.FailNode(down); err != nil {
+		t.Fatalf("FailNode: %v", err)
+	}
+	issued, acked := 0, 0
+	cb := func(r Result) {
+		if r.Err == nil {
+			acked++
+		}
+	}
+	for ; issued < writes; issued++ {
+		h.store.WriteID(KeyID(issued), cb)
+		if issued%64 == 63 {
+			h.runUntil(func() bool { return acked == issued+1 }, 1_000_000)
+		}
+	}
+	h.runUntil(func() bool { return acked == writes }, 1_000_000)
+	// Let the writes' replica applies and acknowledgements land; the crashed
+	// node keeps its backlog whatever the retry ticker does meanwhile.
+	if err := h.engine.Run(h.engine.Now() + time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	s := h.store
+	if got := len(s.pendingHints[down]); got != writes {
+		t.Fatalf("%d hints queued for the crashed node, want %d", got, writes)
+	}
+	if got := s.ops.Live(); got != 0 {
+		t.Errorf("%d op states live with every write acknowledged and only hints outstanding, want 0", got)
+	}
+	if got := s.hints.Live(); got != writes {
+		t.Errorf("%d hint records live, want one per queued hint (%d)", got, writes)
+	}
+	if got := s.windows.Live(); got != writes {
+		t.Errorf("%d window trackers live, want one per hinted write (%d)", got, writes)
+	}
+}
+
+// TestHintConservation follows every hint through a crash, a partition, a
+// replay cut short by a second crash and the removal of a node that has a
+// backlog. Each queued hint must end up delivered, lost, released when its
+// node left, or still pending; once the faults are over and the backlogs
+// drained, every acknowledged write has recorded exactly one window and no
+// record of any kind is left out of its pool.
+func TestHintConservation(t *testing.T) {
+	clusterCfg := cluster.DefaultConfig()
+	clusterCfg.InitialNodes = 5
+	cfg := DefaultConfig()
+	cfg.AntiEntropyInterval = 0 // hinted handoff alone converges the replicas
+	h := newHarness(t, clusterCfg, cfg, 9)
+	s, net := h.store, h.cluster.Network()
+	nodes := h.cluster.AvailableNodes()
+	crashed, cut := nodes[1].ID(), nodes[3].ID()
+
+	issued, fired, acked := 0, 0, 0
+	burst := func(n int) {
+		for i := 0; i < n; i++ {
+			s.WriteID(KeyID(issued%20_000), func(r Result) {
+				fired++
+				if r.Err == nil {
+					acked++
+				}
+			})
+			if issued++; issued%32 == 0 {
+				h.runUntil(func() bool { return fired == issued }, 1_000_000)
+			}
+		}
+		h.runUntil(func() bool { return fired == issued }, 1_000_000)
+	}
+	run := func(d time.Duration) {
+		t.Helper()
+		if err := h.engine.Run(h.engine.Now() + d); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("fault script: %v", err)
+		}
+	}
+	pending := func() (n int) {
+		for _, b := range s.pendingHints {
+			n += len(b)
+		}
+		return n
+	}
+	// Between faults nothing is in flight: the hint records out of their
+	// pool are exactly the queued ones.
+	quiet := func(step string) {
+		t.Helper()
+		run(100 * time.Millisecond)
+		if live, queued := s.hints.Live(), pending(); live != queued {
+			t.Fatalf("%s: %d hint records live, %d queued", step, live, queued)
+		}
+	}
+
+	burst(1_000)
+	must(h.cluster.FailNode(crashed))
+	burst(4_000)
+	quiet("crash")
+
+	// A partition: writes coordinated on either side leave hints for the
+	// other, and retry rounds must keep the cross-cut ones.
+	net.Isolate([]cluster.NodeID{cut})
+	burst(4_000)
+	run(2 * hintRetryInterval)
+	quiet("partition")
+
+	// Recovery starts a replay, a batch spaced over about two seconds; a
+	// second crash before it lands loses the hints in flight.
+	must(h.cluster.RecoverNode(crashed))
+	must(h.cluster.FailNode(crashed))
+	run(2 * time.Second)
+	lost := s.Stats().LostUpdates
+	if lost == 0 {
+		t.Fatal("no hint was lost to the second crash")
+	}
+	quiet("second crash")
+
+	// The isolated node leaves with its backlog, which is released.
+	released := len(s.pendingHints[cut])
+	if released == 0 {
+		t.Fatal("the isolated node has no backlog to release")
+	}
+	must(h.cluster.RemoveNode(cut))
+	if got := len(s.pendingHints[cut]); got != 0 {
+		t.Fatalf("%d hints still queued for the departed node", got)
+	}
+	burst(2_000)
+	quiet("removal")
+
+	net.Heal([]cluster.NodeID{cut})
+	must(h.cluster.RecoverNode(crashed))
+	run(3 * time.Minute)
+
+	st := s.Stats()
+	t.Logf("%d writes, %d acknowledged; hints: %d queued, %d delivered, %d lost, %d released", issued, acked, st.HintsQueued, st.HintsDelivered, st.LostUpdates, released)
+	// Hinted handoff is on and no backlog nears its cap, so every lost
+	// update is a queued hint lost on arrival.
+	if want := st.HintsDelivered + st.LostUpdates + uint64(released) + uint64(pending()); st.HintsQueued != want {
+		t.Errorf("%d hints queued, but %d delivered + %d lost + %d released + %d pending = %d",
+			st.HintsQueued, st.HintsDelivered, st.LostUpdates, released, pending(), want)
+	}
+	if n := pending(); n != 0 {
+		t.Errorf("%d hints still pending after the heal and the drain", n)
+	}
+	if st.Window.Count != uint64(acked) {
+		t.Errorf("%d windows recorded for %d acknowledged writes", st.Window.Count, acked)
+	}
+	if ops, wins, hints := s.ops.Live(), s.windows.Live(), s.hints.Live(); ops+wins+hints != 0 {
+		t.Errorf("after the drain %d op states, %d windows and %d hints are live, want none", ops, wins, hints)
+	}
+	if acked == issued || st.HintsDelivered == 0 {
+		t.Fatalf("script did not exercise what it should: %d of %d writes acknowledged, %+v", acked, issued, st)
 	}
 }

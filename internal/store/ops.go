@@ -16,27 +16,36 @@ import (
 // order, so queueing delays emerge from load instead of from event-creation
 // order.
 //
-// Operation state is recycled, not garbage. An opState comes off its store's
-// free list when the operation is issued and goes back when its last holder
-// lets go. The holders are exactly: the call that issued the operation, every
-// scheduled event whose argument is the state or one of its replica slots,
-// and every hint queued for one of its slots. Each takes one reference when
-// it is created (newOp, after, pushHint) and gives it back once, when the
-// call or the event's step returns or the hint leaves the backlog (release).
-// Every event is a package-level handler over a pre-bound pointer, so the
-// whole path schedules without allocating.
+// Operation state is recycled, not garbage. A write is carried by three
+// pooled records, each with its own holders:
+//
+//   - opState, the operation: the call that issued it and every scheduled
+//     event whose argument is the state or one of its replica slots;
+//   - window, a write's inconsistency-window tracker: the write's opState
+//     and each of its hints;
+//   - hint, a mutation queued for one replica: exactly one holder at a time,
+//     the replica's backlog or the one replay event carrying it.
+//
+// An opState and a window count their holders (refs). Each holder takes one
+// reference when it is created (newOp, after, admit, queueHint) and gives it
+// back once: the call or the event when its step returns (release), the
+// opState when it is recycled, a hint when it is freed (dropHint). The last
+// one returns the record to its pool. A hint is freed when it is applied,
+// lost, or dropped with a departed node. So a write's op state goes back to
+// its pool as soon as its own events are done, and only the window, 48
+// bytes, waits for the slowest replica. Every event is a package-level
+// handler over a pre-bound pointer, so the whole path schedules without
+// allocating.
 
 // opState tracks one in-flight client operation at its coordinator. For a
-// write: how many replica acknowledgements it still needs, how many can
-// still arrive, when the client was acknowledged, and — until every replica
-// in the preference list has applied it — the true inconsistency window. For
-// a read: the answers so far and the freshest version among them.
+// write: how many replica acknowledgements it still needs and how many can
+// still arrive, and the window tracker its replicas settle. For a read: the
+// answers so far and the freshest version among them.
 //
-// A write stays resident until its slowest replica settles, so a saturated
-// run holds tens of thousands of these at once and the layout is packed to
-// 256 bytes (TestOpStateSize): pointers and slices first, then the 8-byte
-// times and versions, then 4-byte counters, then the one-byte flags and the
-// failure code, with no padding between groups.
+// A saturated run holds thousands of these at once, so the layout is packed
+// (TestOpStateSize): pointers and slices first, then the 8-byte times and
+// versions, then 4-byte counters, then the one-byte flags and the failure
+// code, with no padding between groups.
 type opState struct {
 	store *Store
 	cb    func(Result)
@@ -44,24 +53,24 @@ type opState struct {
 	// trace is the sampled span tree for this operation, nil for unsampled
 	// operations (and always nil with tracing off).
 	trace *obs.OpTrace
-	// The operation's slots (see slots) live inline for a replication
-	// factor up to len(slotsBuf) — every factor a scenario uses — and in
-	// overflow for a larger one. overflow survives recycling, so a store
-	// running a large factor allocates it once per state, not per operation.
+	// win is a write's window tracker, nil for a read or a write rejected
+	// before fan-out.
+	win *window
+	// The operation's slots (see slots) live inline for up to len(slotsBuf)
+	// replicas — every factor a scenario uses — and in overflow for more.
+	// overflow survives recycling, so a store running a large factor
+	// allocates it once per state, not per operation.
 	slotsBuf [5]opSlot
 	overflow []opSlot
 
 	key      KeyID
 	issuedAt time.Duration
 
-	// Write side. Window tracking: remaining replicas have neither applied
-	// the write nor been discounted; the window runs from ackAt to
-	// lastApply.
+	// Write side: the version written and what the coordinator observes of
+	// its acknowledgements.
 	ver          version
 	ackDecidedAt time.Duration
 	lastAckAt    time.Duration
-	ackAt        time.Duration
-	lastApply    time.Duration
 
 	// Read side: the freshest version among the answers, and the version
 	// read repair brings the stale answering replicas up to.
@@ -71,15 +80,15 @@ type opState struct {
 	tenant int32
 	// refs counts the state's holders, see above.
 	refs int32
-	// nslots is the number of slots, live the first of them the coordinator
-	// fans out to.
-	nslots, live int32
-	required     int32
+	// nslots is the number of slots: the replicas the coordinator fans out
+	// to. replicas is the length of the preference list, which for a write
+	// also counts the replicas unreachable at issue time (they get hints).
+	nslots, replicas int32
+	required         int32
 	// possible is the number of replicas that can still answer (live
 	// replicas whose mutation or request has not been dropped).
 	possible  int32
 	acked     int32
-	remaining int32
 	responses int32
 
 	write bool
@@ -88,19 +97,15 @@ type opState struct {
 	answered  bool
 	failed    bool
 	observed  bool
-	resolved  bool
-	recorded  bool
 	divergent bool
 	// err is the failure a scheduled failEvent will deliver.
 	err opErr
 }
 
-// slots returns one pre-bound slot per replica the operation involves, in
-// preference order: the first live are the ones the coordinator fans out to
-// (for a read, the `required` replicas it contacts, and all there is); a
-// write's remaining slots are the replicas unreachable at issue time, which
-// start as hints. Slot addresses are event arguments and backlog entries, so
-// the slots are bound once, at admission.
+// slots returns one pre-bound slot per replica the coordinator fans out to,
+// in preference order (for a read, the `required` replicas it contacts).
+// Slot addresses are event arguments, so the slots are bound once, at
+// admission.
 func (op *opState) slots() []opSlot {
 	if op.nslots <= int32(len(op.slotsBuf)) {
 		return op.slotsBuf[:op.nslots]
@@ -109,11 +114,10 @@ func (op *opState) slots() []opSlot {
 }
 
 // opSlot is one replica's slot of an operation: the argument of that
-// replica's events (arrival, apply or respond, hint replay, read repair) and,
-// for a write, its entry in the hint backlog. It points back at the
-// operation so package-level handlers can be scheduled with the engine's
-// allocation-free AfterArg path. A read's slot also records where its
-// replica's answer came in: read repair visits the answering replicas in
+// replica's events (arrival, apply or respond, read repair). It points back
+// at the operation so package-level handlers can be scheduled with the
+// engine's allocation-free AfterArg path. A read's slot also records where
+// its replica's answer came in: read repair visits the answering replicas in
 // arrival order. The two 4-byte fields keep the slot at 16 bytes.
 type opSlot struct {
 	op *opState
@@ -140,25 +144,32 @@ func (e opErr) error() error {
 	return [...]error{nil, ErrStopped, ErrNoNodes, ErrUnavailable}[e]
 }
 
-// newOp takes an operation state off the free list; the caller holds it.
+// newOp takes an operation state out of its pool; the caller holds it.
 func (s *Store) newOp(write bool, tenant TenantID, key KeyID, cb func(Result)) *opState {
-	var op *opState
-	if n := len(s.freeOps); n > 0 {
-		op, s.freeOps = s.freeOps[n-1], s.freeOps[:n-1]
-		*op = opState{overflow: op.overflow}
-	} else {
-		op = s.opSlab.New()
-	}
+	op, _ := s.ops.Get()
+	*op = opState{overflow: op.overflow}
 	op.store, op.write, op.tenant, op.key, op.cb = s, write, int32(tenant), key, cb
 	op.issuedAt = s.engine.Now()
 	op.refs = 1
 	return op
 }
 
-// release gives back one reference; the last one recycles the state.
+// release gives back one reference; the last one recycles the state and
+// gives back its reference to the window.
 func (s *Store) release(op *opState) {
-	if op.refs--; op.refs == 0 && recycleOps {
-		s.freeOps = append(s.freeOps, op)
+	if op.refs--; op.refs == 0 {
+		if op.win != nil {
+			op.win.release()
+		}
+		recycle(&s.ops, op)
+	}
+}
+
+// recycle puts x back into its pool, unless the recycleOps test hook holds
+// recycling off.
+func recycle[T any](p *sim.Pool[T], x *T) {
+	if recycleOps {
+		p.Put(x)
 	}
 }
 
@@ -196,11 +207,11 @@ var (
 	clientDoneEvent  = opEvent((*opState).finishRead)
 	writeArriveEvent = slotEvent((*opSlot).arriveWrite)
 	writeApplyEvent  = slotEvent((*opSlot).applyWrite)
-	hintArriveEvent  = slotEvent((*opSlot).arriveHint)
-	hintApplyEvent   = slotEvent((*opSlot).applyHint)
 	readArriveEvent  = slotEvent((*opSlot).arriveRead)
 	respondEvent     = slotEvent((*opSlot).respond)
 	readRepairEvent  = slotEvent((*opSlot).repair)
+	hintArriveEvent  = sim.ArgHandler(func(arg any, at time.Duration) { arg.(*hint).arrive(at) })
+	hintApplyEvent   = sim.ArgHandler(func(arg any, at time.Duration) { arg.(*hint).apply(at) })
 )
 
 // result starts the Result of an operation completing at the given time.
@@ -291,7 +302,8 @@ func (s *Store) admit(op *opState) {
 		s.nextVersion++
 		op.ver = s.nextVersion
 		op.possible = int32(len(live))
-		op.remaining = int32(len(replicaIDs))
+		op.win, _ = s.windows.Get()
+		*op.win = window{store: s, trace: op.trace, tenant: op.tenant, remaining: int32(len(replicaIDs)), refs: 1}
 	} else {
 		s.reads.Inc()
 		if t != nil {
@@ -305,22 +317,19 @@ func (s *Store) admit(op *opState) {
 	op.trace.Add(now, "dispatch", int(coord.ID()))
 
 	// live and down point into per-operation scratch buffers, which the next
-	// operation overwrites; the slots keep them.
-	n := len(live) + len(down)
+	// operation overwrites; the slots and the hints keep them.
+	n := len(live)
 	if n > len(op.slotsBuf) && cap(op.overflow) < n {
 		op.overflow = make([]opSlot, n)
 	}
-	op.nslots, op.live = int32(n), int32(len(live))
+	op.nslots, op.replicas = int32(n), int32(len(replicaIDs))
 	slots := op.slots()
 	for i, id := range live {
 		slots[i] = opSlot{op: op, id: int32(id)}
 	}
-	for i, id := range down {
-		slots[len(live)+i] = opSlot{op: op, id: int32(id)}
-	}
 	// Unreachable replicas get hints (or are dropped, counted as lost).
-	for i := len(live); i < n; i++ {
-		s.queueHint(&slots[i])
+	for _, id := range down {
+		s.queueHint(op, int32(id))
 	}
 
 	// Client -> coordinator.
@@ -366,7 +375,7 @@ func (op *opState) coordinate(arrival time.Duration) {
 	op.trace.Add(coordDone, "coordinate", int(op.coord.ID()))
 	net := s.cluster.Network()
 
-	slots := op.slots()[:op.live]
+	slots := op.slots()
 	for i := range slots {
 		f := &slots[i]
 		switch {
@@ -439,23 +448,23 @@ func (f *opSlot) arriveWrite(arrive time.Duration) {
 // hintInstead turns a mutation its replica could not take into a hint.
 func (f *opSlot) hintInstead(arrive time.Duration, why string) {
 	f.op.trace.AddNote(arrive, "replica-hint", int(f.id), why)
-	f.op.store.queueHint(f)
+	f.op.store.queueHint(f.op, f.id)
 	f.op.onReplicaLost()
 }
 
 func (f *opSlot) applyWrite(applied time.Duration) {
-	f.op.trace.Add(applied, "replica-apply", int(f.id))
-	f.applyHint(applied)
+	w := f.op
+	w.trace.Add(applied, "replica-apply", int(f.id))
+	w.store.applyMutation(f.node(), w.key, w.ver)
+	w.win.replicaSettled(applied)
 }
 
-// applyHint applies a replayed hint: applyWrite without the span marker of
-// the regular replication path.
-func (f *opSlot) applyHint(applied time.Duration) {
-	w := f.op
-	if rep := w.store.replica(f.node()); rep != nil {
-		rep.apply(w.key, w.ver)
+// applyMutation applies a version of a key to a node's replica, if the node
+// ever joined the ring.
+func (s *Store) applyMutation(id cluster.NodeID, key KeyID, ver version) {
+	if rep := s.replica(id); rep != nil {
+		rep.apply(key, ver)
 	}
-	w.replicaSettled(applied)
 }
 
 // onAck records one replica acknowledgement arriving at the coordinator.
@@ -495,7 +504,7 @@ func (w *opState) emitObservation() {
 		IssuedAt:  w.issuedAt,
 		AckedAt:   w.ackDecidedAt,
 		LastAckAt: w.lastAckAt,
-		Replicas:  int(w.nslots),
+		Replicas:  int(w.replicas),
 		Acked:     int(w.acked),
 	}
 	for _, o := range w.store.observers {
@@ -513,7 +522,7 @@ func (w *opState) ackClient(at time.Duration) {
 		*cur = w.ver
 	}
 	w.trace.Add(at, "client-ack", 0)
-	w.setAck(at)
+	w.win.setAck(at)
 	res := w.result(at)
 	res.Version = uint64(w.ver)
 	s.writeLatency.ObserveDuration(res.Latency)
@@ -742,26 +751,47 @@ const hintDeliveryCapacityShare = 0.15
 // maxHintsPerDelivery is the absolute ceiling on hints replayed in one round.
 const maxHintsPerDelivery = 20000
 
-// queueHint records a mutation destined for an unavailable (or overloaded)
-// replica; the hint is the write's slot for that replica and holds the write.
-// With hinted handoff disabled and no anti-entropy, or with the replica's
-// hint window full, the update is lost until a newer write or a repair
-// arrives (counted as a lost update) and the replica is discounted so the
-// window stays defined.
-func (s *Store) queueHint(f *opSlot) {
-	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || len(s.pendingHints[f.id]) >= maxPendingHintsPerNode {
+// hint is a mutation queued for a replica that could not take it: what a
+// replay needs to apply it (key, version, target) and to cross a partition
+// the way the write would have (the coordinator), plus the write's window,
+// which the replica settles. It has one holder at a time, its replica's
+// backlog or the one replay event carrying it, and is 32 bytes
+// (TestOpStateSize): a saturated run queues tens of thousands.
+type hint struct {
+	win         *window
+	key         KeyID
+	ver         version
+	coord, node int32 // cluster.NodeIDs
+}
+
+// queueHint records a mutation of the write op destined for an unavailable
+// (or overloaded) replica. With hinted handoff disabled and no
+// anti-entropy, or with the replica's hint window full, the update is lost
+// until a newer write or a repair arrives (counted as a lost update) and the
+// replica is discounted so the window stays defined.
+func (s *Store) queueHint(op *opState, node int32) {
+	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || len(s.pendingHints[node]) >= maxPendingHintsPerNode {
 		s.lostUpdates.Inc()
-		f.op.replicaSettled(s.engine.Now())
+		op.win.replicaSettled(s.engine.Now())
 		return
 	}
 	s.hintsQueued.Inc()
-	s.pushHint(f)
+	h, _ := s.hints.Get()
+	*h = hint{win: op.win, key: op.key, ver: op.ver, coord: int32(op.coord.ID()), node: node}
+	op.win.refs++
+	s.pushHint(h)
 }
 
 // pushHint appends a hint to its replica's backlog.
-func (s *Store) pushHint(f *opSlot) {
-	f.op.refs++
-	s.pendingHints[f.id] = append(s.pendingHints[f.id], f)
+func (s *Store) pushHint(h *hint) {
+	s.pendingHints[h.node] = append(s.pendingHints[h.node], h)
+}
+
+// dropHint frees a hint that has been applied, lost or dropped with its
+// replica, giving back its reference to the window.
+func (s *Store) dropHint(h *hint) {
+	h.win.release()
+	recycle(&s.hints, h)
 }
 
 // retryHints periodically redelivers queued hints to nodes that are
@@ -776,8 +806,9 @@ func (s *Store) retryHints(time.Duration) {
 
 // deliverHints flushes queued hints (up to maxHintsPerDelivery) to a node
 // that has become available. Each hint is replayed as a replication apply at
-// the time it would actually reach the node. The backlog is compacted in
-// place, in order, so a retry round allocates nothing however deep it is.
+// the time it would actually reach the node: the hint leaves the backlog for
+// its replay event. The backlog is compacted in place, in order, so a retry
+// round allocates nothing however deep it is.
 func (s *Store) deliverHints(id cluster.NodeID) {
 	if uint(id) >= uint(len(s.pendingHints)) || len(s.pendingHints[id]) == 0 {
 		return // also a node that crashed and recovered before it ever joined
@@ -803,46 +834,55 @@ func (s *Store) deliverHints(id cluster.NodeID) {
 	now := s.engine.Now()
 	at := now
 	keep := hints[:0]
-	for i, f := range hints {
+	for i, h := range hints {
 		if limit == 0 {
 			keep = append(keep, hints[i:]...)
 			break
 		}
-		if partitioned && !net.Reachable(f.op.coord.ID(), id) {
-			keep = append(keep, f)
+		if partitioned && !net.Reachable(cluster.NodeID(h.coord), id) {
+			keep = append(keep, h)
 			continue
 		}
 		limit--
 		at += hintDeliveryDelay
 		arrive := at + net.NodeToNode()
-		f.op.after(delayUntil(now, arrive), hintArriveEvent, f)
-		s.release(f.op)
+		s.engine.AfterArg(delayUntil(now, arrive), hintArriveEvent, h)
 	}
 	clear(hints[len(keep):])
 	s.pendingHints[id] = keep
 }
 
-// arriveHint runs when a replayed hint reaches its replica.
-func (f *opSlot) arriveHint(arrived time.Duration) {
-	w, s, id := f.op, f.op.store, f.node()
+// arrive runs when a replayed hint reaches its replica.
+func (h *hint) arrive(arrived time.Duration) {
+	s, id := h.win.store, cluster.NodeID(h.node)
 	net := s.cluster.Network()
-	if !net.Reachable(w.coord.ID(), id) || net.Isolated(id) {
+	if !net.Reachable(cluster.NodeID(h.coord), id) || net.Isolated(id) {
 		// A partition may have opened between batch assembly and arrival; a
 		// delivery that can no longer cross the (new) cut is requeued rather
 		// than applied, the same arrival-time recheck every other replication
 		// path performs.
-		s.pushHint(f)
+		s.pushHint(h)
 		return
 	}
 	if target, ok := s.cluster.Node(id); ok && target.Available() {
 		if d, accepted := target.Enqueue(arrived, cluster.ReplicationApply); accepted {
 			s.hintsDelivered.Inc()
-			w.after(delayUntil(s.engine.Now(), arrived+d), hintApplyEvent, f)
+			s.engine.AfterArg(delayUntil(s.engine.Now(), arrived+d), hintApplyEvent, h)
 			return
 		}
 	}
 	s.lostUpdates.Inc()
-	w.replicaSettled(arrived)
+	h.win.replicaSettled(arrived)
+	s.dropHint(h)
+}
+
+// apply applies a replayed hint: applyWrite without the span marker of the
+// regular replication path.
+func (h *hint) apply(applied time.Duration) {
+	s := h.win.store
+	s.applyMutation(cluster.NodeID(h.node), h.key, h.ver)
+	h.win.replicaSettled(applied)
+	s.dropHint(h)
 }
 
 // runAntiEntropy periodically repairs divergence: every queued hint for an
@@ -887,9 +927,30 @@ func (s *Store) repairAll() {
 	}
 }
 
+// window tracks a write's true inconsistency window, from the client's
+// acknowledgement (ackAt) to the last replica's apply (lastApply), until no
+// replica remains outstanding. Its holders are the write's op state and each
+// of the write's hints (see the top of this file); refs counts them.
+type window struct {
+	store            *Store
+	trace            *obs.OpTrace
+	ackAt, lastApply time.Duration
+	// remaining replicas have neither applied the write nor been
+	// discounted.
+	tenant, remaining, refs int32
+	resolved, recorded      bool
+}
+
+// release gives back one reference; the last one recycles the window.
+func (w *window) release() {
+	if w.refs--; w.refs == 0 {
+		recycle(&w.store.windows, w)
+	}
+}
+
 // replicaSettled is called when one replica has applied the write, or will
 // never apply it (node removed, update dropped) and is discounted.
-func (w *opState) replicaSettled(at time.Duration) {
+func (w *window) replicaSettled(at time.Duration) {
 	if w.resolved {
 		return
 	}
@@ -908,7 +969,7 @@ func (w *opState) replicaSettled(at time.Duration) {
 // the client acknowledgement trails the last apply), the window is recorded
 // now; otherwise replicaSettled records it once no replica remains
 // outstanding.
-func (w *opState) setAck(at time.Duration) {
+func (w *window) setAck(at time.Duration) {
 	w.ackAt = at
 	if w.resolved {
 		w.recordWindow()
@@ -918,21 +979,21 @@ func (w *opState) setAck(at time.Duration) {
 // recordWindow writes the window into the store's ground-truth histograms
 // exactly once. Writes that were never acknowledged have no client-observable
 // window and are skipped.
-func (w *opState) recordWindow() {
+func (w *window) recordWindow() {
 	if w.recorded || w.ackAt == 0 {
 		return
 	}
 	w.recorded = true
 	s := w.store
-	window := max(w.lastApply-w.ackAt, 0)
+	d := max(w.lastApply-w.ackAt, 0)
 	if w.trace != nil {
 		w.trace.Add(w.lastApply, "sla-account", 0)
 		s.finishTrace(w.trace, w.lastApply, nil)
 	}
-	s.windowHist.ObserveDuration(window)
-	s.recentWindow.Observe(window.Seconds())
+	s.windowHist.ObserveDuration(d)
+	s.recentWindow.Observe(d.Seconds())
 	if ts := s.tenant(TenantID(w.tenant)); ts != nil {
-		ts.windowHist.ObserveDuration(window)
-		ts.recentWindow.Observe(window.Seconds())
+		ts.windowHist.ObserveDuration(d)
+		ts.recentWindow.Observe(d.Seconds())
 	}
 }

@@ -36,18 +36,22 @@ const maxWriteAllocs = 0
 // maxReadAllocs bounds the average allocations for one complete read.
 const maxReadAllocs = 0
 
-// TestOpStateSize pins the per-operation footprint: a saturated scenario
-// holds tens of thousands of op states at once, each until its slowest
-// replica settles, so their size is a large share of the peak heap.
+// TestOpStateSize pins the per-operation footprint. A saturated scenario
+// holds thousands of op states in flight and, behind its slowest replicas,
+// tens of thousands of hints and the window trackers they settle, so the
+// three records' sizes are a large share of the peak heap.
 func TestOpStateSize(t *testing.T) {
-	const maxOpState, maxOpSlot = 256, 16
+	const maxOpState, maxOpSlot, maxHint, maxWindow = 240, 16, 32, 48
 	op, slot := unsafe.Sizeof(opState{}), unsafe.Sizeof(opSlot{})
-	t.Logf("opState %d B (%d inline slots), opSlot %d B", op, len(opState{}.slotsBuf), slot)
-	if op > maxOpState {
-		t.Errorf("opState is %d B, want at most %d", op, maxOpState)
-	}
-	if slot > maxOpSlot {
-		t.Errorf("opSlot is %d B, want at most %d", slot, maxOpSlot)
+	h, w := unsafe.Sizeof(hint{}), unsafe.Sizeof(window{})
+	t.Logf("opState %d B (%d inline slots), opSlot %d B, hint %d B, window %d B", op, len(opState{}.slotsBuf), slot, h, w)
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{{"opState", op, maxOpState}, {"opSlot", slot, maxOpSlot}, {"hint", h, maxHint}, {"window", w, maxWindow}} {
+		if c.size > c.max {
+			t.Errorf("%s is %d B, want at most %d", c.name, c.size, c.max)
+		}
 	}
 }
 
@@ -146,12 +150,12 @@ func TestFaultChecksAllocationFree(t *testing.T) {
 }
 
 // TestFreeListSlabRefill pins that op state and pooled events refill from
-// slabs: a fresh store taking 10 000 writes at one instant — 10 000 op states
-// and 10 000 dispatch events in flight, none of them recycled yet — allocates
-// one object per slab of each plus a constant (the event heap's growth), not
-// one object per state and per event.
+// slabs: a fresh store taking 10 000 writes at one instant — 10 000 op
+// states, window trackers and dispatch events in flight, none of them
+// recycled yet — allocates one object per slab block plus a constant (the
+// event heap's growth), not one object per state and per event.
 func TestFreeListSlabRefill(t *testing.T) {
-	const writes, slab = 10_000, 64 // slab: the block size of sim.Slab
+	const writes, slab = 10_000, 64 // slab: the fewest elements a sim.Slab block holds
 	for _, rf := range []int{3, 5} {
 		t.Run(fmt.Sprintf("rf%d", rf), func(t *testing.T) {
 			cfg := DefaultConfig()

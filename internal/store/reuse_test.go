@@ -14,11 +14,12 @@ import (
 
 // TestOpStateReuseInvisible proves that recycling op state changes nothing a
 // run reports: the same scenarios and the same store-level fault script are
-// run with recycling on and with the test hook that leaves every released
-// state to the garbage collector — each operation then gets a fresh state, as
-// before op state was recycled — and every fingerprint and every ground-truth
-// statistic must be equal. A state handed out while something could still
-// reach it, or one that remembers its previous operation, would show here.
+// run with recycling on and with the test hook that leaves every released op
+// state, window tracker and hint to the garbage collector — each operation
+// then gets fresh records, as before they were recycled — and every
+// fingerprint and every ground-truth statistic must be equal. A record
+// handed out while something could still reach it, or one that remembers
+// its previous use, would show here.
 func TestOpStateReuseInvisible(t *testing.T) {
 	bothWays := func(run func() any) (recycled, fresh any) {
 		recycled = run()
@@ -62,10 +63,11 @@ func TestOpStateReuseInvisible(t *testing.T) {
 		t.Errorf("fault scenario: report differs with recycling off\nrecycled:\n%s\nfresh:\n%s", recycled, fresh)
 	}
 
-	// The same faults at RF 6 on 6 nodes, reads at ALL: every operation's
-	// six slots live in the overflow slice, which a recycled state keeps
-	// from whatever operation it served before (a read that failed before
-	// fan-out, a write that hinted) and a fresh state allocates anew.
+	// The same faults at RF 6 on 6 nodes, reads at ALL: an operation that
+	// fans out to all six replicas keeps its slots in the overflow slice,
+	// which a recycled state keeps from whatever operation it served before
+	// (a read that failed before fan-out, a write that hinted a crashed
+	// replica and fanned out to five) and a fresh state allocates anew.
 	wide := faults
 	wide.Cluster.InitialNodes = 6
 	wide.Store.ReplicationFactor = 6

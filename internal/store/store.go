@@ -153,7 +153,7 @@ type Store struct {
 	// allocated in sequence) and sized by addReplica; a nil replica was never
 	// a ring member. A backlog holds a node's hints oldest first.
 	replicas     []*replicaState
-	pendingHints [][]*opSlot
+	pendingHints [][]*hint
 
 	// Per-key state, indexed by KeyID (see keys.go). keys resolves names to
 	// ids and back; tokens memoises each key's ring token, hashed from the
@@ -165,11 +165,11 @@ type Store struct {
 	ackedKeys   int
 	nextVersion version
 
-	// Recycled operation state. An op state returns here when its last
-	// holder — a scheduled event or a queued hint — lets go (see ops.go);
-	// opSlab supplies a fresh one when the list is empty.
-	freeOps []*opState
-	opSlab  sim.Slab[opState]
+	// Recycled operation state: each record returns to its pool when its
+	// last holder lets go (see ops.go).
+	ops     sim.Pool[opState]
+	windows sim.Pool[window]
+	hints   sim.Pool[hint]
 
 	observers []Observer
 
@@ -235,8 +235,9 @@ type Store struct {
 }
 
 // recycleOps is a test hook: while a test holds it false (export_test.go)
-// released op state is left to the garbage collector, as if every operation
-// allocated afresh, to prove that recycling is invisible in every report.
+// released op states, windows and hints are left to the garbage collector,
+// as if every operation allocated afresh, to prove that recycling is
+// invisible in every report.
 var recycleOps = true
 
 // New creates a store on top of the given cluster and registers for
@@ -424,8 +425,8 @@ func (s *Store) NodeLeft(id cluster.NodeID) {
 	}
 	if uint(id) < uint(len(s.pendingHints)) {
 		for _, h := range s.pendingHints[id] {
-			h.op.replicaSettled(s.engine.Now())
-			s.release(h.op)
+			h.win.replicaSettled(s.engine.Now())
+			s.dropHint(h)
 		}
 		s.pendingHints[id] = nil
 	}
@@ -436,7 +437,7 @@ func (s *Store) NodeLeft(id cluster.NodeID) {
 func (s *Store) addReplica(id cluster.NodeID) {
 	if n := int(id) + 1 - len(s.replicas); n > 0 {
 		s.replicas = append(s.replicas, make([]*replicaState, n)...)
-		s.pendingHints = append(s.pendingHints, make([][]*opSlot, n)...)
+		s.pendingHints = append(s.pendingHints, make([][]*hint, n)...)
 	}
 	if s.replicas[id] == nil {
 		s.replicas[id] = newReplicaState(id)

@@ -396,7 +396,7 @@ func TestPartitionHoldsMinorityHintsUntilHeal(t *testing.T) {
 	crossCut := 0
 	for target, hints := range h.store.pendingHints {
 		for _, hint := range hints {
-			if !net.Reachable(hint.op.coord.ID(), cluster.NodeID(target)) {
+			if !net.Reachable(cluster.NodeID(hint.coord), cluster.NodeID(target)) {
 				crossCut++
 			}
 		}

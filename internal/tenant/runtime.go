@@ -127,10 +127,8 @@ type Runtime struct {
 
 	inner   idTarget
 	tracker *sla.Tracker
-	// free recycles the completion records of forwarded operations; opSlab
-	// supplies a fresh one when the list is empty.
-	free   []*forwardedOp
-	opSlab sim.Slab[forwardedOp]
+	// ops recycles the completion records of forwarded operations.
+	ops sim.Pool[forwardedOp]
 
 	readLat  *metrics.WindowedStat
 	writeLat *metrics.WindowedStat
@@ -380,11 +378,8 @@ func (r *Runtime) shed(write bool, key store.KeyID, cb func(store.Result), tr *o
 // admitted arrivals); it is added to the client-observed latency, because the
 // client has been waiting since the original arrival.
 func (r *Runtime) forward(write bool, key store.KeyID, cb func(store.Result), queued time.Duration, tr *obs.OpTrace) {
-	var op *forwardedOp
-	if n := len(r.free); n > 0 {
-		op, r.free = r.free[n-1], r.free[:n-1]
-	} else {
-		op = r.opSlab.New()
+	op, fresh := r.ops.Get()
+	if fresh {
 		op.r = r
 		op.done = op.complete
 	}
@@ -431,7 +426,7 @@ func (op *forwardedOp) complete(res store.Result) {
 		r.readLat.Observe(res.Latency.Seconds())
 	}
 	op.cb = nil
-	r.free = append(r.free, op)
+	r.ops.Put(op)
 	if cb != nil {
 		cb(res)
 	}
