@@ -2,7 +2,8 @@ package autonosql_test
 
 // Golden-report determinism tests. The fingerprints under testdata/ were
 // captured before the hot-path optimisation work (event pooling, scratch
-// buffers, cached node lists — see PERFORMANCE.md) and must stay bit-for-bit
+// buffers, cached node lists — PERFORMANCE.md describes the hot path as it
+// is now) and must stay bit-for-bit
 // identical: every float in a Report is fingerprinted via math.Float64bits,
 // so even a 1-ULP drift in any statistic fails the test. Regenerate with
 //

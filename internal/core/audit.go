@@ -97,15 +97,8 @@ func scopeLabel(s Scope) string {
 
 // inCooldown is the audited form of kb.InCooldown: the consult and its
 // outcome land in the active audit record.
-func (p *Planner) inCooldown(kind ActionKind, at, cooldown time.Duration) bool {
-	active := p.kb.InCooldown(kind, at, cooldown)
-	p.noteCooldown(kind, ClusterScope(), active)
-	return active
-}
-
-// inCooldownScoped is the audited form of kb.InCooldownScoped.
-func (p *Planner) inCooldownScoped(kind ActionKind, scope Scope, at, cooldown time.Duration) bool {
-	active := p.kb.InCooldownScoped(kind, scope, at, cooldown)
+func (p *Planner) inCooldown(kind ActionKind, scope Scope, at, cooldown time.Duration) bool {
+	active := p.kb.InCooldown(kind, scope, at, cooldown)
 	p.noteCooldown(kind, scope, active)
 	return active
 }

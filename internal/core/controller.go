@@ -99,9 +99,6 @@ func New(cfg Config, actuator Actuator) (*Controller, error) {
 func (c *Controller) Step(snap monitor.Snapshot) Decision {
 	// Monitor + Analyze.
 	analysis := c.analyzer.Analyze(snap)
-	// Feed the planner's knowledge base so a previously applied action gets
-	// its post-action measurement.
-	c.planner.kb.RecordObservation(snap.At, snap.WindowP95)
 
 	// Plan.
 	plant := PlantState{
@@ -135,13 +132,7 @@ func (c *Controller) Step(snap monitor.Snapshot) Decision {
 		decision.Applied = err == nil
 		if err == nil {
 			c.applied++
-			// Give membership changes longer to show their effect than pure
-			// configuration flips.
-			settle := 2 * c.cfg.ControlInterval
-			if action.Kind == ActionAddNode || action.Kind == ActionRemoveNode {
-				settle = 4 * c.cfg.ControlInterval
-			}
-			c.planner.kb.RecordApplied(action, snap.At, snap.WindowP95, settle)
+			c.planner.kb.RecordApplied(action, snap.At)
 		} else {
 			c.failed++
 		}

@@ -22,12 +22,10 @@
 //     makes the problem worse.
 //   - Execute: the Controller applies the action through an Actuator bound to
 //     the store and cluster.
-//   - Knowledge: the planner's KnowledgeBase keeps a cooldown ledger per
-//     (action kind, scope) and, per action kind, the mean relative window
-//     change of its settled applications, behind the Harmful veto that stops
-//     the planner repeating an action that made the window worse. Only one
-//     application is pending at a time: an action followed by another before
-//     it settles is never scored.
+//   - Knowledge: the planner's KnowledgeBase is a cooldown ledger of when
+//     each (action kind, scope) pair was last applied. It does not judge an
+//     action by the window that follows it: a veto that did so made runs
+//     dearer (EXPERIMENTS.md, knowledge-base ablation).
 //
 // A LoadPredictor adds the "smart" part of smart auto-scaling: it forecasts
 // the offered load one bootstrap-time ahead and provisions capacity before

@@ -130,8 +130,8 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 			// per-tenant cooldown) on a throttle that cannot bind — let the
 			// escalation continue instead.
 			if rate < offered &&
-				!p.inCooldownScoped(ActionThrottleTenant, scope, now, p.cfg.ThrottleCooldown) &&
-				!p.inCooldownScoped(ActionUnthrottleTenant, scope, now, p.cfg.ThrottleCooldown) {
+				!p.inCooldown(ActionThrottleTenant, scope, now, p.cfg.ThrottleCooldown) &&
+				!p.inCooldown(ActionUnthrottleTenant, scope, now, p.cfg.ThrottleCooldown) {
 				return Action{
 					Kind:   ActionThrottleTenant,
 					Scope:  scope,
@@ -143,8 +143,8 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 		if p.cfg.EnablePlacementActions && plant.PinnedClass == "" &&
 			plant.ClusterSize > plant.ReplicationFactor {
 			scope := ClassScope(string(tenant.Gold))
-			if !p.inCooldownScoped(ActionPinTenantClass, scope, now, placementCooldown) &&
-				!p.inCooldownScoped(ActionUnpinTenantClass, scope, now, placementCooldown) {
+			if !p.inCooldown(ActionPinTenantClass, scope, now, placementCooldown) &&
+				!p.inCooldown(ActionUnpinTenantClass, scope, now, placementCooldown) {
 				return Action{
 					Kind:   ActionPinTenantClass,
 					Scope:  scope,
@@ -164,7 +164,7 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 					continue
 				}
 				scope := TenantScope(tt.Name)
-				if p.inCooldownScoped(ActionThrottleTenant, scope, now, p.cfg.ThrottleCooldown) {
+				if p.inCooldown(ActionThrottleTenant, scope, now, p.cfg.ThrottleCooldown) {
 					continue
 				}
 				return Action{
@@ -196,8 +196,8 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 				continue
 			}
 			scope := TenantScope(tt.Name)
-			if p.inCooldownScoped(ActionThrottleTenant, scope, now, p.cfg.UnthrottleHoldoff) ||
-				p.inCooldownScoped(ActionUnthrottleTenant, scope, now, p.cfg.UnthrottleHoldoff) {
+			if p.inCooldown(ActionThrottleTenant, scope, now, p.cfg.UnthrottleHoldoff) ||
+				p.inCooldown(ActionUnthrottleTenant, scope, now, p.cfg.UnthrottleHoldoff) {
 				continue
 			}
 			delete(p.nonBindingSince, tt.Name)
@@ -210,8 +210,8 @@ func (p *Planner) planTenantProtection(an Analysis, plant PlantState) (Action, b
 	}
 	if p.cfg.EnablePlacementActions && plant.PinnedClass != "" && len(an.Throttled) == 0 {
 		scope := ClassScope(plant.PinnedClass)
-		if !p.inCooldownScoped(ActionPinTenantClass, scope, now, placementCooldown) &&
-			!p.inCooldownScoped(ActionUnpinTenantClass, scope, now, placementCooldown) {
+		if !p.inCooldown(ActionPinTenantClass, scope, now, placementCooldown) &&
+			!p.inCooldown(ActionUnpinTenantClass, scope, now, placementCooldown) {
 			return Action{
 				Kind:   ActionUnpinTenantClass,
 				Scope:  scope,
@@ -354,17 +354,13 @@ func (p *Planner) planNominal(an Analysis, plant PlantState) Action {
 
 // --- candidate helpers -------------------------------------------------------
 
-// candidate wraps the common bound / enable / cooldown / harmfulness checks.
-func (p *Planner) candidate(kind ActionKind, an Analysis, enabled bool, cooldownOK bool, reason string) (Action, bool) {
+// candidate wraps the common enable / cooldown checks.
+func (p *Planner) candidate(kind ActionKind, enabled bool, cooldownOK bool, reason string) (Action, bool) {
 	if !enabled {
 		p.noteVeto(kind, ClusterScope(), "action kind disabled by configuration")
 		return Action{}, false
 	}
 	if !cooldownOK {
-		return Action{}, false
-	}
-	if p.kb.Effectiveness(kind).Harmful() {
-		p.noteVeto(kind, ClusterScope(), "knowledge base rates the action harmful")
 		return Action{}, false
 	}
 	return Action{Kind: kind, Reason: reason}, true
@@ -374,8 +370,8 @@ func (p *Planner) tryAddNode(an Analysis, plant PlantState, reason string) (Acti
 	if plant.ClusterSize >= p.cfg.MaxNodes {
 		return Action{}, false
 	}
-	cooldownOK := !p.inCooldown(ActionAddNode, an.At, scaleOutCooldown)
-	a, ok := p.candidate(ActionAddNode, an, p.cfg.EnableScaling, cooldownOK, reason)
+	cooldownOK := !p.inCooldown(ActionAddNode, ClusterScope(), an.At, scaleOutCooldown)
+	a, ok := p.candidate(ActionAddNode, p.cfg.EnableScaling, cooldownOK, reason)
 	if !ok {
 		return a, false
 	}
@@ -411,9 +407,9 @@ func (p *Planner) tryRemoveNode(an Analysis, plant PlantState, reason string) (A
 	}
 	// Removing a node shortly after adding one is the oscillation the paper
 	// warns about; the scale-in cooldown also applies to recent scale-outs.
-	cooldownOK := !p.inCooldown(ActionRemoveNode, an.At, scaleInCooldown) &&
-		!p.inCooldown(ActionAddNode, an.At, scaleInCooldown)
-	return p.candidate(ActionRemoveNode, an, p.cfg.EnableScaling, cooldownOK, reason)
+	cooldownOK := !p.inCooldown(ActionRemoveNode, ClusterScope(), an.At, scaleInCooldown) &&
+		!p.inCooldown(ActionAddNode, ClusterScope(), an.At, scaleInCooldown)
+	return p.candidate(ActionRemoveNode, p.cfg.EnableScaling, cooldownOK, reason)
 }
 
 func (p *Planner) tryTightenWrite(an Analysis, plant PlantState, reason string) (Action, bool) {
@@ -427,8 +423,8 @@ func (p *Planner) tryTightenWrite(an Analysis, plant PlantState, reason string) 
 		p.noteVeto(ActionTightenWriteConsistency, ClusterScope(), "write latency too close to SLA to tighten")
 		return Action{}, false
 	}
-	cooldownOK := !p.inCooldown(ActionTightenWriteConsistency, an.At, consistencyCooldown)
-	return p.candidate(ActionTightenWriteConsistency, an, p.cfg.EnableConsistencyActions, cooldownOK, reason)
+	cooldownOK := !p.inCooldown(ActionTightenWriteConsistency, ClusterScope(), an.At, consistencyCooldown)
+	return p.candidate(ActionTightenWriteConsistency, p.cfg.EnableConsistencyActions, cooldownOK, reason)
 }
 
 func (p *Planner) tryRelaxWrite(an Analysis, plant PlantState, reason string) (Action, bool) {
@@ -436,9 +432,9 @@ func (p *Planner) tryRelaxWrite(an Analysis, plant PlantState, reason string) (A
 	if err != nil || next < store.One {
 		return Action{}, false
 	}
-	cooldownOK := !p.inCooldown(ActionRelaxWriteConsistency, an.At, consistencyCooldown) &&
-		!p.inCooldown(ActionTightenWriteConsistency, an.At, consistencyCooldown)
-	return p.candidate(ActionRelaxWriteConsistency, an, p.cfg.EnableConsistencyActions, cooldownOK, reason)
+	cooldownOK := !p.inCooldown(ActionRelaxWriteConsistency, ClusterScope(), an.At, consistencyCooldown) &&
+		!p.inCooldown(ActionTightenWriteConsistency, ClusterScope(), an.At, consistencyCooldown)
+	return p.candidate(ActionRelaxWriteConsistency, p.cfg.EnableConsistencyActions, cooldownOK, reason)
 }
 
 func (p *Planner) tryTightenRead(an Analysis, plant PlantState, reason string) (Action, bool) {
@@ -449,6 +445,6 @@ func (p *Planner) tryTightenRead(an Analysis, plant PlantState, reason string) (
 		p.noteVeto(ActionTightenReadConsistency, ClusterScope(), "read latency too close to SLA to tighten")
 		return Action{}, false
 	}
-	cooldownOK := !p.inCooldown(ActionTightenReadConsistency, an.At, consistencyCooldown)
-	return p.candidate(ActionTightenReadConsistency, an, p.cfg.EnableConsistencyActions, cooldownOK, reason)
+	cooldownOK := !p.inCooldown(ActionTightenReadConsistency, ClusterScope(), an.At, consistencyCooldown)
+	return p.candidate(ActionTightenReadConsistency, p.cfg.EnableConsistencyActions, cooldownOK, reason)
 }

@@ -236,7 +236,7 @@ func TestPlannerCooldownBlocksRepeatedScaleOut(t *testing.T) {
 	if a.Kind != ActionAddNode {
 		t.Fatalf("first plan = %v, want add-node", a)
 	}
-	p.kb.RecordApplied(a, an.At, an.Snapshot.WindowP95, time.Minute)
+	p.kb.RecordApplied(a, an.At)
 
 	// Same situation 10 s later: the scale-out cooldown (90 s) blocks another
 	// node addition; the planner falls back to tightening consistency.
@@ -244,23 +244,6 @@ func TestPlannerCooldownBlocksRepeatedScaleOut(t *testing.T) {
 	a2 := p.Plan(an2, PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One})
 	if a2.Kind == ActionAddNode {
 		t.Fatal("scale-out cooldown not enforced")
-	}
-}
-
-func TestPlannerSkipsHarmfulAction(t *testing.T) {
-	cfg := DefaultConfig(testSLA())
-	p := NewPlanner(cfg)
-	// Teach the knowledge base that tightening write consistency made the
-	// window worse twice (e.g. because coordinator queues exploded).
-	for i := 0; i < 2; i++ {
-		at := time.Duration(i+1) * 10 * time.Minute
-		p.kb.RecordApplied(Action{Kind: ActionTightenWriteConsistency}, at, 0.1, time.Minute)
-		p.kb.RecordObservation(at+2*time.Minute, 0.4)
-	}
-	an := analyze(cfg, snapshotOpts{at: time.Hour, windowP95: 0.5, readP99: 0.005, writeP99: 0.005, meanUtil: 0.2})
-	a := p.Plan(an, defaultPlant())
-	if a.Kind == ActionTightenWriteConsistency {
-		t.Fatal("planner repeated an action the knowledge base marked harmful")
 	}
 }
 

@@ -10,38 +10,37 @@ import (
 
 // TestKnowledgeBaseScopedCooldowns pins the cooldown-bookkeeping fix:
 // cooldowns key on (kind, scope), so throttling tenant A must not put tenant
-// B's throttle in cooldown, while the legacy cluster-scoped queries keep
-// their exact pre-scope behaviour.
+// B's throttle in cooldown, while cluster-scoped queries keep their exact
+// pre-scope behaviour.
 func TestKnowledgeBaseScopedCooldowns(t *testing.T) {
 	kb := NewKnowledgeBase()
 	a := TenantScope("a")
 	b := TenantScope("b")
 
-	kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: a, Rate: 100},
-		10*time.Minute, 0.1, time.Minute)
+	kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: a, Rate: 100}, 10*time.Minute)
 
-	if !kb.InCooldownScoped(ActionThrottleTenant, a, 10*time.Minute+time.Second, time.Minute) {
+	if !kb.InCooldown(ActionThrottleTenant, a, 10*time.Minute+time.Second, time.Minute) {
 		t.Error("throttling tenant a did not start tenant a's cooldown")
 	}
-	if kb.InCooldownScoped(ActionThrottleTenant, b, 10*time.Minute+time.Second, time.Minute) {
+	if kb.InCooldown(ActionThrottleTenant, b, 10*time.Minute+time.Second, time.Minute) {
 		t.Error("throttling tenant a put tenant b's throttle in cooldown")
 	}
-	if kb.InCooldown(ActionThrottleTenant, 10*time.Minute+time.Second, time.Minute) {
+	if kb.InCooldown(ActionThrottleTenant, ClusterScope(), 10*time.Minute+time.Second, time.Minute) {
 		t.Error("tenant-scoped action leaked into the cluster-scoped cooldown")
 	}
-	if _, ok := kb.LastAppliedScoped(ActionThrottleTenant, a); !ok {
-		t.Error("LastAppliedScoped lost the tenant-a application")
+	if _, ok := kb.LastApplied(ActionThrottleTenant, a); !ok {
+		t.Error("LastApplied lost the tenant-a application")
 	}
-	if _, ok := kb.LastAppliedScoped(ActionThrottleTenant, b); ok {
-		t.Error("LastAppliedScoped invented a tenant-b application")
+	if _, ok := kb.LastApplied(ActionThrottleTenant, b); ok {
+		t.Error("LastApplied invented a tenant-b application")
 	}
 
 	// Cluster-scoped actions stay keyed on the empty scope.
-	kb.RecordApplied(Action{Kind: ActionAddNode}, 20*time.Minute, 0.1, time.Minute)
-	if !kb.InCooldown(ActionAddNode, 20*time.Minute+time.Second, time.Minute) {
+	kb.RecordApplied(Action{Kind: ActionAddNode}, 20*time.Minute)
+	if !kb.InCooldown(ActionAddNode, ClusterScope(), 20*time.Minute+time.Second, time.Minute) {
 		t.Error("cluster-scoped cooldown broken")
 	}
-	if at, ok := kb.LastApplied(ActionAddNode); !ok || at != 20*time.Minute {
+	if at, ok := kb.LastApplied(ActionAddNode, ClusterScope()); !ok || at != 20*time.Minute {
 		t.Errorf("LastApplied = %v, %v", at, ok)
 	}
 }
@@ -127,7 +126,7 @@ func TestPlannerThrottleCooldownPerTenant(t *testing.T) {
 	if first.Kind != ActionThrottleTenant || first.Scope.Tenant != "bronze" {
 		t.Fatalf("planned %v, want throttle-tenant[bronze]", first)
 	}
-	p.kb.RecordApplied(first, an.At, 0.3, time.Minute)
+	p.kb.RecordApplied(first, an.At)
 
 	// Ten seconds later bronze is throttled and a silver tenant is now the
 	// candidate; its throttle must be available immediately.
@@ -150,8 +149,7 @@ func TestPlannerUnthrottleOnRecovery(t *testing.T) {
 	cfg.EnableAdmissionControl = true
 	p := NewPlanner(cfg)
 	plant := PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: 1, WriteConsistency: 1}
-	p.kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: TenantScope("bronze"), Rate: 500},
-		10*time.Minute, 0.3, time.Minute)
+	p.kb.RecordApplied(Action{Kind: ActionThrottleTenant, Scope: TenantScope("bronze"), Rate: 500}, 10*time.Minute)
 
 	recoveredAt := func(at time.Duration, offered float64) Analysis {
 		an := Analysis{

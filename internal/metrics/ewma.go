@@ -71,24 +71,3 @@ func (g *Gauge) Set(v float64) { g.v = v }
 
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return g.v }
-
-// MeanVariance accumulates a running mean online (the mean step of
-// Welford's algorithm). The controller's knowledge base uses it to track the
-// observed effect of reconfiguration actions.
-type MeanVariance struct {
-	n    uint64
-	mean float64
-}
-
-// Update folds in a new sample.
-func (m *MeanVariance) Update(x float64) {
-	m.n++
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-}
-
-// Count returns the number of samples.
-func (m *MeanVariance) Count() uint64 { return m.n }
-
-// Mean returns the running mean.
-func (m *MeanVariance) Mean() float64 { return m.mean }

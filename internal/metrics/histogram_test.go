@@ -416,16 +416,3 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("Gauge = %v, want 3.5", g.Value())
 	}
 }
-
-func TestMeanVariance(t *testing.T) {
-	var m MeanVariance
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		m.Update(v)
-	}
-	if m.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", m.Count())
-	}
-	if math.Abs(m.Mean()-5) > 1e-9 {
-		t.Fatalf("Mean = %v, want 5", m.Mean())
-	}
-}

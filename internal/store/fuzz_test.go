@@ -150,6 +150,7 @@ func FuzzStoreOpScript(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 9, 0, 10, 0, 11, 5, 8, 5, 9, 5, 10, 5, 11, 11, 255, 11, 255, 4})                    // interned keys, a sweep
 	f.Add([]byte{4, 1, 4, 1, 7, 0, 0, 1, 5, 1, 11, 40, 7, 1, 4, 1, 10, 9, 5, 1})                              // RF 1: no second replica to hint or repair
 	f.Add([]byte{63, 2, 7, 2, 0, 2, 0, 3, 11, 60, 7, 3, 8, 4, 0, 2, 10, 50, 8, 1, 4, 2, 10, 200, 5, 3, 6, 3}) // RF 6 on 6 nodes, ALL reads: overflow slots hinted, then read-repaired
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 8, 2, 9, 3, 11, 200})                                                // a replica is cut off and leaves with mutations in flight: lost, not hinted
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {

@@ -249,3 +249,134 @@ func TestHintConservation(t *testing.T) {
 		t.Fatalf("script did not exercise what it should: %d of %d writes acknowledged, %+v", acked, issued, st)
 	}
 }
+
+// TestDepartedReplicaTakesNoHints pins what happens to a mutation whose
+// replica leaves the cluster while the mutation is on its way: 200 writes are
+// issued on five nodes, one replica is cut off and removed before any
+// mutation lands, and the partition heals a minute later. A mutation for the
+// departed replica is a lost update, not a hint: the replica's backlog was
+// released when it left and nothing would ever replay into it again, so a
+// hint queued there would keep its write's window open for good.
+func TestDepartedReplicaTakesNoHints(t *testing.T) {
+	const writes = 200
+	clusterCfg := cluster.DefaultConfig()
+	clusterCfg.InitialNodes = 5
+	cfg := DefaultConfig()
+	cfg.AntiEntropyInterval = 0 // hinted handoff alone converges the replicas
+	h := newHarness(t, clusterCfg, cfg, 5)
+	s, net := h.store, h.cluster.Network()
+	x := h.cluster.AvailableNodes()[2].ID()
+
+	fired, acked, toX := 0, 0, 0
+	for i := 0; i < writes; i++ {
+		if slices.Contains(s.replicasForRepair(KeyID(i)), x) {
+			toX++
+		}
+		s.WriteID(KeyID(i), func(r Result) {
+			fired++
+			if r.Err == nil {
+				acked++
+			}
+		})
+	}
+	net.Isolate([]cluster.NodeID{x})
+	if err := h.cluster.RemoveNode(x); err != nil {
+		t.Fatalf("RemoveNode: %v", err)
+	}
+	run := func(d time.Duration) {
+		t.Helper()
+		if err := h.engine.Run(h.engine.Now() + d); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	// Every mutation has landed; the partition keeps every hint queued.
+	run(time.Second)
+	if fired != writes {
+		t.Fatalf("%d of %d writes answered", fired, writes)
+	}
+	if got := len(s.pendingHints[x]); got != 0 {
+		t.Fatalf("%d hints queued for the departed node", got)
+	}
+	departed := s.Stats().LostUpdates
+	if departed == 0 || departed > uint64(toX) {
+		t.Fatalf("%d mutations for the departed node lost, want 1..%d", departed, toX)
+	}
+
+	run(time.Minute)
+	net.Heal([]cluster.NodeID{x})
+	run(3 * time.Minute)
+
+	st := s.Stats()
+	pending := 0
+	for _, b := range s.pendingHints {
+		pending += len(b)
+	}
+	if want := st.HintsDelivered + (st.LostUpdates - departed) + uint64(pending); st.HintsQueued != want {
+		t.Errorf("%d hints queued, but %d delivered + %d lost + %d pending = %d",
+			st.HintsQueued, st.HintsDelivered, st.LostUpdates-departed, pending, want)
+	}
+	if pending != 0 {
+		t.Errorf("%d hints still pending after the heal", pending)
+	}
+	if st.Window.Count != uint64(acked) {
+		t.Errorf("%d windows recorded for %d acknowledged writes", st.Window.Count, acked)
+	}
+	if ops, wins, hints := s.ops.Live(), s.windows.Live(), s.hints.Live(); ops+wins+hints != 0 {
+		t.Errorf("%d op states, %d windows and %d hints are live, want none", ops, wins, hints)
+	}
+	if acked == 0 || st.HintsQueued == 0 {
+		t.Fatalf("script did not exercise what it should: %d writes acknowledged, %+v", acked, st)
+	}
+}
+
+// TestDepartedReplicaDropsReplayInFlight is the replay side of the same
+// rule: a crashed replica recovers and starts taking its backlog, then is cut
+// off and removed while the replayed hints are on their way. The hints that
+// can no longer cross the cut are lost, not requeued into a backlog nothing
+// replays.
+func TestDepartedReplicaDropsReplayInFlight(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.AntiEntropyInterval = 0
+	h := newHarness(t, cluster.DefaultConfig(), cfg, 5)
+	s := h.store
+	y := h.cluster.AvailableNodes()[1].ID()
+	if err := h.cluster.FailNode(y); err != nil {
+		t.Fatalf("FailNode: %v", err)
+	}
+	fired, acked := 0, 0
+	for i := 0; i < 500; i++ {
+		s.WriteID(KeyID(i), func(r Result) {
+			fired++
+			if r.Err == nil {
+				acked++
+			}
+		})
+	}
+	h.runUntil(func() bool { return fired == 500 }, 1_000_000)
+	if err := h.engine.Run(h.engine.Now() + 100*time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	queued := len(s.pendingHints[y])
+	if err := h.cluster.RecoverNode(y); err != nil { // the replay leaves the backlog
+		t.Fatalf("RecoverNode: %v", err)
+	}
+	if len(s.pendingHints[y]) == queued {
+		t.Fatal("recovery replayed nothing")
+	}
+	h.cluster.Network().Isolate([]cluster.NodeID{y})
+	if err := h.cluster.RemoveNode(y); err != nil {
+		t.Fatalf("RemoveNode: %v", err)
+	}
+	if err := h.engine.Run(h.engine.Now() + time.Minute); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := len(s.pendingHints[y]); got != 0 {
+		t.Fatalf("%d replayed hints requeued for the departed node", got)
+	}
+	if st := s.Stats(); st.Window.Count != uint64(acked) || st.LostUpdates == 0 {
+		t.Errorf("%d windows recorded for %d acknowledged writes, %d updates lost", st.Window.Count, acked, st.LostUpdates)
+	}
+	if wins, hints := s.windows.Live(), s.hints.Live(); wins+hints != 0 {
+		t.Errorf("%d windows and %d hints are live, want none", wins, hints)
+	}
+}

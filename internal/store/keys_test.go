@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -166,13 +167,22 @@ func TestColumnGrowsOnFirstTouch(t *testing.T) {
 func TestColumnGrowthNoCopy(t *testing.T) {
 	const keys = 200_000
 	ids := rand.New(rand.NewPCG(1, 2)).Perm(keys)
+	// TotalAlloc is process-wide: under CPU load the runtime now and then
+	// starts an OS thread mid-loop, and the thread's m and g records (about
+	// 5 KiB) land in the same counter. Each reading fills a fresh column;
+	// the smallest of three is the column's own.
 	var c column[version]
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, id := range ids {
-		*c.at(KeyID(id)) = 1
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		c = column[version]{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, id := range ids {
+			*c.at(KeyID(id)) = 1
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
 	pages := 0
 	for _, pg := range c.dense {
 		if pg != nil {
@@ -182,7 +192,7 @@ func TestColumnGrowthNoCopy(t *testing.T) {
 	// The directory grows by append, so everything it ever allocated is at
 	// most twice its final capacity; 4 KiB covers the runtime's own noise.
 	limit := uint64(pages)*uint64(unsafe.Sizeof(page[version]{})) + 2*uint64(cap(c.dense))*8 + 4096
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+	if got > limit {
 		t.Errorf("touching %d uniform ids allocated %d B, want at most %d (%d pages + directory)", keys, got, limit, pages)
 	}
 	if want := (keys + 1<<pageBits - 1) >> pageBits; pages != want {

@@ -766,11 +766,14 @@ type hint struct {
 
 // queueHint records a mutation of the write op destined for an unavailable
 // (or overloaded) replica. With hinted handoff disabled and no
-// anti-entropy, or with the replica's hint window full, the update is lost
-// until a newer write or a repair arrives (counted as a lost update) and the
-// replica is discounted so the window stays defined.
+// anti-entropy, with the replica's hint window full, or with the replica
+// gone from the ring (its backlog was released when it left, and nothing
+// replays into it again), the update is lost until a newer write or a repair
+// arrives (counted as a lost update) and the replica is discounted so the
+// window stays defined.
 func (s *Store) queueHint(op *opState, node int32) {
-	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || len(s.pendingHints[node]) >= maxPendingHintsPerNode {
+	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || len(s.pendingHints[node]) >= maxPendingHintsPerNode ||
+		!s.ring.Contains(cluster.NodeID(node)) {
 		s.lostUpdates.Inc()
 		op.win.replicaSettled(s.engine.Now())
 		return
@@ -860,11 +863,13 @@ func (h *hint) arrive(arrived time.Duration) {
 		// A partition may have opened between batch assembly and arrival; a
 		// delivery that can no longer cross the (new) cut is requeued rather
 		// than applied, the same arrival-time recheck every other replication
-		// path performs.
-		s.pushHint(h)
-		return
-	}
-	if target, ok := s.cluster.Node(id); ok && target.Available() {
+		// path performs. A replica that left the ring meanwhile has no
+		// backlog to requeue into: the update is lost.
+		if s.ring.Contains(id) {
+			s.pushHint(h)
+			return
+		}
+	} else if target, ok := s.cluster.Node(id); ok && target.Available() {
 		if d, accepted := target.Enqueue(arrived, cluster.ReplicationApply); accepted {
 			s.hintsDelivered.Inc()
 			s.engine.AfterArg(delayUntil(s.engine.Now(), arrived+d), hintApplyEvent, h)

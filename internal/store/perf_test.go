@@ -2,11 +2,12 @@ package store
 
 // Allocation-regression tests for the operation hot path. Steady state is
 // exactly zero: op state comes off the store's free list, every hop is a
-// pre-bound ArgHandler event, per-key state lives in slices indexed by key id
-// and failures, hints and read repair reuse the op's own replica slots (see
-// PERFORMANCE.md, round 7). AllocsPerRun reports whole objects per run, so a
-// reintroduced per-operation slice, map entry or closure trips these at once,
-// while a reservoir that still grows every few thousand operations does not.
+// pre-bound ArgHandler event, per-key state lives in paged columns indexed by
+// key id and failures, hints and read repair reuse the op's own replica slots
+// (see PERFORMANCE.md, "Where the time and bytes go"). AllocsPerRun reports
+// whole objects per run, so a reintroduced per-operation slice, map entry or
+// closure trips these at once, while a reservoir that still grows every few
+// thousand operations does not.
 //
 // The write and read guards run over replication factors on both sides of
 // the op state's inline slots:

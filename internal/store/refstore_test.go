@@ -382,7 +382,7 @@ func (s *refStore) Read(key Key, cb func(Result)) {
 }
 
 func (s *refStore) queueHint(id cluster.NodeID, w *refWrite) {
-	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || len(s.hints[id]) >= maxPendingHintsPerNode {
+	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || len(s.hints[id]) >= maxPendingHintsPerNode || !s.ring.Contains(id) {
 		s.stats.LostUpdates++
 		w.settled(s.engine.Now())
 		return
@@ -424,11 +424,11 @@ func (s *refStore) deliverHints(id cluster.NodeID) {
 		at += hintDeliveryDelay
 		s.engine.After(delayUntil(now, at+net.NodeToNode()), func(arrived time.Duration) {
 			if !net.Reachable(h.origin, id) || net.Isolated(id) {
-				s.hints[id] = append(s.hints[id], h)
-				return
-			}
-			target, ok := s.cluster.Node(id)
-			if ok && target.Available() {
+				if s.ring.Contains(id) {
+					s.hints[id] = append(s.hints[id], h)
+					return
+				}
+			} else if target, ok := s.cluster.Node(id); ok && target.Available() {
 				if d, accepted := target.Enqueue(arrived, cluster.ReplicationApply); accepted {
 					s.stats.HintsDelivered++
 					s.engine.After(delayUntil(s.engine.Now(), arrived+d), func(at time.Duration) { s.apply(id, h.key, h.ver); h.w.settled(at) })

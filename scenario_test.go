@@ -425,3 +425,25 @@ func TestNewScenarioNotSizedByKeyspace(t *testing.T) {
 		t.Errorf("two 300-key tenants: %d keys acknowledged, want (300, 600]", got)
 	}
 }
+
+// TestSmartControllerTightensWriteConsistency pins the paper's central knob
+// end to end: with an SLA window bound tighter than CL=ONE replication can
+// hold on an idle cluster, the smart controller attributes the window to
+// loose consistency and raises the write level through the store actuator.
+func TestSmartControllerTightensWriteConsistency(t *testing.T) {
+	spec := DefaultScenarioSpec()
+	spec.Seed = 1
+	spec.Duration = time.Minute
+	spec.Workload.BaseOpsPerSec = 1500
+	spec.SLA.MaxWindowP95 = 3 * time.Millisecond
+	spec.Controller.Mode = ControllerSmart
+
+	rep := runScenario(t, spec)
+	if len(rep.Decisions) == 0 || !strings.Contains(rep.Decisions[0], "tighten-write-cl") ||
+		!strings.Contains(rep.Decisions[0], "applied") {
+		t.Fatalf("decisions = %q, want an applied tighten-write-cl first", rep.Decisions)
+	}
+	if got := rep.FinalConfiguration; got.ReadConsistency != ConsistencyOne || got.WriteConsistency != ConsistencyTwo {
+		t.Fatalf("final cl = %s/%s, want ONE/TWO", got.ReadConsistency, got.WriteConsistency)
+	}
+}
