@@ -245,7 +245,13 @@ func (p *Planner) planWindow(an Analysis, plant PlantState) Action {
 		if a, ok := p.tryAddNode(an, plant, "window high, nodes saturated"); ok {
 			return a
 		}
-		if a, ok := p.tryTightenWrite(an, plant, "window high, nodes saturated, cluster at maximum"); ok {
+		// Add-node is also refused in its cooldown or with scaling off;
+		// only a cluster at MaxNodes is "at maximum".
+		reason := "window high, nodes saturated, scale-out blocked"
+		if plant.ClusterSize >= p.cfg.MaxNodes {
+			reason = "window high, nodes saturated, cluster at maximum"
+		}
+		if a, ok := p.tryTightenWrite(an, plant, reason); ok {
 			return a
 		}
 

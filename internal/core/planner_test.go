@@ -46,6 +46,9 @@ func TestPlannerWindowHighSaturationAtMaxNodesTightensConsistency(t *testing.T) 
 	if a.Kind != ActionTightenWriteConsistency {
 		t.Fatalf("planned %v, want tighten-write-cl when the cluster cannot grow", a)
 	}
+	if want := "window high, nodes saturated, cluster at maximum"; a.Reason != want {
+		t.Fatalf("reason %q, want %q", a.Reason, want)
+	}
 }
 
 func TestPlannerWindowHighCongestionAvoidsScaling(t *testing.T) {
@@ -244,6 +247,28 @@ func TestPlannerCooldownBlocksRepeatedScaleOut(t *testing.T) {
 	a2 := p.Plan(an2, PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One})
 	if a2.Kind == ActionAddNode {
 		t.Fatal("scale-out cooldown not enforced")
+	}
+}
+
+// TestPlannerCooldownFallbackReason pins the reason of the fallback when
+// add-node is refused by its cooldown, four nodes short of MaxNodes: the
+// consistency is tightened, and the reason does not claim the cluster is at
+// its maximum.
+func TestPlannerCooldownFallbackReason(t *testing.T) {
+	cfg := DefaultConfig(testSLA())
+	cfg.MaxNodes = 8
+	p := NewPlanner(cfg)
+	snap := snapshotOpts{at: 100 * time.Second, windowP95: 0.5, readP99: 0.01, writeP99: 0.01, meanUtil: 0.9, maxUtil: 0.95}
+	an := analyze(cfg, snap)
+	p.kb.RecordApplied(Action{Kind: ActionAddNode, Scope: ClusterScope(), Count: 1}, an.At)
+	snap.at += 10 * time.Second
+	an2 := analyze(cfg, snap)
+	a := p.Plan(an2, PlantState{ClusterSize: 4, ReplicationFactor: 3, ReadConsistency: store.One, WriteConsistency: store.One})
+	if a.Kind != ActionTightenWriteConsistency {
+		t.Fatalf("planned %v in the scale-out cooldown, want tighten-write-cl", a)
+	}
+	if want := "window high, nodes saturated, scale-out blocked"; a.Reason != want {
+		t.Fatalf("reason %q, want %q", a.Reason, want)
 	}
 }
 

@@ -45,12 +45,18 @@ func BenchmarkHistogramSnapshot(b *testing.B) {
 // BenchmarkHistogramSnapshotSteady is the control_dense sampling tick: a
 // default-cap reservoir that has just filled (every observe is a replacement
 // candidate with probability near one) or has seen four times its cap (one in
-// four is), a thousand observes, then one snapshot.
+// four is), a thousand observes, then one snapshot. wide_tick is the 10 s
+// tick of a busier run: 20 000 observes at four times the cap, so about
+// 5 000 slots change between two snapshots.
 func BenchmarkHistogramSnapshotSteady(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		seen int
-	}{{"at_cap", DefaultHistogramCap}, {"past_cap", 4 * DefaultHistogramCap}} {
+		name       string
+		seen, tick int
+	}{
+		{"at_cap", DefaultHistogramCap, 1000},
+		{"past_cap", 4 * DefaultHistogramCap, 1000},
+		{"wide_tick", 4 * DefaultHistogramCap, 20000},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			h := NewHistogram(0)
 			v := 0.0
@@ -68,7 +74,7 @@ func BenchmarkHistogramSnapshotSteady(b *testing.B) {
 				// Hold the stream length, and with it the replacement rate,
 				// where the case puts it however long the benchmark runs.
 				h.count = uint64(bc.seen)
-				observe(1000)
+				observe(bc.tick)
 				_ = h.Snapshot()
 			}
 		})

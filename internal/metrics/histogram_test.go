@@ -187,6 +187,7 @@ func runOrderScript(t testing.TB, capacity int, script []byte) {
 	fresh := refHistogram{min: math.Inf(1), max: math.Inf(-1), cap: capacity, rng: h.rngState}
 	ref := fresh
 	lcg := uint64(1)
+	var retained []float64
 	query := func(step int, q float64) {
 		if got, want := h.Quantile(q), ref.quantile(q); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("cap %d step %d: Quantile(%v) = %v, full sort gives %v", capacity, step, q, got, want)
@@ -227,10 +228,11 @@ func runOrderScript(t testing.TB, capacity int, script []byte) {
 				ref.rng = rng
 			}
 		}
-		if len(h.samples) != len(ref.samples) {
-			t.Fatalf("cap %d step %d: %d samples retained, reference retains %d", capacity, i, len(h.samples), len(ref.samples))
+		if h.n != len(ref.samples) {
+			t.Fatalf("cap %d step %d: %d samples retained, reference retains %d", capacity, i, h.n, len(ref.samples))
 		}
-		for j, v := range h.samples {
+		retained = h.appendSlots(retained[:0], 0, h.n)
+		for j, v := range retained {
 			if math.Float64bits(v) != math.Float64bits(ref.samples[j]) {
 				t.Fatalf("cap %d step %d: slot %d holds %v, reference holds %v", capacity, i, j, v, ref.samples[j])
 			}
@@ -238,7 +240,9 @@ func runOrderScript(t testing.TB, capacity int, script []byte) {
 	}
 }
 
-var orderCaps = []int{1, 2, 64, 4096}
+// orderCaps runs one segment, cut or whole, and then several: a cap that
+// cuts its last segment short, and the default's five.
+var orderCaps = []int{1, 2, 64, 4096, 5*4096 + 17, DefaultHistogramCap}
 
 // TestHistogramOrderMatchesFullSort is the differential test behind the
 // byte-identity claim: random interleavings of Observe, Quantile, Snapshot
@@ -265,6 +269,11 @@ func FuzzHistogramOrder(f *testing.F) {
 	f.Add([]byte{2, 3, 8, 4, 3, 3, 1, 4, 3, 3, 1, 4, 3, 0, 0, 6, 0})        // cap 64 filled, then ticks of 9 observes
 	f.Add([]byte{2, 3, 7, 4, 3, 3, 1, 3, 1, 3, 1, 7, 1, 1, 0, 1, 0, 4, 3})  // crosses cap 64 between two queries
 	f.Add([]byte{3, 3, 255, 3, 255, 4, 3, 3, 255, 6, 0, 3, 20, 4, 2, 7, 0}) // cap 4096 from empty to replacement
+	// cap 5*4096+17: queried inside segment 0, then across the 4096 and 8192
+	// segment boundaries, then past the cap with replacements between queries
+	f.Add([]byte{4, 3, 255, 4, 3, 3, 255, 4, 3, 3, 255, 3, 255, 6, 0,
+		3, 255, 3, 255, 3, 255, 3, 255, 3, 255, 3, 255, 4, 3, 3, 255, 4, 2, 0, 0, 6, 0})
+	f.Add([]byte{5, 3, 255, 3, 255, 3, 255, 6, 0, 3, 255, 4, 3}) // default cap, first queried across a boundary
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
@@ -291,33 +300,80 @@ func TestHistogramQueryTimesAreInput(t *testing.T) {
 	queried.Quantile(0.5)
 	unqueried.Quantile(0.5)
 	same := true
-	for i := range queried.samples {
-		same = same && queried.samples[i] == unqueried.samples[i]
+	for i := range queried.n {
+		same = same && queried.at(i) == unqueried.at(i)
 	}
 	if same {
 		t.Fatal("a mid-stream query left the retained set unchanged; query times are expected to be part of the result")
 	}
 }
 
-// TestHistogramGrowthBytes pins the reservoir's growth rule: filling a
-// default histogram to 1.1x its cap allocates the initial chunk plus at most
-// twice the cap's samples, which doubling from the initial chunk meets and
-// append's 1.25x rule, copying the samples a dozen times, does not.
+// TestHistogramGrowthBytes pins the reservoir's storage: filling a default
+// histogram to 1.1x its cap allocates the samples it retains and nothing
+// more, in five segments, besides the Histogram and its directory of
+// segments. Growing one array by doubling would allocate 4096 + 8192 + ... +
+// 65536 samples, nearly twice what it keeps, copying them on each step.
 func TestHistogramGrowthBytes(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	h := NewHistogram(0)
-	for i := 0; i < DefaultHistogramCap*11/10; i++ {
-		h.Observe(float64(i))
+	// MemStats are process-wide: under CPU load the runtime now and then
+	// starts an OS thread mid-loop, and its records (about 5 KiB in 5
+	// objects) land in the same counters. Each reading fills a fresh
+	// reservoir; the smallest of three is the reservoir's own.
+	var h *Histogram
+	bytes, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h = NewHistogram(0)
+		for i := 0; i < DefaultHistogramCap*11/10; i++ {
+			h.Observe(float64(i))
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
 	}
-	runtime.ReadMemStats(&after)
-	const initial, sample = 4096, 8
-	limit := uint64(2*DefaultHistogramCap*sample + initial*sample + 1024) // + the Histogram itself
-	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Errorf("filling a default histogram to 1.1x cap allocated %d B, want at most %d", got, limit)
+	const sample, segments = 8, 5
+	const overhead = 512 // the Histogram and its directory, in their size classes
+	t.Logf("a full default reservoir (%d samples) allocated %d B in %d objects", DefaultHistogramCap, bytes, mallocs)
+	if limit := uint64(DefaultHistogramCap*sample + overhead); bytes > limit {
+		t.Errorf("filling a default histogram to 1.1x cap allocated %d B, want at most %d", bytes, limit)
 	}
-	if len(h.samples) != DefaultHistogramCap || cap(h.samples) != DefaultHistogramCap {
-		t.Errorf("reservoir holds %d samples in %d, want %d in %d", len(h.samples), cap(h.samples), DefaultHistogramCap, DefaultHistogramCap)
+	if mallocs != 2+segments {
+		t.Errorf("filling a default histogram made %d allocations, want %d segments + the Histogram + its directory", mallocs, segments)
+	}
+	if h.n != DefaultHistogramCap || len(h.segs) != segments {
+		t.Errorf("reservoir holds %d samples in %d segments, want %d in %d", h.n, len(h.segs), DefaultHistogramCap, segments)
+	}
+}
+
+// TestHistogramFirstQueryScratch pins the first order of a reservoir that
+// spans several segments, which is how the per-tenant reservoirs meet their
+// first query, in the final report: each segment is merged into the run
+// before it through a copy of the segment, never longer than that run, so
+// the scratch is at most half the retained samples, not a second reservoir.
+func TestHistogramFirstQueryScratch(t *testing.T) {
+	// As in TestHistogramGrowthBytes, each reading queries a fresh full
+	// reservoir and the smallest of three is the query's own.
+	var h *Histogram
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		h = NewHistogram(0)
+		rng := rand.New(rand.NewSource(3))
+		for range DefaultHistogramCap {
+			h.Observe(rng.Float64())
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.Quantile(0.5)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(DefaultHistogramCap * 8 / 2); got > limit {
+		t.Errorf("first query of a full default reservoir allocated %d B, want at most %d", got, limit)
+	}
+	for i := 1; i < h.n; i++ {
+		if h.at(i) < h.at(i-1) {
+			t.Fatalf("slot %d holds %v after slot %d's %v: not ascending", i, h.at(i), i-1, h.at(i-1))
+		}
 	}
 }
 
@@ -334,7 +390,7 @@ func TestHistogramSnapshotAllocFree(t *testing.T) {
 		}
 		_ = h.Snapshot()
 	}
-	for len(h.samples) < 4096 {
+	for h.n < 4096 {
 		tick()
 	}
 	tick()

@@ -223,8 +223,7 @@ func selectKth(a []float64, k int) {
 }
 
 // quantileOfSorted interpolates the q-quantile over an already sorted,
-// non-empty sample slice. It is the single implementation behind Histogram's
-// and WindowedStat's quantiles, so batched and one-shot queries agree bit for bit.
+// non-empty sample slice.
 func quantileOfSorted(cp []float64, q float64) float64 {
 	if q <= 0 {
 		return cp[0]
@@ -232,11 +231,19 @@ func quantileOfSorted(cp []float64, q float64) float64 {
 	if q >= 1 {
 		return cp[len(cp)-1]
 	}
-	pos := q * float64(len(cp)-1)
+	return interpolate(len(cp), q, func(i int) float64 { return cp[i] })
+}
+
+// interpolate is the q-quantile (0 < q < 1) of n ascending samples, read
+// through at, by linear interpolation between the two nearest ranks. It is
+// the single implementation behind Histogram's and WindowedStat's quantiles,
+// so batched and one-shot queries agree bit for bit.
+func interpolate(n int, q float64, at func(int) float64) float64 {
+	pos := q * float64(n-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
-	if lo+1 >= len(cp) {
-		return cp[lo]
+	if lo+1 >= n {
+		return at(lo)
 	}
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
+	return at(lo)*(1-frac) + at(lo+1)*frac
 }

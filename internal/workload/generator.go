@@ -37,15 +37,14 @@ func byID(t Target) IDTarget {
 }
 
 // Stats summarises the traffic a generator has produced and the outcomes it
-// observed from the client side.
+// observed from the client side. Client-observed latencies are the store's
+// to record (store.Stats); the generator only counts.
 type Stats struct {
 	ReadsIssued   uint64
 	WritesIssued  uint64
 	ReadErrors    uint64
 	WriteErrors   uint64
 	StaleReads    uint64
-	ReadLatency   metrics.Snapshot
-	WriteLatency  metrics.Snapshot
 	LastIssueRate float64
 }
 
@@ -79,8 +78,6 @@ type Generator struct {
 	readErrors   metrics.Counter
 	writeErrors  metrics.Counter
 	staleReads   metrics.Counter
-	readLat      *metrics.Histogram
-	writeLat     *metrics.Histogram
 	lastRate     float64
 
 	// arrivals is the dedicated inter-arrival random stream, bound at Start.
@@ -109,12 +106,10 @@ func NewGenerator(cfg Config, engine *sim.Engine, target Target, rnd *sim.RandSo
 		return nil, errors.New("workload: read fraction must be within [0, 1]")
 	}
 	g := &Generator{
-		cfg:      cfg,
-		engine:   engine,
-		target:   byID(target),
-		rng:      rnd,
-		readLat:  metrics.NewHistogram(0),
-		writeLat: metrics.NewHistogram(0),
+		cfg:    cfg,
+		engine: engine,
+		target: byID(target),
+		rng:    rnd,
 	}
 	g.tickFn = g.tick
 	g.onReadFn = g.onRead
@@ -198,15 +193,12 @@ func (g *Generator) onRead(r store.Result) {
 	if r.Stale {
 		g.staleReads.Inc()
 	}
-	g.readLat.ObserveDuration(r.Latency)
 }
 
 func (g *Generator) onWrite(r store.Result) {
 	if r.Err != nil {
 		g.writeErrors.Inc()
-		return
 	}
-	g.writeLat.ObserveDuration(r.Latency)
 }
 
 // Stop halts further arrivals. In-flight operations still complete.
@@ -220,8 +212,6 @@ func (g *Generator) Stats() Stats {
 		ReadErrors:    g.readErrors.Value(),
 		WriteErrors:   g.writeErrors.Value(),
 		StaleReads:    g.staleReads.Value(),
-		ReadLatency:   g.readLat.Snapshot(),
-		WriteLatency:  g.writeLat.Snapshot(),
 		LastIssueRate: g.lastRate,
 	}
 }

@@ -106,9 +106,6 @@ func TestGeneratorIssuesApproximateRate(t *testing.T) {
 	if ratio < 0.4 || ratio > 0.6 {
 		t.Fatalf("read ratio = %.2f, want ~0.5", ratio)
 	}
-	if stats.ReadLatency.Count == 0 || stats.WriteLatency.Count == 0 {
-		t.Fatal("latency histograms not populated")
-	}
 	if stats.LastIssueRate != 200 {
 		t.Fatalf("LastIssueRate = %v, want 200", stats.LastIssueRate)
 	}
@@ -177,9 +174,6 @@ func TestGeneratorErrorAndStaleAccounting(t *testing.T) {
 	stats := g.Stats()
 	if stats.ReadErrors == 0 || stats.WriteErrors == 0 {
 		t.Fatalf("errors not counted: %+v", stats)
-	}
-	if stats.ReadLatency.Count != 0 {
-		t.Fatal("failed reads should not contribute latency samples")
 	}
 
 	engine2 := sim.NewEngine()
