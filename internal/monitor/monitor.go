@@ -117,7 +117,7 @@ type Monitor struct {
 
 	// ops recycles the per-operation completion records, so client-side
 	// accounting wraps the caller's callback without allocating.
-	ops sim.Pool[taggedOp]
+	ops sim.Pool[taggedOp, *taggedOp]
 }
 
 // snapshotWindowQs are the window quantiles every snapshot reports, queried
@@ -216,16 +216,21 @@ func (t TaggedTarget) WriteID(key store.KeyID, cb func(store.Result)) {
 // made, and reused every time the record is.
 type taggedOp struct {
 	m    *Monitor
+	next *taggedOp // the pool's free-list link
 	cb   func(store.Result)
 	done func(store.Result)
 }
+
+// Link returns the record's free-list link, for its sim.Pool.
+func (o *taggedOp) Link() **taggedOp { return &o.next }
 
 // observe counts one client operation and returns the callback that records
 // its outcome before passing it on to cb.
 func (m *Monitor) observe(cb func(store.Result)) func(store.Result) {
 	m.opsInterval++
-	o, fresh := m.ops.Get()
-	if fresh {
+	o := m.ops.Get()
+	if o == nil {
+		o = m.ops.New()
 		o.m = m
 		o.done = o.complete
 	}

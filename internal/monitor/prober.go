@@ -41,7 +41,7 @@ type Prober struct {
 	// name is the reused buffer probe key names are spelled in; probes
 	// recycles the probe records.
 	name    []byte
-	probes  sim.Pool[probe]
+	probes  sim.Pool[probe, *probe]
 	started uint64
 	done    uint64
 	timeout uint64
@@ -92,8 +92,9 @@ func (p *Prober) startProbe() {
 	p.seq++
 	p.started++
 	p.name = strconv.AppendUint(append(append(p.name[:0], probeKeyPrefix...), '-'), p.seq, 10)
-	pr, fresh := p.probes.Get()
-	if fresh {
+	pr := p.probes.Get()
+	if pr == nil {
+		pr = p.probes.New()
 		pr.p = p
 		pr.onWrite, pr.onRead = pr.written, pr.read
 	}
@@ -108,6 +109,7 @@ func (p *Prober) startProbe() {
 // record is.
 type probe struct {
 	p       *Prober
+	next    *probe // the pool's free-list link
 	key     store.KeyID
 	want    uint64
 	ackedAt time.Duration
@@ -115,6 +117,9 @@ type probe struct {
 	onWrite func(store.Result)
 	onRead  func(store.Result)
 }
+
+// Link returns the probe's free-list link, for its sim.Pool.
+func (pr *probe) Link() **probe { return &pr.next }
 
 func (pr *probe) written(w store.Result) {
 	if w.Err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -285,18 +286,14 @@ func (j *Job) publishSpan(variant string) func(*obs.OpTrace) {
 	}
 }
 
+// beforeRun, when set, is called by each job's run goroutine before it
+// simulates anything. Tests set it to make one job panic.
+var beforeRun func(*Job)
+
 // run executes the job to completion. It owns the result buffers until the
 // terminal state transition publishes them.
 func (j *Job) run() {
-	var err error
-	switch j.kind {
-	case kindScenario:
-		err = j.runScenario()
-	case kindSuite:
-		err = j.runSuite()
-	default:
-		err = fmt.Errorf("unknown job kind %q", j.kind)
-	}
+	err := j.execute()
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.runErr = err
@@ -311,6 +308,27 @@ func (j *Job) run() {
 	}
 	j.wakeLocked()
 	j.mu.Unlock()
+}
+
+// execute simulates the job. A panic on the run goroutine fails this job
+// alone: the panic value and its stack become the job's error, and every
+// other job keeps running.
+func (j *Job) execute() (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	if beforeRun != nil {
+		beforeRun(j)
+	}
+	switch j.kind {
+	case kindScenario:
+		return j.runScenario()
+	case kindSuite:
+		return j.runSuite()
+	}
+	return fmt.Errorf("unknown job kind %q", j.kind)
 }
 
 func (j *Job) runScenario() error {

@@ -481,3 +481,30 @@ func TestMetricWindowRetentionBound(t *testing.T) {
 		t.Fatalf("newest window = %+v, want the last observed", batch[2])
 	}
 }
+
+// TestDaemonJobPanicFailsOnlyThatJob pins that a job whose run goroutine
+// panics ends failed, with the panic value and its stack as its error, and
+// that the daemon keeps serving: a job submitted afterwards finishes done.
+func TestDaemonJobPanicFailsOnlyThatJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	beforeRun = func(j *Job) {
+		if j.name == "boom" {
+			panic("injected fault")
+		}
+	}
+	t.Cleanup(func() { beforeRun = nil })
+	ts := newTestDaemon(t)
+	raw, err := json.Marshal(smallSpec())
+	if err != nil {
+		t.Fatalf("marshal spec: %v", err)
+	}
+	bad := submit(t, ts, JobRequest{Name: "boom", Scenario: raw, Autostart: true})
+	failed := waitState(t, ts, bad.ID, StateFailed)
+	if !strings.Contains(failed.Error, "panic: injected fault") || !strings.Contains(failed.Error, "runtime/debug.Stack") {
+		t.Errorf("failed job's error = %q, want the panic value and its stack", failed.Error)
+	}
+	good := submit(t, ts, JobRequest{Name: "after", Scenario: raw, Autostart: true})
+	waitState(t, ts, good.ID, StateDone)
+}

@@ -40,6 +40,9 @@ type event struct {
 	next *event
 }
 
+// Link returns the event's link, for the engine's Pool.
+func (ev *event) Link() **event { return &ev.next }
+
 // never is a horizon no event lies beyond.
 const never = time.Duration(math.MaxInt64)
 
@@ -61,12 +64,10 @@ type Engine struct {
 	running bool
 	// processed counts events that have fired.
 	processed uint64
-	// free is the head of the recycled-event list. Pooled events return here
-	// after firing, so a steady-state simulation schedules millions of events
-	// with a handful of allocations; a miss takes a never-used event from
-	// slab.
-	free *event
-	slab Slab[event]
+	// pool recycles events: pooled events return to it after firing, so a
+	// steady-state simulation schedules millions of events with a handful of
+	// allocations.
+	pool Pool[event, *event]
 	// halted stops the current Run after the in-flight event completes. It is
 	// only ever set from a handler firing on this engine (same goroutine), so
 	// it needs no synchronisation.
@@ -153,12 +154,11 @@ func (e *Engine) schedule(at time.Duration, h ArgHandler, arg any, nilHandler bo
 	if at < e.now {
 		panic(fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now))
 	}
-	ev := e.free
+	ev := e.pool.Get()
 	if ev == nil {
 		e.poolMisses++
-		ev = e.slab.New()
+		ev = e.pool.New()
 	} else {
-		e.free = ev.next
 		e.poolHits++
 	}
 	ev.handler, ev.arg, ev.pooled = h, arg, true
@@ -187,7 +187,7 @@ func (e *Engine) fire(ev *event) {
 	h, arg := ev.handler, ev.arg
 	if ev.pooled {
 		ev.handler, ev.arg = nil, nil
-		ev.next, e.free = e.free, ev
+		e.pool.Put(ev)
 	}
 	h(arg, e.now)
 }

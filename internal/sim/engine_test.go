@@ -408,3 +408,37 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineProfilePoolCounters pins the free-list counters Report.Profile
+// and the benchmark's pool hit rate read, for a fixed schedule: a ticker
+// that, every 10 ms, schedules a burst of three After events, each of which
+// chains one AfterArg event. A ticker's event is its own and never counts; a
+// pooled schedule is a hit when an event that already fired can carry it and
+// a miss when only a never-used one can.
+func TestEngineProfilePoolCounters(t *testing.T) {
+	e := NewEngine()
+	chained := 0
+	chain := func(arg any, _ time.Duration) { chained += arg.(int) }
+	burst := func(now time.Duration) {
+		for i := 1; i <= 3; i++ {
+			e.After(time.Duration(i)*time.Millisecond, func(time.Duration) {
+				e.AfterArg(time.Duration(i)*time.Millisecond, chain, 1)
+			})
+		}
+	}
+	if _, err := NewTicker(e, 10*time.Millisecond, burst); err != nil {
+		t.Fatalf("NewTicker: %v", err)
+	}
+	e.After(time.Millisecond, func(time.Duration) {})
+	if err := e.Run(95 * time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Nine ticks, 27 bursts and 26 chained events fire (the chain of the
+	// last tick's third burst falls due past the horizon), plus the lone
+	// After: 55 pooled schedules, of which the first After and the first
+	// tick's second and third bursts find no fired event to reuse.
+	want := Profile{Processed: 63, PoolHits: 52, PoolMisses: 3, HeapPeak: 4}
+	if got := e.Profile(); got != want || chained != 26 {
+		t.Errorf("Profile() = %+v with %d chained events, want %+v with 26", got, chained, want)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -19,8 +20,8 @@ func TestSlabSizesBlocksByBytes(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	var small Slab[[32]byte]
-	if got := mallocs(1024, func() { small.New() }); got > 2 {
-		t.Errorf("1024 32-byte elements took %d blocks, want 2 (512 a block)", got)
+	if got := mallocs(1022, func() { small.New() }); got > 2 {
+		t.Errorf("1022 32-byte elements took %d blocks, want 2 (511 a block)", got)
 	}
 	var large Slab[[1024]byte]
 	if got := mallocs(1024, func() { large.New() }); got > 16 {
@@ -28,26 +29,108 @@ func TestSlabSizesBlocksByBytes(t *testing.T) {
 	}
 }
 
-// TestPoolIsLIFO pins the pool's contract: Get hands back the element Put
-// last, as its user left it, and a zero fresh one only when the free list is
-// empty; Live counts what is out.
-func TestPoolIsLIFO(t *testing.T) {
-	var p Pool[int]
-	a, fresh := p.Get()
-	b, _ := p.Get()
-	if !fresh || *a != 0 || a == b || p.Live() != 2 {
-		t.Fatalf("two fresh Gets: fresh=%v, *a=%d, distinct=%v, live=%d", fresh, *a, a != b, p.Live())
+// rec is a pooled test record: a value, its link and padding to 32 bytes.
+type rec struct {
+	v    int
+	next *rec
+	_    [2]uint64
+}
+
+func (r *rec) Link() **rec { return &r.next }
+
+// get takes an element the way the pool's users do: a recycled one if there
+// is one, else a never-used one.
+func get(p *Pool[rec, *rec]) *rec {
+	if x := p.Get(); x != nil {
+		return x
 	}
-	*a, *b = 1, 2
+	return p.New()
+}
+
+// TestPoolIsLIFO pins the pool's contract: Get hands back the element Put
+// last, as its user left it but for the link, and nil when the free list is
+// empty, where New hands out a zero never-used one; Live counts what is out.
+func TestPoolIsLIFO(t *testing.T) {
+	var p Pool[rec, *rec]
+	if got := p.Get(); got != nil {
+		t.Fatalf("Get on a new pool returned %p, want nil", got)
+	}
+	a, b := p.New(), p.New()
+	if a.v != 0 || a == b || p.Live() != 2 {
+		t.Fatalf("two New calls: a.v=%d, distinct=%v, live=%d", a.v, a != b, p.Live())
+	}
+	a.v, b.v = 1, 2
 	p.Put(a)
 	p.Put(b)
-	if got, fresh := p.Get(); got != b || fresh || *got != 2 {
-		t.Errorf("Get after Put(a), Put(b) returned %p (fresh=%v, %d), want b as left", got, fresh, *got)
+	if p.Live() != 0 {
+		t.Errorf("live %d after putting both back, want 0", p.Live())
 	}
-	if got, _ := p.Get(); got != a {
-		t.Errorf("second Get returned %p, want a", got)
+	if got := p.Get(); got != b || got.v != 2 || got.next != nil {
+		t.Errorf("Get after Put(a), Put(b) returned %p (%+v), want b as left, unlinked", got, got)
 	}
-	if c, fresh := p.Get(); !fresh || *c != 0 || p.Live() != 3 {
-		t.Errorf("Get on an empty free list: fresh=%v, value %d, live %d", fresh, *c, p.Live())
+	if got := p.Get(); got != a || got.next != nil {
+		t.Errorf("second Get returned %p (link %p), want a, unlinked", got, got.next)
+	}
+	if got := p.Get(); got != nil || p.Live() != 2 {
+		t.Errorf("Get on an empty free list returned %p, live %d; want nil, 2", got, p.Live())
+	}
+}
+
+// stray is a record whose Link points outside it.
+type stray struct{ v int }
+
+var strayLink *stray
+
+func (*stray) Link() **stray { return &strayLink }
+
+// TestPoolRejectsLinkOutsideRecord pins that the pool refuses a Link that
+// is not a field of its receiver, since it reaches the link by offset.
+func TestPoolRejectsLinkOutsideRecord(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Get of a record whose link lies outside it did not panic")
+		}
+	}()
+	var p Pool[stray, *stray]
+	p.New()
+}
+
+// TestPoolGrowthBytes pins that the free list costs nothing of its own: it is
+// threaded through the records, so taking 50 000 records, putting them all
+// back and taking them again allocates only the slab blocks the first pass
+// took, however many records come back at once.
+func TestPoolGrowthBytes(t *testing.T) {
+	const n = 50_000
+	perBlock := slabLen[rec]()
+	blocks := uint64((n + perBlock - 1) / perBlock)
+	// MemStats are process-wide: under CPU load the runtime now and then
+	// starts an OS thread mid-loop, and its records land in the same
+	// counters. Each reading fills a fresh pool; the smallest of three is the
+	// pool's own.
+	bytes, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	recs := make([]*rec, n)
+	for range 3 {
+		var p Pool[rec, *rec]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range recs {
+			recs[i] = get(&p)
+		}
+		for _, r := range recs {
+			p.Put(r)
+		}
+		for i := range recs {
+			recs[i] = get(&p)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		if p.Live() != n {
+			t.Fatalf("live %d after the last pass, want %d", p.Live(), n)
+		}
+	}
+	t.Logf("%d takes, puts and takes: %d B in %d allocations (%d blocks of %d records)", n, bytes, mallocs, blocks, perBlock)
+	if mallocs > blocks || bytes > blocks*slabBytes {
+		t.Errorf("allocated %d B in %d allocations, want at most the first pass's %d blocks (%d B)", bytes, mallocs, blocks, blocks*slabBytes)
 	}
 }

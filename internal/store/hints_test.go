@@ -1,20 +1,87 @@
 package store
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"autonosql/internal/cluster"
 )
 
+// backlog lists a replica's queued hints, oldest first, and checks the
+// queue's count and tail against its links.
+func (s *Store) backlog(id cluster.NodeID) []*hint {
+	q := s.pendingHints[id]
+	var hints []*hint
+	for h := q.head; h != nil; h = h.next {
+		hints = append(hints, h)
+	}
+	if len(hints) != q.n || len(hints) > 0 && hints[len(hints)-1] != q.tail || len(hints) == 0 && q.tail != nil {
+		panic(fmt.Sprintf("backlog of node %d: %d linked hints, count %d, tail %p", id, len(hints), q.n, q.tail))
+	}
+	return hints
+}
+
+// TestHintBacklogGrowthBytes pins that a backlog costs nothing of its own:
+// it is threaded through the hints, so queueing 50 000 hints for an isolated
+// replica allocates only the hints' slab blocks, 50 000 × 32 B and at most
+// one block more, however deep the backlog grows.
+func TestHintBacklogGrowthBytes(t *testing.T) {
+	const n = 50_000
+	const block = 16 << 10 // sim.Slab's block size
+	maxBytes := uint64(n*unsafe.Sizeof(hint{}) + block)
+	maxMallocs := maxBytes / block
+	// MemStats are process-wide: under CPU load the runtime now and then
+	// starts an OS thread mid-loop, and its records land in the same
+	// counters. Each reading fills a fresh store's backlog; the smallest of
+	// three is the backlog's own.
+	bytes, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		h := newHarness(t, cluster.DefaultConfig(), DefaultConfig(), 1)
+		s, nodes := h.store, h.cluster.AvailableNodes()
+		down := nodes[1].ID()
+		h.cluster.Network().Isolate([]cluster.NodeID{down})
+		// One write's state and a window per hint, made before the reading.
+		op := &opState{store: s, coord: nodes[0]}
+		wins := make([]*window, n)
+		for i := range wins {
+			wins[i] = take(&s.windows)
+			*wins[i] = window{store: s, remaining: 1, refs: 1}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, w := range wins {
+			op.key, op.ver, op.win = KeyID(i), version(i+1), w
+			s.queueHint(op, int32(down))
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		queued := s.backlog(down)
+		if len(queued) != n || s.Stats().LostUpdates != 0 {
+			t.Fatalf("backlog holds %d hints, %d lost, want %d, none lost", len(queued), s.Stats().LostUpdates, n)
+		}
+		if !slices.IsSortedFunc(queued, func(a, b *hint) int { return int(a.ver) - int(b.ver) }) {
+			t.Fatal("the backlog is not in queueing order")
+		}
+	}
+	t.Logf("queueing %d hints: %d B in %d allocations", n, bytes, mallocs)
+	if bytes > maxBytes || mallocs > maxMallocs {
+		t.Errorf("queueing %d hints allocated %d B in %d allocations, want at most %d B in %d (hint slab blocks)",
+			n, bytes, mallocs, maxBytes, maxMallocs)
+	}
+}
+
 // TestHintBacklogDrainsInPlace pins the hint backlog's drain: a 50 000-entry
 // backlog replays oldest first, a throttled batch per retry round, and a
 // round costs a constant handful of allocations however much backlog remains
-// — the backlog is compacted in place and every replayed hint travels on its
-// write's own replica slot. (It used to copy the whole remaining backlog and
-// allocate two closures per hint, every round.)
+// — replayed hints are unlinked from the backlog, the rest keep their order,
+// and every replayed hint travels on its own record. (It used to copy the
+// whole remaining backlog and allocate two closures per hint, every round.)
 func TestHintBacklogDrainsInPlace(t *testing.T) {
 	const backlog = 50_000
 	cfg := DefaultConfig()
@@ -32,7 +99,7 @@ func TestHintBacklogDrainsInPlace(t *testing.T) {
 		}
 	}
 	h.runUntil(func() bool { return fired == issued }, 1_000_000)
-	if got := len(h.store.pendingHints[down]); got != backlog {
+	if got := len(h.store.backlog(down)); got != backlog {
 		t.Fatalf("%d hints queued for the crashed node, want %d", got, backlog)
 	}
 
@@ -40,20 +107,20 @@ func TestHintBacklogDrainsInPlace(t *testing.T) {
 	if err := h.cluster.RecoverNode(down); err != nil { // replays the first batch
 		t.Fatalf("RecoverNode: %v", err)
 	}
-	limit := backlog - len(h.store.pendingHints[down])
+	limit := backlog - len(h.store.backlog(down))
 	if limit <= 0 || limit >= backlog/4 {
 		t.Fatalf("first replay batch is %d hints: the throttle is not what this test assumes", limit)
 	}
 	var ms runtime.MemStats
-	for round := 1; len(h.store.pendingHints[down]) > 0; round++ {
-		before := len(h.store.pendingHints[down])
+	for round := 1; len(h.store.backlog(down)) > 0; round++ {
+		before := len(h.store.backlog(down))
 		runtime.ReadMemStats(&ms)
 		mallocs := ms.Mallocs
 		if err := h.engine.Run(h.engine.Now() + hintRetryInterval); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		runtime.ReadMemStats(&ms)
-		rest := h.store.pendingHints[down]
+		rest := h.store.backlog(down)
 		if want := max(before-limit, 0); len(rest) != want {
 			t.Fatalf("round %d left %d hints, want %d", round, len(rest), want)
 		}
@@ -116,7 +183,7 @@ func TestHintsDoNotHoldTheirWrite(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	s := h.store
-	if got := len(s.pendingHints[down]); got != writes {
+	if got := len(s.backlog(down)); got != writes {
 		t.Fatalf("%d hints queued for the crashed node, want %d", got, writes)
 	}
 	if got := s.ops.Live(); got != 0 {
@@ -174,8 +241,8 @@ func TestHintConservation(t *testing.T) {
 		}
 	}
 	pending := func() (n int) {
-		for _, b := range s.pendingHints {
-			n += len(b)
+		for id := range s.pendingHints {
+			n += len(s.backlog(cluster.NodeID(id)))
 		}
 		return n
 	}
@@ -213,12 +280,12 @@ func TestHintConservation(t *testing.T) {
 	quiet("second crash")
 
 	// The isolated node leaves with its backlog, which is released.
-	released := len(s.pendingHints[cut])
+	released := len(s.backlog(cut))
 	if released == 0 {
 		t.Fatal("the isolated node has no backlog to release")
 	}
 	must(h.cluster.RemoveNode(cut))
-	if got := len(s.pendingHints[cut]); got != 0 {
+	if got := len(s.backlog(cut)); got != 0 {
 		t.Fatalf("%d hints still queued for the departed node", got)
 	}
 	burst(2_000)
@@ -294,7 +361,7 @@ func TestDepartedReplicaTakesNoHints(t *testing.T) {
 	if fired != writes {
 		t.Fatalf("%d of %d writes answered", fired, writes)
 	}
-	if got := len(s.pendingHints[x]); got != 0 {
+	if got := len(s.backlog(x)); got != 0 {
 		t.Fatalf("%d hints queued for the departed node", got)
 	}
 	departed := s.Stats().LostUpdates
@@ -308,8 +375,8 @@ func TestDepartedReplicaTakesNoHints(t *testing.T) {
 
 	st := s.Stats()
 	pending := 0
-	for _, b := range s.pendingHints {
-		pending += len(b)
+	for id := range s.pendingHints {
+		pending += len(s.backlog(cluster.NodeID(id)))
 	}
 	if want := st.HintsDelivered + (st.LostUpdates - departed) + uint64(pending); st.HintsQueued != want {
 		t.Errorf("%d hints queued, but %d delivered + %d lost + %d pending = %d",
@@ -356,11 +423,11 @@ func TestDepartedReplicaDropsReplayInFlight(t *testing.T) {
 	if err := h.engine.Run(h.engine.Now() + 100*time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	queued := len(s.pendingHints[y])
+	queued := len(s.backlog(y))
 	if err := h.cluster.RecoverNode(y); err != nil { // the replay leaves the backlog
 		t.Fatalf("RecoverNode: %v", err)
 	}
-	if len(s.pendingHints[y]) == queued {
+	if len(s.backlog(y)) == queued {
 		t.Fatal("recovery replayed nothing")
 	}
 	h.cluster.Network().Isolate([]cluster.NodeID{y})
@@ -370,7 +437,7 @@ func TestDepartedReplicaDropsReplayInFlight(t *testing.T) {
 	if err := h.engine.Run(h.engine.Now() + time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := len(s.pendingHints[y]); got != 0 {
+	if got := len(s.backlog(y)); got != 0 {
 		t.Fatalf("%d replayed hints requeued for the departed node", got)
 	}
 	if st := s.Stats(); st.Window.Count != uint64(acked) || st.LostUpdates == 0 {

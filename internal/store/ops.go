@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"time"
 
 	"autonosql/internal/cluster"
@@ -43,13 +44,15 @@ import (
 // answers so far and the freshest version among them.
 //
 // A saturated run holds thousands of these at once, so the layout is packed
-// (TestOpStateSize): pointers and slices first, then the 8-byte times and
-// versions, then 4-byte counters, then the one-byte flags and the failure
-// code, with no padding between groups.
+// (TestOpStateSize): pointers and slices first, then the 8-byte key and
+// times, then 4-byte versions and counters, then the one-byte flags and the
+// failure code, with no padding between groups.
 type opState struct {
 	store *Store
 	cb    func(Result)
 	coord *cluster.Node
+	// next links the state into its pool's free list.
+	next *opState
 	// trace is the sampled span tree for this operation, nil for unsampled
 	// operations (and always nil with tracing off).
 	trace *obs.OpTrace
@@ -65,17 +68,14 @@ type opState struct {
 
 	key      KeyID
 	issuedAt time.Duration
-
-	// Write side: the version written and what the coordinator observes of
-	// its acknowledgements.
-	ver          version
+	// What the coordinator observes of a write's acknowledgements.
 	ackDecidedAt time.Duration
 	lastAckAt    time.Duration
 
-	// Read side: the freshest version among the answers, and the version
-	// read repair brings the stale answering replicas up to.
-	freshest version
-	repairTo version
+	// ver is the version a write writes. A read keeps the freshest version
+	// among its answers and the version read repair brings the stale
+	// answering replicas up to.
+	ver, freshest, repairTo version
 
 	tenant int32
 	// refs counts the state's holders, see above.
@@ -130,6 +130,9 @@ type opSlot struct {
 // node is the slot's replica.
 func (f *opSlot) node() cluster.NodeID { return cluster.NodeID(f.id) }
 
+// Link returns the state's free-list link, for its sim.Pool.
+func (op *opState) Link() **opState { return &op.next }
+
 // opErr is an operation's failure in one byte; zero is none.
 type opErr uint8
 
@@ -137,16 +140,17 @@ const (
 	errStopped opErr = iota + 1
 	errNoNodes
 	errUnavailable
+	errVersionsExhausted
 )
 
 // error returns the exported error the code stands for.
 func (e opErr) error() error {
-	return [...]error{nil, ErrStopped, ErrNoNodes, ErrUnavailable}[e]
+	return [...]error{nil, ErrStopped, ErrNoNodes, ErrUnavailable, ErrVersionsExhausted}[e]
 }
 
 // newOp takes an operation state out of its pool; the caller holds it.
 func (s *Store) newOp(write bool, tenant TenantID, key KeyID, cb func(Result)) *opState {
-	op, _ := s.ops.Get()
+	op := take(&s.ops)
 	*op = opState{overflow: op.overflow}
 	op.store, op.write, op.tenant, op.key, op.cb = s, write, int32(tenant), key, cb
 	op.issuedAt = s.engine.Now()
@@ -165,9 +169,18 @@ func (s *Store) release(op *opState) {
 	}
 }
 
+// take takes a record out of its pool: the one put back last, or a
+// never-used one when none is.
+func take[T any, P sim.Linked[T]](p *sim.Pool[T, P]) *T {
+	if x := p.Get(); x != nil {
+		return x
+	}
+	return p.New()
+}
+
 // recycle puts x back into its pool, unless the recycleOps test hook holds
 // recycling off.
-func recycle[T any](p *sim.Pool[T], x *T) {
+func recycle[T any, P sim.Linked[T]](p *sim.Pool[T, P], x *T) {
 	if recycleOps {
 		p.Put(x)
 	}
@@ -288,6 +301,11 @@ func (s *Store) admit(op *opState) {
 		return
 	}
 
+	if op.write && s.nextVersion == math.MaxUint32 {
+		s.reject(op, now, errVersionsExhausted)
+		return
+	}
+
 	op.coord = coord
 	t := s.tenant(tenant)
 	if op.write {
@@ -302,8 +320,11 @@ func (s *Store) admit(op *opState) {
 		s.nextVersion++
 		op.ver = s.nextVersion
 		op.possible = int32(len(live))
-		op.win, _ = s.windows.Get()
-		*op.win = window{store: s, trace: op.trace, tenant: op.tenant, remaining: int32(len(replicaIDs)), refs: 1}
+		op.win = take(&s.windows)
+		*op.win = window{store: s, trace: op.trace, remaining: int16(len(replicaIDs)), refs: 1}
+		if t != nil {
+			op.win.tenant = int16(tenant)
+		}
 	} else {
 		s.reads.Inc()
 		if t != nil {
@@ -755,13 +776,54 @@ const maxHintsPerDelivery = 20000
 // replay needs to apply it (key, version, target) and to cross a partition
 // the way the write would have (the coordinator), plus the write's window,
 // which the replica settles. It has one holder at a time, its replica's
-// backlog or the one replay event carrying it, and is 32 bytes
-// (TestOpStateSize): a saturated run queues tens of thousands.
+// backlog or the one replay event carrying it, so one link serves its pool's
+// free list and the backlog. It is 32 bytes (TestOpStateSize): a saturated
+// run queues tens of thousands. The key is a KeyID in 32 bits: dense ids stay
+// below denseKeys and interned ones count down from -1, one per distinct
+// name.
 type hint struct {
 	win         *window
-	key         KeyID
+	next        *hint
+	key         int32
 	ver         version
 	coord, node int32 // cluster.NodeIDs
+}
+
+// Link returns the hint's link, for its sim.Pool and its replica's backlog.
+func (h *hint) Link() **hint { return &h.next }
+
+// hintQueue is one replica's hint backlog, oldest first: a FIFO threaded
+// through the hints' own links, so queueing allocates nothing however deep
+// the backlog grows.
+type hintQueue struct {
+	head, tail *hint
+	n          int
+}
+
+// push appends h to the queue.
+func (q *hintQueue) push(h *hint) {
+	h.next = nil
+	if q.tail == nil {
+		q.head = h
+	} else {
+		q.tail.next = h
+	}
+	q.tail = h
+	q.n++
+}
+
+// unlink removes h, which follows prev in the queue (nil when h is the
+// head).
+func (q *hintQueue) unlink(prev, h *hint) {
+	if prev == nil {
+		q.head = h.next
+	} else {
+		prev.next = h.next
+	}
+	if q.tail == h {
+		q.tail = prev
+	}
+	q.n--
 }
 
 // queueHint records a mutation of the write op destined for an unavailable
@@ -772,23 +834,21 @@ type hint struct {
 // arrives (counted as a lost update) and the replica is discounted so the
 // window stays defined.
 func (s *Store) queueHint(op *opState, node int32) {
-	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || len(s.pendingHints[node]) >= maxPendingHintsPerNode ||
+	if (!s.cfg.HintedHandoff && s.cfg.AntiEntropyInterval <= 0) || s.pendingHints[node].n >= maxPendingHintsPerNode ||
 		!s.ring.Contains(cluster.NodeID(node)) {
 		s.lostUpdates.Inc()
 		op.win.replicaSettled(s.engine.Now())
 		return
 	}
 	s.hintsQueued.Inc()
-	h, _ := s.hints.Get()
-	*h = hint{win: op.win, key: op.key, ver: op.ver, coord: int32(op.coord.ID()), node: node}
+	h := take(&s.hints)
+	*h = hint{win: op.win, key: int32(op.key), ver: op.ver, coord: int32(op.coord.ID()), node: node}
 	op.win.refs++
 	s.pushHint(h)
 }
 
 // pushHint appends a hint to its replica's backlog.
-func (s *Store) pushHint(h *hint) {
-	s.pendingHints[h.node] = append(s.pendingHints[h.node], h)
-}
+func (s *Store) pushHint(h *hint) { s.pendingHints[h.node].push(h) }
 
 // dropHint frees a hint that has been applied, lost or dropped with its
 // replica, giving back its reference to the window.
@@ -809,14 +869,13 @@ func (s *Store) retryHints(time.Duration) {
 
 // deliverHints flushes queued hints (up to maxHintsPerDelivery) to a node
 // that has become available. Each hint is replayed as a replication apply at
-// the time it would actually reach the node: the hint leaves the backlog for
-// its replay event. The backlog is compacted in place, in order, so a retry
-// round allocates nothing however deep it is.
+// the time it would actually reach the node: the hint is unlinked from the
+// backlog for its replay event, and the hints left behind keep their order.
 func (s *Store) deliverHints(id cluster.NodeID) {
-	if uint(id) >= uint(len(s.pendingHints)) || len(s.pendingHints[id]) == 0 {
+	if uint(id) >= uint(len(s.pendingHints)) || s.pendingHints[id].n == 0 {
 		return // also a node that crashed and recovered before it ever joined
 	}
-	hints := s.pendingHints[id]
+	q := &s.pendingHints[id]
 	node, ok := s.cluster.Node(id)
 	net := s.cluster.Network()
 	if !ok || !node.Available() || net.Isolated(id) {
@@ -836,23 +895,20 @@ func (s *Store) deliverHints(id cluster.NodeID) {
 	partitioned := net.PartitionActive()
 	now := s.engine.Now()
 	at := now
-	keep := hints[:0]
-	for i, h := range hints {
-		if limit == 0 {
-			keep = append(keep, hints[i:]...)
-			break
-		}
+	var prev *hint
+	for h := q.head; h != nil && limit > 0; {
+		next := h.next
 		if partitioned && !net.Reachable(cluster.NodeID(h.coord), id) {
-			keep = append(keep, h)
+			prev, h = h, next
 			continue
 		}
+		q.unlink(prev, h)
 		limit--
 		at += hintDeliveryDelay
 		arrive := at + net.NodeToNode()
 		s.engine.AfterArg(delayUntil(now, arrive), hintArriveEvent, h)
+		h = next
 	}
-	clear(hints[len(keep):])
-	s.pendingHints[id] = keep
 }
 
 // arrive runs when a replayed hint reaches its replica.
@@ -885,7 +941,7 @@ func (h *hint) arrive(arrived time.Duration) {
 // regular replication path.
 func (h *hint) apply(applied time.Duration) {
 	s := h.win.store
-	s.applyMutation(cluster.NodeID(h.node), h.key, h.ver)
+	s.applyMutation(cluster.NodeID(h.node), KeyID(h.key), h.ver)
 	h.win.replicaSettled(applied)
 	s.dropHint(h)
 }
@@ -936,15 +992,25 @@ func (s *Store) repairAll() {
 // acknowledgement (ackAt) to the last replica's apply (lastApply), until no
 // replica remains outstanding. Its holders are the write's op state and each
 // of the write's hints (see the top of this file); refs counts them.
+//
+// It is 48 bytes (TestOpStateSize), so the counters are 16 bits wide: tenant
+// is a registered tenant's id or 0 (RegisterTenants takes at most
+// math.MaxInt16), remaining is at most the replication factor and refs one
+// more (MaxReplicationFactor).
 type window struct {
 	store            *Store
 	trace            *obs.OpTrace
 	ackAt, lastApply time.Duration
+	// next links the window into its pool's free list.
+	next *window
 	// remaining replicas have neither applied the write nor been
 	// discounted.
-	tenant, remaining, refs int32
+	tenant, remaining, refs int16
 	resolved, recorded      bool
 }
+
+// Link returns the window's free-list link, for its sim.Pool.
+func (w *window) Link() **window { return &w.next }
 
 // release gives back one reference; the last one recycles the window.
 func (w *window) release() {

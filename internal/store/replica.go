@@ -6,7 +6,11 @@ import (
 
 // version is a monotonically increasing logical version assigned by the
 // coordinator; conflict resolution is last-writer-wins on version number.
-type version uint64
+// Versions are 32 bits wide, which halves every per-key version column; the
+// store numbers writes from 1 to math.MaxUint32, and a write that would need
+// a version beyond that fails with ErrVersionsExhausted instead of wrapping
+// (Result.Version stays 64 bits wide).
+type version uint32
 
 // replicaState is the per-node view of the keyspace: for each key, the
 // highest version that node has applied so far. Values themselves are not

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -57,6 +58,11 @@ const (
 	// network absorbs before replication itself causes congestion.
 	nominalNetworkOpsPerSec = 60000
 )
+
+// MaxReplicationFactor bounds the replication factor: a write's window
+// counts its outstanding replicas, and its holders (the write and one hint
+// per replica), in 16 bits.
+const MaxReplicationFactor = math.MaxInt16 - 1
 
 // DefaultConfig is the Cassandra-like configuration used by the experiments:
 // RF=3, ONE/ONE consistency, read repair and hinted handoff enabled, and a
@@ -153,7 +159,7 @@ type Store struct {
 	// allocated in sequence) and sized by addReplica; a nil replica was never
 	// a ring member. A backlog holds a node's hints oldest first.
 	replicas     []*replicaState
-	pendingHints [][]*hint
+	pendingHints []hintQueue
 
 	// Per-key state, indexed by KeyID (see keys.go). keys resolves names to
 	// ids and back; tokens memoises each key's ring token, hashed from the
@@ -167,9 +173,9 @@ type Store struct {
 
 	// Recycled operation state: each record returns to its pool when its
 	// last holder lets go (see ops.go).
-	ops     sim.Pool[opState]
-	windows sim.Pool[window]
-	hints   sim.Pool[hint]
+	ops     sim.Pool[opState, *opState]
+	windows sim.Pool[window, *window]
+	hints   sim.Pool[hint, *hint]
 
 	observers []Observer
 
@@ -246,6 +252,9 @@ var recycleOps = true
 func New(cfg Config, engine *sim.Engine, cl *cluster.Cluster, rnd *sim.RandSource) (*Store, error) {
 	if engine == nil || cl == nil || rnd == nil {
 		return nil, errors.New("store: engine, cluster and rand source are required")
+	}
+	if cfg.ReplicationFactor > MaxReplicationFactor {
+		return nil, fmt.Errorf("store: replication factor %d above %d", cfg.ReplicationFactor, MaxReplicationFactor)
 	}
 	s := &Store{
 		engine:       engine,
@@ -345,7 +354,7 @@ func (s *Store) SetWriteConsistency(cl ConsistencyLevel) {
 // nodes take on streaming load for a while and replication traffic rises,
 // which is why the controller must apply this action judiciously.
 func (s *Store) SetReplicationFactor(rf int) error {
-	if rf < 1 {
+	if rf < 1 || rf > MaxReplicationFactor {
 		return fmt.Errorf("store: replication factor %d out of range", rf)
 	}
 	if rf == s.rf {
@@ -424,11 +433,13 @@ func (s *Store) NodeLeft(id cluster.NodeID) {
 		s.rebuildDedicated()
 	}
 	if uint(id) < uint(len(s.pendingHints)) {
-		for _, h := range s.pendingHints[id] {
+		for h := s.pendingHints[id].head; h != nil; {
+			next := h.next
 			h.win.replicaSettled(s.engine.Now())
 			s.dropHint(h)
+			h = next
 		}
-		s.pendingHints[id] = nil
+		s.pendingHints[id] = hintQueue{}
 	}
 }
 
@@ -437,7 +448,7 @@ func (s *Store) NodeLeft(id cluster.NodeID) {
 func (s *Store) addReplica(id cluster.NodeID) {
 	if n := int(id) + 1 - len(s.replicas); n > 0 {
 		s.replicas = append(s.replicas, make([]*replicaState, n)...)
-		s.pendingHints = append(s.pendingHints, make([][]*hint, n)...)
+		s.pendingHints = append(s.pendingHints, make([]hintQueue, n)...)
 	}
 	if s.replicas[id] == nil {
 		s.replicas[id] = newReplicaState(id)

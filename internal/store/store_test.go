@@ -3,6 +3,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -394,7 +396,8 @@ func TestPartitionHoldsMinorityHintsUntilHeal(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	crossCut := 0
-	for target, hints := range h.store.pendingHints {
+	for target := range h.store.pendingHints {
+		hints := h.store.backlog(cluster.NodeID(target))
 		for _, hint := range hints {
 			if !net.Reachable(cluster.NodeID(hint.coord), cluster.NodeID(target)) {
 				crossCut++
@@ -413,7 +416,8 @@ func TestPartitionHoldsMinorityHintsUntilHeal(t *testing.T) {
 	if h.store.Stats().HintsDelivered == 0 {
 		t.Fatal("hints never delivered after the heal")
 	}
-	for target, hints := range h.store.pendingHints {
+	for target := range h.store.pendingHints {
+		hints := h.store.backlog(cluster.NodeID(target))
 		if len(hints) > 0 {
 			t.Fatalf("%d hints still queued for %v after the heal", len(hints), target)
 		}
@@ -627,5 +631,65 @@ func TestReadRepairConvergesReplicas(t *testing.T) {
 	}
 	if withoutRepair != 0 {
 		t.Fatal("read repair triggered although disabled")
+	}
+}
+
+// TestVersionSpaceExhausted pins what happens when the 32-bit version space
+// runs out: the write that takes math.MaxUint32 is acknowledged as usual, and
+// the next write fails with ErrVersionsExhausted, counted as a failed write.
+// Nothing wraps: no replica and no acknowledged slot goes back below the last
+// version, and reads keep answering it.
+func TestVersionSpaceExhausted(t *testing.T) {
+	h := defaultHarness(t)
+	s := h.store
+	const key = Key("key-7")
+	if r := h.writeSync(key); r.Err != nil || r.Version != 1 {
+		t.Fatalf("first write: version %d, err %v", r.Version, r.Err)
+	}
+	settle := func() {
+		t.Helper()
+		if err := h.engine.Run(h.engine.Now() + time.Second); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	// versions returns the key's acknowledged version and what each replica
+	// holds.
+	versions := func() (acked version, held []version) {
+		id := s.KeyID(key)
+		for _, rep := range s.replicas {
+			if rep != nil {
+				held = append(held, rep.read(id))
+			}
+		}
+		return s.latestAcked.get(id), held
+	}
+	settle()
+
+	NearVersionExhaustion(s)
+	if r := h.writeSync(key); r.Err != nil || r.Version != math.MaxUint32 {
+		t.Fatalf("last write: version %d, err %v, want %d acknowledged", r.Version, r.Err, uint64(math.MaxUint32))
+	}
+	settle()
+	acked, held := versions()
+	if acked != math.MaxUint32 {
+		t.Fatalf("acknowledged version %d, want %d", acked, uint64(math.MaxUint32))
+	}
+
+	before := s.Stats()
+	if r := h.writeSync(key); !errors.Is(r.Err, ErrVersionsExhausted) || r.Version != 0 {
+		t.Fatalf("write past the last version: version %d, err %v, want ErrVersionsExhausted", r.Version, r.Err)
+	}
+	settle()
+	after := s.Stats()
+	if after.WriteFailures != before.WriteFailures+1 || after.Writes != before.Writes {
+		t.Errorf("failed write counted as %d failures and %d writes, want 1 and 0",
+			after.WriteFailures-before.WriteFailures, after.Writes-before.Writes)
+	}
+	acked2, held2 := versions()
+	if acked2 != acked || !slices.Equal(held2, held) {
+		t.Errorf("after the failed write: acknowledged %d, replicas %v; want %d and %v unchanged", acked2, held2, acked, held)
+	}
+	if r := h.readSync(key); r.Err != nil || r.Version != math.MaxUint32 || r.Stale {
+		t.Errorf("read after exhaustion: version %d, stale %v, err %v", r.Version, r.Stale, r.Err)
 	}
 }

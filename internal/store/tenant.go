@@ -1,6 +1,9 @@
 package store
 
 import (
+	"fmt"
+	"math"
+
 	"autonosql/internal/metrics"
 )
 
@@ -51,10 +54,14 @@ type TenantGroundTruth struct {
 
 // RegisterTenants allocates per-tenant ground-truth metric sets for tenant
 // IDs 1..n. It must be called before any tagged operation is issued;
-// registering zero tenants keeps the store in untagged single-tenant mode.
+// registering zero tenants keeps the store in untagged single-tenant mode. A
+// write's window keeps its tenant in 16 bits, so n is at most math.MaxInt16.
 func (s *Store) RegisterTenants(n int) {
 	if n <= 0 {
 		return
+	}
+	if n > math.MaxInt16 {
+		panic(fmt.Errorf("store: %d tenants, at most %d", n, math.MaxInt16))
 	}
 	s.tenants = make([]*tenantStats, n)
 	for i := range s.tenants {

@@ -112,6 +112,9 @@ var (
 	ErrNoNodes = errors.New("store: no available nodes")
 	// ErrStopped is returned for operations submitted after Close.
 	ErrStopped = errors.New("store: stopped")
+	// ErrVersionsExhausted is returned for a write issued after the store
+	// has handed out its last version, math.MaxUint32.
+	ErrVersionsExhausted = errors.New("store: version space exhausted")
 )
 
 // OpKind distinguishes reads from writes in results and metrics.

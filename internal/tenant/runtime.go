@@ -128,7 +128,7 @@ type Runtime struct {
 	inner   idTarget
 	tracker *sla.Tracker
 	// ops recycles the completion records of forwarded operations.
-	ops sim.Pool[forwardedOp]
+	ops sim.Pool[forwardedOp, *forwardedOp]
 
 	readLat  *metrics.WindowedStat
 	writeLat *metrics.WindowedStat
@@ -378,8 +378,9 @@ func (r *Runtime) shed(write bool, key store.KeyID, cb func(store.Result), tr *o
 // admitted arrivals); it is added to the client-observed latency, because the
 // client has been waiting since the original arrival.
 func (r *Runtime) forward(write bool, key store.KeyID, cb func(store.Result), queued time.Duration, tr *obs.OpTrace) {
-	op, fresh := r.ops.Get()
-	if fresh {
+	op := r.ops.Get()
+	if op == nil {
+		op = r.ops.New()
 		op.r = r
 		op.done = op.complete
 	}
@@ -409,11 +410,15 @@ func (r *Runtime) forward(write bool, key store.KeyID, cb func(store.Result), qu
 // record is first made, and reused every time the record is.
 type forwardedOp struct {
 	r      *Runtime
+	next   *forwardedOp // the pool's free-list link
 	write  bool
 	queued time.Duration
 	cb     func(store.Result)
 	done   func(store.Result)
 }
+
+// Link returns the record's free-list link, for its sim.Pool.
+func (op *forwardedOp) Link() **forwardedOp { return &op.next }
 
 func (op *forwardedOp) complete(res store.Result) {
 	r, cb := op.r, op.cb

@@ -343,8 +343,8 @@ func (s ScenarioSpec) Validate() error {
 	if s.Cluster.InitialNodes <= 0 {
 		return errors.New("autonosql: InitialNodes must be positive")
 	}
-	if s.Store.ReplicationFactor <= 0 {
-		return errors.New("autonosql: ReplicationFactor must be positive")
+	if s.Store.ReplicationFactor <= 0 || s.Store.ReplicationFactor > store.MaxReplicationFactor {
+		return fmt.Errorf("autonosql: ReplicationFactor must be within [1, %d]", store.MaxReplicationFactor)
 	}
 	if _, err := s.Store.ReadConsistency.toStore(); err != nil {
 		return fmt.Errorf("autonosql: read consistency: %w", err)

@@ -22,6 +22,7 @@ func TestSpecValidationRejectsBadSpecs(t *testing.T) {
 		{"read fraction above one", func(s *ScenarioSpec) { s.Workload.ReadFraction = 1.5 }},
 		{"no nodes", func(s *ScenarioSpec) { s.Cluster.InitialNodes = 0 }},
 		{"no replication", func(s *ScenarioSpec) { s.Store.ReplicationFactor = 0 }},
+		{"replication beyond a window's count", func(s *ScenarioSpec) { s.Store.ReplicationFactor = 1 << 15 }},
 		{"bad read consistency", func(s *ScenarioSpec) { s.Store.ReadConsistency = "SOMETIMES" }},
 		{"bad write consistency", func(s *ScenarioSpec) { s.Store.WriteConsistency = "NEVER" }},
 		{"bad controller mode", func(s *ScenarioSpec) { s.Controller.Mode = "clever" }},
