@@ -56,15 +56,6 @@ func (a *tenantActuator) UnthrottleTenant(name string) error {
 	return rt.Unthrottle()
 }
 
-// ThrottledRate implements core.TenantActuator.
-func (a *tenantActuator) ThrottledRate(name string) (float64, bool) {
-	rt, err := a.runtime(name)
-	if err != nil {
-		return 0, false
-	}
-	return rt.Throttled()
-}
-
 // PinClass implements core.TenantActuator: up to RF of the oldest serving
 // nodes are dedicated to the class (oldest because scale-in removes newest
 // first, so the dedicated pool survives later capacity changes), at least

@@ -1,19 +1,13 @@
 package autonosql
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 )
 
-// AdmissionSpec configures tenant-scoped admission control for the smart
-// controller. When enabled, the planner may throttle a noisy non-gold tenant
-// — shedding its excess arrivals through a deterministic token bucket before
-// they reach the store — instead of scaling the whole cluster for it. The
-// zero value disables admission control and reproduces pre-admission
-// behaviour exactly.
 // AdmissionMode selects what happens to a throttled tenant's excess arrivals.
 type AdmissionMode string
 
@@ -30,6 +24,12 @@ const (
 	AdmissionDelay AdmissionMode = "delay"
 )
 
+// AdmissionSpec configures tenant-scoped admission control for the smart
+// controller. When enabled, the planner may throttle a noisy non-gold tenant
+// — shedding its excess arrivals through a deterministic token bucket before
+// they reach the store — instead of scaling the whole cluster for it. The
+// zero value disables admission control and reproduces pre-admission
+// behaviour exactly.
 type AdmissionSpec struct {
 	// Enabled allows throttle / unthrottle actions.
 	Enabled bool
@@ -57,16 +57,16 @@ func (a AdmissionSpec) validate() error {
 	switch a.Mode {
 	case "", AdmissionShed, AdmissionDelay:
 	default:
-		return fmt.Errorf("admission: unknown mode %q (want %q or %q)", a.Mode, AdmissionShed, AdmissionDelay)
+		return fmt.Errorf("unknown mode %q (want %q or %q)", a.Mode, AdmissionShed, AdmissionDelay)
 	}
 	if math.IsNaN(a.ThrottleFraction) || a.ThrottleFraction < 0 || a.ThrottleFraction >= 1 {
-		return fmt.Errorf("admission: ThrottleFraction %v must be within [0, 1)", a.ThrottleFraction)
+		return fmt.Errorf("ThrottleFraction %v must be within [0, 1)", a.ThrottleFraction)
 	}
 	if !finiteNonNegative(a.MinRate) {
-		return fmt.Errorf("admission: MinRate must be finite and non-negative")
+		return fmt.Errorf("MinRate must be finite and non-negative")
 	}
 	if a.Cooldown < 0 || a.Holdoff < 0 {
-		return fmt.Errorf("admission: cooldowns must be non-negative")
+		return fmt.Errorf("cooldowns must be non-negative")
 	}
 	return nil
 }
@@ -85,63 +85,38 @@ func (a AdmissionSpec) validate() error {
 //	on:frac=0.4:floor=100
 //	on:mode=delay:cooldown=2m:hold=90s
 //
-// An empty string parses to "off". Every spec the parser accepts passes
-// ScenarioSpec validation.
+// An empty string parses to "off". An option set to zero, which would select
+// its default, is rejected; every other range is AdmissionSpec's to check, so
+// every accepted spec passes ScenarioSpec validation.
 func ParseAdmissionSpec(s string) (AdmissionSpec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return AdmissionSpec{}, nil
 	}
-	fields := strings.Split(s, ":")
 	var spec AdmissionSpec
-	switch strings.ToLower(strings.TrimSpace(fields[0])) {
-	case "off":
-		if len(fields) > 1 {
-			return AdmissionSpec{}, fmt.Errorf("autonosql: admission %q: \"off\" takes no options", s)
-		}
-		return AdmissionSpec{}, nil
-	case "on":
-		spec.Enabled = true
-	default:
-		return AdmissionSpec{}, fmt.Errorf("autonosql: admission %q: want \"on\" or \"off\"", s)
-	}
-	for _, opt := range fields[1:] {
-		opt = strings.TrimSpace(opt)
-		switch {
-		case strings.HasPrefix(opt, "mode="):
-			switch mode := AdmissionMode(strings.ToLower(opt[5:])); mode {
-			case AdmissionShed, AdmissionDelay:
-				spec.Mode = mode
-			default:
-				return AdmissionSpec{}, fmt.Errorf("autonosql: admission mode %q must be %q or %q", opt, AdmissionShed, AdmissionDelay)
+	fields, err := parseDSLElement(s, "on|off", dslOptions{
+		"mode":     func(v string) error { spec.Mode = AdmissionMode(strings.ToLower(v)); return nil },
+		"frac":     nonZeroOption(&spec.ThrottleFraction, parseFloat),
+		"floor":    nonZeroOption(&spec.MinRate, parseFloat),
+		"cooldown": nonZeroOption(&spec.Cooldown, time.ParseDuration),
+		"hold":     nonZeroOption(&spec.Holdoff, time.ParseDuration),
+	})
+	if err == nil {
+		switch strings.ToLower(fields[0]) {
+		case "on":
+			spec.Enabled = true
+			err = spec.validate()
+		case "off":
+			// Every option sets a non-zero value.
+			if spec != (AdmissionSpec{}) {
+				err = errors.New(`"off" takes no options`)
 			}
-		case strings.HasPrefix(opt, "frac="):
-			frac, err := strconv.ParseFloat(opt[5:], 64)
-			if err != nil || math.IsNaN(frac) || frac <= 0 || frac >= 1 {
-				return AdmissionSpec{}, fmt.Errorf("autonosql: admission fraction %q must be within (0, 1)", opt)
-			}
-			spec.ThrottleFraction = frac
-		case strings.HasPrefix(opt, "floor="):
-			floor, err := strconv.ParseFloat(opt[6:], 64)
-			if err != nil || !finiteNonNegative(floor) || floor <= 0 {
-				return AdmissionSpec{}, fmt.Errorf("autonosql: admission floor %q must be a positive number", opt)
-			}
-			spec.MinRate = floor
-		case strings.HasPrefix(opt, "cooldown="):
-			d, err := time.ParseDuration(opt[9:])
-			if err != nil || d <= 0 {
-				return AdmissionSpec{}, fmt.Errorf("autonosql: admission cooldown %q must be a positive duration", opt)
-			}
-			spec.Cooldown = d
-		case strings.HasPrefix(opt, "hold="):
-			d, err := time.ParseDuration(opt[5:])
-			if err != nil || d <= 0 {
-				return AdmissionSpec{}, fmt.Errorf("autonosql: admission holdoff %q must be a positive duration", opt)
-			}
-			spec.Holdoff = d
 		default:
-			return AdmissionSpec{}, fmt.Errorf("autonosql: unknown admission option %q (want mode=, frac=, floor=, cooldown= or hold=)", opt)
+			err = errors.New(`want "on" or "off"`)
 		}
+	}
+	if err != nil {
+		return AdmissionSpec{}, fmt.Errorf("autonosql: admission %q: %w", s, err)
 	}
 	return spec, nil
 }

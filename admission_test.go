@@ -236,6 +236,7 @@ func TestParseAdmissionSpec(t *testing.T) {
 		"on:cooldown=-1s",
 		"on:hold=xyz",
 		"on:wat=1",
+		"on:frac=0.4:frac=0.5", // an option may appear once
 	} {
 		if _, err := autonosql.ParseAdmissionSpec(bad); err == nil {
 			t.Errorf("ParseAdmissionSpec(%q) accepted invalid input", bad)

@@ -53,9 +53,7 @@ type FaultSpec struct {
 
 // validate reports whether the fault spec is well formed.
 func (f FaultSpec) validate() error {
-	switch f.Kind {
-	case FaultNodeCrash, FaultSlowNode, FaultPartition, FaultLatencyStorm:
-	default:
+	if _, ok := faultKinds[f.Kind]; !ok {
 		return fmt.Errorf("unknown fault kind %q", f.Kind)
 	}
 	if f.At < 0 {
@@ -95,30 +93,19 @@ func (p FaultPlan) validate() error {
 	return nil
 }
 
+// faultKinds maps each fault kind onto the injection engine's.
+var faultKinds = map[FaultKind]fault.Kind{
+	FaultNodeCrash: fault.KindCrash, FaultSlowNode: fault.KindSlow,
+	FaultPartition: fault.KindPartition, FaultLatencyStorm: fault.KindStorm,
+}
+
 // toInternal converts the public plan into the injection engine's form.
 func (p FaultPlan) toInternal() fault.Plan {
 	events := make([]fault.Event, 0, len(p.Faults))
 	for _, f := range p.Faults {
-		var kind fault.Kind
-		switch f.Kind {
-		case FaultNodeCrash:
-			kind = fault.KindCrash
-		case FaultSlowNode:
-			kind = fault.KindSlow
-		case FaultPartition:
-			kind = fault.KindPartition
-		case FaultLatencyStorm:
-			kind = fault.KindStorm
-		default:
-			continue
+		if kind, ok := faultKinds[f.Kind]; ok {
+			events = append(events, fault.Event{Kind: kind, At: f.At, Duration: f.Duration, Nodes: f.Nodes, Severity: f.Severity})
 		}
-		events = append(events, fault.Event{
-			Kind:     kind,
-			At:       f.At,
-			Duration: f.Duration,
-			Nodes:    f.Nodes,
-			Severity: f.Severity,
-		})
 	}
 	return fault.Plan{Events: events}
 }
@@ -160,67 +147,33 @@ func LatencyStormFault(at, duration time.Duration, level float64) FaultSpec {
 //	slow:20s:40s:n=2:sev=0.5   two nodes lose half their capacity
 //	storm:10s:30s:sev=0.8      congestion 0.8 between 10s and 40s
 //
-// An empty string parses to the empty (fault-free) plan. Every plan the
-// parser accepts passes ScenarioSpec validation.
+// An empty string parses to the empty (fault-free) plan. Ranges are
+// FaultSpec's to check, so every accepted plan passes ScenarioSpec validation.
 func ParseFaultPlan(s string) (FaultPlan, error) {
 	var plan FaultPlan
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return plan, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		spec, err := parseFaultSpec(part)
+	err := parseDSLList("fault", s, func(elem string) error {
+		var f FaultSpec
+		fields, err := parseDSLElement(elem, "kind:start:duration", dslOptions{
+			"n":   setOption(&f.Nodes, strconv.Atoi),
+			"sev": setOption(&f.Severity, parseFloat),
+		})
 		if err != nil {
-			return FaultPlan{}, fmt.Errorf("autonosql: fault %q: %w", part, err)
+			return err
 		}
-		plan.Faults = append(plan.Faults, spec)
+		f.Kind = FaultKind(strings.ToLower(fields[0]))
+		if f.At, err = time.ParseDuration(fields[1]); err != nil {
+			return fmt.Errorf("start: %w", err)
+		}
+		if f.Duration, err = time.ParseDuration(fields[2]); err != nil {
+			return fmt.Errorf("duration: %w", err)
+		}
+		plan.Faults = append(plan.Faults, f)
+		return f.validate()
+	})
+	if err != nil {
+		return FaultPlan{}, err
 	}
 	return plan, nil
-}
-
-func parseFaultSpec(s string) (FaultSpec, error) {
-	fields := strings.Split(s, ":")
-	if len(fields) < 3 {
-		return FaultSpec{}, fmt.Errorf("want kind:start:duration, got %d fields", len(fields))
-	}
-	spec := FaultSpec{Kind: FaultKind(strings.ToLower(strings.TrimSpace(fields[0])))}
-	at, err := time.ParseDuration(strings.TrimSpace(fields[1]))
-	if err != nil {
-		return FaultSpec{}, fmt.Errorf("start: %w", err)
-	}
-	spec.At = at
-	dur, err := time.ParseDuration(strings.TrimSpace(fields[2]))
-	if err != nil {
-		return FaultSpec{}, fmt.Errorf("duration: %w", err)
-	}
-	spec.Duration = dur
-	for _, opt := range fields[3:] {
-		opt = strings.TrimSpace(opt)
-		switch {
-		case strings.HasPrefix(opt, "n="):
-			n, err := strconv.Atoi(opt[2:])
-			if err != nil {
-				return FaultSpec{}, fmt.Errorf("node count %q: %w", opt, err)
-			}
-			spec.Nodes = n
-		case strings.HasPrefix(opt, "sev="):
-			sev, err := strconv.ParseFloat(opt[4:], 64)
-			if err != nil {
-				return FaultSpec{}, fmt.Errorf("severity %q: %w", opt, err)
-			}
-			spec.Severity = sev
-		default:
-			return FaultSpec{}, fmt.Errorf("unknown option %q (want n=N or sev=S)", opt)
-		}
-	}
-	if err := spec.validate(); err != nil {
-		return FaultSpec{}, err
-	}
-	return spec, nil
 }
 
 // FaultProfile is a named fault plan used as a suite axis, analogous to

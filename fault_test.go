@@ -82,6 +82,7 @@ func TestParseFaultPlan(t *testing.T) {
 		"crash", "crash:30s", "meteor:1s:1s", "crash:x:1s", "crash:1s:y",
 		"crash:1s:1s:n=z", "crash:1s:1s:sev=z", "crash:1s:1s:bogus=1",
 		"slow:1s:1s:sev=2", "storm:1s:1s:sev=NaN", "storm:1s:1s:sev=+Inf",
+		"partition:1s:1s:n=2:n=3", // an option may appear once
 	} {
 		if _, err := autonosql.ParseFaultPlan(bad); err == nil {
 			t.Errorf("ParseFaultPlan(%q) accepted invalid input", bad)

@@ -11,7 +11,9 @@ package autonosql_test
 //     treats later failures as bugs.
 //  3. parse-encode-canonical: any trace ParseWorkloadTrace accepts must
 //     re-encode to a canonical byte stream that parses back identically —
-//     the byte-identity replay goldens depend on it.
+//     the byte-identity replay goldens depend on it. Likewise any tenant
+//     list, admission spec or fault plan a DSL parser accepts survives a
+//     round trip through JSON unchanged: the DSLs are sugar over the spec.
 //
 // Seed corpora live under testdata/fuzz/<FuzzName>/ in the standard format,
 // so `go test` exercises them on every ordinary test run; CI additionally
@@ -19,6 +21,7 @@ package autonosql_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -127,6 +130,23 @@ func FuzzSpecValidate(f *testing.F) {
 	})
 }
 
+// jsonRoundTrip fails t unless v, encoded as JSON and decoded into a fresh
+// value of its type, is DeepEqual to v.
+func jsonRoundTrip[T any](t *testing.T, input string, v T) {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("%q: accepted spec does not encode: %v", input, err)
+	}
+	var back T
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatalf("%q: spec JSON %s does not decode: %v", input, b, err)
+	}
+	if !reflect.DeepEqual(back, v) {
+		t.Fatalf("%q: spec changed across the JSON round trip:\n got %+v\nwant %+v", input, back, v)
+	}
+}
+
 func FuzzParseTenantSpec(f *testing.F) {
 	f.Add("gold:diurnal:2000,bronze:constant:500")
 	f.Add("gold:constant:1500:name=checkout:read=0.9:keys=5000")
@@ -138,6 +158,9 @@ func FuzzParseTenantSpec(f *testing.F) {
 	f.Add("gold:constant:1e309")
 	f.Add("gold:constant:100:name=a,gold:constant:100:name=a")
 	f.Add("gold:constant:100:wat=1:sev=2")
+	f.Add("gold:constant:100:read=0.2:read=0.3")
+	f.Add("gold:constant:100:name=")
+	f.Add("gold:constant:100:name= x")
 
 	f.Fuzz(func(t *testing.T, s string) {
 		specs, err := autonosql.ParseTenantSpecs(s)
@@ -161,6 +184,7 @@ func FuzzParseTenantSpec(f *testing.F) {
 		if len(specs) != elems {
 			t.Fatalf("ParseTenantSpecs(%q) produced %d tenants for %d elements", s, len(specs), elems)
 		}
+		jsonRoundTrip(t, s, specs)
 	})
 }
 
@@ -176,6 +200,9 @@ func FuzzParseAdmissionSpec(f *testing.F) {
 	f.Add("off:frac=0.5")
 	f.Add("on:wat=1")
 	f.Add("on:frac=:floor=")
+	f.Add("on:frac=0")
+	f.Add("on:frac=0.3:frac=0.4")
+	f.Add("on:name=")
 
 	f.Fuzz(func(t *testing.T, s string) {
 		spec, err := autonosql.ParseAdmissionSpec(s)
@@ -194,6 +221,7 @@ func FuzzParseAdmissionSpec(f *testing.F) {
 		if !spec.Enabled && spec != (autonosql.AdmissionSpec{}) {
 			t.Fatalf("ParseAdmissionSpec(%q) produced tuning on a disabled spec: %+v", s, spec)
 		}
+		jsonRoundTrip(t, s, spec)
 	})
 }
 
@@ -266,6 +294,8 @@ func FuzzParseFaultPlan(f *testing.F) {
 	f.Add("meteor:1s:1s")
 	f.Add("crash:1s:1s:n=-1:sev=2:wat=3")
 	f.Add("crash:9999999h:1ns:n=2147483647")
+	f.Add("crash:1s:1s:n=1:n=2")
+	f.Add("crash:1s:1s:name=")
 
 	f.Fuzz(func(t *testing.T, s string) {
 		plan, err := autonosql.ParseFaultPlan(s)
@@ -288,5 +318,6 @@ func FuzzParseFaultPlan(f *testing.F) {
 		if len(plan.Faults) != elems {
 			t.Fatalf("ParseFaultPlan(%q) produced %d events for %d elements", s, len(plan.Faults), elems)
 		}
+		jsonRoundTrip(t, s, plan)
 	})
 }

@@ -18,13 +18,24 @@ import (
 // shared flag.
 type flagDoc struct{ def, usage string }
 
+// The grammars of the three DSL flags, one each; every command's usage puts
+// its own lead-in before the grammar.
+const (
+	tenantsGrammar = "comma-separated class:pattern:base[:peak=P][:read=F][:keys=K][:name=N]\n" +
+		"(classes: gold, silver, bronze; e.g. \"gold:diurnal:2000,bronze:constant:500\")"
+	admissionGrammar = "off | on[:mode=shed|delay][:frac=F][:floor=R][:cooldown=D][:hold=D]\n" +
+		"(e.g. \"on:frac=0.4:floor=100\")"
+	faultsGrammar = "comma-separated kind:start:duration[:n=N][:sev=S] events\n" +
+		"(kinds: crash, slow, partition, storm; e.g. \"crash:1m:30s,storm:2m:30s:sev=0.8\")"
+)
+
 // commandFlags lists, per command (the FlagSet's name), the shared flags it
 // registers. A flag absent from a command's map does not exist on it.
 var commandFlags = map[string]map[string]flagDoc{
 	"nosqlsim": {
-		"faults":       {usage: "fault plan, comma-separated kind:start:duration[:n=N][:sev=S] events\n(kinds: crash, slow, partition, storm; e.g. \"crash:1m:30s,storm:2m:30s:sev=0.8\")"},
-		"tenants":      {usage: "multi-tenant workload, comma-separated class:pattern:base[:peak=P][:read=F][:keys=K][:name=N]\n(classes: gold, silver, bronze; e.g. \"gold:diurnal:2000,bronze:constant:500\"); replaces -ops/-pattern traffic"},
-		"admission":    {usage: "tenant admission control for the smart controller:\noff | on[:frac=F][:floor=R][:cooldown=D][:hold=D] (e.g. \"on:frac=0.4:floor=100\")"},
+		"faults":       {usage: "fault plan, " + faultsGrammar},
+		"tenants":      {usage: "multi-tenant workload, replacing the -ops/-pattern traffic:\n" + tenantsGrammar},
+		"admission":    {usage: "tenant admission control for the smart controller:\n" + admissionGrammar},
 		"placement":    {usage: "allow the smart controller to dedicate nodes to an SLA class"},
 		"trace-ops":    {usage: "write sampled op-trace spans (JSON lines) to the given file"},
 		"trace-every":  {usage: "with -trace-ops, sample every Nth operation"},
@@ -33,8 +44,8 @@ var commandFlags = map[string]map[string]flagDoc{
 		"profile":      {usage: "print the engine's self-profiling counters"},
 	},
 	"suiterunner": {
-		"tenants":     {usage: "named tenants applied to every variant, comma-separated\nclass:pattern:base[:peak=P][:read=F][:keys=K][:name=N]"},
-		"admission":   {usage: "tenant admission control for smart variants:\noff | on[:frac=F][:floor=R][:cooldown=D][:hold=D]"},
+		"tenants":     {usage: "named tenants applied to every variant, " + tenantsGrammar},
+		"admission":   {usage: "tenant admission control for smart variants:\n" + admissionGrammar},
 		"placement":   {usage: "allow smart variants to dedicate nodes to an SLA class"},
 		"trace-ops":   {usage: "directory to write each variant's sampled op-trace spans into\n(one <variant>.spans.jsonl file per variant)"},
 		"trace-every": {usage: "with -trace-ops, sample every Nth operation"},
@@ -43,9 +54,9 @@ var commandFlags = map[string]map[string]flagDoc{
 	},
 	"hunter": {
 		"tenants": {def: "gold:diurnal:800:peak=1400:read=0.6,bronze:spike:300:peak=1800:read=0.2",
-			usage: "base tenant mix (class:pattern:base[:peak=P][:read=F][:keys=K][:name=N], comma-separated)"},
-		"admission": {def: "on", usage: "admission control: off | on[:mode=][:frac=][:floor=][:cooldown=][:hold=]"},
-		"faults":    {usage: "base fault plan (kind:start:duration[:n=N][:sev=S], comma-separated)"},
+			usage: "base tenant mix, " + tenantsGrammar},
+		"admission": {def: "on", usage: "admission control:\n" + admissionGrammar},
+		"faults":    {usage: "base fault plan, " + faultsGrammar},
 		"placement": {usage: "allow class-aware placement actions"},
 	},
 }

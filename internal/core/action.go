@@ -239,9 +239,6 @@ type TenantActuator interface {
 	ThrottleTenant(name string, opsPerSec float64) error
 	// UnthrottleTenant removes admission control from the named tenant.
 	UnthrottleTenant(name string) error
-	// ThrottledRate returns the tenant's current admission rate in ops/s and
-	// whether the tenant is throttled at all.
-	ThrottledRate(name string) (float64, bool)
 
 	// PinClass dedicates nodes to the named SLA class: the class's tenants
 	// place replica sets and coordinators on the dedicated nodes, everyone

@@ -298,10 +298,6 @@ func (f *fakeTenantActuator) UnthrottleTenant(name string) error {
 	delete(f.throttled, name)
 	return nil
 }
-func (f *fakeTenantActuator) ThrottledRate(name string) (float64, bool) {
-	r, ok := f.throttled[name]
-	return r, ok
-}
 func (f *fakeTenantActuator) PinClass(class string) error { f.pinned = class; return nil }
 func (f *fakeTenantActuator) UnpinClass() error           { f.pinned = ""; return nil }
 func (f *fakeTenantActuator) PinnedClass() string         { return f.pinned }

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"autonosql/internal/memtest"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -314,23 +316,16 @@ func TestHistogramQueryTimesAreInput(t *testing.T) {
 // segments. Growing one array by doubling would allocate 4096 + 8192 + ... +
 // 65536 samples, nearly twice what it keeps, copying them on each step.
 func TestHistogramGrowthBytes(t *testing.T) {
-	// MemStats are process-wide: under CPU load the runtime now and then
-	// starts an OS thread mid-loop, and its records (about 5 KiB in 5
-	// objects) land in the same counters. Each reading fills a fresh
-	// reservoir; the smallest of three is the reservoir's own.
+	// Each reading fills a fresh reservoir.
 	var h *Histogram
-	bytes, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		h = NewHistogram(0)
-		for i := 0; i < DefaultHistogramCap*11/10; i++ {
-			h.Observe(float64(i))
-		}
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
-	}
+	bytes, mallocs := memtest.Growth(func(measure func(func())) {
+		measure(func() {
+			h = NewHistogram(0)
+			for i := 0; i < DefaultHistogramCap*11/10; i++ {
+				h.Observe(float64(i))
+			}
+		})
+	})
 	const sample, segments = 8, 5
 	const overhead = 512 // the Histogram and its directory, in their size classes
 	t.Logf("a full default reservoir (%d samples) allocated %d B in %d objects", DefaultHistogramCap, bytes, mallocs)

@@ -1,9 +1,10 @@
 package sim
 
 import (
-	"math"
 	"runtime"
 	"testing"
+
+	"autonosql/internal/memtest"
 )
 
 // TestSlabSizesBlocksByBytes pins the block size: about 16 KiB of elements,
@@ -103,32 +104,25 @@ func TestPoolGrowthBytes(t *testing.T) {
 	const n = 50_000
 	perBlock := slabLen[rec]()
 	blocks := uint64((n + perBlock - 1) / perBlock)
-	// MemStats are process-wide: under CPU load the runtime now and then
-	// starts an OS thread mid-loop, and its records land in the same
-	// counters. Each reading fills a fresh pool; the smallest of three is the
-	// pool's own.
-	bytes, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	// Each reading fills a fresh pool.
 	recs := make([]*rec, n)
-	for range 3 {
+	bytes, mallocs := memtest.Growth(func(measure func(func())) {
 		var p Pool[rec, *rec]
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range recs {
-			recs[i] = get(&p)
-		}
-		for _, r := range recs {
-			p.Put(r)
-		}
-		for i := range recs {
-			recs[i] = get(&p)
-		}
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		measure(func() {
+			for i := range recs {
+				recs[i] = get(&p)
+			}
+			for _, r := range recs {
+				p.Put(r)
+			}
+			for i := range recs {
+				recs[i] = get(&p)
+			}
+		})
 		if p.Live() != n {
 			t.Fatalf("live %d after the last pass, want %d", p.Live(), n)
 		}
-	}
+	})
 	t.Logf("%d takes, puts and takes: %d B in %d allocations (%d blocks of %d records)", n, bytes, mallocs, blocks, perBlock)
 	if mallocs > blocks || bytes > blocks*slabBytes {
 		t.Errorf("allocated %d B in %d allocations, want at most the first pass's %d blocks (%d B)", bytes, mallocs, blocks, blocks*slabBytes)

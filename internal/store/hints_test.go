@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"unsafe"
 
 	"autonosql/internal/cluster"
+	"autonosql/internal/memtest"
 )
 
 // backlog lists a replica's queued hints, oldest first, and checks the
@@ -35,12 +35,8 @@ func TestHintBacklogGrowthBytes(t *testing.T) {
 	const block = 16 << 10 // sim.Slab's block size
 	maxBytes := uint64(n*unsafe.Sizeof(hint{}) + block)
 	maxMallocs := maxBytes / block
-	// MemStats are process-wide: under CPU load the runtime now and then
-	// starts an OS thread mid-loop, and its records land in the same
-	// counters. Each reading fills a fresh store's backlog; the smallest of
-	// three is the backlog's own.
-	bytes, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for range 3 {
+	// Each reading fills a fresh store's backlog.
+	bytes, mallocs := memtest.Growth(func(measure func(func())) {
 		h := newHarness(t, cluster.DefaultConfig(), DefaultConfig(), 1)
 		s, nodes := h.store, h.cluster.AvailableNodes()
 		down := nodes[1].ID()
@@ -52,15 +48,12 @@ func TestHintBacklogGrowthBytes(t *testing.T) {
 			wins[i] = take(&s.windows)
 			*wins[i] = window{store: s, remaining: 1, refs: 1}
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i, w := range wins {
-			op.key, op.ver, op.win = KeyID(i), version(i+1), w
-			s.queueHint(op, int32(down))
-		}
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		measure(func() {
+			for i, w := range wins {
+				op.key, op.ver, op.win = KeyID(i), version(i+1), w
+				s.queueHint(op, int32(down))
+			}
+		})
 		queued := s.backlog(down)
 		if len(queued) != n || s.Stats().LostUpdates != 0 {
 			t.Fatalf("backlog holds %d hints, %d lost, want %d, none lost", len(queued), s.Stats().LostUpdates, n)
@@ -68,7 +61,7 @@ func TestHintBacklogGrowthBytes(t *testing.T) {
 		if !slices.IsSortedFunc(queued, func(a, b *hint) int { return int(a.ver) - int(b.ver) }) {
 			t.Fatal("the backlog is not in queueing order")
 		}
-	}
+	})
 	t.Logf("queueing %d hints: %d B in %d allocations", n, bytes, mallocs)
 	if bytes > maxBytes || mallocs > maxMallocs {
 		t.Errorf("queueing %d hints allocated %d B in %d allocations, want at most %d B in %d (hint slab blocks)",

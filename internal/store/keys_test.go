@@ -2,11 +2,11 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
-	"runtime"
 	"testing"
 	"unsafe"
+
+	"autonosql/internal/memtest"
 )
 
 // keyNames are the spellings the key-id tests walk: canonical indices on
@@ -167,22 +167,16 @@ func TestColumnGrowsOnFirstTouch(t *testing.T) {
 func TestColumnGrowthNoCopy(t *testing.T) {
 	const keys = 200_000
 	ids := rand.New(rand.NewPCG(1, 2)).Perm(keys)
-	// TotalAlloc is process-wide: under CPU load the runtime now and then
-	// starts an OS thread mid-loop, and the thread's m and g records (about
-	// 5 KiB) land in the same counter. Each reading fills a fresh column;
-	// the smallest of three is the column's own.
+	// Each reading fills a fresh column.
 	var c column[version]
-	got := uint64(math.MaxUint64)
-	for range 3 {
+	got, _ := memtest.Growth(func(measure func(func())) {
 		c = column[version]{}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for _, id := range ids {
-			*c.at(KeyID(id)) = 1
-		}
-		runtime.ReadMemStats(&after)
-		got = min(got, after.TotalAlloc-before.TotalAlloc)
-	}
+		measure(func() {
+			for _, id := range ids {
+				*c.at(KeyID(id)) = 1
+			}
+		})
+	})
 	pages := 0
 	for _, pg := range c.dense {
 		if pg != nil {

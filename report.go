@@ -8,6 +8,7 @@ import (
 
 	"autonosql/internal/core"
 	"autonosql/internal/fault"
+	"autonosql/internal/metrics"
 	"autonosql/internal/sla"
 	"autonosql/internal/tenant"
 )
@@ -386,28 +387,20 @@ func (s *Scenario) buildReport() *Report {
 	probeOps := s.monitor.ProbeOps()
 
 	r := &Report{
-		Spec:         s.spec,
-		Duration:     s.spec.Duration,
-		Reads:        stats.Reads,
-		Writes:       stats.Writes,
-		FailedReads:  stats.ReadFailures,
-		FailedWrites: stats.WriteFailures,
-		StaleReads:   stats.StaleReads,
-		Window: LatencySummary{
-			Mean: stats.Window.Mean, P50: stats.Window.P50, P95: stats.Window.P95,
-			P99: stats.Window.P99, Max: stats.Window.Max,
-		},
+		Spec:               s.spec,
+		Duration:           s.spec.Duration,
+		Reads:              stats.Reads,
+		Writes:             stats.Writes,
+		FailedReads:        stats.ReadFailures,
+		FailedWrites:       stats.WriteFailures,
+		StaleReads:         stats.StaleReads,
+		Window:             latencySummary(stats.Window),
 		EstimatedWindowP95: s.monitor.WindowQuantile(0.95),
-		ReadLatency: LatencySummary{
-			Mean: stats.ReadLatency.Mean, P50: stats.ReadLatency.P50, P95: stats.ReadLatency.P95,
-			P99: stats.ReadLatency.P99, Max: stats.ReadLatency.Max,
-		},
-		WriteLatency: LatencySummary{
-			Mean: stats.WriteLatency.Mean, P50: stats.WriteLatency.P50, P95: stats.WriteLatency.P95,
-			P99: stats.WriteLatency.P99, Max: stats.WriteLatency.Max,
-		},
+		ReadLatency:        latencySummary(stats.ReadLatency),
+		WriteLatency:       latencySummary(stats.WriteLatency),
 		MonitoringProbeOps: probeOps,
 		ComplianceRatio:    summary.ComplianceRatio,
+		Violations:         violations(s.tracker),
 		MaxClusterSize:     s.maxNodes,
 		MinClusterSize:     s.minNodes,
 		FinalConfiguration: ConfigurationSummary{
@@ -426,14 +419,6 @@ func (s *Scenario) buildReport() *Report {
 		r.MonitoringOverheadFraction = float64(probeOps) / float64(totalOps+probeOps)
 	}
 
-	r.Violations = Violations{
-		Window:       s.tracker.ViolationMinutes(sla.ClauseWindow),
-		ReadLatency:  s.tracker.ViolationMinutes(sla.ClauseReadLatency),
-		WriteLatency: s.tracker.ViolationMinutes(sla.ClauseWriteLatency),
-		Availability: s.tracker.ViolationMinutes(sla.ClauseAvailability),
-		Total:        s.tracker.TotalViolationMinutes(),
-	}
-
 	nodeSeconds := s.cluster.NodeSeconds()
 	cost := s.costs.Price(sla.Usage{
 		NodeSeconds:   nodeSeconds,
@@ -448,20 +433,16 @@ func (s *Scenario) buildReport() *Report {
 		Total:          cost.Total(),
 	}
 
-	if s.smart != nil {
-		r.Reconfigurations = s.smart.Reconfigurations()
-		for _, d := range s.smart.Decisions() {
-			if !d.Action.IsNoop() {
-				r.Decisions = append(r.Decisions, d.String())
-			}
-		}
+	var decisions []core.Decision
+	switch {
+	case s.smart != nil:
+		r.Reconfigurations, decisions = s.smart.Reconfigurations(), s.smart.Decisions()
+	case s.reactive != nil:
+		r.Reconfigurations, decisions = s.reactive.Reconfigurations(), s.reactive.Decisions()
 	}
-	if s.reactive != nil {
-		r.Reconfigurations = s.reactive.Reconfigurations()
-		for _, d := range s.reactive.Decisions() {
-			if !d.Action.IsNoop() {
-				r.Decisions = append(r.Decisions, d.String())
-			}
+	for _, d := range decisions {
+		if !d.Action.IsNoop() {
+			r.Decisions = append(r.Decisions, d.String())
 		}
 	}
 
@@ -549,39 +530,23 @@ func (s *Scenario) profileReport() *ProfileReport {
 func buildTenantReport(s *Scenario, rt *tenant.Runtime) TenantReport {
 	gt := s.store.TenantStats(rt.ID())
 	class := rt.Class()
-	tracker := rt.Tracker()
 	sum := rt.Summarize()
 
 	tr := TenantReport{
-		Name:         rt.Name(),
-		Class:        string(class.Class),
-		Reads:        gt.Reads,
-		Writes:       gt.Writes,
-		FailedReads:  gt.ReadFailures,
-		FailedWrites: gt.WriteFailures,
-		StaleReads:   gt.StaleReads,
-		ShedOps:      gt.ShedOps,
-		Pinned:       s.store.ClassPinned(string(class.Class)),
-		Window: LatencySummary{
-			Mean: gt.Window.Mean, P50: gt.Window.P50, P95: gt.Window.P95,
-			P99: gt.Window.P99, Max: gt.Window.Max,
-		},
-		ReadLatency: LatencySummary{
-			Mean: gt.ReadLatency.Mean, P50: gt.ReadLatency.P50, P95: gt.ReadLatency.P95,
-			P99: gt.ReadLatency.P99, Max: gt.ReadLatency.Max,
-		},
-		WriteLatency: LatencySummary{
-			Mean: gt.WriteLatency.Mean, P50: gt.WriteLatency.P50, P95: gt.WriteLatency.P95,
-			P99: gt.WriteLatency.P99, Max: gt.WriteLatency.Max,
-		},
-		ComplianceRatio: sum.Compliance.ComplianceRatio,
-		Violations: Violations{
-			Window:       tracker.ViolationMinutes(sla.ClauseWindow),
-			ReadLatency:  tracker.ViolationMinutes(sla.ClauseReadLatency),
-			WriteLatency: tracker.ViolationMinutes(sla.ClauseWriteLatency),
-			Availability: tracker.ViolationMinutes(sla.ClauseAvailability),
-			Total:        tracker.TotalViolationMinutes(),
-		},
+		Name:             rt.Name(),
+		Class:            string(class.Class),
+		Reads:            gt.Reads,
+		Writes:           gt.Writes,
+		FailedReads:      gt.ReadFailures,
+		FailedWrites:     gt.WriteFailures,
+		StaleReads:       gt.StaleReads,
+		ShedOps:          gt.ShedOps,
+		Pinned:           s.store.ClassPinned(string(class.Class)),
+		Window:           latencySummary(gt.Window),
+		ReadLatency:      latencySummary(gt.ReadLatency),
+		WriteLatency:     latencySummary(gt.WriteLatency),
+		ComplianceRatio:  sum.Compliance.ComplianceRatio,
+		Violations:       violations(rt.Tracker()),
 		PenaltyCost:      sum.Penalty,
 		CompensationCost: float64(gt.StaleReads) * class.StaleReadCompensation,
 	}
@@ -596,6 +561,22 @@ func buildTenantReport(s *Scenario, rt *tenant.Runtime) TenantReport {
 	tr.MaxQueueDepth = rt.MaxQueueDepth()
 	tr.QueueDepth = rt.QueueDepth()
 	return tr
+}
+
+// latencySummary copies a histogram snapshot into the report's summary.
+func latencySummary(h metrics.Snapshot) LatencySummary {
+	return LatencySummary{Mean: h.Mean, P50: h.P50, P95: h.P95, P99: h.P99, Max: h.Max}
+}
+
+// violations reads a tracker's violation minutes, clause by clause.
+func violations(t *sla.Tracker) Violations {
+	return Violations{
+		Window:       t.ViolationMinutes(sla.ClauseWindow),
+		ReadLatency:  t.ViolationMinutes(sla.ClauseReadLatency),
+		WriteLatency: t.ViolationMinutes(sla.ClauseWriteLatency),
+		Availability: t.ViolationMinutes(sla.ClauseAvailability),
+		Total:        t.TotalViolationMinutes(),
+	}
 }
 
 // buildFaultWindows annotates the injector's timeline with the behaviour the

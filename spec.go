@@ -334,11 +334,8 @@ func (s ScenarioSpec) Validate() error {
 	if s.Duration <= 0 {
 		return errors.New("autonosql: Duration must be positive")
 	}
-	if !finiteNonNegative(s.Workload.BaseOpsPerSec) || !finiteNonNegative(s.Workload.PeakOpsPerSec) {
-		return errors.New("autonosql: offered rates must be finite and non-negative")
-	}
-	if math.IsNaN(s.Workload.ReadFraction) || s.Workload.ReadFraction < 0 || s.Workload.ReadFraction > 1 {
-		return errors.New("autonosql: ReadFraction must be within [0, 1]")
+	if err := s.Workload.validate(); err != nil {
+		return fmt.Errorf("autonosql: %w", err)
 	}
 	if s.Cluster.InitialNodes <= 0 {
 		return errors.New("autonosql: InitialNodes must be positive")
@@ -357,16 +354,6 @@ func (s ScenarioSpec) Validate() error {
 	default:
 		return fmt.Errorf("autonosql: unknown controller mode %q", s.Controller.Mode)
 	}
-	switch s.Workload.Pattern {
-	case "", LoadConstant, LoadStep, LoadDiurnal, LoadSpike, LoadDiurnalSpike:
-	default:
-		return fmt.Errorf("autonosql: unknown load pattern %q", s.Workload.Pattern)
-	}
-	switch s.Workload.Keys {
-	case "", KeysUniform, KeysZipfian, KeysLatest:
-	default:
-		return fmt.Errorf("autonosql: unknown key distribution %q", s.Workload.Keys)
-	}
 	if err := s.slaModel().Validate(); err != nil {
 		return fmt.Errorf("autonosql: %w", err)
 	}
@@ -380,7 +367,7 @@ func (s ScenarioSpec) Validate() error {
 		return fmt.Errorf("autonosql: %w", err)
 	}
 	if err := s.Controller.Admission.validate(); err != nil {
-		return fmt.Errorf("autonosql: %w", err)
+		return fmt.Errorf("autonosql: admission: %w", err)
 	}
 	if s.Replay != nil {
 		if err := s.Replay.matches(s.Tenants); err != nil {
@@ -397,6 +384,27 @@ func (s ScenarioSpec) Validate() error {
 	}
 	if s.Shards < 0 {
 		return errors.New("autonosql: Shards must be non-negative")
+	}
+	return nil
+}
+
+// validate reports whether the workload is well formed.
+func (w WorkloadSpec) validate() error {
+	if !finiteNonNegative(w.BaseOpsPerSec) || !finiteNonNegative(w.PeakOpsPerSec) {
+		return errors.New("offered rates must be finite and non-negative")
+	}
+	if math.IsNaN(w.ReadFraction) || w.ReadFraction < 0 || w.ReadFraction > 1 {
+		return errors.New("ReadFraction must be within [0, 1]")
+	}
+	switch w.Pattern {
+	case "", LoadConstant, LoadStep, LoadDiurnal, LoadSpike, LoadDiurnalSpike:
+	default:
+		return fmt.Errorf("unknown load pattern %q", w.Pattern)
+	}
+	switch w.Keys {
+	case "", KeysUniform, KeysZipfian, KeysLatest:
+	default:
+		return fmt.Errorf("unknown key distribution %q", w.Keys)
 	}
 	return nil
 }

@@ -243,6 +243,8 @@ func TestParseTenantSpecs(t *testing.T) {
 		"gold:constant:100:peak=NaN", // NaN passes plain range comparisons
 		"gold:constant:100:read=NaN",
 		"gold:constant:100:name=a,gold:constant:200:name=a", // duplicate names
+		"gold:constant:100:name=",                           // empty name
+		"gold:constant:100:peak=200:peak=300",               // an option may appear once
 	} {
 		if _, err := autonosql.ParseTenantSpecs(bad); err == nil {
 			t.Errorf("ParseTenantSpecs(%q) accepted invalid input", bad)
@@ -267,6 +269,12 @@ func TestTenantSpecValidation(t *testing.T) {
 	spec.Tenants = []autonosql.TenantSpec{{Class: autonosql.SLAGold}}
 	if err := spec.Validate(); err == nil {
 		t.Error("unnamed tenant validated")
+	}
+	// JSON cannot carry a name that is not UTF-8: the spec would not
+	// survive its own encoding.
+	spec.Tenants = []autonosql.TenantSpec{{Name: "\xb49", Class: autonosql.SLAGold}}
+	if err := spec.Validate(); err == nil {
+		t.Error("tenant name that is not UTF-8 validated")
 	}
 	spec.Tenants = []autonosql.TenantSpec{
 		{Name: "ok", Class: autonosql.SLASilver, Workload: autonosql.WorkloadSpec{BaseOpsPerSec: 10}},

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"autonosql/internal/tenant"
 )
@@ -36,8 +37,8 @@ func (c SLAClass) toInternal() (tenant.Class, error) {
 // but drive disjoint slices of the key space, and every operation they issue
 // is attributed to them in the report.
 type TenantSpec struct {
-	// Name identifies the tenant in reports, series names and the controller
-	// decision log. Names must be unique within a scenario.
+	// Name identifies the tenant in reports, series names and the decision
+	// log. Names must be unique within a scenario, and UTF-8.
 	Name string
 	// Class selects the tenant's SLA class (gold, silver or bronze).
 	Class SLAClass
@@ -57,31 +58,17 @@ func finiteNonNegative(v float64) bool {
 
 // validate reports whether the tenant spec is well formed.
 func (t TenantSpec) validate() error {
-	if strings.TrimSpace(t.Name) == "" {
-		return fmt.Errorf("tenant has no name")
+	if strings.TrimSpace(t.Name) == "" || !utf8.ValidString(t.Name) {
+		return fmt.Errorf("tenant name %q is blank or not UTF-8", t.Name)
 	}
 	if _, err := t.Class.toInternal(); err != nil {
 		return fmt.Errorf("tenant %q: %w", t.Name, err)
 	}
-	w := t.Workload
-	if !finiteNonNegative(w.BaseOpsPerSec) || !finiteNonNegative(w.PeakOpsPerSec) {
-		return fmt.Errorf("tenant %q: offered rates must be finite and non-negative", t.Name)
+	if err := t.Workload.validate(); err != nil {
+		return fmt.Errorf("tenant %q: %w", t.Name, err)
 	}
-	if math.IsNaN(w.ReadFraction) || w.ReadFraction < 0 || w.ReadFraction > 1 {
-		return fmt.Errorf("tenant %q: ReadFraction must be within [0, 1]", t.Name)
-	}
-	if w.Keyspace < 0 {
+	if t.Workload.Keyspace < 0 {
 		return fmt.Errorf("tenant %q: Keyspace must be non-negative", t.Name)
-	}
-	switch w.Pattern {
-	case "", LoadConstant, LoadStep, LoadDiurnal, LoadSpike, LoadDiurnalSpike:
-	default:
-		return fmt.Errorf("tenant %q: unknown load pattern %q", t.Name, w.Pattern)
-	}
-	switch w.Keys {
-	case "", KeysUniform, KeysZipfian, KeysLatest:
-	default:
-		return fmt.Errorf("tenant %q: unknown key distribution %q", t.Name, w.Keys)
 	}
 	return nil
 }
@@ -124,102 +111,46 @@ func validateTenants(tenants []TenantSpec) error {
 //	gold:diurnal:2000,bronze:constant:500
 //	gold:constant:1500:name=checkout,bronze:spike:300:peak=3000:read=0.9
 //
-// An empty string parses to no tenants (single-tenant behaviour). Every list
-// the parser accepts passes ScenarioSpec validation.
+// An empty string parses to no tenants (single-tenant behaviour). Ranges are
+// TenantSpec's and validateTenants' to check, so every accepted list passes
+// ScenarioSpec validation.
 func ParseTenantSpecs(s string) ([]TenantSpec, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
 	var specs []TenantSpec
 	nameCount := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		spec, err := parseTenantSpec(part)
+	err := parseDSLList("tenant", s, func(elem string) error {
+		t := TenantSpec{Workload: WorkloadSpec{ReadFraction: 0.5}}
+		w := &t.Workload
+		fields, err := parseDSLElement(elem, "class:pattern:base", dslOptions{
+			"peak": setOption(&w.PeakOpsPerSec, parseFloat),
+			"read": setOption(&w.ReadFraction, parseFloat),
+			"keys": setOption(&w.Keyspace, strconv.Atoi),
+			"name": func(v string) error { t.Name = strings.TrimSpace(v); return nil },
+		})
 		if err != nil {
-			return nil, fmt.Errorf("autonosql: tenant %q: %w", part, err)
+			return err
 		}
-		if spec.Name == "" {
-			base := string(spec.Class)
-			nameCount[base]++
-			if n := nameCount[base]; n > 1 {
-				spec.Name = fmt.Sprintf("%s%d", base, n)
-			} else {
-				spec.Name = base
+		t.Class = SLAClass(strings.ToLower(fields[0]))
+		w.Pattern = LoadPattern(strings.ToLower(fields[1]))
+		if w.BaseOpsPerSec, err = parseFloat(fields[2]); err != nil {
+			return fmt.Errorf("base rate: %w", err)
+		}
+		if t.Name == "" {
+			nameCount[string(t.Class)]++
+			t.Name = string(t.Class)
+			if n := nameCount[t.Name]; n > 1 {
+				t.Name += strconv.Itoa(n)
 			}
 		}
-		specs = append(specs, spec)
+		specs = append(specs, t)
+		return t.validate()
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := validateTenants(specs); err != nil {
 		return nil, fmt.Errorf("autonosql: tenants: %w", err)
 	}
 	return specs, nil
-}
-
-func parseTenantSpec(s string) (TenantSpec, error) {
-	fields := strings.Split(s, ":")
-	if len(fields) < 3 {
-		return TenantSpec{}, fmt.Errorf("want class:pattern:base, got %d fields", len(fields))
-	}
-	class, err := tenant.ParseClass(fields[0])
-	if err != nil {
-		return TenantSpec{}, err
-	}
-	spec := TenantSpec{
-		Class: SLAClass(class),
-		Workload: WorkloadSpec{
-			Pattern:      LoadPattern(strings.ToLower(strings.TrimSpace(fields[1]))),
-			ReadFraction: 0.5,
-		},
-	}
-	switch spec.Workload.Pattern {
-	case LoadConstant, LoadStep, LoadDiurnal, LoadSpike, LoadDiurnalSpike:
-	default:
-		return TenantSpec{}, fmt.Errorf("unknown load pattern %q", fields[1])
-	}
-	base, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-	if err != nil {
-		return TenantSpec{}, fmt.Errorf("base rate: %w", err)
-	}
-	if base < 0 {
-		return TenantSpec{}, fmt.Errorf("base rate %v must be non-negative", base)
-	}
-	spec.Workload.BaseOpsPerSec = base
-	for _, opt := range fields[3:] {
-		opt = strings.TrimSpace(opt)
-		switch {
-		case strings.HasPrefix(opt, "peak="):
-			peak, err := strconv.ParseFloat(opt[5:], 64)
-			if err != nil || peak < 0 {
-				return TenantSpec{}, fmt.Errorf("peak rate %q must be a non-negative number", opt)
-			}
-			spec.Workload.PeakOpsPerSec = peak
-		case strings.HasPrefix(opt, "read="):
-			frac, err := strconv.ParseFloat(opt[5:], 64)
-			if err != nil || frac < 0 || frac > 1 {
-				return TenantSpec{}, fmt.Errorf("read fraction %q must be within [0, 1]", opt)
-			}
-			spec.Workload.ReadFraction = frac
-		case strings.HasPrefix(opt, "keys="):
-			keys, err := strconv.Atoi(opt[5:])
-			if err != nil || keys < 0 {
-				return TenantSpec{}, fmt.Errorf("keyspace %q must be a non-negative integer", opt)
-			}
-			spec.Workload.Keyspace = keys
-		case strings.HasPrefix(opt, "name="):
-			name := strings.TrimSpace(opt[5:])
-			if name == "" {
-				return TenantSpec{}, fmt.Errorf("empty tenant name")
-			}
-			spec.Name = name
-		default:
-			return TenantSpec{}, fmt.Errorf("unknown option %q (want peak=, read=, keys= or name=)", opt)
-		}
-	}
-	return spec, nil
 }
 
 // TenantMix is a named tenant population used as a suite axis, analogous to
