@@ -16,8 +16,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -288,5 +292,51 @@ func TestShardEpochInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNoFusedFloatOps holds determinism rule 6. The Go spec lets a compiler
+// fuse x*y + z into one multiply-add with a single rounding unless an
+// explicit conversion rounds the product first. amd64 never fuses, arm64
+// does, so a golden that holds here could fail there. The test
+// cross-compiles the commands for arm64 and fails on any fused multiply-add
+// in a function of this module.
+func TestNoFusedFloatOps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cross-compiles the commands")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command on PATH")
+	}
+	dir := t.TempDir()
+	build := exec.Command(goBin, "build", "-o", dir+string(os.PathSeparator), "./cmd/...")
+	build.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64", "CGO_ENABLED=0")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("cross-compiling for arm64: %v\n%s", err, out)
+	}
+	bins, err := os.ReadDir(dir)
+	if err != nil || len(bins) == 0 {
+		t.Fatalf("no binaries built: %v", err)
+	}
+	fused := regexp.MustCompile(`\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)
+	sites := map[string]bool{}
+	for _, bin := range bins {
+		out, err := exec.Command(goBin, "tool", "objdump", "-s", "^autonosql", filepath.Join(dir, bin.Name())).Output()
+		if err != nil {
+			t.Fatalf("objdump %s: %v", bin.Name(), err)
+		}
+		fn := ""
+		for _, line := range strings.Split(string(out), "\n") {
+			if name, ok := strings.CutPrefix(line, "TEXT "); ok {
+				fn, _, _ = strings.Cut(name, "(SB)")
+			} else if fused.MatchString(line) {
+				pos, _, _ := strings.Cut(strings.TrimSpace(line), "\t")
+				sites[fn+" at "+pos] = true
+			}
+		}
+	}
+	for _, site := range slices.Sorted(maps.Keys(sites)) {
+		t.Errorf("fused multiply-add in %s: round the product with an explicit float64(...)", site)
 	}
 }

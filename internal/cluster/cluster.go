@@ -309,7 +309,7 @@ func (c *Cluster) accountNodeSeconds() {
 	now := c.engine.Now()
 	if now > c.lastAccountedAt {
 		elapsed := (now - c.lastAccountedAt).Seconds()
-		c.nodeSeconds += elapsed * float64(c.billableNodes())
+		c.nodeSeconds += float64(elapsed * float64(c.billableNodes()))
 		c.lastAccountedAt = now
 	}
 }

@@ -94,7 +94,7 @@ func (n *Network) FaultCongestion() float64 { return n.storm }
 
 // EffectiveCongestion is the combined congestion level in [0, 1].
 func (n *Network) EffectiveCongestion() float64 {
-	return clamp(n.congestion+n.storm+0.5*n.selfLoad, 0, 1)
+	return clamp(n.congestion+n.storm+float64(0.5*n.selfLoad), 0, 1)
 }
 
 // Isolate adds the given nodes to the isolated side of a partition. Messages
@@ -159,7 +159,7 @@ func (n *Network) Reachable(a, b NodeID) bool {
 func (n *Network) PartitionActive() bool { return n.isolated != nil }
 
 func (n *Network) delay(base time.Duration) time.Duration {
-	inflate := 1 + congestionSensitivity*n.EffectiveCongestion()
+	inflate := 1 + float64(congestionSensitivity*n.EffectiveCongestion())
 	d := time.Duration(sim.LogNormal(n.rng, float64(base)*inflate, JitterSigma))
 	if d <= 0 {
 		d = base

@@ -89,7 +89,7 @@ func (d *TenantDriver) tick(now time.Duration) {
 	load := p.BaseLoad
 	if p.Period > 0 && p.Amplitude > 0 {
 		phase := float64(now%p.Period) / float64(p.Period)
-		load += p.Amplitude * math.Sin(2*math.Pi*phase)
+		load += float64(p.Amplitude * math.Sin(2*math.Pi*phase))
 	}
 	if now < d.burstEnd {
 		load += p.BurstLoad

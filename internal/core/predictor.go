@@ -68,15 +68,15 @@ func (p *LoadPredictor) fit() (intercept, slope float64, ok bool) {
 	for i := range ts {
 		sumT += ts[i]
 		sumR += rs[i]
-		sumTR += ts[i] * rs[i]
-		sumTT += ts[i] * ts[i]
+		sumTR += float64(ts[i] * rs[i])
+		sumTT += float64(ts[i] * ts[i])
 	}
-	denom := n*sumTT - sumT*sumT
+	denom := float64(n*sumTT) - float64(sumT*sumT)
 	if denom == 0 {
 		return sumR / n, 0, true
 	}
-	slope = (n*sumTR - sumT*sumR) / denom
-	intercept = (sumR - slope*sumT) / n
+	slope = (float64(n*sumTR) - float64(sumT*sumR)) / denom
+	intercept = (sumR - float64(slope*sumT)) / n
 	return intercept, slope, true
 }
 
@@ -117,7 +117,7 @@ func (p *LoadPredictor) Forecast(at time.Duration) float64 {
 	if !ok {
 		return last
 	}
-	pred := intercept + slope*at.Seconds()
+	pred := intercept + float64(slope*at.Seconds())
 	if math.IsNaN(pred) || math.IsInf(pred, 0) {
 		return last
 	}

@@ -57,8 +57,8 @@ func effectiveCapacity(nodes int, nodeOpsPerSec, readFraction float64, rf int) f
 	readCost := service * (2 - 1/n)
 	// A write occupies the coordinator once and ships a replication apply to
 	// every replica that is not the coordinator.
-	writeCost := service + replApply*float64(rf)*(1-1/n)
-	perOp := readFraction*readCost + (1-readFraction)*writeCost
+	writeCost := service + float64(replApply*float64(rf)*(1-1/n))
+	perOp := float64(readFraction*readCost) + float64((1-readFraction)*writeCost)
 	// perOp is in node-seconds per operation; the cluster supplies `nodes`
 	// node-seconds per second.
 	return n / perOp

@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkHistogramObserve measures the per-sample recording cost on the
-// store's latency/window path, including reservoir replacement once full.
+// store's latency/window path.
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(4096)
+	h := NewHistogram(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -27,57 +27,18 @@ func BenchmarkHistogramObserveDuration(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramSnapshot measures the controller-facing aggregation: one
-// sort amortised over three quantile queries.
+// BenchmarkHistogramSnapshot measures the report-facing aggregation: one
+// pass over the buckets for three quantiles.
 func BenchmarkHistogramSnapshot(b *testing.B) {
-	h := NewHistogram(4096)
+	h := NewHistogram(0)
 	for i := 0; i < 8192; i++ {
 		h.Observe(float64(i%997) * 0.001)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i) * 0.0001) // dirty the sort between snapshots
+		h.Observe(float64(i) * 0.0001)
 		_ = h.Snapshot()
-	}
-}
-
-// BenchmarkHistogramSnapshotSteady is the control_dense sampling tick: a
-// default-cap reservoir that has just filled (every observe is a replacement
-// candidate with probability near one) or has seen four times its cap (one in
-// four is), a thousand observes, then one snapshot. wide_tick is the 10 s
-// tick of a busier run: 20 000 observes at four times the cap, so about
-// 5 000 slots change between two snapshots.
-func BenchmarkHistogramSnapshotSteady(b *testing.B) {
-	for _, bc := range []struct {
-		name       string
-		seen, tick int
-	}{
-		{"at_cap", DefaultHistogramCap, 1000},
-		{"past_cap", 4 * DefaultHistogramCap, 1000},
-		{"wide_tick", 4 * DefaultHistogramCap, 20000},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			h := NewHistogram(0)
-			v := 0.0
-			observe := func(n int) {
-				for ; n > 0; n-- {
-					v += 0.6180339887
-					h.Observe(v - float64(int(v)))
-				}
-			}
-			observe(bc.seen)
-			_ = h.Snapshot()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Hold the stream length, and with it the replacement rate,
-				// where the case puts it however long the benchmark runs.
-				h.count = uint64(bc.seen)
-				observe(bc.tick)
-				_ = h.Snapshot()
-			}
-		})
 	}
 }
 

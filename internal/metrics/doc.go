@@ -1,8 +1,8 @@
 // Package metrics provides the small measurement primitives the simulator
-// and controllers share: a streaming Histogram with quantile estimation (the
+// and controllers share: a bucketed Histogram with quantile estimation (the
 // backbone of every latency and inconsistency-window percentile in the
-// reports), an exponentially weighted moving average, counters, gauges,
-// running mean/variance, and a TimeSeries of timestamped observations used
-// to record how metrics evolve over a run and to render the figure-like
-// ASCII series output.
+// reports), a WindowedStat over the most recent samples, an exponentially
+// weighted moving average, counters, gauges, and a TimeSeries of
+// timestamped observations used to record how metrics evolve over a run and
+// to render the figure-like ASCII series output.
 package metrics

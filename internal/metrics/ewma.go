@@ -28,7 +28,7 @@ func (e *EWMA) Update(sample float64) float64 {
 		e.initialized = true
 		return e.value
 	}
-	e.value = e.alpha*sample + (1-e.alpha)*e.value
+	e.value = float64(e.alpha*sample) + float64((1-e.alpha)*e.value)
 	return e.value
 }
 

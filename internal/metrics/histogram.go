@@ -1,149 +1,90 @@
-// Package metrics provides the measurement primitives used throughout the
-// autonosql simulator: duration histograms with percentile estimation,
-// exponentially weighted moving averages, counters, gauges, time series and
-// windowed aggregation.
-//
-// The package is deliberately dependency-free and allocation-conscious: the
-// simulator records millions of samples per experiment, and the controller
-// consumes aggregated snapshots of these structures every control interval.
 package metrics
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"time"
 )
 
-// Histogram accumulates float64 samples and answers quantile queries.
-//
-// Samples are kept exactly (not sketched) up to a configurable cap, after
-// which reservoir sampling keeps an unbiased subset. This keeps percentile
-// estimates accurate for the sample volumes produced by experiments while
-// bounding memory.
-//
-// The retained samples live in segments that are allocated as the reservoir
-// fills and never move: segment 0 holds slots [0, 4096) and segment s >= 1
-// holds slots [4096·2^(s-1), 4096·2^s), the last one cut at the cap. A full
-// reservoir has allocated exactly the samples it retains, in as many
-// allocations (five at the default cap) as doubling one array would take.
-//
-// A quantile query leaves the retained samples in ascending order, and past
-// the cap reservoir replacement addresses slots of that array, so when a
-// histogram is queried is part of what it retains: fed one stream but queried
-// at different points, two histograms keep different (equally uniform)
-// subsets. A caller that reproduces runs bit for bit must keep its query times.
+// Histogram accumulates duration samples, in seconds, and answers quantile
+// queries from fixed log-linear buckets over whole nanoseconds: one bucket
+// per value below 128 ns, then 64 buckets per octave up to 2⁶³ ns, so a
+// bucket's midpoint lies within 2⁻⁷ (0.79 %) of every value in it. Count,
+// sum, min and max are exact. Querying changes nothing the histogram holds.
 type Histogram struct {
-	segs  [][]float64 // the segments allocated so far, each at its full length
-	n     int         // retained samples: slots [0, n)
-	count uint64
-	sum   float64
-	min   float64
-	max   float64
-	cap   int
-	// Slots [0, ordered) were ascending after the last quantile query and
-	// have since been overwritten only at the ndirty slots whose bits are set
-	// in dirty, a bitmap of one bit per slot allocated at the first such
-	// replacement; slots [ordered, n) were appended after that query.
-	ordered  int
-	dirty    []uint64
-	ndirty   int
-	scratch  []float64 // the changed values while order merges them back
-	rngState uint64
+	counts *[numBuckets]uint64 // allocated by the first observation
+	count  uint64
+	sum    float64
+	min    float64
+	max    float64
 }
 
-// DefaultHistogramCap is the default maximum number of retained samples.
-const DefaultHistogramCap = 65536
-
-// seg0Len is the length of segment 0, and segShift its log2.
 const (
-	seg0Len  = 4096
-	segShift = 12
+	exactBelow = 128 // values below this many nanoseconds have a bucket each
+	subBits    = 6   // log2 of the buckets per octave above exactBelow
+	// Octaves 7 to 62, as many as a non-negative int64 has above exactBelow.
+	numBuckets = exactBelow + (63-7)<<subBits
 )
 
-// locate maps slot i to its segment and its offset in that segment.
-func locate(i int) (seg, off int) {
-	seg = bits.Len(uint(i) >> segShift)
-	return seg, i - segBase(seg)
-}
+// DefaultHistogramCap was the sample count a histogram retained before it
+// kept buckets. It has no effect; the benchmark harness under bench/ still
+// sizes its fill loops with it.
+const DefaultHistogramCap = 65536
 
-// segBase is the first slot of segment s: 0, then 4096·2^(s-1).
-func segBase(s int) int {
-	return (seg0Len >> 1 << s) &^ (seg0Len - 1)
-}
+// NewHistogram creates an empty histogram, as the zero Histogram is. The
+// argument is ignored: the buckets are fixed. It remains so the benchmark
+// harness keeps compiling.
+func NewHistogram(int) *Histogram { return &Histogram{} }
 
-// NewHistogram creates a histogram retaining at most cap samples. A cap of
-// zero or less uses DefaultHistogramCap.
-func NewHistogram(cap int) *Histogram {
-	if cap <= 0 {
-		cap = DefaultHistogramCap
+// bucketOf is the bucket of a value in nanoseconds; negative values count
+// as zero. At or above exactBelow, bits.Len64 picks the octave and the
+// value's top 7 bits, 64 to 127, the bucket within it.
+func bucketOf(ns int64) int {
+	if ns < exactBelow {
+		return int(max(ns, 0))
 	}
-	last, _ := locate(cap - 1)
-	segs := make([][]float64, 1, last+1)
-	segs[0] = make([]float64, min(cap, seg0Len))
-	return &Histogram{
-		segs:     segs,
-		min:      math.Inf(1),
-		max:      math.Inf(-1),
-		cap:      cap,
-		rngState: 0x853c49e6748fea9b,
-	}
+	shift := bits.Len64(uint64(ns)) - 1 - subBits
+	return shift<<subBits + int(ns>>shift)
 }
 
-// Observe records one sample.
+// midpoint is the middle of bucket b's range, in seconds.
+func midpoint(b int) float64 {
+	if b < exactBelow {
+		return time.Duration(b).Seconds()
+	}
+	shift := b>>subBits - 1
+	top := int64(b&(1<<subBits-1) | 1<<subBits) // the values' top 7 bits
+	return time.Duration((2*top + 1) << (shift - 1)).Seconds()
+}
+
+// Observe records one sample, in seconds.
 func (h *Histogram) Observe(v float64) {
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
+	ns := int64(math.MaxInt64)
+	if v*1e9 < math.MaxInt64 {
+		ns = int64(math.Round(v * 1e9))
 	}
-	if v > h.max {
-		h.max = v
-	}
-	if n := h.n; n < h.cap {
-		s, off := locate(n)
-		if s == len(h.segs) {
-			// Segment s >= 1 is as long as all before it together.
-			h.segs = append(h.segs, make([]float64, min(n, h.cap-n)))
-		}
-		h.segs[s][off] = v
-		h.n = n + 1
-		return
-	}
-	// Reservoir sampling: replace a random existing sample with probability
-	// cap/count, preserving a uniform sample of the stream.
-	idx := h.nextRand() % h.count
-	if idx < uint64(h.cap) {
-		s, off := locate(int(idx))
-		h.segs[s][off] = v
-		if idx < uint64(h.ordered) {
-			if h.dirty == nil {
-				h.dirty = make([]uint64, (h.cap+63)/64)
-			}
-			if w, bit := idx/64, uint64(1)<<(idx%64); h.dirty[w]&bit == 0 {
-				h.dirty[w] |= bit
-				h.ndirty++
-			}
-		}
-	}
+	h.observe(v, ns)
 }
 
 // ObserveDuration records a sample expressed as a duration, in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(d.Seconds())
+	h.observe(d.Seconds(), int64(d))
 }
 
-// nextRand is a small xorshift generator private to the histogram so that
-// reservoir replacement is deterministic for a deterministic input stream.
-func (h *Histogram) nextRand() uint64 {
-	x := h.rngState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	h.rngState = x
-	return x
+func (h *Histogram) observe(v float64, ns int64) {
+	if h.counts == nil {
+		h.counts = new([numBuckets]uint64)
+	}
+	h.counts[bucketOf(ns)]++
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
 }
 
 // Count returns the number of observed samples.
@@ -161,204 +102,67 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Min returns the smallest observed sample, or zero when empty.
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
+func (h *Histogram) Min() float64 { return h.min }
 
 // Max returns the largest observed sample, or zero when empty.
-func (h *Histogram) Max() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
+func (h *Histogram) Max() float64 { return h.max }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the retained samples using
-// linear interpolation. It returns zero for an empty histogram.
+// Quantile returns the q-quantile (0 <= q <= 1) by interpolate's rank rule,
+// each order statistic read as described at orderStats. It returns zero for
+// an empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min()
-	}
-	if q >= 1 {
-		return h.Max()
-	}
-	h.order()
-	return interpolate(h.n, q, h.at)
-}
-
-// at returns the sample in slot i.
-func (h *Histogram) at(i int) float64 {
-	s, off := locate(i)
-	return h.segs[s][off]
-}
-
-// shiftDown moves n slots from the read position (rs, ri) to the write
-// position (ws, wi), which is not above it, as one memmove would, in one copy
-// per piece that lies within a single segment on both sides, and returns both
-// positions advanced by n. A position may sit at the end of its segment.
-func (h *Histogram) shiftDown(ws, wi, rs, ri, n int) (int, int, int, int) {
-	for n > 0 {
-		if wi == len(h.segs[ws]) {
-			ws, wi = ws+1, 0
-		}
-		if ri == len(h.segs[rs]) {
-			rs, ri = rs+1, 0
-		}
-		l := min(len(h.segs[ws])-wi, len(h.segs[rs])-ri, n)
-		copy(h.segs[ws][wi:wi+l], h.segs[rs][ri:ri+l])
-		wi, ri, n = wi+l, ri+l, n-l
-	}
-	return ws, wi, rs, ri
-}
-
-// order sorts the retained samples ascending, producing the array a full
-// sort would. With nothing changed since the last call it returns at once.
-// Otherwise the overwritten slots are lifted out of the ordered prefix, which
-// is closed up behind them run by run, sorted together with the appended
-// tail, and merged back by mergeBack's block moves. On a tie the kept value
-// goes after the changed one, so equal-comparing values (±0, NaNs) keep their
-// order. Scratch never holds more than what changed between two queries or,
-// on the first query of a reservoir that spans several segments, half of
-// what it retains.
-func (h *Histogram) order() {
 	switch {
-	case h.ordered == h.n && h.ndirty == 0:
-		return
-	case h.ordered == 0:
-		h.sortSegments()
-	default:
-		changed := h.scratch[:0]
-		ws, wi, rs, ri := 0, 0, 0, 0 // the next slot written and the next read
-		from := 0                    // the slot at (rs, ri)
-		for w := 0; len(changed) < h.ndirty; w++ {
-			for word := h.dirty[w]; word != 0; word &= word - 1 {
-				d := w*64 + bits.TrailingZeros64(word)
-				ws, wi, rs, ri = h.shiftDown(ws, wi, rs, ri, d-from)
-				if ri == len(h.segs[rs]) {
-					rs, ri = rs+1, 0
-				}
-				changed = append(changed, h.segs[rs][ri])
-				ri, from = ri+1, d+1
+	case h.count == 0:
+		return 0
+	case q <= 0:
+		return h.min
+	case q >= 1:
+		return h.max
+	}
+	return h.quantiles(q)[0]
+}
+
+// quantiles returns the qs-quantiles, for at most three qs in (0, 1), from
+// one pass over the buckets of a histogram that is not empty.
+func (h *Histogram) quantiles(qs ...float64) (out [3]float64) {
+	n := int(h.count)
+	var ranks [6]int
+	for i, q := range qs {
+		lo, _ := rank(n, q)
+		ranks[2*i], ranks[2*i+1] = lo, min(lo+1, n-1)
+	}
+	var stats [6]float64
+	h.orderStats(ranks[:2*len(qs)], stats[:])
+	for i, q := range qs {
+		_, frac := rank(n, q)
+		out[i] = lerp(stats[2*i], stats[2*i+1], frac)
+	}
+	return out
+}
+
+// orderStats sets stats[i] to the ranks[i]-th smallest sample, counted from
+// zero: the smallest and largest samples exactly, any other its bucket's
+// midpoint clamped to [min, max].
+func (h *Histogram) orderStats(ranks []int, stats []float64) {
+	n, below := int(h.count), 0 // below: the samples in earlier buckets
+	for b, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		first := below
+		below += int(c)
+		for i, r := range ranks {
+			switch {
+			case r < first || r >= below:
+			case r == 0:
+				stats[i] = h.min
+			case r == n-1:
+				stats[i] = h.max
+			default:
+				stats[i] = min(max(midpoint(b), h.min), h.max)
 			}
-			h.dirty[w] = 0
-		}
-		h.shiftDown(ws, wi, rs, ri, h.ordered-from)
-		clean := h.ordered - len(changed)
-		changed = h.appendSlots(changed, h.ordered, h.n)
-		slices.Sort(changed)
-		h.mergeBack(changed, clean)
-		h.scratch = changed
-	}
-	h.ordered, h.ndirty = h.n, 0
-}
-
-// appendSlots appends slots [from, to) to dst, growing it at most once.
-func (h *Histogram) appendSlots(dst []float64, from, to int) []float64 {
-	dst = slices.Grow(dst, to-from)
-	for from < to {
-		s, off := locate(from)
-		l := min(len(h.segs[s])-off, to-from)
-		dst = append(dst, h.segs[s][off:off+l]...)
-		from += l
-	}
-	return dst
-}
-
-// sortSegments orders a reservoir that no query has ordered yet: each segment
-// is sorted in place and merged into the sorted run of the segments before
-// it, from a copy of the segment in scratch. The copy is never longer than
-// the run it joins, so never more than half of what is retained.
-func (h *Histogram) sortSegments() {
-	last, _ := locate(h.n - 1)
-	slices.Sort(h.segs[0][:min(h.n, len(h.segs[0]))])
-	if last == 0 {
-		return
-	}
-	// The longest copy: the last segment's samples, or the full one before.
-	if longest := max(h.n-segBase(last), segBase(last-1)); cap(h.scratch) < longest {
-		h.scratch = make([]float64, 0, longest)
-	}
-	buf := h.scratch[:0]
-	for s := 1; s <= last; s++ {
-		tail := h.segs[s][:min(h.n-segBase(s), len(h.segs[s]))]
-		slices.Sort(tail)
-		buf = append(buf[:0], tail...)
-		h.mergeBack(buf, segBase(s))
-	}
-}
-
-// mergeBack merges the ascending buf into the ascending slots [0, kept),
-// leaving slots [0, kept+len(buf)) ascending, in one pass from the top down
-// that puts the kept value above the buf one on a tie. For each buf value,
-// largest first, it gallops down the kept slots to the run of them that is
-// not below the value, moves that run up in one copy per segment piece and
-// drops the value in under it: a run of g slots costs O(log g) comparisons
-// and one copy, where an element merge compares and moves every slot. Slots
-// are written from the top down and never below the kept slot read next, and
-// once buf is spent the rest of the kept slots are already in place.
-func (h *Histogram) mergeBack(buf []float64, kept int) {
-	rs, ri := 0, -1 // the kept slots not yet read: segment rs up to offset ri
-	if kept > 0 {
-		rs, ri = locate(kept - 1)
-	}
-	ws, wi := locate(kept + len(buf) - 1) // the next slot written
-	for j := len(buf) - 1; j >= 0; j-- {
-		c := buf[j]
-		for {
-			r := h.segs[rs][:ri+1]
-			for g := keptAbove(r, c); g > 0; {
-				if wi < 0 {
-					ws--
-					wi = len(h.segs[ws]) - 1
-				}
-				n := min(g, wi+1)
-				copy(h.segs[ws][wi+1-n:wi+1], r[ri+1-n:ri+1])
-				wi, ri, g = wi-n, ri-n, g-n
-			}
-			if ri >= 0 || rs == 0 {
-				break
-			}
-			// Segment rs is spent: c's place may lie below it.
-			rs--
-			ri = len(h.segs[rs]) - 1
-		}
-		if wi < 0 {
-			ws--
-			wi = len(h.segs[ws]) - 1
-		}
-		h.segs[ws][wi] = c
-		wi--
-	}
-}
-
-// keptAbove counts the values at the top of the ascending r that are not
-// below c. It gallops down from the top in doubling steps, then searches the
-// last step, so a count of g takes O(log g) comparisons.
-func keptAbove(r []float64, c float64) int {
-	lo, top := 0, len(r) // r[top:] is not below c, and r[:lo] is below it
-	for step := 1; top > 0; step *= 2 {
-		i := max(top-step, 0)
-		if cmp.Less(r[i], c) {
-			lo = i + 1
-			break
-		}
-		top = i
-	}
-	for lo < top {
-		m := int(uint(lo+top) >> 1)
-		if cmp.Less(r[m], c) {
-			lo = m + 1
-		} else {
-			top = m
 		}
 	}
-	return len(r) - top
 }
 
 // QuantileDuration returns the q-quantile interpreted as a duration in
@@ -369,13 +173,10 @@ func (h *Histogram) QuantileDuration(q float64) time.Duration {
 
 // Reset discards all samples.
 func (h *Histogram) Reset() {
-	h.n = 0
-	h.count = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
-	h.ordered, h.ndirty = 0, 0
-	clear(h.dirty)
+	if h.counts != nil {
+		*h.counts = [numBuckets]uint64{}
+	}
+	*h = Histogram{counts: h.counts}
 }
 
 // Snapshot captures the common summary statistics of a histogram.
@@ -391,15 +192,12 @@ type Snapshot struct {
 
 // Snapshot returns summary statistics for the histogram.
 func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+	s := Snapshot{Count: h.count, Mean: h.Mean(), Min: h.min, Max: h.max}
+	if h.count > 0 {
+		p := h.quantiles(0.50, 0.95, 0.99)
+		s.P50, s.P95, s.P99 = p[0], p[1], p[2]
 	}
+	return s
 }
 
 // String renders the snapshot compactly for logs and CLI output.

@@ -1,16 +1,26 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
-	"runtime"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"autonosql/internal/memtest"
 )
+
+// bucketError is the bound on a quantile's relative error: a bucket's
+// midpoint lies within 2⁻⁷ of every value in it. The factor above one allows
+// for rounding nanoseconds to float seconds on both sides of the comparison.
+const bucketError = 0x1p-7 * (1 + 0x1p-40)
+
+// withinBound reports whether got lies within bucketError of exact.
+func withinBound(got, exact float64) bool {
+	return math.Abs(got-exact) <= bucketError*math.Abs(exact)
+}
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(0)
@@ -36,8 +46,8 @@ func TestHistogramBasicStats(t *testing.T) {
 	if h.Min() != 1 || h.Max() != 5 {
 		t.Fatalf("Min/Max = %v/%v, want 1/5", h.Min(), h.Max())
 	}
-	if got := h.Quantile(0.5); got != 3 {
-		t.Fatalf("p50 = %v, want 3", got)
+	if got := h.Quantile(0.5); !withinBound(got, 3) {
+		t.Fatalf("p50 = %v, want 3 within 2^-7", got)
 	}
 	if got := h.Quantile(0); got != 1 {
 		t.Fatalf("p0 = %v, want 1", got)
@@ -82,25 +92,6 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
-func TestHistogramReservoirKeepsDistribution(t *testing.T) {
-	h := NewHistogram(1000)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100000; i++ {
-		h.Observe(rng.Float64() * 100)
-	}
-	if h.Count() != 100000 {
-		t.Fatalf("Count = %d, want 100000", h.Count())
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 40 || p50 > 60 {
-		t.Fatalf("p50 of uniform(0,100) = %v, want roughly 50", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 90 {
-		t.Fatalf("p99 of uniform(0,100) = %v, want > 90", p99)
-	}
-}
-
 func TestHistogramQuantileMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := func(seed int64) bool {
@@ -125,258 +116,204 @@ func TestHistogramQuantileMonotonic(t *testing.T) {
 	}
 }
 
-// refHistogram is the reservoir as it was before it kept its order
-// incrementally: any Observe clears sorted, and the next interior quantile
-// re-sorts everything and interpolates between floor and ceil. It is the
-// reference the differential tests hold Histogram to.
-type refHistogram struct {
-	samples  []float64
-	count    uint64
-	min, max float64
-	cap      int
-	sorted   bool
-	rng      uint64
+// TestHistogramBuckets walks every bucket boundary: each bucket's first and
+// last value map to it, its midpoint lies within 2⁻⁷ of both, and the
+// buckets tile [0, 2⁶³) without a gap.
+func TestHistogramBuckets(t *testing.T) {
+	next := int64(0) // the first value of the bucket expected next
+	for b := range numBuckets {
+		first := next
+		last := int64(math.MaxInt64)
+		if b+1 < numBuckets {
+			width := int64(1)
+			if b >= exactBelow {
+				width = 1 << (b>>subBits - 1)
+			}
+			last = first + width - 1
+		}
+		if bucketOf(first) != b || bucketOf(last) != b {
+			t.Fatalf("bucket %d: values %d and %d map to %d and %d", b, first, last, bucketOf(first), bucketOf(last))
+		}
+		mid := midpoint(b)
+		for _, v := range []int64{first, last} {
+			if exact := time.Duration(v).Seconds(); !withinBound(mid, exact) {
+				t.Fatalf("bucket %d: midpoint %v is more than 2^-7 from %v", b, mid, exact)
+			}
+		}
+		next = last + 1
+	}
+	if next != math.MinInt64 { // wrapped past MaxInt64: every value is covered
+		t.Fatalf("the buckets end at %d, not at 2^63", next)
+	}
+	if bucketOf(-5) != 0 || midpoint(0) != 0 {
+		t.Fatal("zero and negative values must share the exact bucket 0")
+	}
 }
 
-func (r *refHistogram) observe(v float64) {
-	r.count++
-	r.min, r.max = math.Min(r.min, v), math.Max(r.max, v)
-	r.sorted = false
-	if len(r.samples) < r.cap {
-		r.samples = append(r.samples, v)
-		return
+// durationStream decodes a fuzz input, two bytes a step, into durations
+// shaped like a run's latencies and windows: exact zeros, values below
+// 128 ns, log-normal legs around a median from a nanosecond to 100 s,
+// values up to 2⁶² ns, and the first values of octaves, where a bucket's
+// midpoint is furthest from its values.
+func durationStream(input []byte) []time.Duration {
+	var out []time.Duration
+	rng := rand.New(rand.NewSource(int64(len(input))))
+	for i := 0; i+1 < len(input); i += 2 {
+		op, arg := input[i]%5, input[i+1]
+		switch op {
+		case 0:
+			out = append(out, 0)
+		case 1:
+			out = append(out, time.Duration(arg%128))
+		case 2:
+			median := math.Pow(10, float64(arg%12))
+			for n := 1 + int(arg)%64; n > 0; n-- {
+				out = append(out, time.Duration(median*math.Exp(rng.NormFloat64())))
+			}
+		case 3:
+			out = append(out, time.Duration(rng.Uint64()>>2))
+		case 4:
+			out = append(out, time.Duration(1)<<(7+arg%56)+time.Duration(arg/56%3)-1)
+		}
 	}
-	r.rng ^= r.rng << 13
-	r.rng ^= r.rng >> 7
-	r.rng ^= r.rng << 17
-	if idx := r.rng % r.count; idx < uint64(r.cap) {
-		r.samples[idx] = v
-	}
+	return out
 }
 
-func (r *refHistogram) quantile(q float64) float64 {
-	switch {
-	case len(r.samples) == 0:
-		return 0
-	case q <= 0:
-		return r.min
-	case q >= 1:
-		return r.max
-	}
-	if !r.sorted {
-		sort.Float64s(r.samples)
-		r.sorted = true
-	}
-	pos := q * float64(len(r.samples)-1)
-	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
-	if lo == hi {
-		return r.samples[lo]
+// exactQuantile is the q-quantile (0 < q < 1) of the ascending samples in
+// seconds, interpolated between the two nearest ranks.
+func exactQuantile(sorted []time.Duration, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo+1 >= len(sorted) {
+		return sorted[lo].Seconds()
 	}
 	frac := pos - float64(lo)
-	return r.samples[lo]*(1-frac) + r.samples[hi]*frac
+	return sorted[lo].Seconds()*(1-frac) + sorted[lo+1].Seconds()*frac
 }
 
-var orderScriptQs = []float64{-1, 0, 0.01, 0.5, 0.95, 0.99, 0.999, 1, 2}
-
-// runOrderScript drives a Histogram and the reference with the operations
-// script encodes, two bytes each, and fails on the first difference in a
-// quantile or, after any operation, in the retained array: neither side moves
-// a sample except when an interior quantile orders them, so the two arrays
-// must agree slot for slot at all times, not only as sets.
-func runOrderScript(t testing.TB, capacity int, script []byte) {
+// checkQuantiles holds a histogram fed stream against the stream itself:
+// count, mean, min and max equal a naive recomputation, and every Snapshot
+// quantile lies within 2⁻⁷ of the exact one. A second histogram, queried
+// along the way, must end up identical: a query changes nothing.
+func checkQuantiles(t testing.TB, stream []time.Duration) {
 	t.Helper()
-	h := NewHistogram(capacity)
-	fresh := refHistogram{min: math.Inf(1), max: math.Inf(-1), cap: capacity, rng: h.rngState}
-	ref := fresh
-	lcg := uint64(1)
-	var retained []float64
-	query := func(step int, q float64) {
-		if got, want := h.Quantile(q), ref.quantile(q); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("cap %d step %d: Quantile(%v) = %v, full sort gives %v", capacity, step, q, got, want)
+	h, queried := NewHistogram(0), NewHistogram(0)
+	sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+	for i, d := range stream {
+		h.ObserveDuration(d)
+		queried.ObserveDuration(d)
+		if i%64 == 0 {
+			queried.Snapshot()
 		}
+		sum += d.Seconds()
+		lo, hi = min(lo, d.Seconds()), max(hi, d.Seconds())
 	}
-	observe := func(v float64) {
-		h.Observe(v)
-		ref.observe(v)
+	got := h.Snapshot()
+	if again := queried.Snapshot(); again != got {
+		t.Fatalf("a histogram queried along the way gives %+v, one never queried %+v", again, got)
 	}
-	for i := 0; i+1 < len(script); i += 2 {
-		op, arg := script[i]%8, script[i+1]
-		switch op {
-		case 0, 1: // one of 16 values, +0 among them: duplicates everywhere
-			observe(float64(arg%16) / 4)
-		case 2: // a value of its own
-			observe(float64(i)*256 + float64(arg))
-		case 3: // a burst, to carry the larger caps past their boundary
-			for n := 1 + int(arg)*8; n > 0; n-- {
-				lcg = lcg*6364136223846793005 + 1442695040888963407
-				observe(float64(lcg>>54) / 32)
-			}
-		case 4, 5:
-			query(i, orderScriptQs[int(arg)%len(orderScriptQs)])
-		case 6:
-			got := h.Snapshot()
-			want := [3]float64{ref.quantile(0.50), ref.quantile(0.95), ref.quantile(0.99)}
-			if [3]float64{got.P50, got.P95, got.P99} != want || got.Count != ref.count {
-				t.Fatalf("cap %d step %d: Snapshot = %+v, full sort gives %v of %d", capacity, i, got, want, ref.count)
-			}
-		case 7:
-			if arg%4 != 0 { // mostly two queries back to back, sometimes a Reset
-				query(i, 0.5)
-				query(i, 0.9)
-			} else {
-				h.Reset()
-				rng := ref.rng // Reset keeps the replacement stream where it is
-				ref = fresh
-				ref.rng = rng
-			}
+	if len(stream) == 0 {
+		if got != (Snapshot{}) {
+			t.Fatalf("empty histogram: %+v", got)
 		}
-		if h.n != len(ref.samples) {
-			t.Fatalf("cap %d step %d: %d samples retained, reference retains %d", capacity, i, h.n, len(ref.samples))
+		return
+	}
+	n := float64(len(stream))
+	if got.Count != uint64(len(stream)) || got.Mean != sum/n || got.Min != lo || got.Max != hi {
+		t.Fatalf("count/mean/min/max = %d/%v/%v/%v, want %d/%v/%v/%v",
+			got.Count, got.Mean, got.Min, got.Max, len(stream), sum/n, lo, hi)
+	}
+	sorted := slices.Clone(stream)
+	slices.Sort(sorted)
+	for _, c := range []struct {
+		q   float64
+		got float64
+	}{{0.50, got.P50}, {0.95, got.P95}, {0.99, got.P99}} {
+		if exact := exactQuantile(sorted, c.q); !withinBound(c.got, exact) {
+			t.Fatalf("p%v of %d samples = %v, exact %v: off by %.3g, bound 2^-7",
+				c.q*100, len(stream), c.got, exact, math.Abs(c.got-exact)/exact)
 		}
-		retained = h.appendSlots(retained[:0], 0, h.n)
-		for j, v := range retained {
-			if math.Float64bits(v) != math.Float64bits(ref.samples[j]) {
-				t.Fatalf("cap %d step %d: slot %d holds %v, reference holds %v", capacity, i, j, v, ref.samples[j])
-			}
+		if one := h.Quantile(c.q); one != c.got {
+			t.Fatalf("Quantile(%v) = %v, Snapshot gives %v", c.q, one, c.got)
 		}
 	}
 }
 
-// orderCaps runs one segment, cut or whole, and then several: a cap that
-// cuts its last segment short, and the default's five.
-var orderCaps = []int{1, 2, 64, 4096, 5*4096 + 17, DefaultHistogramCap}
-
-// TestHistogramOrderMatchesFullSort is the differential test behind the
-// byte-identity claim: random interleavings of Observe, Quantile, Snapshot
-// and Reset, across the cap boundary of every cap, leave exactly the array a
-// full sort on every query would.
-func TestHistogramOrderMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, capacity := range orderCaps {
-		for round := 0; round < 20; round++ {
-			script := make([]byte, 600)
-			rng.Read(script)
-			runOrderScript(t, capacity, script)
+// FuzzHistogramQuantile lets the fuzzer write the duration stream that
+// checkQuantiles holds the histogram to.
+func FuzzHistogramQuantile(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 5})                   // zeros and one small value
+	f.Add([]byte{1, 0, 1, 127, 1, 64, 0, 0})          // the exact range
+	f.Add([]byte{2, 3, 2, 100, 2, 200})               // log-normal legs
+	f.Add([]byte{3, 1, 3, 2, 3, 3, 0, 0})             // up to 2^62 ns
+	f.Add([]byte{4, 0, 4, 1, 4, 55, 4, 100, 4, 200})  // octave starts and their neighbours
+	f.Add([]byte{0, 0, 2, 17, 1, 99, 3, 7, 4, 30, 2}) // everything at once
+	f.Add([]byte{2, 0})                               // one leg of a single sample
+	f.Fuzz(func(t *testing.T, input []byte) {
+		if len(input) > 1024 { // at most 32 768 samples keeps a run in milliseconds
+			input = input[:1024]
 		}
-	}
-	// Nothing but queries, and queries only after a Reset.
-	runOrderScript(t, 64, []byte{4, 3, 6, 0, 7, 1, 0, 0, 7, 0, 4, 3, 6, 0})
-}
-
-// FuzzHistogramOrder lets the fuzzer write the operation script: the first
-// byte picks the cap, the rest is the script runOrderScript interprets.
-func FuzzHistogramOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 5, 4, 3, 0, 5, 4, 3})
-	f.Add([]byte{1, 0, 0, 0, 0, 4, 3, 0, 0, 0, 0, 4, 3, 7, 0, 4, 3})
-	f.Add([]byte{2, 3, 8, 4, 3, 3, 1, 4, 3, 3, 1, 4, 3, 0, 0, 6, 0})        // cap 64 filled, then ticks of 9 observes
-	f.Add([]byte{2, 3, 7, 4, 3, 3, 1, 3, 1, 3, 1, 7, 1, 1, 0, 1, 0, 4, 3})  // crosses cap 64 between two queries
-	f.Add([]byte{3, 3, 255, 3, 255, 4, 3, 3, 255, 6, 0, 3, 20, 4, 2, 7, 0}) // cap 4096 from empty to replacement
-	// cap 5*4096+17: queried inside segment 0, then across the 4096 and 8192
-	// segment boundaries, then past the cap with replacements between queries
-	f.Add([]byte{4, 3, 255, 4, 3, 3, 255, 4, 3, 3, 255, 3, 255, 6, 0,
-		3, 255, 3, 255, 3, 255, 3, 255, 3, 255, 3, 255, 4, 3, 3, 255, 4, 2, 0, 0, 6, 0})
-	f.Add([]byte{5, 3, 255, 3, 255, 3, 255, 6, 0, 3, 255, 4, 3}) // default cap, first queried across a boundary
-	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) == 0 {
-			return
-		}
-		runOrderScript(t, orderCaps[int(script[0])%len(orderCaps)], script[1:])
+		checkQuantiles(t, durationStream(input))
 	})
 }
 
-// TestHistogramQueryTimesAreInput states the semantic the scenario sampler
-// depends on: past the cap, replacement addresses slots of the array in the
-// order the last query left it, so a histogram that was queried mid-stream
-// retains a different subset than one that was not. Dropping or moving a
-// query is a change to a run's results, not only to its cost.
-func TestHistogramQueryTimesAreInput(t *testing.T) {
-	queried, unqueried := NewHistogram(64), NewHistogram(64)
-	for i := 0; i < 1000; i++ {
-		v := float64((i * 7919) % 1009)
-		queried.Observe(v)
-		unqueried.Observe(v)
-		if i == 500 {
-			queried.Quantile(0.5)
-		}
+// TestHistogramQuantileWithinBound runs checkQuantiles on longer streams than
+// the fuzz seeds hold.
+func TestHistogramQuantileWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for round := 0; round < 20; round++ {
+		input := make([]byte, 2+rng.Intn(400))
+		rng.Read(input)
+		checkQuantiles(t, durationStream(input))
 	}
-	queried.Quantile(0.5)
-	unqueried.Quantile(0.5)
-	same := true
-	for i := range queried.n {
-		same = same && queried.at(i) == unqueried.at(i)
+	var raw [8]byte
+	stream := make([]time.Duration, 5000)
+	for i := range stream {
+		rng.Read(raw[:])
+		stream[i] = time.Duration(binary.LittleEndian.Uint64(raw[:]) >> (2 + i%60))
 	}
-	if same {
-		t.Fatal("a mid-stream query left the retained set unchanged; query times are expected to be part of the result")
-	}
+	checkQuantiles(t, stream)
 }
 
-// TestHistogramGrowthBytes pins the reservoir's storage: filling a default
-// histogram to 1.1x its cap allocates the samples it retains and nothing
-// more, in five segments, besides the Histogram and its directory of
-// segments. Growing one array by doubling would allocate 4096 + 8192 + ... +
-// 65536 samples, nearly twice what it keeps, copying them on each step.
-func TestHistogramGrowthBytes(t *testing.T) {
-	// Each reading fills a fresh reservoir.
-	var h *Histogram
-	bytes, mallocs := memtest.Growth(func(measure func(func())) {
-		measure(func() {
-			h = NewHistogram(0)
-			for i := 0; i < DefaultHistogramCap*11/10; i++ {
-				h.Observe(float64(i))
-			}
+// TestHistogramFootprint pins what a histogram allocates: its one counts
+// array at the first observation, whatever the sample count, and nothing
+// for a Snapshot or a Quantile.
+func TestHistogramFootprint(t *testing.T) {
+	const counts = numBuckets * 8
+	for _, samples := range []int{1, 1000, 1 << 20} {
+		bytes, mallocs := memtest.Growth(func(measure func(func())) {
+			h := NewHistogram(0)
+			measure(func() {
+				for i := range samples {
+					h.ObserveDuration(time.Duration(i) * 977)
+				}
+			})
 		})
-	})
-	const sample, segments = 8, 5
-	const overhead = 512 // the Histogram and its directory, in their size classes
-	t.Logf("a full default reservoir (%d samples) allocated %d B in %d objects", DefaultHistogramCap, bytes, mallocs)
-	if limit := uint64(DefaultHistogramCap*sample + overhead); bytes > limit {
-		t.Errorf("filling a default histogram to 1.1x cap allocated %d B, want at most %d", bytes, limit)
+		t.Logf("%d observations allocated %d B in %d objects", samples, bytes, mallocs)
+		// 29 KiB of counts round up to the 32 KiB size class.
+		if mallocs != 1 || bytes < counts || bytes > 32<<10 {
+			t.Errorf("%d observations allocated %d B in %d objects, want the %d B counts array alone", samples, bytes, mallocs, counts)
+		}
 	}
-	if mallocs != 2+segments {
-		t.Errorf("filling a default histogram made %d allocations, want %d segments + the Histogram + its directory", mallocs, segments)
+	h := NewHistogram(0)
+	for i := range 10000 {
+		h.ObserveDuration(time.Duration(i) * time.Microsecond)
 	}
-	if h.n != DefaultHistogramCap || len(h.segs) != segments {
-		t.Errorf("reservoir holds %d samples in %d segments, want %d in %d", h.n, len(h.segs), DefaultHistogramCap, segments)
+	query := func() {
+		h.ObserveDuration(time.Millisecond)
+		_ = h.Snapshot()
+		_ = h.Quantile(0.9)
+	}
+	if avg := testing.AllocsPerRun(100, query); avg != 0 {
+		t.Errorf("an observation and two queries allocate %.1f objects, want 0", avg)
 	}
 }
 
-// TestHistogramFirstQueryScratch pins the first order of a reservoir that
-// spans several segments, which is how the per-tenant reservoirs meet their
-// first query, in the final report: each segment is merged into the run
-// before it through a copy of the segment, never longer than that run, so
-// the scratch is at most half the retained samples, not a second reservoir.
-func TestHistogramFirstQueryScratch(t *testing.T) {
-	// As in TestHistogramGrowthBytes, each reading queries a fresh full
-	// reservoir and the smallest of three is the query's own.
-	var h *Histogram
-	got := uint64(math.MaxUint64)
-	for range 3 {
-		h = NewHistogram(0)
-		rng := rand.New(rand.NewSource(3))
-		for range DefaultHistogramCap {
-			h.Observe(rng.Float64())
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		h.Quantile(0.5)
-		runtime.ReadMemStats(&after)
-		got = min(got, after.TotalAlloc-before.TotalAlloc)
-	}
-	if limit := uint64(DefaultHistogramCap * 8 / 2); got > limit {
-		t.Errorf("first query of a full default reservoir allocated %d B, want at most %d", got, limit)
-	}
-	for i := 1; i < h.n; i++ {
-		if h.at(i) < h.at(i-1) {
-			t.Fatalf("slot %d holds %v after slot %d's %v: not ascending", i, h.at(i), i-1, h.at(i-1))
-		}
-	}
-}
-
-// TestHistogramSnapshotAllocFree pins the steady state of the sampling tick:
-// a reservoir at its cap, a thousand observes between snapshots, and after
-// the first snapshot has sized the scratch no allocation at all.
+// TestHistogramSnapshotAllocFree pins the steady state of a sampling tick: a
+// thousand observes between snapshots allocate nothing once the counts
+// exist.
 func TestHistogramSnapshotAllocFree(t *testing.T) {
-	h := NewHistogram(4096)
+	h := NewHistogram(0)
 	v := 0.0
 	tick := func() {
 		for i := 0; i < 1000; i++ {
@@ -384,9 +321,6 @@ func TestHistogramSnapshotAllocFree(t *testing.T) {
 			h.Observe(math.Mod(v, 5))
 		}
 		_ = h.Snapshot()
-	}
-	for h.n < 4096 {
-		tick()
 	}
 	tick()
 	if avg := testing.AllocsPerRun(50, tick); avg != 0 {

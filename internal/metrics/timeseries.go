@@ -235,15 +235,27 @@ func quantileOfSorted(cp []float64, q float64) float64 {
 }
 
 // interpolate is the q-quantile (0 < q < 1) of n ascending samples, read
-// through at, by linear interpolation between the two nearest ranks. It is
-// the single implementation behind Histogram's and WindowedStat's quantiles,
-// so batched and one-shot queries agree bit for bit.
+// through at, by linear interpolation between the two nearest ranks. It and
+// Histogram's quantiles share rank and lerp, so every quantile here follows
+// one rule, and batched and one-shot queries agree bit for bit.
 func interpolate(n int, q float64, at func(int) float64) float64 {
-	pos := q * float64(n-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
+	lo, frac := rank(n, q)
 	if lo+1 >= n {
 		return at(lo)
 	}
-	return at(lo)*(1-frac) + at(lo+1)*frac
+	return lerp(at(lo), at(lo+1), frac)
+}
+
+// rank places the q-quantile (0 < q < 1) of n ascending samples frac of the
+// way from the order statistic lo, counted from zero, to the next.
+func rank(n int, q float64) (lo int, frac float64) {
+	pos := float64(q * float64(n-1))
+	lo = int(pos)
+	return lo, pos - float64(lo)
+}
+
+// lerp interpolates frac of the way from a to b. The explicit conversions
+// round each product on its own, so no port fuses them into a multiply-add.
+func lerp(a, b, frac float64) float64 {
+	return float64(a*(1-frac)) + float64(b*frac)
 }

@@ -19,8 +19,8 @@ import (
 // keyspace and on one far above the 16 384 keys whose names used to come
 // from a precomputed table. One run is half a simulated second — a thousand
 // operations — and AllocsPerRun reports whole objects per run, so the bound
-// is less than one allocation per thousand operations: the amortised growth
-// of a reservoir passes, a per-operation closure, name or op state does not.
+// is less than one allocation per thousand operations: amortised growth
+// passes, a per-operation closure, name or op state does not.
 func TestClientPathAllocationFree(t *testing.T) {
 	for _, keyspace := range []int{10_000, 200_000} {
 		for _, viaRuntime := range []bool{false, true} {
@@ -55,9 +55,9 @@ func TestClientPathAllocationFree(t *testing.T) {
 						t.Fatalf("Run: %v", err)
 					}
 				}
-				// Warm up: fill the event pool and the free lists, reach the
-				// top of the keyspace, and fill the 65 536-sample reservoirs
-				// (500 reads and 500 writes per step).
+				// Warm up: fill the event pool and the free lists and reach
+				// the top of the keyspace (500 reads and 500 writes per
+				// step).
 				for i := 0; i < 140; i++ {
 					step()
 				}

@@ -130,9 +130,12 @@ type Job struct {
 	// Retained span stream, bounded by retain like the window ring. Empty
 	// unless the job's spec enables Observe.TraceOps.
 	spans spanLog
-	// notify is closed and replaced whenever windows or state change;
-	// streamers wait on the channel they saw instead of holding the lock.
-	notify chan struct{}
+	// A follower of the windows or of the spans waits on windowsReady or
+	// spansReady instead of holding the lock. Each is made when a follower
+	// asks for it, and closed and cleared when a window or a span is
+	// published or the state changes.
+	windowsReady chan struct{}
+	spansReady   chan struct{}
 
 	// Aggregated results, written by the run goroutine and its suite
 	// workers, read by handlers only after the state turns terminal (the
@@ -154,17 +157,34 @@ func newJob(id, name, kind string, retain int) *Job {
 		retain:    retain,
 		state:     StatePending,
 		submitted: time.Now(),
-		notify:    make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
 
-// wakeLocked wakes streamers and paused hooks; callers hold mu.
-func (j *Job) wakeLocked() {
-	close(j.notify)
-	j.notify = make(chan struct{})
+// stateChangedLocked wakes every follower and the paused sample hooks;
+// callers hold mu.
+func (j *Job) stateChangedLocked() {
+	wake(&j.windowsReady)
+	wake(&j.spansReady)
 	j.cond.Broadcast()
+}
+
+// wake closes the channel a follower waits on, if one does; callers hold mu.
+func wake(ready *chan struct{}) {
+	if *ready != nil {
+		close(*ready)
+		*ready = nil
+	}
+}
+
+// waitOn returns the channel that wake closes next, made on demand; callers
+// hold mu.
+func waitOn(ready *chan struct{}) <-chan struct{} {
+	if *ready == nil {
+		*ready = make(chan struct{})
+	}
+	return *ready
 }
 
 // Start launches the job's simulation goroutine. Only pending jobs start.
@@ -176,7 +196,7 @@ func (j *Job) Start() error {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	j.wakeLocked()
+	j.stateChangedLocked()
 	go j.run()
 	return nil
 }
@@ -193,7 +213,7 @@ func (j *Job) Pause() error {
 	}
 	j.paused = true
 	j.state = StatePaused
-	j.wakeLocked()
+	j.stateChangedLocked()
 	return nil
 }
 
@@ -206,7 +226,7 @@ func (j *Job) Resume() error {
 	}
 	j.paused = false
 	j.state = StateRunning
-	j.wakeLocked()
+	j.stateChangedLocked()
 	return nil
 }
 
@@ -222,12 +242,12 @@ func (j *Job) Cancel() error {
 	if j.state == StatePending {
 		j.state = StateCanceled
 		j.finished = time.Now()
-		j.wakeLocked()
+		j.stateChangedLocked()
 		return nil
 	}
 	j.canceled = true
 	j.paused = false
-	j.wakeLocked()
+	j.stateChangedLocked()
 	return nil
 }
 
@@ -268,7 +288,7 @@ func (j *Job) observe(variant string) func(autonosql.SampleWindow) error {
 			j.windows = append(j.windows[:0], j.windows[drop:]...)
 			j.firstSeq += drop
 		}
-		j.wakeLocked()
+		wake(&j.windowsReady)
 		j.mu.Unlock()
 		return nil
 	}
@@ -281,7 +301,7 @@ func (j *Job) publishSpan(variant string) func(*obs.OpTrace) {
 	return func(tr *obs.OpTrace) {
 		j.mu.Lock()
 		j.spans.add(variant, tr, j.retain)
-		j.wakeLocked()
+		wake(&j.spansReady)
 		j.mu.Unlock()
 	}
 }
@@ -306,7 +326,7 @@ func (j *Job) run() {
 	default:
 		j.state = StateDone
 	}
-	j.wakeLocked()
+	j.stateChangedLocked()
 	j.mu.Unlock()
 }
 
@@ -448,7 +468,7 @@ func (j *Job) snapshotFrom(from int) (batch []MetricWindow, next int, terminal b
 	for i := from - j.firstSeq; i < len(j.windows); i++ {
 		batch = append(batch, j.windows[i])
 	}
-	return batch, from + len(batch), j.state.Terminal(), j.notify
+	return batch, from + len(batch), j.state.Terminal(), waitOn(&j.windowsReady)
 }
 
 // snapshotSpansFrom is snapshotFrom over the span log; the view needs no
@@ -457,7 +477,7 @@ func (j *Job) snapshotSpansFrom(from int) (batch spanView, next int, terminal bo
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	batch, next = j.spans.view(from)
-	return batch, next, j.state.Terminal(), j.notify
+	return batch, next, j.state.Terminal(), waitOn(&j.spansReady)
 }
 
 // audit exposes a finished scenario job's MAPE audit trail.

@@ -335,6 +335,7 @@ func TestDaemonRejectsBadSubmissions(t *testing.T) {
 		"unknown top-level field": `{"scenaroi": {}}`,
 		"unknown spec field":      `{"scenario": {"Duratoin": 5}}`,
 		"invalid spec":            `{"scenario": {"Duration": -5}}`,
+		"negative keyspace":       `{"scenario": {"Workload": {"Keyspace": -1}}}`,
 		"unknown kind":            `{"kind": "batch"}`,
 		"suite without body":      `{"kind": "suite"}`,
 		"scenario with suite":     `{"kind": "scenario", "suite": {}}`,
@@ -479,6 +480,61 @@ func TestMetricWindowRetentionBound(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", batch[2].Series["x"]) != "9" {
 		t.Fatalf("newest window = %+v, want the last observed", batch[2])
+	}
+}
+
+// TestStreamFollowerWakesForWindowsOnly pins what wakes a /stream follower
+// of a traced job: each closed window and each state change, never one of
+// the hundreds of spans the job publishes. A /spans follower is woken by
+// spans.
+func TestStreamFollowerWakesForWindowsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	j := newJob("job-0001", "", kindScenario, 0)
+	j.spec = smallSpec()
+	j.spec.Observe = &autonosql.ObserveSpec{TraceOps: true, SampleEvery: 16}
+	j.variants = 1
+	// follow waits like a follower and sends how often it was woken. Its
+	// first snapshot is taken before the job starts.
+	follow := func(snapshot func(from int) (next int, terminal bool, wait <-chan struct{})) <-chan int {
+		wakes := make(chan int, 1)
+		next, terminal, wait := snapshot(0)
+		go func() {
+			n := 0
+			for !terminal {
+				<-wait
+				n++
+				next, terminal, wait = snapshot(next)
+			}
+			wakes <- n
+		}()
+		return wakes
+	}
+	windowWakes := follow(func(from int) (int, bool, <-chan struct{}) {
+		_, next, terminal, wait := j.snapshotFrom(from)
+		return next, terminal, wait
+	})
+	spanWakes := follow(func(from int) (int, bool, <-chan struct{}) {
+		_, next, terminal, wait := j.snapshotSpansFrom(from)
+		return next, terminal, wait
+	})
+	if err := j.Start(); err != nil {
+		t.Fatal(err)
+	}
+	byWindows, bySpans := <-windowWakes, <-spanWakes
+	j.mu.Lock()
+	windows, spans := j.nextSeq, j.spans.next()
+	j.mu.Unlock()
+	if spans < 10*windows {
+		t.Fatalf("the job published %d spans and %d windows; the test needs many more spans", spans, windows)
+	}
+	// Start and the terminal transition are the state changes.
+	if byWindows > windows+2 {
+		t.Errorf("the /stream follower woke %d times for %d windows and 2 state changes", byWindows, windows)
+	}
+	if bySpans == 0 {
+		t.Errorf("the /spans follower never woke for %d spans", spans)
 	}
 }
 

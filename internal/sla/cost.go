@@ -74,8 +74,8 @@ func (c Cost) String() string {
 // Price converts usage into a cost breakdown.
 func (c CostModel) Price(u Usage) Cost {
 	return Cost{
-		Infrastructure: u.NodeSeconds / 3600 * c.NodeCostPerHour,
-		Compensation:   float64(u.StaleReads) * c.StaleReadCompensation,
-		Penalty:        u.ViolationTime.Minutes() * c.ViolationPenaltyPerMinute,
+		Infrastructure: float64(u.NodeSeconds / 3600 * c.NodeCostPerHour),
+		Compensation:   float64(float64(u.StaleReads) * c.StaleReadCompensation),
+		Penalty:        float64(u.ViolationTime.Minutes() * c.ViolationPenaltyPerMinute),
 	}
 }

@@ -6,7 +6,7 @@ package store
 // key id and failures, hints and read repair reuse the op's own replica slots
 // (see PERFORMANCE.md, "Where the time and bytes go"). AllocsPerRun reports
 // whole objects per run, so a reintroduced per-operation slice, map entry or
-// closure trips these at once, while a reservoir that still grows every few
+// closure trips these at once, while a structure that still grows every few
 // thousand operations does not.
 //
 // The write and read guards run over replication factors on both sides of

@@ -516,6 +516,10 @@ func (s *Store) Stats() Stats {
 	}
 }
 
+// StaleReads returns the cumulative count of stale reads, the one figure of
+// Stats a sampling tick needs.
+func (s *Store) StaleReads() uint64 { return s.staleReads.Value() }
+
 // RecentWindowQuantile returns the q-quantile (in seconds) of the true
 // inconsistency window over the most recent writes. Experiments use it as
 // ground truth; the controller does not.

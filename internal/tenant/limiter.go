@@ -114,7 +114,7 @@ func (l *Limiter) Admit(now time.Duration) bool {
 		return true
 	}
 	if now > l.last {
-		l.tokens += (now - l.last).Seconds() * l.rate
+		l.tokens += float64((now - l.last).Seconds() * l.rate)
 		if l.tokens > l.burst {
 			l.tokens = l.burst
 		}
@@ -137,7 +137,7 @@ func (l *Limiter) NextTokenWait(now time.Duration) time.Duration {
 	}
 	tokens := l.tokens
 	if now > l.last {
-		tokens += (now - l.last).Seconds() * l.rate
+		tokens += float64((now - l.last).Seconds() * l.rate)
 		if tokens > l.burst {
 			tokens = l.burst
 		}

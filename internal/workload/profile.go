@@ -61,9 +61,9 @@ func (p DiurnalProfile) Rate(at time.Duration) float64 {
 	}
 	frac := float64((at+p.Phase)%p.Period) / float64(p.Period)
 	// Cosine shaped so that t=0 (no phase) is the trough.
-	mid := (p.Min + p.Max) / 2
+	mid := float64((p.Min + p.Max) / 2)
 	amp := (p.Max - p.Min) / 2
-	return nonNegative(mid - amp*math.Cos(2*math.Pi*frac))
+	return nonNegative(mid - float64(amp*math.Cos(2*math.Pi*frac)))
 }
 
 // SpikeProfile overlays a flash-crowd spike on a base rate.
@@ -94,7 +94,7 @@ func (p SpikeProfile) Rate(at time.Duration) float64 {
 	} else if remaining < ramp {
 		scale = float64(remaining) / float64(ramp)
 	}
-	return nonNegative(p.Base + (p.SpikeTo-p.Base)*scale)
+	return nonNegative(p.Base + float64((p.SpikeTo-p.Base)*scale))
 }
 
 // CompositeProfile sums the rates of its parts, allowing e.g. a diurnal

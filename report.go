@@ -21,7 +21,9 @@ type SeriesPoint struct {
 	Value float64
 }
 
-// LatencySummary summarises a latency distribution in seconds.
+// LatencySummary summarises a latency distribution in seconds. Mean and Max
+// are exact; the quantiles come from the store's bucketed histograms and lie
+// within 2⁻⁷ (0.79 %) of the exact ones.
 type LatencySummary struct {
 	Mean float64
 	P50  float64

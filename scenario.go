@@ -257,12 +257,8 @@ const (
 // keyChooserFor builds a key chooser over its own random stream. Callers
 // that need a confined window of the key namespace (tenants) apply
 // workload.Slice on the result.
-func (s *Scenario) keyChooserFor(dist KeyDistribution, keyspace int, stream string) (workload.KeyChooser, error) {
+func (s *Scenario) keyChooserFor(dist KeyDistribution, n int, stream string) (workload.KeyChooser, error) {
 	rng := s.rnd.Stream(stream)
-	n := keyspace
-	if n <= 0 {
-		n = 10000
-	}
 	switch dist {
 	case KeysUniform:
 		return workload.NewUniformKeys(n, rng), nil
@@ -275,12 +271,16 @@ func (s *Scenario) keyChooserFor(dist KeyDistribution, keyspace int, stream stri
 	}
 }
 
-// tenantKeyspace returns the key count of one tenant's slice.
-func tenantKeyspace(w WorkloadSpec) int {
+// defaultKeyspace is the key count of a workload that declares none.
+const defaultKeyspace = 10000
+
+// keyspace returns a workload's key count, and so the size of a tenant's
+// slice.
+func keyspace(w WorkloadSpec) int {
 	if w.Keyspace > 0 {
 		return w.Keyspace
 	}
-	return 10000
+	return defaultKeyspace
 }
 
 // assembleTenants builds one runtime and one generator per declared tenant.
@@ -333,7 +333,7 @@ func (s *Scenario) assembleTenants() error {
 		if err := s.addDriver(ts.Name, rt, ts.Workload, base); err != nil {
 			return fmt.Errorf("autonosql: tenant %q: %w", ts.Name, err)
 		}
-		base += tenantKeyspace(ts.Workload)
+		base += keyspace(ts.Workload)
 	}
 	return nil
 }
@@ -381,7 +381,7 @@ func (s *Scenario) addDriver(tenant string, target driverTarget, w WorkloadSpec,
 		if tenant != "" {
 			keyStream, arrivalStream = "tenant-"+tenant+"-keys", "tenant-"+tenant+"-arrivals"
 		}
-		keys, err := s.keyChooserFor(w.Keys, w.Keyspace, keyStream)
+		keys, err := s.keyChooserFor(w.Keys, keyspace(w), keyStream)
 		if err != nil {
 			return err
 		}
@@ -389,7 +389,7 @@ func (s *Scenario) addDriver(tenant string, target driverTarget, w WorkloadSpec,
 			// Confine the chooser to the tenant's window even at base 0: the
 			// "latest" distribution appends without bound and would otherwise
 			// grow into the next tenant's slice.
-			workload.Slice(keys, keyBase, tenantKeyspace(w))
+			workload.Slice(keys, keyBase, keyspace(w))
 		}
 		gen, err := workload.NewGenerator(workload.Config{
 			Profile:       loadProfileFor(w, s.spec.Duration),
@@ -582,13 +582,9 @@ func (s *Scenario) onSample(now time.Duration) {
 	snap := s.monitor.Snapshot()
 
 	// Ground truth for evaluation: the true window over recent writes and the
-	// store's cumulative stale-read count. Only StaleReads is read from the
-	// stats, but the call is load-bearing: it orders the store's three
-	// cumulative reservoirs, and past their cap which samples they go on to
-	// retain depends on that order (see metrics.Histogram). Swapping it for a
-	// counter read moves every golden and needs a deliberate re-baseline.
+	// store's cumulative stale-read count. The store's cumulative histograms
+	// are read once, by the report.
 	trueWindowP95 := s.store.RecentWindowQuantile(0.95)
-	stats := s.store.Stats()
 
 	s.tracker.Observe(sla.Observation{
 		At:              now,
@@ -606,7 +602,7 @@ func (s *Scenario) onSample(now time.Duration) {
 	s.series[SeriesUtilization].Append(now, snap.MeanUtilization)
 	s.series[SeriesWriteConsistency].Append(now, float64(snap.WriteConsistency))
 	s.series[SeriesReplicationFactor].Append(now, float64(snap.ReplicationFactor))
-	s.series[SeriesStaleReads].Append(now, float64(stats.StaleReads))
+	s.series[SeriesStaleReads].Append(now, float64(s.store.StaleReads()))
 	s.series[SeriesReadLatencyP99].Append(now, snap.ReadLatencyP99*1000)
 	s.series[SeriesWriteLatencyP99].Append(now, snap.WriteLatencyP99*1000)
 

@@ -326,8 +326,8 @@ func TestScenarioNoisyNeighbourWidensWindow(t *testing.T) {
 // scenario level as an absolute per-operation bound: op state and completion
 // records are recycled and fired events return to the pool, so the second
 // 30 s of a run (60 000 operations at this spec's rate) may allocate only
-// what the sampling ticks, series and growing reservoirs do — a small
-// fraction of an object per operation.
+// what the sampling ticks and series do — a small fraction of an object per
+// operation.
 func TestScenarioAllocBound(t *testing.T) {
 	const ops, maxAllocsPerOp = 60_000, 0.05
 	mallocs := func(d time.Duration) uint64 {

@@ -137,7 +137,8 @@ type WorkloadSpec struct {
 	PeakDuration time.Duration
 	// ReadFraction is the fraction of operations that are reads.
 	ReadFraction float64
-	// Keyspace is the number of distinct keys.
+	// Keyspace is the number of distinct keys; zero means 10000, and a
+	// negative count is invalid.
 	Keyspace int
 	// Keys selects the key popularity distribution.
 	Keys KeyDistribution
@@ -302,7 +303,7 @@ func DefaultScenarioSpec() ScenarioSpec {
 			Pattern:       LoadConstant,
 			BaseOpsPerSec: 3000,
 			ReadFraction:  0.5,
-			Keyspace:      10000,
+			Keyspace:      defaultKeyspace,
 			Keys:          KeysZipfian,
 		},
 		Monitor: MonitorSpec{
@@ -395,6 +396,9 @@ func (w WorkloadSpec) validate() error {
 	}
 	if math.IsNaN(w.ReadFraction) || w.ReadFraction < 0 || w.ReadFraction > 1 {
 		return errors.New("ReadFraction must be within [0, 1]")
+	}
+	if w.Keyspace < 0 {
+		return errors.New("Keyspace must be non-negative")
 	}
 	switch w.Pattern {
 	case "", LoadConstant, LoadStep, LoadDiurnal, LoadSpike, LoadDiurnalSpike:
@@ -582,8 +586,8 @@ func (s ScenarioSpec) effectiveNodeCapacity() float64 {
 	readFrac := s.Workload.ReadFraction
 	service := 1.0 / nodeOps
 	readCost := 2 * service
-	writeCost := service + cluster.ReplicationApplyShare*service*float64(rf)
-	perOp := readFrac*readCost + (1-readFrac)*writeCost
+	writeCost := service + float64(cluster.ReplicationApplyShare*service*float64(rf))
+	perOp := float64(readFrac*readCost) + float64((1-readFrac)*writeCost)
 	if perOp <= 0 {
 		return nodeOps
 	}

@@ -20,6 +20,7 @@ func TestSpecValidationRejectsBadSpecs(t *testing.T) {
 		{"negative base rate", func(s *ScenarioSpec) { s.Workload.BaseOpsPerSec = -1 }},
 		{"negative peak rate", func(s *ScenarioSpec) { s.Workload.PeakOpsPerSec = -1 }},
 		{"read fraction above one", func(s *ScenarioSpec) { s.Workload.ReadFraction = 1.5 }},
+		{"negative keyspace", func(s *ScenarioSpec) { s.Workload.Keyspace = -1 }},
 		{"no nodes", func(s *ScenarioSpec) { s.Cluster.InitialNodes = 0 }},
 		{"no replication", func(s *ScenarioSpec) { s.Store.ReplicationFactor = 0 }},
 		{"replication beyond a window's count", func(s *ScenarioSpec) { s.Store.ReplicationFactor = 1 << 15 }},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -207,39 +208,43 @@ func ExpandGrid(base ScenarioSpec, grid Grid) []Variant {
 // gridVariantName builds the canonical variant name from the swept axis
 // values; axes the grid does not sweep contribute no component.
 func gridVariantName(grid Grid, pattern LoadPattern, controller ControllerMode, size int, tier SLATier, fp FaultProfile, mix TenantMix, nt NamedTrace, rep int) string {
-	var parts []string
+	// One buffer and one string per name: NewSuite names every variant.
+	var buf [96]byte
+	name := buf[:0]
+	add := func(key, value string) {
+		if len(name) > 0 {
+			name = append(name, ' ')
+		}
+		name = append(append(append(name, key...), '='), value...)
+	}
 	if len(grid.Patterns) > 0 {
-		parts = append(parts, "pattern="+string(patternOrConstant(pattern)))
+		add("pattern", string(patternOrConstant(pattern)))
 	}
 	if len(grid.Controllers) > 0 {
-		parts = append(parts, "ctl="+string(modeOrNone(controller)))
+		add("ctl", string(modeOrNone(controller)))
 	}
 	if len(grid.ClusterSizes) > 0 {
-		parts = append(parts, fmt.Sprintf("nodes=%d", size))
+		add("nodes", strconv.Itoa(size))
 	}
 	if len(grid.SLATiers) > 0 {
-		parts = append(parts, "sla="+tier.Name)
+		add("sla", tier.Name)
 	}
 	if len(grid.Faults) > 0 {
-		parts = append(parts, "faults="+fp.Name)
+		add("faults", fp.Name)
 	}
 	if len(grid.TenantMixes) > 0 {
-		parts = append(parts, "tenants="+mix.Name)
+		add("tenants", mix.Name)
 	}
 	if len(grid.Traces) > 0 {
-		parts = append(parts, "trace="+nt.Name)
+		add("trace", nt.Name)
 	}
 	if grid.Repeats > 1 {
-		parts = append(parts, fmt.Sprintf("rep=%d", rep))
+		add("rep", strconv.Itoa(rep))
 	}
-	if len(parts) == 0 {
+	if len(name) == 0 {
 		return "base"
 	}
-	name := parts[0]
-	for _, p := range parts[1:] {
-		name += " " + p
-	}
-	return name
+	return string(name)
 }
 
 // SuiteSpec describes a batch of scenario variants to run and compare: a

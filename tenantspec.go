@@ -67,9 +67,6 @@ func (t TenantSpec) validate() error {
 	if err := t.Workload.validate(); err != nil {
 		return fmt.Errorf("tenant %q: %w", t.Name, err)
 	}
-	if t.Workload.Keyspace < 0 {
-		return fmt.Errorf("tenant %q: Keyspace must be non-negative", t.Name)
-	}
 	return nil
 }
 
