@@ -275,10 +275,9 @@ func TestHistogramQuantileWithinBound(t *testing.T) {
 	checkQuantiles(t, stream)
 }
 
-// TestHistogramFootprint pins what a histogram allocates: its one counts
-// array at the first observation, whatever the sample count, and nothing
-// for a Snapshot or a Quantile.
-func TestHistogramFootprint(t *testing.T) {
+// TestHistogramGrowthBytes pins what a histogram allocates as it fills: its
+// one counts array at the first observation, whatever the sample count.
+func TestHistogramGrowthBytes(t *testing.T) {
 	const counts = numBuckets * 8
 	for _, samples := range []int{1, 1000, 1 << 20} {
 		bytes, mallocs := memtest.Growth(func(measure func(func())) {
@@ -293,6 +292,27 @@ func TestHistogramFootprint(t *testing.T) {
 		// 29 KiB of counts round up to the 32 KiB size class.
 		if mallocs != 1 || bytes < counts || bytes > 32<<10 {
 			t.Errorf("%d observations allocated %d B in %d objects, want the %d B counts array alone", samples, bytes, mallocs, counts)
+		}
+	}
+}
+
+// TestHistogramFirstQueryScratch pins what a query allocates: nothing, on
+// the first query of a filled histogram (how the per-tenant histograms meet
+// theirs, in the final report) and on every later one.
+func TestHistogramFirstQueryScratch(t *testing.T) {
+	for _, samples := range []int{1, 10000, 1 << 20} {
+		bytes, mallocs := memtest.Growth(func(measure func(func())) {
+			h := NewHistogram(0)
+			for i := range samples {
+				h.ObserveDuration(time.Duration(i) * 977)
+			}
+			measure(func() {
+				_ = h.Quantile(0.5)
+				_ = h.Snapshot()
+			})
+		})
+		if bytes != 0 || mallocs != 0 {
+			t.Errorf("first queries after %d observations allocated %d B in %d objects, want none", samples, bytes, mallocs)
 		}
 	}
 	h := NewHistogram(0)
