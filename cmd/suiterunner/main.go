@@ -105,23 +105,11 @@ func run(args []string, out *os.File) int {
 	}
 	// With -record-trace or -trace-ops the grid is expanded here instead of
 	// inside NewSuite, so every variant can be given a Configure hook that
-	// arms trace recording and keeps the scenario reachable for trace / span
-	// extraction after the run.
-	var held []*autonosql.Scenario
+	// arms trace recording and holds the scenario until its result arrives.
+	files := &variantFiles{traceDir: *recordDir, spanDir: *traceDir}
 	if *recordDir != "" || *traceDir != "" {
 		expanded := autonosql.ExpandGrid(base, grid)
-		held = make([]*autonosql.Scenario, len(expanded))
-		record := *recordDir != ""
-		for i := range expanded {
-			i := i
-			expanded[i].Configure = func(s *autonosql.Scenario) error {
-				held[i] = s
-				if record {
-					return s.RecordTrace()
-				}
-				return nil
-			}
-		}
+		files.configure(expanded)
 		suiteSpec = autonosql.SuiteSpec{Variants: expanded, Parallelism: *parallel}
 	}
 	suite, err := autonosql.NewSuite(suiteSpec)
@@ -141,7 +129,7 @@ func run(args []string, out *os.File) int {
 	// Trace and span file names must be collision-free before anything runs:
 	// two variant names that sanitize to the same file would silently
 	// overwrite each other's output.
-	if *recordDir != "" || *traceDir != "" {
+	if files.held != nil {
 		if err := detectTraceCollisions(variants); err != nil {
 			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
 			return 2
@@ -164,7 +152,7 @@ func run(args []string, out *os.File) int {
 		agg = autonosql.NewSuiteAggregator(autonosql.SuiteAggregatorOptions{
 			CSV: ws[0], JSON: ws[1], TenantsCSV: ws[2], SpillDir: *spillDir,
 		})
-		_, runErr = suite.RunStream(agg.Consume())
+		_, runErr = suite.RunStream(files.consume(agg.Consume()))
 		return agg.Close()
 	})
 	if agg == nil {
@@ -176,51 +164,13 @@ func run(args []string, out *os.File) int {
 		runErr = exportErr
 	}
 
-	fmt.Fprint(out, agg.ComparisonTable())
-	fmt.Fprintln(out)
-	fmt.Fprint(out, agg.CostTable())
-	if ft := agg.FaultsTable(); ft != "" {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, ft)
-	}
-	if tt := agg.TenantsTable(); tt != "" {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, tt)
-	}
+	fmt.Fprint(out, agg.String())
 	fmt.Fprintf(out, "\ncompleted in %v\n", time.Since(started).Round(time.Millisecond))
-
-	if *recordDir != "" && runErr == nil {
-		if err := os.MkdirAll(*recordDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-			return 1
-		}
-		for i, v := range variants {
-			trace, err := held[i].RecordedTrace()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: variant %q: %v\n", v.Name, err)
-				return 1
-			}
-			path := filepath.Join(*recordDir, traceFileName(v.Name))
-			if err := trace.WriteFile(path); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-				return 1
-			}
-		}
-		fmt.Fprintf(out, "recorded %d variant traces to %s\n", len(variants), *recordDir)
+	if *recordDir != "" {
+		fmt.Fprintf(out, "recorded %d variant traces to %s\n", files.written, *recordDir)
 	}
-	if *traceDir != "" && runErr == nil {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "suiterunner: %v\n", err)
-			return 1
-		}
-		for i, v := range variants {
-			path := filepath.Join(*traceDir, spanFileName(v.Name))
-			if err := cli.WriteFile(path, held[i].WriteSpans); err != nil {
-				fmt.Fprintf(os.Stderr, "suiterunner: variant %q: %v\n", v.Name, err)
-				return 1
-			}
-		}
-		fmt.Fprintf(out, "wrote %d variant span files to %s\n", len(variants), *traceDir)
+	if *traceDir != "" {
+		fmt.Fprintf(out, "wrote %d variant span files to %s\n", files.written, *traceDir)
 	}
 
 	if cheapest := agg.CheapestCompliant(); cheapest != nil {
@@ -250,6 +200,73 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 	return 0
+}
+
+// variantFiles writes each variant's recorded trace (into traceDir) and op
+// trace spans (into spanDir) as its result is delivered, then drops the
+// scenario. RunStream delivers in variant order and keeps at most
+// Parallelism variants claimed but undelivered, so that many scenarios are
+// held at a time however large the grid.
+type variantFiles struct {
+	traceDir, spanDir string
+	held              []*autonosql.Scenario // by variant index, until delivery
+	delivered         int
+	written           int // variants whose files were written
+}
+
+// configure gives every variant a hook that holds its scenario, armed for
+// trace recording when traces are wanted.
+func (f *variantFiles) configure(variants []autonosql.Variant) {
+	f.held = make([]*autonosql.Scenario, len(variants))
+	for i := range variants {
+		variants[i].Configure = func(s *autonosql.Scenario) error {
+			f.held[i] = s
+			if f.traceDir != "" {
+				return s.RecordTrace()
+			}
+			return nil
+		}
+	}
+}
+
+// consume wraps a RunStream consumer: next sees every result first, then a
+// completed variant's files are written and its scenario released.
+func (f *variantFiles) consume(next func(autonosql.VariantResult) error) func(autonosql.VariantResult) error {
+	if f.held == nil {
+		return next
+	}
+	return func(v autonosql.VariantResult) error {
+		s := f.held[f.delivered]
+		f.held[f.delivered] = nil
+		f.delivered++
+		if err := next(v); err != nil || v.Err != nil {
+			return err
+		}
+		if f.traceDir != "" {
+			trace, err := s.RecordedTrace()
+			if err != nil {
+				return fmt.Errorf("variant %q: %w", v.Name, err)
+			}
+			if err := writeIn(f.traceDir, traceFileName(v.Name), trace.Encode); err != nil {
+				return err
+			}
+		}
+		if f.spanDir != "" {
+			if err := writeIn(f.spanDir, spanFileName(v.Name), s.WriteSpans); err != nil {
+				return fmt.Errorf("variant %q: %w", v.Name, err)
+			}
+		}
+		f.written++
+		return nil
+	}
+}
+
+// writeIn writes one file into dir, making dir first if it does not exist.
+func writeIn(dir, name string, write func(io.Writer) error) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return cli.WriteFile(filepath.Join(dir, name), write)
 }
 
 // buildGrid parses the axis flags into a Grid.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,23 +74,7 @@ func TestCLIExportsMatchSuiteRun(t *testing.T) {
 	}
 
 	// The suite the flags above build, run in memory.
-	base := autonosql.DefaultScenarioSpec()
-	base.Seed, base.Duration = 1, 20*time.Second
-	base.Cluster.NodeOpsPerSec, base.Cluster.MaxNodes = 2000, 12
-	base.Workload.BaseOpsPerSec, base.Workload.PeakOpsPerSec = 600, 1200
-	fs := flag.NewFlagSet("suiterunner", flag.ContinueOnError)
-	shared := cli.Register(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := shared.Apply(&base); err != nil {
-		t.Fatal(err)
-	}
-	grid, err := buildGrid("constant", "none,smart", "2", "", "", "", base.Duration, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite, err := autonosql.NewSuite(autonosql.SuiteSpec{Base: base, Grid: grid})
+	suite, err := autonosql.NewSuite(testSuiteSpec(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +101,122 @@ func TestCLIExportsMatchSuiteRun(t *testing.T) {
 	}
 	if len(spilled) != 2 {
 		t.Errorf("spilled %d files, want one per variant (2)", len(spilled))
+	}
+}
+
+// testSuiteSpec is the suite the test command lines build; sharedArgs are
+// the shared scenario flags a command line adds.
+func testSuiteSpec(t *testing.T, sharedArgs ...string) autonosql.SuiteSpec {
+	t.Helper()
+	base := autonosql.DefaultScenarioSpec()
+	base.Seed, base.Duration = 1, 20*time.Second
+	base.Cluster.NodeOpsPerSec, base.Cluster.MaxNodes = 2000, 12
+	base.Workload.BaseOpsPerSec, base.Workload.PeakOpsPerSec = 600, 1200
+	fs := flag.NewFlagSet("suiterunner", flag.ContinueOnError)
+	shared := cli.Register(fs)
+	if err := fs.Parse(sharedArgs); err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.Apply(&base); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := buildGrid("constant", "none,smart", "2", "", "", "", base.Duration, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return autonosql.SuiteSpec{Base: base, Grid: grid}
+}
+
+// TestVariantFilesMatchDirectRuns pins the -record-trace and -trace-ops
+// files: each holds the bytes a direct run of its variant records, and
+// while the suite runs no more scenarios are held than it runs at once.
+func TestVariantFilesMatchDirectRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	dir := t.TempDir()
+	traces, spans := filepath.Join(dir, "traces"), filepath.Join(dir, "spans")
+	code, out := runCLI(t, "-duration", "20s", "-patterns", "constant", "-controllers", "none,smart",
+		"-nodes", "2", "-base", "600", "-peak", "1200", "-parallelism", "2",
+		"-record-trace", traces, "-trace-ops", spans, "-trace-every", "7")
+	if code != 0 {
+		t.Fatalf("run exited %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "recorded 2 variant traces") || !strings.Contains(out, "wrote 2 variant span files") {
+		t.Errorf("output does not report both files of both variants:\n%s", out)
+	}
+
+	spec := testSuiteSpec(t, "-trace-ops", spans, "-trace-every", "7")
+	for _, v := range autonosql.ExpandGrid(spec.Base, spec.Grid) {
+		sc, err := autonosql.NewScenario(v.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.RecordTrace(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Run(); err != nil {
+			t.Fatal(err)
+		}
+		trace, err := sc.RecordedTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantTrace, wantSpans bytes.Buffer
+		if err := trace.Encode(&wantTrace); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.WriteSpans(&wantSpans); err != nil {
+			t.Fatal(err)
+		}
+		for path, want := range map[string][]byte{
+			filepath.Join(traces, traceFileName(v.Name)): wantTrace.Bytes(),
+			filepath.Join(spans, spanFileName(v.Name)):   wantSpans.Bytes(),
+		} {
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !bytes.Equal(got, want) {
+				t.Errorf("%s: %d bytes, want the %d of a direct run", path, len(got), len(want))
+			}
+		}
+	}
+
+	// The held scenarios, counted at each delivery over a wider grid: every
+	// configured scenario is held until its own delivery releases it.
+	spec.Grid.ClusterSizes = []int{2, 3, 4}
+	spec.Parallelism = 2
+	files := &variantFiles{traceDir: t.TempDir()}
+	variants := autonosql.ExpandGrid(spec.Base, spec.Grid)
+	files.configure(variants)
+	var configured atomic.Int64
+	for i := range variants {
+		hold := variants[i].Configure
+		variants[i].Configure = func(s *autonosql.Scenario) error {
+			configured.Add(1)
+			return hold(s)
+		}
+	}
+	suite, err := autonosql.NewSuite(autonosql.SuiteSpec{Variants: variants, Parallelism: spec.Parallelism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := suite.RunStream(files.consume(func(autonosql.VariantResult) error {
+		if held := int(configured.Load()) - files.delivered; held > spec.Parallelism {
+			t.Errorf("delivery %d: %d scenarios held, want at most %d", files.delivered, held, spec.Parallelism)
+		}
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range files.held {
+		if s != nil {
+			t.Errorf("variant %d's scenario is still held after the suite", i)
+		}
+	}
+	if files.written != len(variants) {
+		t.Errorf("wrote the files of %d variants, want %d", files.written, len(variants))
 	}
 }
 

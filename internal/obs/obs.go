@@ -106,9 +106,12 @@ func (t *Tracer) Begin(tenant string, write bool, key string, now time.Duration)
 	tr := &OpTrace{ID: t.nextID, Tenant: tenant, Write: write, Key: key, Start: now}
 	t.traces = append(t.traces, tr)
 	if t.limit > 0 && len(t.traces) > t.limit {
-		drop := len(t.traces) - t.limit
-		t.traces = append(t.traces[:0], t.traces[drop:]...)
-		t.dropped += uint64(drop)
+		// Slide past the oldest trace. When the array's tail runs out,
+		// append moves the retained traces to a new array with room to
+		// spare, so eviction costs O(1) amortised.
+		t.traces[0] = nil
+		t.traces = t.traces[1:]
+		t.dropped++
 	}
 	return tr
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,52 @@ func TestTracerRetention(t *testing.T) {
 	}
 	if tr.Traces()[0].ID != 4 || tr.Traces()[1].ID != 5 {
 		t.Errorf("retained ids %d,%d, want the newest (4,5)", tr.Traces()[0].ID, tr.Traces()[1].ID)
+	}
+}
+
+// TestTracerRetentionMatchesNewestN checks the retained traces against a
+// naive newest-N list over 10^4 sampled ops, at limits that evict on every op
+// (1), compact often (3) and compact rarely (1024), and at every step.
+func TestTracerRetentionMatchesNewestN(t *testing.T) {
+	for _, limit := range []int{1, 3, 1024} {
+		tr := NewTracer(1, limit)
+		var want []uint64
+		for i := 0; i < 10000; i++ {
+			want = append(want, tr.Begin("", false, "k", time.Duration(i)).ID)
+			if len(want) > limit {
+				want = want[1:]
+			}
+			got := tr.Traces()
+			if len(got) != len(want) || got[0].ID != want[0] || got[len(got)-1].ID != want[len(want)-1] {
+				t.Fatalf("limit %d, op %d: retained %d traces, want %d (ids %d..%d)", limit, i, len(got), len(want), want[0], want[len(want)-1])
+			}
+		}
+		for i, sp := range tr.Traces() {
+			if sp.ID != want[i] {
+				t.Fatalf("limit %d: retained trace %d has id %d, want %d", limit, i, sp.ID, want[i])
+			}
+		}
+		if wantDropped := uint64(10000 - limit); tr.Dropped() != wantDropped {
+			t.Errorf("limit %d: dropped=%d, want %d", limit, tr.Dropped(), wantDropped)
+		}
+	}
+}
+
+// BenchmarkTracerBegin samples every op into a tracer that is already at its
+// retention limit, so each Begin evicts one trace; ns/op should not grow with
+// the limit.
+func BenchmarkTracerBegin(b *testing.B) {
+	for _, limit := range []int{1024, 65536} {
+		b.Run(strconv.Itoa(limit), func(b *testing.B) {
+			tr := NewTracer(1, limit)
+			for i := 0; i < limit; i++ {
+				tr.Begin("", false, "k", 0)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				tr.Begin("", false, "k", 0)
+			}
+		})
 	}
 }
 

@@ -140,12 +140,14 @@ type Job struct {
 	// Aggregated results, written by the run goroutine and its suite
 	// workers, read by handlers only after the state turns terminal (the
 	// state transition under mu orders the accesses).
-	meta       autonosql.RunMeta
-	report     *autonosql.Report // kindScenario only
+	meta autonosql.RunMeta
+	// trail is a scenario job's MAPE audit trail, non-nil once its run
+	// produced a report.
+	trail      []autonosql.AuditEntry
 	reportJSON bytes.Buffer
 	csv        bytes.Buffer
 	tenantsCSV bytes.Buffer
-	tables     string
+	tables     bytes.Buffer
 	failures   []string
 }
 
@@ -284,9 +286,12 @@ func (j *Job) observe(variant string) func(autonosql.SampleWindow) error {
 		j.nextSeq++
 		j.windows = append(j.windows, mw)
 		if j.retain > 0 && len(j.windows) > j.retain {
-			drop := len(j.windows) - j.retain
-			j.windows = append(j.windows[:0], j.windows[drop:]...)
-			j.firstSeq += drop
+			// Slide past the oldest window. When the array's tail runs
+			// out, append moves the retained windows to a new array with
+			// room to spare, so eviction costs O(1) amortised.
+			j.windows[0] = MetricWindow{}
+			j.windows = j.windows[1:]
+			j.firstSeq++
 		}
 		wake(&j.windowsReady)
 		j.mu.Unlock()
@@ -365,13 +370,16 @@ func (j *Job) runScenario() error {
 		j.meta.Failed = 1
 		return err
 	}
-	j.report = rep
+	j.trail = rep.Audit
+	if j.trail == nil {
+		j.trail = []autonosql.AuditEntry{}
+	}
 	enc := json.NewEncoder(&j.reportJSON)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		return fmt.Errorf("encoding scenario report: %w", err)
 	}
-	j.tables = rep.String()
+	j.tables.WriteString(rep.String())
 	return nil
 }
 
@@ -385,7 +393,7 @@ func (j *Job) runSuite() error {
 	meta, runErr := j.suite.RunStream(agg.Consume())
 	closeErr := agg.Close()
 	j.meta = meta
-	j.tables = agg.String()
+	j.tables.WriteString(agg.String())
 	for _, e := range agg.Failures() {
 		j.failures = append(j.failures, e.Error())
 	}
@@ -446,14 +454,15 @@ func (j *Job) Meta() MetaEnvelope {
 	return env
 }
 
-// results exposes the aggregated outputs once the job is terminal.
-func (j *Job) results() (reportJSON, csv, tenantsCSV []byte, tables string, ok bool) {
+// result exposes one of the job's result buffers, picked by buf, once the
+// job is terminal.
+func (j *Job) result(buf func(*Job) *bytes.Buffer) ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.state.Terminal() {
-		return nil, nil, nil, "", false
+		return nil, false
 	}
-	return j.reportJSON.Bytes(), j.csv.Bytes(), j.tenantsCSV.Bytes(), j.tables, true
+	return buf(j).Bytes(), true
 }
 
 // snapshotFrom copies the retained windows with sequence >= from and
@@ -484,10 +493,10 @@ func (j *Job) snapshotSpansFrom(from int) (batch spanView, next int, terminal bo
 func (j *Job) audit() (trail []autonosql.AuditEntry, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.state.Terminal() || j.report == nil {
+	if !j.state.Terminal() || j.trail == nil {
 		return nil, false
 	}
-	return j.report.Audit, true
+	return j.trail, true
 }
 
 // jobMetrics is one job's counters for the /metrics surface.

@@ -58,10 +58,10 @@ func NewServer(opts Options) *Server {
 	s.mux.HandleFunc("GET /api/jobs/{id}/stream", s.handleStream)
 	s.mux.HandleFunc("GET /api/jobs/{id}/spans", s.handleSpans)
 	s.mux.HandleFunc("GET /api/jobs/{id}/audit", s.handleAudit)
-	s.mux.HandleFunc("GET /api/jobs/{id}/report", s.handleReport)
-	s.mux.HandleFunc("GET /api/jobs/{id}/report.csv", s.handleReportCSV)
-	s.mux.HandleFunc("GET /api/jobs/{id}/tenants.csv", s.handleTenantsCSV)
-	s.mux.HandleFunc("GET /api/jobs/{id}/tables", s.handleTables)
+	s.mux.HandleFunc("GET /api/jobs/{id}/report", s.handleResult("application/json", false, func(j *Job) *bytes.Buffer { return &j.reportJSON }))
+	s.mux.HandleFunc("GET /api/jobs/{id}/report.csv", s.handleResult("text/csv", true, func(j *Job) *bytes.Buffer { return &j.csv }))
+	s.mux.HandleFunc("GET /api/jobs/{id}/tenants.csv", s.handleResult("text/csv", true, func(j *Job) *bytes.Buffer { return &j.tenantsCSV }))
+	s.mux.HandleFunc("GET /api/jobs/{id}/tables", s.handleResult("text/plain; charset=utf-8", false, func(j *Job) *bytes.Buffer { return &j.tables }))
 	s.mux.HandleFunc("GET /api/jobs/{id}/meta", s.handleMeta)
 	s.mux.HandleFunc("POST /api/shutdown", s.handleShutdown)
 	return s
@@ -368,9 +368,6 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s; the audit trail is available once it finishes", j.id, j.Status().State))
 		return
 	}
-	if trail == nil {
-		trail = []autonosql.AuditEntry{}
-	}
 	writeJSON(w, http.StatusOK, map[string]any{"job": j.id, "audit": trail})
 }
 
@@ -426,67 +423,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.WriteString(w, b.String())
 }
 
-// finished fetches a job and its results, enforcing the
-// results-only-after-terminal contract.
-func (s *Server) finished(w http.ResponseWriter, r *http.Request) (*Job, []byte, []byte, []byte, string, bool) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return nil, nil, nil, nil, "", false
+// handleResult serves one of a finished job's result buffers, picked by buf.
+// Results exist once the job is terminal (409 before); suiteOnly marks the
+// CSV exports, which scenario jobs do not have (404).
+func (s *Server) handleResult(contentType string, suiteOnly bool, buf func(*Job) *bytes.Buffer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j := s.lookup(w, r)
+		if j == nil {
+			return
+		}
+		b, ok := j.result(buf)
+		if !ok {
+			httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s; results are available once it finishes", j.id, j.Status().State))
+			return
+		}
+		if suiteOnly && j.kind != kindSuite {
+			httpError(w, http.StatusNotFound, fmt.Errorf("job %s is a %s job; CSV export is a suite surface", j.id, j.kind))
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(b)
 	}
-	reportJSON, csvB, tenantsB, tables, ok := j.results()
-	if !ok {
-		httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s; results are available once it finishes", j.id, j.Status().State))
-		return nil, nil, nil, nil, "", false
-	}
-	return j, reportJSON, csvB, tenantsB, tables, true
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	_, reportJSON, _, _, _, ok := s.finished(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(reportJSON)
-}
-
-func (s *Server) handleReportCSV(w http.ResponseWriter, r *http.Request) {
-	j, _, csvB, _, _, ok := s.finished(w, r)
-	if !ok {
-		return
-	}
-	if j.kind != kindSuite {
-		httpError(w, http.StatusNotFound, fmt.Errorf("job %s is a %s job; CSV export is a suite surface", j.id, j.kind))
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(csvB)
-}
-
-func (s *Server) handleTenantsCSV(w http.ResponseWriter, r *http.Request) {
-	j, _, _, tenantsB, _, ok := s.finished(w, r)
-	if !ok {
-		return
-	}
-	if j.kind != kindSuite {
-		httpError(w, http.StatusNotFound, fmt.Errorf("job %s is a %s job; CSV export is a suite surface", j.id, j.kind))
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(tenantsB)
-}
-
-func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	_, _, _, _, tables, ok := s.finished(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(tables))
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {

@@ -197,17 +197,16 @@ func EncodeTrace(t *Trace, w io.Writer) error {
 	return bw.Flush()
 }
 
-// ParseTrace reads a trace in the JSON-lines wire format. Malformed JSON,
-// unknown fields, unknown tenants, negative times, out-of-order events and
-// bad opcodes are all errors; ParseTrace never panics on hostile input.
+// ParseTrace reads a trace in the JSON-lines wire format and validates it
+// (see Trace.Validate). Malformed JSON, unknown fields, bad opcodes and
+// events with no key or two are syntax errors; ParseTrace never panics on
+// hostile input.
 func ParseTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
 	t := &Trace{}
-	names := make(map[string]struct{})
 	headerSeen := false
 	lineNo := 0
-	var last time.Duration
 	for sc.Scan() {
 		lineNo++
 		raw := bytes.TrimSpace(sc.Bytes())
@@ -222,15 +221,6 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 			if h.V != traceFormatVersion {
 				return nil, fmt.Errorf("workload: trace line %d: unsupported version %d", lineNo, h.V)
 			}
-			for i, n := range h.Tenants {
-				if n == "" {
-					return nil, fmt.Errorf("workload: trace line %d: tenant %d has no name", lineNo, i)
-				}
-				if _, dup := names[n]; dup {
-					return nil, fmt.Errorf("workload: trace line %d: duplicate tenant %q", lineNo, n)
-				}
-				names[n] = struct{}{}
-			}
 			t.Tenants = h.Tenants
 			headerSeen = true
 			continue
@@ -240,13 +230,6 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("workload: trace line %d: %w", lineNo, err)
 		}
 		e := TraceEvent{At: time.Duration(line.T), Tenant: line.Tn}
-		if e.At < 0 {
-			return nil, fmt.Errorf("workload: trace line %d: negative time %d", lineNo, line.T)
-		}
-		if e.At < last {
-			return nil, fmt.Errorf("workload: trace line %d: out of order: %v after %v", lineNo, e.At, last)
-		}
-		last = e.At
 		switch line.Op {
 		case "r":
 		case "w":
@@ -254,20 +237,10 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 		default:
 			return nil, fmt.Errorf("workload: trace line %d: bad op %q (want \"r\" or \"w\")", lineNo, line.Op)
 		}
-		if len(t.Tenants) == 0 {
-			if e.Tenant != "" {
-				return nil, fmt.Errorf("workload: trace line %d: tenant %q in a trace that declares no tenants", lineNo, e.Tenant)
-			}
-		} else if _, ok := names[e.Tenant]; !ok {
-			return nil, fmt.Errorf("workload: trace line %d: unknown tenant %q", lineNo, e.Tenant)
-		}
 		switch {
 		case line.K != nil && line.Raw != "":
 			return nil, fmt.Errorf("workload: trace line %d: both k and raw set", lineNo)
 		case line.K != nil:
-			if *line.K < 0 {
-				return nil, fmt.Errorf("workload: trace line %d: negative key index %d", lineNo, *line.K)
-			}
 			e.Key = *line.K
 		case line.Raw != "":
 			e.RawKey = store.Key(line.Raw)
@@ -281,6 +254,9 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 	}
 	if !headerSeen {
 		return nil, errors.New("workload: trace has no header line")
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

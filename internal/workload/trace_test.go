@@ -87,36 +87,48 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestParseTraceErrors(t *testing.T) {
 	header := `{"v":1,"tenants":["gold"]}` + "\n"
+	// want, when set, is part of the expected error: the rules a parsed trace
+	// shares with every other trace come from Trace.Validate, which cites
+	// tenant and event indices.
 	cases := []struct {
 		name string
 		in   string
+		want string
 	}{
-		{"empty", ""},
-		{"no header", `{"t":0,"op":"r","k":1}` + "\n"},
-		{"bad version", `{"v":2}` + "\n"},
-		{"malformed header", `{"v":` + "\n"},
-		{"duplicate tenant", `{"v":1,"tenants":["a","a"]}` + "\n"},
-		{"empty tenant name", `{"v":1,"tenants":[""]}` + "\n"},
-		{"malformed event", header + `{"t":nope}` + "\n"},
-		{"unknown field", header + `{"t":0,"tn":"gold","op":"r","k":1,"zz":9}` + "\n"},
-		{"trailing garbage", header + `{"t":0,"tn":"gold","op":"r","k":1} extra` + "\n"},
-		{"negative time", header + `{"t":-5,"tn":"gold","op":"r","k":1}` + "\n"},
-		{"fractional time", header + `{"t":1.5,"tn":"gold","op":"r","k":1}` + "\n"},
+		{"empty", "", ""},
+		{"no header", `{"t":0,"op":"r","k":1}` + "\n", ""},
+		{"bad version", `{"v":2}` + "\n", ""},
+		{"malformed header", `{"v":` + "\n", ""},
+		{"duplicate tenant", `{"v":1,"tenants":["a","a"]}` + "\n", `duplicate trace tenant "a"`},
+		{"empty tenant name", `{"v":1,"tenants":[""]}` + "\n", "trace tenant 0 has no name"},
+		{"empty second tenant name", `{"v":1,"tenants":["gold",""]}` + "\n", "trace tenant 1 has no name"},
+		{"malformed event", header + `{"t":nope}` + "\n", ""},
+		{"unknown field", header + `{"t":0,"tn":"gold","op":"r","k":1,"zz":9}` + "\n", ""},
+		{"trailing garbage", header + `{"t":0,"tn":"gold","op":"r","k":1} extra` + "\n", ""},
+		{"negative time", header + `{"t":-5,"tn":"gold","op":"r","k":1}` + "\n", "trace event 0 at negative time"},
+		{"fractional time", header + `{"t":1.5,"tn":"gold","op":"r","k":1}` + "\n", ""},
 		{"out of order", header +
 			`{"t":100,"tn":"gold","op":"r","k":1}` + "\n" +
-			`{"t":99,"tn":"gold","op":"r","k":1}` + "\n"},
-		{"unknown tenant", header + `{"t":0,"tn":"silver","op":"r","k":1}` + "\n"},
-		{"missing tenant", header + `{"t":0,"op":"r","k":1}` + "\n"},
-		{"tenant in tenantless trace", `{"v":1}` + "\n" + `{"t":0,"tn":"gold","op":"r","k":1}` + "\n"},
-		{"bad op", header + `{"t":0,"tn":"gold","op":"x","k":1}` + "\n"},
-		{"missing key", header + `{"t":0,"tn":"gold","op":"r"}` + "\n"},
-		{"negative key", header + `{"t":0,"tn":"gold","op":"r","k":-1}` + "\n"},
-		{"both keys", header + `{"t":0,"tn":"gold","op":"r","k":1,"raw":"x"}` + "\n"},
-		{"overlong line", header + `{"raw":"` + strings.Repeat("a", maxTraceLine+1) + `"}` + "\n"},
+			`{"t":99,"tn":"gold","op":"r","k":1}` + "\n", "trace event 1 out of order"},
+		{"unknown tenant", header + `{"t":0,"tn":"silver","op":"r","k":1}` + "\n", `trace event 0 names unknown tenant "silver"`},
+		{"missing tenant", header + `{"t":0,"op":"r","k":1}` + "\n", `trace event 0 names unknown tenant ""`},
+		{"tenant in tenantless trace", `{"v":1}` + "\n" + `{"t":0,"tn":"gold","op":"r","k":1}` + "\n", "declares no tenants"},
+		{"tenant on a later event of a tenantless trace", `{"v":1}` + "\n" +
+			`{"t":0,"op":"r","k":1}` + "\n" +
+			`{"t":1,"tn":"gold","op":"w","k":2}` + "\n", `trace event 1 names tenant "gold" but the trace declares no tenants`},
+		{"bad op", header + `{"t":0,"tn":"gold","op":"x","k":1}` + "\n", ""},
+		{"missing key", header + `{"t":0,"tn":"gold","op":"r"}` + "\n", ""},
+		{"negative key", header + `{"t":0,"tn":"gold","op":"r","k":-1}` + "\n", "trace event 0 has negative key index -1"},
+		{"both keys", header + `{"t":0,"tn":"gold","op":"r","k":1,"raw":"x"}` + "\n", ""},
+		{"overlong line", header + `{"raw":"` + strings.Repeat("a", maxTraceLine+1) + `"}` + "\n", ""},
 	}
 	for _, c := range cases {
-		if _, err := ParseTrace(strings.NewReader(c.in)); err == nil {
+		_, err := ParseTrace(strings.NewReader(c.in))
+		switch {
+		case err == nil:
 			t.Errorf("%s: ParseTrace accepted invalid input", c.name)
+		case !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not contain %q", c.name, err, c.want)
 		}
 	}
 }

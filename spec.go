@@ -341,6 +341,12 @@ func (s ScenarioSpec) Validate() error {
 	if s.Cluster.InitialNodes <= 0 {
 		return errors.New("autonosql: InitialNodes must be positive")
 	}
+	// The controllers scale within these bounds (the smart one shares the
+	// reactive one's defaults), so every controller can be assembled.
+	def := baseline.DefaultReactiveConfig()
+	if lo, hi := s.Cluster.nodeBounds(def.MinNodes, def.MaxNodes); lo > hi {
+		return fmt.Errorf("autonosql: MinNodes %d exceeds MaxNodes %d", lo, hi)
+	}
 	if s.Store.ReplicationFactor <= 0 || s.Store.ReplicationFactor > store.MaxReplicationFactor {
 		return fmt.Errorf("autonosql: ReplicationFactor must be within [1, %d]", store.MaxReplicationFactor)
 	}
@@ -415,15 +421,23 @@ func (w WorkloadSpec) validate() error {
 
 // --- conversions to internal configurations ---------------------------------
 
+// nodeBounds returns the scaling bounds, an unset one taking the given
+// default.
+func (c ClusterSpec) nodeBounds(defMin, defMax int) (minNodes, maxNodes int) {
+	minNodes, maxNodes = c.MinNodes, c.MaxNodes
+	if minNodes <= 0 {
+		minNodes = defMin
+	}
+	if maxNodes <= 0 {
+		maxNodes = defMax
+	}
+	return minNodes, maxNodes
+}
+
 func (s ScenarioSpec) clusterConfig() cluster.Config {
 	cfg := cluster.DefaultConfig()
 	cfg.InitialNodes = s.Cluster.InitialNodes
-	if s.Cluster.MinNodes > 0 {
-		cfg.MinNodes = s.Cluster.MinNodes
-	}
-	if s.Cluster.MaxNodes > 0 {
-		cfg.MaxNodes = s.Cluster.MaxNodes
-	}
+	cfg.MinNodes, cfg.MaxNodes = s.Cluster.nodeBounds(cfg.MinNodes, cfg.MaxNodes)
 	if s.Cluster.NodeOpsPerSec > 0 {
 		cfg.NodeOpsPerSec = s.Cluster.NodeOpsPerSec
 	}
@@ -554,12 +568,7 @@ func (s ScenarioSpec) controllerConfig() core.Config {
 	if s.Controller.Admission.Holdoff > 0 {
 		cfg.UnthrottleHoldoff = s.Controller.Admission.Holdoff
 	}
-	if s.Cluster.MinNodes > 0 {
-		cfg.MinNodes = s.Cluster.MinNodes
-	}
-	if s.Cluster.MaxNodes > 0 {
-		cfg.MaxNodes = s.Cluster.MaxNodes
-	}
+	cfg.MinNodes, cfg.MaxNodes = s.Cluster.nodeBounds(cfg.MinNodes, cfg.MaxNodes)
 	if cap := s.effectiveNodeCapacity(); cap > 0 {
 		cfg.NodeCapacityOpsPerSec = cap
 	}
@@ -596,11 +605,6 @@ func (s ScenarioSpec) effectiveNodeCapacity() float64 {
 
 func (s ScenarioSpec) reactiveConfig() baseline.ReactiveConfig {
 	cfg := baseline.DefaultReactiveConfig()
-	if s.Cluster.MinNodes > 0 {
-		cfg.MinNodes = s.Cluster.MinNodes
-	}
-	if s.Cluster.MaxNodes > 0 {
-		cfg.MaxNodes = s.Cluster.MaxNodes
-	}
+	cfg.MinNodes, cfg.MaxNodes = s.Cluster.nodeBounds(cfg.MinNodes, cfg.MaxNodes)
 	return cfg
 }

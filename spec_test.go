@@ -3,6 +3,10 @@ package autonosql
 import (
 	"testing"
 	"time"
+
+	"autonosql/internal/baseline"
+	"autonosql/internal/core"
+	"autonosql/internal/sla"
 )
 
 func TestDefaultScenarioSpecValidates(t *testing.T) {
@@ -22,6 +26,12 @@ func TestSpecValidationRejectsBadSpecs(t *testing.T) {
 		{"read fraction above one", func(s *ScenarioSpec) { s.Workload.ReadFraction = 1.5 }},
 		{"negative keyspace", func(s *ScenarioSpec) { s.Workload.Keyspace = -1 }},
 		{"no nodes", func(s *ScenarioSpec) { s.Cluster.InitialNodes = 0 }},
+		{"min nodes above max nodes", func(s *ScenarioSpec) { s.Cluster.MinNodes, s.Cluster.MaxNodes = 5, 3 }},
+		{"min nodes above the default max", func(s *ScenarioSpec) { s.Cluster.MinNodes, s.Cluster.MaxNodes = 40, 0 }},
+		{"max nodes below the default min", func(s *ScenarioSpec) {
+			s.Cluster.MinNodes, s.Cluster.MaxNodes, s.Cluster.InitialNodes, s.Store.ReplicationFactor = 0, 1, 1, 1
+			s.Controller.Mode = ControllerSmart
+		}},
 		{"no replication", func(s *ScenarioSpec) { s.Store.ReplicationFactor = 0 }},
 		{"replication beyond a window's count", func(s *ScenarioSpec) { s.Store.ReplicationFactor = 1 << 15 }},
 		{"bad read consistency", func(s *ScenarioSpec) { s.Store.ReadConsistency = "SOMETIMES" }},
@@ -139,5 +149,14 @@ func TestShardSpecValidation(t *testing.T) {
 	spec.Shards = -1
 	if _, err := NewScenario(spec); err == nil {
 		t.Fatal("NewScenario accepted negative Shards")
+	}
+}
+
+// TestControllerNodeDefaultsAgree pins what Validate's node-bound check
+// assumes: the reactive and smart controllers default to the same bounds.
+func TestControllerNodeDefaultsAgree(t *testing.T) {
+	r, c := baseline.DefaultReactiveConfig(), core.DefaultConfig(sla.SLA{})
+	if r.MinNodes != c.MinNodes || r.MaxNodes != c.MaxNodes {
+		t.Errorf("reactive bounds %d..%d, smart %d..%d", r.MinNodes, r.MaxNodes, c.MinNodes, c.MaxNodes)
 	}
 }

@@ -90,15 +90,73 @@ type Grid struct {
 // Size returns the number of variants the grid expands to over a base spec.
 func (g Grid) Size() int {
 	n := 1
-	for _, axis := range []int{len(g.Patterns), len(g.Controllers), len(g.ClusterSizes), len(g.SLATiers), len(g.Faults), len(g.TenantMixes), len(g.Traces)} {
-		if axis > 0 {
-			n *= axis
-		}
-	}
-	if g.Repeats > 1 {
-		n *= g.Repeats
+	for _, l := range g.axisLens() {
+		n *= max(l, 1)
 	}
 	return n
+}
+
+// The grid axes in expansion order (the last swept axis varies fastest).
+// axisKeys, axisLens and apply are the one description of each axis.
+const (
+	axisPattern = iota
+	axisController
+	axisNodes
+	axisSLA
+	axisFaults
+	axisTenants
+	axisTrace
+	axisRepeat
+	numAxes
+)
+
+// axisKeys are the keys the axes add to variant names.
+var axisKeys = [numAxes]string{"pattern", "ctl", "nodes", "sla", "faults", "tenants", "trace", "rep"}
+
+// axisLens returns how many values the grid sweeps on each axis. An axis
+// with none is not swept: the base spec's value stays and names omit it.
+func (g *Grid) axisLens() [numAxes]int {
+	lens := [numAxes]int{
+		axisPattern:    len(g.Patterns),
+		axisController: len(g.Controllers),
+		axisNodes:      len(g.ClusterSizes),
+		axisSLA:        len(g.SLATiers),
+		axisFaults:     len(g.Faults),
+		axisTenants:    len(g.TenantMixes),
+		axisTrace:      len(g.Traces),
+	}
+	if g.Repeats > 1 { // 0 and 1 both mean one run per cell
+		lens[axisRepeat] = g.Repeats
+	}
+	return lens
+}
+
+// apply sets value i of axis a on spec and returns the value's name.
+func (g *Grid) apply(a, i int, spec *ScenarioSpec) string {
+	switch a {
+	case axisPattern:
+		spec.Workload.Pattern = g.Patterns[i]
+		return string(patternOrConstant(g.Patterns[i]))
+	case axisController:
+		spec.Controller.Mode = g.Controllers[i]
+		return string(modeOrNone(g.Controllers[i]))
+	case axisNodes:
+		spec.Cluster.InitialNodes = g.ClusterSizes[i]
+		return strconv.Itoa(g.ClusterSizes[i])
+	case axisSLA:
+		spec.SLA = g.SLATiers[i].SLA
+		return g.SLATiers[i].Name
+	case axisFaults:
+		spec.Faults = g.Faults[i].Plan
+		return g.Faults[i].Name
+	case axisTenants:
+		spec.Tenants = g.TenantMixes[i].Tenants
+		return g.TenantMixes[i].Name
+	case axisTrace:
+		spec.Replay = g.Traces[i].Trace
+		return g.Traces[i].Name
+	}
+	return strconv.Itoa(i) // repeats differ only in name, so in seed
 }
 
 // Variant is one concrete scenario inside a suite.
@@ -120,131 +178,50 @@ type Variant struct {
 // the same order, regardless of where or how often they run. A grid with no
 // swept axis expands to the single base spec verbatim, seed included.
 func ExpandGrid(base ScenarioSpec, grid Grid) []Variant {
-	patterns := grid.Patterns
-	if len(patterns) == 0 {
-		patterns = []LoadPattern{base.Workload.Pattern}
+	lens := grid.axisLens()
+	if lens == ([numAxes]int{}) {
+		// Keep the base spec (and its seed) verbatim, so a suite of one
+		// reproduces a direct NewScenario run.
+		return []Variant{{Name: "base", Spec: base}}
 	}
-	controllers := grid.Controllers
-	if len(controllers) == 0 {
-		controllers = []ControllerMode{base.Controller.Mode}
+	var axes [numAxes]int // the swept axes, in expansion order
+	n := 0
+	for a, l := range lens {
+		if l > 0 {
+			axes[n] = a
+			n++
+		}
 	}
-	sizes := grid.ClusterSizes
-	if len(sizes) == 0 {
-		sizes = []int{base.Cluster.InitialNodes}
-	}
-	tiers := grid.SLATiers
-	if len(tiers) == 0 {
-		tiers = []SLATier{{SLA: base.SLA}}
-	}
-	faults := grid.Faults
-	if len(faults) == 0 {
-		faults = []FaultProfile{{Plan: base.Faults}}
-	}
-	mixes := grid.TenantMixes
-	if len(mixes) == 0 {
-		mixes = []TenantMix{{Tenants: base.Tenants}}
-	}
-	traces := grid.Traces
-	if len(traces) == 0 {
-		traces = []NamedTrace{{Trace: base.Replay}}
-	}
-	repeats := grid.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-
 	variants := make([]Variant, 0, grid.Size())
-	for _, pattern := range patterns {
-		for _, controller := range controllers {
-			for _, size := range sizes {
-				for _, tier := range tiers {
-					for _, fp := range faults {
-						for _, mix := range mixes {
-							for _, nt := range traces {
-								for rep := 0; rep < repeats; rep++ {
-									name := gridVariantName(grid, pattern, controller, size, tier, fp, mix, nt, rep)
-									spec := base
-									if name == "base" {
-										// Degenerate grid with no swept axis: keep the
-										// base spec (and its seed) verbatim, so a suite
-										// of one reproduces a direct NewScenario run.
-										variants = append(variants, Variant{Name: name, Spec: spec})
-										continue
-									}
-									if len(grid.Patterns) > 0 {
-										spec.Workload.Pattern = pattern
-									}
-									if len(grid.Controllers) > 0 {
-										spec.Controller.Mode = controller
-									}
-									if len(grid.ClusterSizes) > 0 {
-										spec.Cluster.InitialNodes = size
-									}
-									if len(grid.SLATiers) > 0 {
-										spec.SLA = tier.SLA
-									}
-									if len(grid.Faults) > 0 {
-										spec.Faults = fp.Plan
-									}
-									if len(grid.TenantMixes) > 0 {
-										spec.Tenants = mix.Tenants
-									}
-									if len(grid.Traces) > 0 {
-										spec.Replay = nt.Trace
-									}
-									spec.Seed = sim.DeriveSeed(base.Seed, name)
-									variants = append(variants, Variant{Name: name, Spec: spec})
-								}
-							}
-						}
-					}
-				}
+	var at [numAxes]int // an odometer over the swept axes: value index per axis
+	for {
+		spec := base
+		// One buffer and one string per name: NewSuite names every variant.
+		var buf [96]byte
+		name := buf[:0]
+		for _, a := range axes[:n] {
+			if len(name) > 0 {
+				name = append(name, ' ')
 			}
+			name = append(append(append(name, axisKeys[a]...), '='), grid.apply(a, at[a], &spec)...)
 		}
-	}
-	return variants
-}
+		v := Variant{Name: string(name)}
+		spec.Seed = sim.DeriveSeed(base.Seed, v.Name)
+		v.Spec = spec
+		variants = append(variants, v)
 
-// gridVariantName builds the canonical variant name from the swept axis
-// values; axes the grid does not sweep contribute no component.
-func gridVariantName(grid Grid, pattern LoadPattern, controller ControllerMode, size int, tier SLATier, fp FaultProfile, mix TenantMix, nt NamedTrace, rep int) string {
-	// One buffer and one string per name: NewSuite names every variant.
-	var buf [96]byte
-	name := buf[:0]
-	add := func(key, value string) {
-		if len(name) > 0 {
-			name = append(name, ' ')
+		k := n - 1
+		for ; k >= 0; k-- {
+			a := axes[k]
+			if at[a]++; at[a] < lens[a] {
+				break
+			}
+			at[a] = 0
 		}
-		name = append(append(append(name, key...), '='), value...)
+		if k < 0 {
+			return variants
+		}
 	}
-	if len(grid.Patterns) > 0 {
-		add("pattern", string(patternOrConstant(pattern)))
-	}
-	if len(grid.Controllers) > 0 {
-		add("ctl", string(modeOrNone(controller)))
-	}
-	if len(grid.ClusterSizes) > 0 {
-		add("nodes", strconv.Itoa(size))
-	}
-	if len(grid.SLATiers) > 0 {
-		add("sla", tier.Name)
-	}
-	if len(grid.Faults) > 0 {
-		add("faults", fp.Name)
-	}
-	if len(grid.TenantMixes) > 0 {
-		add("tenants", mix.Name)
-	}
-	if len(grid.Traces) > 0 {
-		add("trace", nt.Name)
-	}
-	if grid.Repeats > 1 {
-		add("rep", strconv.Itoa(rep))
-	}
-	if len(name) == 0 {
-		return "base"
-	}
-	return string(name)
 }
 
 // SuiteSpec describes a batch of scenario variants to run and compare: a
@@ -275,17 +252,11 @@ type Suite struct {
 // every resulting scenario spec and name.
 func NewSuite(spec SuiteSpec) (*Suite, error) {
 	variants := ExpandGrid(spec.Base, spec.Grid)
-	if len(spec.Grid.Patterns) == 0 && len(spec.Grid.Controllers) == 0 &&
-		len(spec.Grid.ClusterSizes) == 0 && len(spec.Grid.SLATiers) == 0 &&
-		len(spec.Grid.Faults) == 0 && len(spec.Grid.TenantMixes) == 0 &&
-		len(spec.Grid.Traces) == 0 &&
-		spec.Grid.Repeats <= 1 {
+	if spec.Grid.axisLens() == ([numAxes]int{}) && len(spec.Variants) > 0 {
 		// A grid with no swept axis expands to the bare base spec; drop it
 		// when explicit variants are given, so SuiteSpec{Variants: ...} does
 		// not smuggle in an extra run of the base.
-		if len(spec.Variants) > 0 {
-			variants = variants[:0]
-		}
+		variants = variants[:0]
 	}
 	variants = append(variants, spec.Variants...)
 	if len(variants) == 0 {

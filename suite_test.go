@@ -386,3 +386,22 @@ func runSmallSuite(t *testing.T) *SuiteReport {
 	}
 	return report
 }
+
+// BenchmarkNewSuite times suite set-up (grid expansion, naming, seeding and
+// validation) on a 12-variant grid of 2 patterns × 3 controllers × 2 sizes.
+func BenchmarkNewSuite(b *testing.B) {
+	spec := SuiteSpec{
+		Base: DefaultScenarioSpec(),
+		Grid: Grid{
+			Controllers:  []ControllerMode{ControllerNone, ControllerReactive, ControllerSmart},
+			ClusterSizes: []int{3, 5},
+			Patterns:     []LoadPattern{LoadConstant, LoadDiurnalSpike},
+		},
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewSuite(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

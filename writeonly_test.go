@@ -26,32 +26,7 @@ import (
 // read in full, because key comparison reads every field. Embedded and blank
 // fields are skipped.
 func TestNoWriteOnlyFields(t *testing.T) {
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // package dir -> non-test files
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (p == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		files[dir] = append(files[dir], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, files := parseModule(t, false)
 
 	total := 0
 	var writeOnly []string
@@ -119,6 +94,40 @@ func TestNoWriteOnlyFields(t *testing.T) {
 		t.Errorf("%d unexported struct fields are written but never read; delete them:\n  %s",
 			len(writeOnly), strings.Join(writeOnly, "\n  "))
 	}
+}
+
+// parseModule parses the module's Go files outside bench/, testdata and
+// hidden directories, keyed by package directory; test files are included
+// when tests is set.
+func parseModule(t *testing.T, tests bool) (*token.FileSet, map[string][]*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (p == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || (!tests && strings.HasSuffix(p, "_test.go")) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		files[dir] = append(files[dir], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
 }
 
 // assignTarget strips index and paren expressions off an assignment target,
