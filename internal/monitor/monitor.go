@@ -90,8 +90,9 @@ type Snapshot struct {
 }
 
 // Monitor gathers estimates and exposes Snapshots. It implements
-// workload.Target so client traffic can be routed through it, and
-// store.Observer so passive estimation can piggyback on coordinator acks.
+// workload.Target so client traffic can be routed through it (the store hands
+// it the outcomes, store.ClientObserver), and store.Observer so passive
+// estimation can piggyback on coordinator acks.
 type Monitor struct {
 	cfg     Config
 	engine  *sim.Engine
@@ -114,19 +115,13 @@ type Monitor struct {
 	// windowQuantiles is the reused result buffer for the batched window
 	// quantile query issued on every snapshot.
 	windowQuantiles [3]float64
-
-	// ops recycles the per-operation completion records, so client-side
-	// accounting wraps the caller's callback without allocating.
-	ops sim.Pool[taggedOp, *taggedOp]
 }
 
 // snapshotWindowQs are the window quantiles every snapshot reports, queried
 // in one batch so the window sample buffer is sorted once per interval.
 var snapshotWindowQs = []float64{0.50, 0.95, 0.99}
 
-var (
-	_ store.Observer = (*Monitor)(nil)
-)
+var _ store.Observer = (*Monitor)(nil)
 
 // New creates a monitor for the given store and cluster. If active probing
 // is enabled the prober starts immediately. It takes a complete config;
@@ -145,6 +140,7 @@ func New(cfg Config, engine *sim.Engine, st *store.Store, cl *cluster.Cluster) (
 		readLat:     metrics.NewWindowedStat(latencySampleSize),
 		writeLat:    metrics.NewWindowedStat(latencySampleSize),
 	}
+	_ = st.ObserveClients(0, m) // tag zero, the aggregate, cannot fail
 	if cfg.UsePassive {
 		st.Subscribe(m)
 	}
@@ -200,48 +196,23 @@ func (t TaggedTarget) KeyName(id store.KeyID) store.Key { return t.m.store.KeyNa
 func (t TaggedTarget) Read(key store.Key, cb func(store.Result))  { t.ReadID(t.KeyID(key), cb) }
 func (t TaggedTarget) Write(key store.Key, cb func(store.Result)) { t.WriteID(t.KeyID(key), cb) }
 
-// ReadID forwards a read to the store with the monitor's accounting around
-// the caller's callback.
-func (t TaggedTarget) ReadID(key store.KeyID, cb func(store.Result)) {
-	t.m.store.ReadAs(t.id, key, t.m.observe(cb))
+// ReadID and WriteID are Forward without a queue wait.
+func (t TaggedTarget) ReadID(key store.KeyID, cb func(store.Result))  { t.Forward(false, key, 0, cb) }
+func (t TaggedTarget) WriteID(key store.KeyID, cb func(store.Result)) { t.Forward(true, key, 0, cb) }
+
+// Forward counts one client operation and issues it to the store under the
+// tenant's tag, after it waited queued in the tenant's admission queue
+// (store.Store.IssueAs); the store runs ObserveClient as it completes.
+func (t TaggedTarget) Forward(write bool, key store.KeyID, queued time.Duration, cb func(store.Result)) {
+	t.m.opsInterval++
+	t.m.store.IssueAs(write, t.id, key, queued, cb)
 }
 
-// WriteID forwards a write, mirroring ReadID.
-func (t TaggedTarget) WriteID(key store.KeyID, cb func(store.Result)) {
-	t.m.store.WriteAs(t.id, key, t.m.observe(cb))
-}
+// Account makes o the tenant's accounting (store.Store.ObserveClients).
+func (t TaggedTarget) Account(o store.ClientObserver) error { return t.m.store.ObserveClients(t.id, o) }
 
-// taggedOp is the completion record of one forwarded operation: the
-// caller's callback behind a handler bound once, when the record is first
-// made, and reused every time the record is.
-type taggedOp struct {
-	m    *Monitor
-	next *taggedOp // the pool's free-list link
-	cb   func(store.Result)
-	done func(store.Result)
-}
-
-// Link returns the record's free-list link, for its sim.Pool.
-func (o *taggedOp) Link() **taggedOp { return &o.next }
-
-// observe counts one client operation and returns the callback that records
-// its outcome before passing it on to cb.
-func (m *Monitor) observe(cb func(store.Result)) func(store.Result) {
-	m.opsInterval++
-	o := m.ops.Get()
-	if o == nil {
-		o = m.ops.New()
-		o.m = m
-		o.done = o.complete
-	}
-	o.cb = cb
-	return o.done
-}
-
-func (o *taggedOp) complete(r store.Result) {
-	m, cb := o.m, o.cb
-	o.cb = nil
-	m.ops.Put(o)
+// ObserveClient records the outcome of one client operation.
+func (m *Monitor) ObserveClient(r store.Result) {
 	switch {
 	case r.Err != nil:
 		m.errorsInterval++
@@ -249,9 +220,6 @@ func (o *taggedOp) complete(r store.Result) {
 		m.writeLat.Observe(r.Latency.Seconds())
 	default:
 		m.readLat.Observe(r.Latency.Seconds())
-	}
-	if cb != nil {
-		cb(r)
 	}
 }
 

@@ -42,17 +42,23 @@ type OpTrace struct {
 
 // Add appends a phase marker. It is safe on a nil receiver so unsampled
 // operations cost one pointer test per call site.
-func (tr *OpTrace) Add(at time.Duration, phase string, node int) {
-	if tr == nil {
-		return
-	}
-	tr.Events = append(tr.Events, SpanEvent{At: at, Phase: phase, Node: node})
-}
+func (tr *OpTrace) Add(at time.Duration, phase string, node int) { tr.AddNote(at, phase, node, "") }
+
+// readEvents and writeEvents size Events at a trace's first marker: a read
+// ends with 5–6 markers, a write with 11–13, and a tenant runtime adds 2–3.
+const readEvents, writeEvents = 8, 16
 
 // AddNote is Add with a free-form annotation.
 func (tr *OpTrace) AddNote(at time.Duration, phase string, node int, note string) {
 	if tr == nil {
 		return
+	}
+	if tr.Events == nil {
+		n := readEvents
+		if tr.Write {
+			n = writeEvents
+		}
+		tr.Events = make([]SpanEvent, 0, n)
 	}
 	tr.Events = append(tr.Events, SpanEvent{At: at, Phase: phase, Node: node, Note: note})
 }

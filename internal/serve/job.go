@@ -312,8 +312,10 @@ func (j *Job) publishSpan(variant string) func(*obs.OpTrace) {
 }
 
 // beforeRun, when set, is called by each job's run goroutine before it
-// simulates anything. Tests set it to make one job panic.
+// simulates anything, and beforeVariant as each variant of a suite job is
+// configured. Tests set them to make one job or one variant panic.
 var beforeRun func(*Job)
+var beforeVariant func(j *Job, variant string)
 
 // run executes the job to completion. It owns the result buffers until the
 // terminal state transition publishes them.

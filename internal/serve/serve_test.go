@@ -564,3 +564,62 @@ func TestDaemonJobPanicFailsOnlyThatJob(t *testing.T) {
 	good := submit(t, ts, JobRequest{Name: "after", Scenario: raw, Autostart: true})
 	waitState(t, ts, good.ID, StateDone)
 }
+
+// TestDaemonSuiteVariantPanicFailsOnlyThatJob pins that a suite variant
+// whose run panics fails its suite job alone, with the panic value and its
+// stack as the variant's failure, after the variant before it completed and
+// exported what it exports offline; and that the daemon keeps serving.
+func TestDaemonSuiteVariantPanicFailsOnlyThatJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	base := smallSpec()
+	grid := autonosql.Grid{ClusterSizes: []int{2, 3}}
+	variants := autonosql.ExpandGrid(base, grid)
+	panicking := variants[1].Name
+	beforeVariant = func(j *Job, variant string) {
+		if j.name == "boom" && variant == panicking {
+			panic("injected fault")
+		}
+	}
+	t.Cleanup(func() { beforeVariant = nil })
+	rawBase, err := json.Marshal(base)
+	if err != nil {
+		t.Fatalf("marshal base: %v", err)
+	}
+	rawGrid, err := json.Marshal(grid)
+	if err != nil {
+		t.Fatalf("marshal grid: %v", err)
+	}
+	ts := newTestDaemon(t)
+	bad := submit(t, ts, JobRequest{Name: "boom", Suite: &SuiteRequest{Base: rawBase, Grid: rawGrid, Parallelism: 2}, Autostart: true})
+	failed := waitState(t, ts, bad.ID, StateFailed)
+	if len(failed.Failures) != 1 || !strings.Contains(failed.Failures[0], "panic: injected fault") ||
+		!strings.Contains(failed.Failures[0], "runtime/debug.Stack") {
+		t.Errorf("failed job's failures = %q, want the variant's panic and its stack", failed.Failures)
+	}
+	if failed.Meta == nil || failed.Meta.Variants != 2 || failed.Meta.Failed != 1 {
+		t.Errorf("failed job's meta = %+v, want 2 variants, 1 failed", failed.Meta)
+	}
+	suite, err := autonosql.NewSuite(autonosql.SuiteSpec{Variants: variants[:1]})
+	if err != nil {
+		t.Fatalf("NewSuite: %v", err)
+	}
+	report, err := suite.Run()
+	if err != nil {
+		t.Fatalf("offline run of the other variant: %v", err)
+	}
+	var wantCSV bytes.Buffer
+	if err := report.WriteCSV(&wantCSV); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	if _, got := get(t, ts.URL+"/api/jobs/"+bad.ID+"/report.csv"); !bytes.Equal(got, wantCSV.Bytes()) {
+		t.Errorf("failed job's CSV differs from the other variant's offline export:\n got %q\nwant %q", got, wantCSV.String())
+	}
+	raw, err := json.Marshal(smallSpec())
+	if err != nil {
+		t.Fatalf("marshal spec: %v", err)
+	}
+	good := submit(t, ts, JobRequest{Name: "after", Scenario: raw, Autostart: true})
+	waitState(t, ts, good.ID, StateDone)
+}

@@ -197,6 +197,9 @@ func (s *Server) buildJob(req *JobRequest) (*Job, error) {
 		for i := range variants {
 			name := variants[i].Name
 			variants[i].Configure = func(sc *autonosql.Scenario) error {
+				if beforeVariant != nil {
+					beforeVariant(j, name)
+				}
 				sc.OnSample(j.observe(name))
 				sc.OnSpan(j.publishSpan(name)) // no-op unless Observe.TraceOps
 				return nil

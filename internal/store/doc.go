@@ -18,9 +18,10 @@
 // served. Experiments read these through Stats and RecentWindowQuantile to
 // score the monitor's estimates and the controller's decisions; controllers
 // only ever observe the monitor. An Observer hook exposes coordinator-side
-// write acknowledgement spreads, which is what passive monitoring consumes.
+// write acknowledgement spreads, which is what passive monitoring consumes;
+// a ClientObserver receives each client operation's outcome (IssueAs).
 //
 // A Key is a key's name; operations travel under a KeyID, a dense integer the
 // per-key state is indexed by (keys.go). Read and Write take a name and
-// resolve it; ReadID, WriteID, ReadAs and WriteAs take the id.
+// resolve it; ReadID, WriteID and IssueAs take the id.
 package store

@@ -38,15 +38,16 @@ import (
 // handler over a pre-bound pointer, so the whole path schedules without
 // allocating.
 
-// opState tracks one in-flight client operation at its coordinator. For a
-// write: how many replica acknowledgements it still needs and how many can
-// still arrive, and the window tracker its replicas settle. For a read: the
-// answers so far and the freshest version among them.
+// opState tracks one in-flight operation at its coordinator. For a write:
+// how many replica acknowledgements it still needs and how many can still
+// arrive, and the window tracker its replicas settle. For a read: the answers
+// so far and the freshest version among them.
 //
 // A saturated run holds thousands of these at once, so the layout is packed
 // (TestOpStateSize): pointers and slices first, then the 8-byte key and
-// times, then 4-byte versions and counters, then the one-byte flags and the
-// failure code, with no padding between groups.
+// times, then 4-byte versions and refs, then the 2-byte counters (at most
+// MaxReplicationFactor) and tenant (RegisterTenants: at most MaxInt16), then
+// the one-byte flags and the failure code, with no padding between groups.
 type opState struct {
 	store *Store
 	cb    func(Result)
@@ -71,27 +72,31 @@ type opState struct {
 	// What the coordinator observes of a write's acknowledgements.
 	ackDecidedAt time.Duration
 	lastAckAt    time.Duration
+	// queued is a client operation's admission-queue wait (IssueAs).
+	queued time.Duration
 
 	// ver is the version a write writes. A read keeps the freshest version
 	// among its answers and the version read repair brings the stale
 	// answering replicas up to.
 	ver, freshest, repairTo version
 
-	tenant int32
 	// refs counts the state's holders, see above.
 	refs int32
 	// nslots is the number of slots: the replicas the coordinator fans out
 	// to. replicas is the length of the preference list, which for a write
 	// also counts the replicas unreachable at issue time (they get hints).
-	nslots, replicas int32
-	required         int32
+	nslots, replicas int16
+	required         int16
 	// possible is the number of replicas that can still answer (live
 	// replicas whose mutation or request has not been dropped).
-	possible  int32
-	acked     int32
-	responses int32
+	possible  int16
+	acked     int16
+	responses int16
+	// tenant is a registered tenant's id, or 0.
+	tenant int16
 
-	write bool
+	// client marks an operation issued by IssueAs (see complete).
+	write, client bool
 	// answered: the consistency level was met and the client's answer is on
 	// its way. failed: it cannot be met any more.
 	answered  bool
@@ -107,7 +112,7 @@ type opState struct {
 // Slot addresses are event arguments, so the slots are bound once, at
 // admission.
 func (op *opState) slots() []opSlot {
-	if op.nslots <= int32(len(op.slotsBuf)) {
+	if op.nslots <= int16(len(op.slotsBuf)) {
 		return op.slotsBuf[:op.nslots]
 	}
 	return op.overflow[:op.nslots]
@@ -149,10 +154,10 @@ func (e opErr) error() error {
 }
 
 // newOp takes an operation state out of its pool; the caller holds it.
-func (s *Store) newOp(write bool, tenant TenantID, key KeyID, cb func(Result)) *opState {
+func (s *Store) newOp(write bool, key KeyID, cb func(Result)) *opState {
 	op := take(&s.ops)
 	*op = opState{overflow: op.overflow}
-	op.store, op.write, op.tenant, op.key, op.cb = s, write, int32(tenant), key, cb
+	op.store, op.write, op.key, op.cb = s, write, s.keys.local(key), cb
 	op.issuedAt = s.engine.Now()
 	op.refs = 1
 	return op
@@ -241,29 +246,34 @@ func (op *opState) result(at time.Duration) Result {
 // determined by the current write consistency level; remaining replicas
 // converge asynchronously and the elapsed time until they do is recorded as
 // the write's inconsistency window.
-func (s *Store) Write(key Key, cb func(Result)) { s.issue(true, 0, s.keys.ID(key), cb) }
+func (s *Store) Write(key Key, cb func(Result)) { s.run(s.newOp(true, s.keys.ID(key), cb)) }
 
 // WriteID is Write for a key already resolved to its id.
-func (s *Store) WriteID(key KeyID, cb func(Result)) { s.issue(true, 0, key, cb) }
-
-// WriteAs is WriteID with a tenant tag: the operation contributes to the
-// tagged tenant's ground-truth statistics (latency, failures, inconsistency
-// window) in addition to the aggregate set. Tag zero is the plain untagged
-// write.
-func (s *Store) WriteAs(tenant TenantID, key KeyID, cb func(Result)) { s.issue(true, tenant, key, cb) }
+func (s *Store) WriteID(key KeyID, cb func(Result)) { s.run(s.newOp(true, key, cb)) }
 
 // Read fetches the named key and invokes cb with the freshest version
 // observed among the replicas the read consistency level requires.
-func (s *Store) Read(key Key, cb func(Result)) { s.issue(false, 0, s.keys.ID(key), cb) }
+func (s *Store) Read(key Key, cb func(Result)) { s.run(s.newOp(false, s.keys.ID(key), cb)) }
 
 // ReadID is Read for a key already resolved to its id.
-func (s *Store) ReadID(key KeyID, cb func(Result)) { s.issue(false, 0, key, cb) }
+func (s *Store) ReadID(key KeyID, cb func(Result)) { s.run(s.newOp(false, key, cb)) }
 
-// ReadAs is ReadID with a tenant tag, mirroring WriteAs.
-func (s *Store) ReadAs(tenant TenantID, key KeyID, cb func(Result)) { s.issue(false, tenant, key, cb) }
+// IssueAs issues a client operation, a read or a write, that already waited
+// queued in its tenant's admission queue. A registered tag adds it to the
+// tenant's ground truth (latency, failures, inconsistency window). Its
+// completion runs the aggregate client accounting (ObserveClients) on the
+// store's latency, then the tenant's and cb with queued added.
+func (s *Store) IssueAs(write bool, tenant TenantID, key KeyID, queued time.Duration, cb func(Result)) {
+	op := s.newOp(write, key, cb)
+	if s.tenant(tenant) != nil {
+		op.tenant = int16(tenant)
+	}
+	op.client, op.queued = true, queued
+	s.run(op)
+}
 
-func (s *Store) issue(write bool, tenant TenantID, key KeyID, cb func(Result)) {
-	op := s.newOp(write, tenant, s.keys.local(key), cb)
+// run admits a new operation and gives back the issuing call's reference.
+func (s *Store) run(op *opState) {
 	s.admit(op)
 	s.release(op)
 }
@@ -294,7 +304,7 @@ func (s *Store) admit(op *opState) {
 		cl = s.writeCL
 	}
 	required := cl.Required(len(replicaIDs))
-	op.required = int32(required)
+	op.required = int16(required)
 	live, down := s.partitionReplicas(coord.ID(), replicaIDs)
 	if len(live) < required {
 		s.reject(op, now, errUnavailable)
@@ -319,12 +329,9 @@ func (s *Store) admit(op *opState) {
 		s.writesSinceTick++
 		s.nextVersion++
 		op.ver = s.nextVersion
-		op.possible = int32(len(live))
+		op.possible = int16(len(live))
 		op.win = take(&s.windows)
-		*op.win = window{store: s, trace: op.trace, remaining: int16(len(replicaIDs)), refs: 1}
-		if t != nil {
-			op.win.tenant = int16(tenant)
-		}
+		*op.win = window{store: s, trace: op.trace, tenant: op.tenant, remaining: int16(len(replicaIDs)), refs: 1}
 	} else {
 		s.reads.Inc()
 		if t != nil {
@@ -343,7 +350,7 @@ func (s *Store) admit(op *opState) {
 	if n > len(op.slotsBuf) && cap(op.overflow) < n {
 		op.overflow = make([]opSlot, n)
 	}
-	op.nslots, op.replicas = int32(n), int32(len(replicaIDs))
+	op.nslots, op.replicas = int16(n), int16(len(replicaIDs))
 	slots := op.slots()
 	for i, id := range live {
 		slots[i] = opSlot{op: op, id: int32(id)}
@@ -366,9 +373,10 @@ func (s *Store) reject(op *opState, at time.Duration, err opErr) {
 	s.fail(op, err)
 }
 
-// fail delivers a failure result after a minimal client round trip.
+// fail delivers a failure result after a minimal client round trip, if the
+// operation has a callback or client accounting to run.
 func (s *Store) fail(op *opState, err opErr) {
-	if op.cb == nil {
+	if op.cb == nil && !op.client {
 		return
 	}
 	op.err = err
@@ -378,7 +386,26 @@ func (s *Store) fail(op *opState, err opErr) {
 func (op *opState) deliverFailure(at time.Duration) {
 	res := op.result(at)
 	res.Err = op.err.error()
-	op.cb(res)
+	op.complete(res)
+}
+
+// complete hands an operation's result to its client: for a client operation
+// the aggregate accounting first, then, with the admission-queue wait added,
+// its tenant's, and the callback last.
+func (op *opState) complete(res Result) {
+	if op.client {
+		s := op.store
+		if s.clients != nil {
+			s.clients.ObserveClient(res)
+		}
+		res.Latency += op.queued
+		if t := s.tenant(TenantID(op.tenant)); t != nil && t.clients != nil {
+			t.clients.ObserveClient(res)
+		}
+	}
+	if op.cb != nil {
+		op.cb(res)
+	}
 }
 
 // coordinate runs on the coordinator once the client request arrives: the
@@ -550,9 +577,7 @@ func (w *opState) ackClient(at time.Duration) {
 	if t := s.tenant(TenantID(w.tenant)); t != nil {
 		t.writeLatency.ObserveDuration(res.Latency)
 	}
-	if w.cb != nil {
-		w.cb(res)
-	}
+	w.complete(res)
 }
 
 // arriveRead runs on a replica when a read request arrives; the replica
@@ -589,7 +614,7 @@ func (f *opSlot) respond(at time.Duration) {
 		v = rep.read(r.key)
 	}
 	r.responses++
-	f.rank = r.responses
+	f.rank = int32(r.responses)
 	r.trace.Add(at, "replica-respond", int(f.id))
 	if v != r.freshest && r.responses > 1 {
 		r.divergent = true
@@ -630,9 +655,7 @@ func (r *opState) finishRead(at time.Duration) {
 		}
 		t.readLatency.ObserveDuration(res.Latency)
 	}
-	if r.cb != nil {
-		r.cb(res)
-	}
+	r.complete(res)
 }
 
 // scheduleReadRepair propagates the newest acknowledged version of the read's
@@ -652,7 +675,7 @@ func (r *opState) scheduleReadRepair(latest version) {
 	}
 	r.repairTo = latest
 	slots := r.slots()
-	for rank := int32(1); rank <= r.responses; rank++ {
+	for rank := int32(1); rank <= int32(r.responses); rank++ {
 		i := 0
 		for slots[i].rank != rank {
 			i++

@@ -150,13 +150,13 @@ func TestPlacementOpsAllocationFree(t *testing.T) {
 	cb := func(Result) { fired++ }
 	issued := 0
 	for ; issued < 128; issued++ {
-		st.WriteAs(1, rig.ids[issued%len(rig.keys)], cb)
+		st.IssueAs(true, 1, rig.ids[issued%len(rig.keys)], 0, cb)
 		rig.settle(t, &fired, issued+1)
 	}
 
 	avg := testing.AllocsPerRun(300, func() {
 		issued++
-		st.WriteAs(1, rig.ids[issued%len(rig.keys)], cb)
+		st.IssueAs(true, 1, rig.ids[issued%len(rig.keys)], 0, cb)
 		rig.settle(t, &fired, issued)
 	})
 	if avg > maxWriteAllocs {
@@ -164,7 +164,7 @@ func TestPlacementOpsAllocationFree(t *testing.T) {
 	}
 	avg = testing.AllocsPerRun(300, func() {
 		issued++
-		st.ReadAs(1, rig.ids[issued%len(rig.keys)], cb)
+		st.IssueAs(false, 1, rig.ids[issued%len(rig.keys)], 0, cb)
 		rig.settle(t, &fired, issued)
 	})
 	if avg > maxReadAllocs {

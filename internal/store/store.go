@@ -120,6 +120,12 @@ type Observer interface {
 	ObserveWrite(WriteObservation)
 }
 
+// ClientObserver receives the result of each client operation (IssueAs) as
+// it completes: the monitor's accounting, and each tenant runtime's.
+type ClientObserver interface {
+	ObserveClient(Result)
+}
+
 // Stats is a snapshot of the store's cumulative ground-truth statistics.
 type Stats struct {
 	Reads          uint64
@@ -178,6 +184,8 @@ type Store struct {
 	hints   sim.Pool[hint, *hint]
 
 	observers []Observer
+	// clients is the aggregate client accounting (ObserveClients).
+	clients ClientObserver
 
 	// tenants holds per-tenant ground-truth metric sets (index id-1) when
 	// the scenario registered tenants; nil in untagged single-tenant mode.

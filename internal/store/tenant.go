@@ -28,6 +28,8 @@ type tenantStats struct {
 	writeLatency *metrics.Histogram
 	windowHist   *metrics.Histogram
 	recentWindow *metrics.WindowedStat
+	// clients is the tenant's client accounting (ObserveClients).
+	clients ClientObserver
 }
 
 // TenantGroundTruth is a snapshot of one tenant's cumulative ground-truth
@@ -102,6 +104,20 @@ func (s *Store) TenantStats(id TenantID) TenantGroundTruth {
 		WriteLatency:  t.writeLatency.Snapshot(),
 		Window:        t.windowHist.Snapshot(),
 	}
+}
+
+// ObserveClients makes o the accounting of client operations (IssueAs):
+// of every one for tag zero, of the tagged tenant's for a registered tag. It
+// replaces an earlier one.
+func (s *Store) ObserveClients(id TenantID, o ClientObserver) error {
+	if id == 0 {
+		s.clients = o
+	} else if t := s.tenant(id); t != nil {
+		t.clients = o
+	} else {
+		return fmt.Errorf("store: tenant %d is not registered", id)
+	}
+	return nil
 }
 
 // TenantShed records an operation of the tagged tenant rejected by admission

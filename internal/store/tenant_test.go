@@ -16,11 +16,11 @@ func TestTenantTagging(t *testing.T) {
 
 	issued := 0
 	for i := 0; i < 60; i++ {
-		rig.store.WriteAs(1, rig.ids[i], cb)
+		rig.store.IssueAs(true, 1, rig.ids[i], 0, cb)
 		issued++
 	}
 	for i := 0; i < 40; i++ {
-		rig.store.WriteAs(2, rig.ids[100+i], cb)
+		rig.store.IssueAs(true, 2, rig.ids[100+i], 0, cb)
 		issued++
 	}
 	for i := 0; i < 10; i++ {
@@ -29,11 +29,11 @@ func TestTenantTagging(t *testing.T) {
 	}
 	rig.settle(t, &fired, issued)
 	for i := 0; i < 30; i++ {
-		rig.store.ReadAs(1, rig.ids[i], cb)
+		rig.store.IssueAs(false, 1, rig.ids[i], 0, cb)
 		issued++
 	}
 	for i := 0; i < 20; i++ {
-		rig.store.ReadAs(2, rig.ids[100+i], cb)
+		rig.store.IssueAs(false, 2, rig.ids[100+i], 0, cb)
 		issued++
 	}
 	rig.settle(t, &fired, issued)
@@ -79,8 +79,8 @@ func TestTenantTaggingZeroAndUnregistered(t *testing.T) {
 	cb := func(Result) { fired++ }
 	// No tenants registered: tagged ops must not panic and must count in the
 	// aggregate only.
-	rig.store.WriteAs(3, rig.ids[0], cb)
-	rig.store.ReadAs(-1, rig.ids[0], cb)
+	rig.store.IssueAs(true, 3, rig.ids[0], 0, cb)
+	rig.store.IssueAs(false, -1, rig.ids[0], 0, cb)
 	rig.settle(t, &fired, 2)
 	if got := rig.store.Stats().Writes; got != 1 {
 		t.Errorf("aggregate writes = %d, want 1", got)
@@ -103,16 +103,53 @@ func TestTenantTaggingAllocationFree(t *testing.T) {
 	cb := func(Result) { fired++ }
 	issued := 0
 	for ; issued < 128; issued++ {
-		rig.store.WriteAs(1, rig.ids[issued%len(rig.keys)], cb)
+		rig.store.IssueAs(true, 1, rig.ids[issued%len(rig.keys)], 0, cb)
 	}
 	rig.settle(t, &fired, issued)
 
 	avg := testing.AllocsPerRun(300, func() {
 		issued++
-		rig.store.WriteAs(1, rig.ids[issued%len(rig.keys)], cb)
+		rig.store.IssueAs(true, 1, rig.ids[issued%len(rig.keys)], 0, cb)
 		rig.settle(t, &fired, issued)
 	})
 	if avg > maxWriteAllocs {
 		t.Errorf("tagged write path allocates %.1f objects per op, want <= %d", avg, maxWriteAllocs)
+	}
+}
+
+type clientFunc func(Result)
+
+func (f clientFunc) ObserveClient(r Result) { f(r) }
+
+// TestClientFailureWithoutCallback pins that a failed client operation is
+// delivered after the usual client round trip even when its caller passes no
+// callback: the store's client accounting must see it, and the delivery's
+// network draw must happen as it would with a callback. A plain operation
+// without a callback schedules nothing. Its tenant tag names no registered
+// tenant, so the operation counts as untagged and no tenant accounting runs.
+func TestClientFailureWithoutCallback(t *testing.T) {
+	rig := newBenchRig(t, 3)
+	var got []Result
+	if err := rig.store.ObserveClients(0, clientFunc(func(r Result) { got = append(got, r) })); err != nil {
+		t.Fatalf("ObserveClients: %v", err)
+	}
+	if err := rig.store.ObserveClients(1, clientFunc(func(Result) {})); err == nil {
+		t.Error("ObserveClients accepted an unregistered tenant")
+	}
+	rig.store.Close()
+	pending := rig.engine.Pending()
+	rig.store.WriteID(rig.ids[0], nil)
+	if n := rig.engine.Pending(); n != pending {
+		t.Fatalf("a plain write without a callback scheduled %d events", n-pending)
+	}
+	rig.store.IssueAs(true, 3, rig.ids[0], 0, nil)
+	if n := rig.engine.Pending(); n != pending+1 {
+		t.Fatalf("a client write without a callback scheduled %d events, want its failure delivery", n-pending)
+	}
+	for i := 0; i < 100 && len(got) == 0; i++ {
+		rig.engine.Step()
+	}
+	if len(got) != 1 || got[0].Err != ErrStopped || got[0].Latency <= 0 {
+		t.Fatalf("client accounting saw %+v, want one ErrStopped after a round trip", got)
 	}
 }

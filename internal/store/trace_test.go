@@ -18,7 +18,7 @@ func TestStoreWriteTraceSpans(t *testing.T) {
 
 	fired := 0
 	cb := func(Result) { fired++ }
-	rig.store.WriteAs(0, rig.ids[0], cb)
+	rig.store.IssueAs(true, 0, rig.ids[0], 0, cb)
 	rig.settle(t, &fired, 1)
 	// Drain until the tracked write resolved (all replicas applied), then a
 	// little further so the late replica acks — in flight back to the
@@ -75,12 +75,12 @@ func TestStoreReadTraceSpans(t *testing.T) {
 	rig := newBenchRig(t, 3)
 	fired := 0
 	cb := func(Result) { fired++ }
-	rig.store.WriteAs(0, rig.ids[0], cb)
+	rig.store.IssueAs(true, 0, rig.ids[0], 0, cb)
 	rig.settle(t, &fired, 1)
 
 	tr := obs.NewTracer(1, 0)
 	rig.store.SetTracer(tr)
-	rig.store.ReadAs(0, rig.ids[0], cb)
+	rig.store.IssueAs(false, 0, rig.ids[0], 0, cb)
 	rig.settle(t, &fired, 2)
 
 	traces := tr.Traces()
@@ -143,5 +143,42 @@ func TestTracedUnsampledAllocationFree(t *testing.T) {
 		// The very first op is sampled (counter starts at the period
 		// boundary); nothing after it should be.
 		t.Errorf("sampled %d ops, want exactly the first", sampled)
+	}
+}
+
+// TestTracedOpAllocs pins what a sampled operation costs the heap: its trace
+// and one Events array sized from its kind, however many markers the
+// operation collects, not one array per growth step.
+func TestTracedOpAllocs(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		name := map[bool]string{false: "read", true: "write"}[write]
+		t.Run(name, func(t *testing.T) {
+			rig := newBenchRig(t, 3)
+			tr := obs.NewTracer(1, 64) // every operation sampled, a bounded number retained
+			rig.store.SetTracer(tr)
+			fired, issued := 0, 0
+			cb := func(Result) { fired++ }
+			op := func() {
+				key := rig.ids[issued%len(rig.ids)]
+				issued++
+				if write {
+					rig.store.WriteID(key, cb)
+				} else {
+					rig.store.ReadID(key, cb)
+				}
+				rig.settle(t, &fired, issued)
+			}
+			for i := 0; i < 600; i++ {
+				op()
+			}
+			avg := testing.AllocsPerRun(300, op)
+			t.Logf("a traced %s allocates %.0f objects", name, avg)
+			if avg > 2 {
+				t.Errorf("a traced %s allocates %.0f objects, want at most 2", name, avg)
+			}
+			if got := tr.Traces()[0]; len(got.Events) == 0 {
+				t.Fatalf("traced %s recorded no events", name)
+			}
+		})
 	}
 }

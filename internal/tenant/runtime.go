@@ -6,7 +6,6 @@ import (
 
 	"autonosql/internal/metrics"
 	"autonosql/internal/obs"
-	"autonosql/internal/sim"
 	"autonosql/internal/sla"
 	"autonosql/internal/store"
 )
@@ -17,21 +16,38 @@ import (
 // tagged view.
 type Target = store.NamedTarget
 
-// idTarget is what a Runtime needs of the layer below it: operations by key
-// id, and the name table behind the ids. The monitor's tagged views implement
-// it; byID adapts a Target that does not.
-type idTarget interface {
+// accountingTarget is a Target whose store runs the runtime's accounting,
+// registered with Account, on each operation issued by Forward (see
+// store.Store.IssueAs): the monitor's tagged view.
+type accountingTarget interface {
 	KeyID(name store.Key) store.KeyID
 	KeyName(id store.KeyID) store.Key
-	ReadID(key store.KeyID, cb func(store.Result))
-	WriteID(key store.KeyID, cb func(store.Result))
+	Forward(write bool, key store.KeyID, queued time.Duration, cb func(store.Result))
+	Account(o store.ClientObserver) error
 }
 
-func byID(t Target) idTarget {
-	if it, ok := t.(idTarget); ok {
-		return it
+// selfAccounting runs the accounting around the callback itself, in a
+// closure per operation, for a Target without a store: a test double or a
+// benchmark probe.
+type selfAccounting struct {
+	*store.NameAdapter
+	account store.ClientObserver
+}
+
+func (a *selfAccounting) Account(o store.ClientObserver) error { a.account = o; return nil }
+
+func (a *selfAccounting) Forward(write bool, key store.KeyID, queued time.Duration, cb func(store.Result)) {
+	issue := a.ReadID
+	if write {
+		issue = a.WriteID
 	}
-	return store.AdaptNames(t)
+	issue(key, func(res store.Result) {
+		res.Latency += queued
+		a.account.ObserveClient(res)
+		if cb != nil {
+			cb(res)
+		}
+	})
 }
 
 // Signal is the per-tenant slice of a monitoring snapshot: one tenant's
@@ -125,10 +141,8 @@ type Runtime struct {
 	name  string
 	class ClassSpec
 
-	inner   idTarget
+	inner   accountingTarget
 	tracker *sla.Tracker
-	// ops recycles the completion records of forwarded operations.
-	ops sim.Pool[forwardedOp, *forwardedOp]
 
 	readLat  *metrics.WindowedStat
 	writeLat *metrics.WindowedStat
@@ -185,9 +199,9 @@ type delayedOp struct {
 	trace *obs.OpTrace
 }
 
-// NewRuntime creates the runtime for one tenant. The inner target is where
-// operations are forwarded (typically the monitor's tagged view of the
-// store).
+// NewRuntime creates the runtime for one tenant and registers its
+// accounting with the inner target, where operations are forwarded
+// (typically the monitor's tagged view of the store).
 func NewRuntime(id store.TenantID, name string, class Class, inner Target) (*Runtime, error) {
 	if id <= 0 {
 		return nil, errors.New("tenant: id must be positive")
@@ -201,16 +215,24 @@ func NewRuntime(id store.TenantID, name string, class Class, inner Target) (*Run
 	if inner == nil {
 		return nil, errors.New("tenant: target is required")
 	}
+	at, ok := inner.(accountingTarget)
+	if !ok {
+		at = &selfAccounting{NameAdapter: store.AdaptNames(inner)}
+	}
 	spec := class.Spec()
-	return &Runtime{
+	r := &Runtime{
 		id:       id,
 		name:     name,
 		class:    spec,
-		inner:    byID(inner),
+		inner:    at,
 		tracker:  sla.NewTracker(spec.SLA),
 		readLat:  metrics.NewWindowedStat(2048),
 		writeLat: metrics.NewWindowedStat(2048),
-	}, nil
+	}
+	if err := r.inner.Account(r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // ID returns the tenant's store tag.
@@ -362,78 +384,39 @@ func (r *Runtime) shed(write bool, key store.KeyID, cb func(store.Result), tr *o
 		if write {
 			kind = store.OpWrite
 		}
-		cb(store.Result{
-			Kind:        kind,
-			ID:          key,
-			Err:         ErrAdmissionShed,
-			IssuedAt:    now,
-			CompletedAt: now,
-		})
+		cb(store.Result{Kind: kind, ID: key, Err: ErrAdmissionShed, IssuedAt: now, CompletedAt: now})
 	}
 }
 
-// forward sends one admitted operation to the inner target with the tenant's
-// outcome accounting wrapped around the caller's callback. queued is the time
-// the operation spent in the delay-mode admission queue (zero for directly
-// admitted arrivals); it is added to the client-observed latency, because the
-// client has been waiting since the original arrival.
+// forward sends one admitted operation to the inner target. queued is the
+// time the operation spent in the delay-mode admission queue (zero for
+// directly admitted arrivals); the store adds it to the client-observed
+// latency, because the client has been waiting since the original arrival.
 func (r *Runtime) forward(write bool, key store.KeyID, cb func(store.Result), queued time.Duration, tr *obs.OpTrace) {
-	op := r.ops.Get()
-	if op == nil {
-		op = r.ops.New()
-		op.r = r
-		op.done = op.complete
-	}
-	op.write, op.queued, op.cb = write, queued, cb
 	// The sampling decision made at arrival is staged — trace or nil — so
 	// the store adopts it instead of running its own sampler; the inner call
 	// chain is synchronous down to the store, which consumes the stage.
 	if r.tracer != nil {
-		if tr != nil {
-			if queued > 0 {
-				tr.Add(r.traceClock(), "delay-release", 0)
-			} else {
-				tr.Add(r.traceClock(), "admit", 0)
-			}
+		phase := "admit"
+		if queued > 0 {
+			phase = "delay-release"
 		}
+		tr.Add(r.traceClock(), phase, 0)
 		r.tracer.Stage(tr)
 	}
-	if write {
-		r.inner.WriteID(key, op.done)
-	} else {
-		r.inner.ReadID(key, op.done)
-	}
+	r.inner.Forward(write, key, queued, cb)
 }
 
-// forwardedOp is the completion record of one forwarded operation: what the
-// tenant's outcome accounting needs, behind a handler bound once, when the
-// record is first made, and reused every time the record is.
-type forwardedOp struct {
-	r      *Runtime
-	next   *forwardedOp // the pool's free-list link
-	write  bool
-	queued time.Duration
-	cb     func(store.Result)
-	done   func(store.Result)
-}
-
-// Link returns the record's free-list link, for its sim.Pool.
-func (op *forwardedOp) Link() **forwardedOp { return &op.next }
-
-func (op *forwardedOp) complete(res store.Result) {
-	r, cb := op.r, op.cb
-	res.Latency += op.queued
-	if res.Err != nil {
+// ObserveClient records the outcome of one of the tenant's operations, the
+// admission-queue wait included in its latency.
+func (r *Runtime) ObserveClient(res store.Result) {
+	switch {
+	case res.Err != nil:
 		r.errsInterval++
-	} else if op.write {
+	case res.Kind == store.OpWrite:
 		r.writeLat.Observe(res.Latency.Seconds())
-	} else {
+	default:
 		r.readLat.Observe(res.Latency.Seconds())
-	}
-	op.cb = nil
-	r.ops.Put(op)
-	if cb != nil {
-		cb(res)
 	}
 }
 
@@ -507,14 +490,11 @@ func (r *Runtime) flushQueue() {
 func (r *Runtime) Read(key store.Key, cb func(store.Result))  { r.ReadID(r.inner.KeyID(key), cb) }
 func (r *Runtime) Write(key store.Key, cb func(store.Result)) { r.WriteID(r.inner.KeyID(key), cb) }
 
-// ReadID issues one of the tenant's reads.
-func (r *Runtime) ReadID(key store.KeyID, cb func(store.Result)) { r.issue(false, key, cb) }
-
-// WriteID issues one of the tenant's writes.
+// ReadID and WriteID issue one of the tenant's reads or writes.
+func (r *Runtime) ReadID(key store.KeyID, cb func(store.Result))  { r.issue(false, key, cb) }
 func (r *Runtime) WriteID(key store.KeyID, cb func(store.Result)) { r.issue(true, key, cb) }
 
-// issue forwards one operation with the tenant's outcome accounting wrapped
-// around the caller's callback. Arrivals that fail admission control are
+// issue forwards one operation. Arrivals that fail admission control are
 // queued (delay mode) or shed before they reach the store.
 func (r *Runtime) issue(write bool, key store.KeyID, cb func(store.Result)) {
 	r.opsInterval++

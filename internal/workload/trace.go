@@ -363,23 +363,19 @@ type TraceSource struct {
 	cbFn    func(store.Result)
 }
 
-// NewTraceSource creates a source replaying events (already filtered to one
-// tenant's stream, in fire order) against target. Raw keys are resolved to
-// ids once here, through keyID (the store's KeyID), so ticks issue by id.
-// Start must be called to begin issuing.
-func NewTraceSource(engine *sim.Engine, target IDTarget, keyID func(store.Key) store.KeyID, events []TraceEvent) (*TraceSource, error) {
-	if engine == nil || target == nil || keyID == nil {
-		return nil, errors.New("workload: engine, target and key resolver are required")
+// NewTraceSource creates a source replaying one tenant's arrivals of trace
+// (the anonymous workload's for the empty name) against target. The trace
+// must have passed Validate, which decides its time order and key indices.
+// Raw keys are resolved to ids once here, through keyID (the store's KeyID),
+// so ticks issue by id. Start must be called to begin issuing.
+func NewTraceSource(engine *sim.Engine, target IDTarget, keyID func(store.Key) store.KeyID, trace *Trace, tenant string) (*TraceSource, error) {
+	if engine == nil || target == nil || keyID == nil || trace == nil {
+		return nil, errors.New("workload: engine, target, key resolver and trace are required")
 	}
-	s := &TraceSource{engine: engine, target: target, events: events}
-	for i, e := range events {
-		if i > 0 && e.At < events[i-1].At {
-			return nil, fmt.Errorf("workload: trace source event %d out of order", i)
-		}
+	s := &TraceSource{engine: engine, target: target, events: trace.EventsFor(tenant)}
+	for _, e := range s.events {
 		if e.RawKey != "" {
 			s.raw = append(s.raw, keyID(e.RawKey))
-		} else if e.Key < 0 {
-			return nil, fmt.Errorf("workload: trace source event %d has negative key index %d", i, e.Key)
 		}
 	}
 	s.tickFn = s.tick
@@ -407,15 +403,9 @@ func (s *TraceSource) scheduleNext() {
 	if s.stopped || s.next >= len(s.events) {
 		return
 	}
-	at := s.events[s.next].At
-	now := s.engine.Now()
-	if at < now {
-		// Cannot happen for a validated trace (times are non-decreasing and
-		// the previous event fired at its own time), but guard the engine's
-		// negative-delay panic anyway.
-		at = now
-	}
-	s.engine.After(at-now, s.tickFn)
+	// A validated trace's times are non-decreasing, and the previous event
+	// fired at its own time.
+	s.engine.After(s.events[s.next].At-s.engine.Now(), s.tickFn)
 }
 
 // tick issues the due arrival and chains the next one, mirroring the live

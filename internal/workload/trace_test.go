@@ -160,7 +160,7 @@ func TestTraceSourceReplaysExactTimes(t *testing.T) {
 		{At: 10 * time.Millisecond, Write: false, Key: 3},
 		{At: time.Second, Write: true, RawKey: "probe-9"},
 	}
-	src, err := NewTraceSource(engine, target, target.KeyID, events)
+	src, err := NewTraceSource(engine, target, target.KeyID, &Trace{Events: events}, "")
 	if err != nil {
 		t.Fatalf("NewTraceSource: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 			gen.Intercept(func(inner IDTarget) IDTarget { return rec.Wrap("", inner) })
 			gen.Start()
 		} else {
-			src, err := NewTraceSource(engine, target, target.KeyID, replay.Events)
+			src, err := NewTraceSource(engine, target, target.KeyID, replay, "")
 			if err != nil {
 				t.Fatalf("NewTraceSource: %v", err)
 			}

@@ -371,7 +371,7 @@ type driverTarget interface {
 func (s *Scenario) addDriver(tenant string, target driverTarget, w WorkloadSpec, keyBase int) error {
 	d := driver{tenant: tenant}
 	if s.spec.Replay != nil {
-		src, err := workload.NewTraceSource(s.engine, target, s.store.KeyID, s.spec.Replay.eventsFor(tenant))
+		src, err := workload.NewTraceSource(s.engine, target, s.store.KeyID, s.spec.Replay.trace, tenant)
 		if err != nil {
 			return err
 		}

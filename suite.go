@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -430,8 +431,15 @@ func (s *Suite) run(consume func(VariantResult) error, windowed bool) (RunMeta, 
 	return meta, nil
 }
 
-// runVariant assembles, configures and runs one variant's scenario.
-func runVariant(v Variant) (*Report, error) {
+// runVariant assembles, configures and runs one variant's scenario. A panic
+// fails the variant alone: the panic value and its stack become its error,
+// and the suite goes on as after any other variant failure.
+func runVariant(v Variant) (report *Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			report, err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
 	scenario, err := NewScenario(v.Spec)
 	if err != nil {
 		return nil, err

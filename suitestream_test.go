@@ -242,6 +242,63 @@ func TestSuiteRunPartialReportOnFailure(t *testing.T) {
 	}
 }
 
+// TestSuiteVariantPanicFailsAlone pins that a variant whose run panics fails
+// alone: the panic value and its stack become its error, and the variants
+// before it, which every worker count has claimed by then, export exactly
+// what a suite without the panicking variant exports.
+func TestSuiteVariantPanicFailsAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	const n = 3
+	variants := make([]Variant, n+1)
+	for i := range variants {
+		spec := suiteBaseSpec()
+		spec.Seed = int64(2000 + i)
+		variants[i] = Variant{Name: fmt.Sprintf("v%d", i), Spec: spec}
+	}
+	variants[n].Configure = func(*Scenario) error { panic("injected fault") }
+	exports := func(variants []Variant, parallelism int) (*SuiteReport, string, error) {
+		t.Helper()
+		suite, err := NewSuite(SuiteSpec{Variants: variants, Parallelism: parallelism})
+		if err != nil {
+			t.Fatalf("NewSuite: %v", err)
+		}
+		report, runErr := suite.Run()
+		var csv, tenants bytes.Buffer
+		if err := report.WriteCSV(&csv); err != nil {
+			t.Fatalf("WriteCSV: %v", err)
+		}
+		if err := report.WriteTenantsCSV(&tenants); err != nil {
+			t.Fatalf("WriteTenantsCSV: %v", err)
+		}
+		return report, csv.String() + tenants.String(), runErr
+	}
+	_, want, err := exports(variants[:n], 1)
+	if err != nil {
+		t.Fatalf("suite without the panicking variant: %v", err)
+	}
+	for _, parallelism := range []int{1, 4} {
+		report, got, err := exports(variants, parallelism)
+		if err == nil || !strings.Contains(err.Error(), "v3") {
+			t.Fatalf("parallelism %d: Run error = %v, want one naming v3", parallelism, err)
+		}
+		if report.Len() != n+1 {
+			t.Fatalf("parallelism %d: report has %d variants, want %d", parallelism, report.Len(), n+1)
+		}
+		failed := report.Variants[n]
+		if failed.Err == nil || !strings.Contains(failed.Err.Error(), "panic: injected fault") ||
+			!strings.Contains(failed.Err.Error(), "runtime/debug.Stack") || failed.Report != nil {
+			t.Errorf("parallelism %d: panicking variant carried Err=%v Report=%v, want the panic and its stack",
+				parallelism, failed.Err, failed.Report)
+		}
+		if got != want {
+			t.Errorf("parallelism %d: the other variants' exports differ from a suite without the panicking variant:\n got %q\nwant %q",
+				parallelism, got, want)
+		}
+	}
+}
+
 // TestSuiteStreamBoundsInFlightVariants pins the O(Parallelism) retention
 // bound: with a streaming consumer, a worker may not start variant i until
 // i < delivered+Parallelism. While variant 0 is stuck, at most Parallelism

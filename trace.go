@@ -121,11 +121,6 @@ func (t *WorkloadTrace) matches(tenants []TenantSpec) error {
 	return nil
 }
 
-// eventsFor returns one tenant's recorded arrivals in fire order.
-func (t *WorkloadTrace) eventsFor(tenant string) []workload.TraceEvent {
-	return t.trace.EventsFor(tenant)
-}
-
 // NamedTrace is a recorded trace used as a suite axis: every variant on the
 // trace value replays the same arrivals.
 type NamedTrace struct {
