@@ -22,6 +22,10 @@ const (
 	congestionSensitivity = 8
 )
 
+// jitter samples every network leg's log-normal jitter. It is built once per
+// process, at package initialisation, so no scenario pays for it.
+var jitter = sim.NewLogNormalTable(JitterSigma)
+
 // Network models inter-node and client-node message delays. A congestion
 // level in [0, 1] uniformly inflates delays; the noisy-neighbour profile and
 // experiment scenarios drive it over time. Replication traffic itself also
@@ -160,7 +164,7 @@ func (n *Network) PartitionActive() bool { return n.isolated != nil }
 
 func (n *Network) delay(base time.Duration) time.Duration {
 	inflate := 1 + float64(congestionSensitivity*n.EffectiveCongestion())
-	d := time.Duration(sim.LogNormal(n.rng, float64(base)*inflate, JitterSigma))
+	d := time.Duration(jitter.Draw(n.rng, float64(base)*inflate))
 	if d <= 0 {
 		d = base
 	}

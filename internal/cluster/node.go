@@ -79,6 +79,10 @@ const (
 	ReplicationQueuePenalty = 4
 )
 
+// serviceTime samples every node's log-normal service times. It is built
+// once per process, at package initialisation, so no scenario pays for it.
+var serviceTime = sim.NewLogNormalTable(ServiceTimeSigma)
+
 // Node is a simulated database host. Work submitted to a node is serviced by
 // a single logical executor: each operation waits for the work queued before
 // it and then occupies the executor for a load-dependent service time. This
@@ -227,7 +231,7 @@ func (n *Node) Enqueue(now time.Duration, kind WorkKind) (delay time.Duration, o
 	// Contention from co-tenants and rebalancing effectively slows the
 	// executor down: the same work occupies it for longer.
 	slowdown := 1.0 / (1.0 - n.contention())
-	service := time.Duration(sim.LogNormal(n.rng, float64(base)*slowdown, ServiceTimeSigma))
+	service := time.Duration(serviceTime.Draw(n.rng, float64(base)*slowdown))
 	if service <= 0 {
 		service = base
 	}

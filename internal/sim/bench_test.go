@@ -103,3 +103,25 @@ func BenchmarkTicker(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkLogNormal compares one exact draw (NormFloat64 and math.Exp) with
+// one table draw (a Uint64, a table read and a linear interpolation).
+func BenchmarkLogNormal(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tab := NewLogNormalTable(0.3)
+	sink := 0.0
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += LogNormal(rng, 1e-3, 0.3)
+		}
+	})
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += tab.Draw(rng, 1e-3)
+		}
+	})
+	lognormalSink = sink
+}
+
+// lognormalSink keeps BenchmarkLogNormal's draws live.
+var lognormalSink float64

@@ -55,7 +55,8 @@ func Exponential(rng *rand.Rand, mean float64) float64 {
 
 // LogNormal draws a log-normally distributed value parameterised by the
 // median and a shape sigma. Service times and network jitter use this shape,
-// matching the heavy-tailed latencies seen in real storage clusters.
+// matching the heavy-tailed latencies seen in real storage clusters; they
+// sample it from a LogNormalTable, and LogNormal is the exact reference.
 func LogNormal(rng *rand.Rand, median, sigma float64) float64 {
 	if median <= 0 {
 		return 0

@@ -427,23 +427,45 @@ func TestNewScenarioNotSizedByKeyspace(t *testing.T) {
 }
 
 // TestSmartControllerTightensWriteConsistency pins the paper's central knob
-// end to end: with an SLA window bound tighter than CL=ONE replication can
-// hold on an idle cluster, the smart controller attributes the window to
-// loose consistency and raises the write level through the store actuator.
+// end to end: with an SLA window bound that CL=ONE replication cannot hold on
+// an idle cluster, the smart controller attributes the window to loose
+// consistency and raises the write level through the store actuator, after
+// which the true window holds the bound.
+//
+// The bound is 0.5 ms. At 1 500 ops/s on three nodes the true window p95 at
+// CL=ONE reads 0.7–0.9 ms per sample window, so the premise holds on every
+// seed, and the test checks it on each: the first sample window, which runs
+// at CL=ONE throughout, must read above the bound. A bound above the true
+// p95, such as 3 ms, tests nothing: the controller then tightens only when
+// the monitor's estimate, which reads about three times the truth, happens
+// to cross 85 % of the bound, on 7 of seeds 1–12.
 func TestSmartControllerTightensWriteConsistency(t *testing.T) {
-	spec := DefaultScenarioSpec()
-	spec.Seed = 1
-	spec.Duration = time.Minute
-	spec.Workload.BaseOpsPerSec = 1500
-	spec.SLA.MaxWindowP95 = 3 * time.Millisecond
-	spec.Controller.Mode = ControllerSmart
+	const bound = 500 * time.Microsecond
+	boundMs := float64(bound) / float64(time.Millisecond)
+	for seed := int64(1); seed <= 10; seed++ {
+		spec := DefaultScenarioSpec()
+		spec.Seed = seed
+		spec.Duration = time.Minute
+		spec.Workload.BaseOpsPerSec = 1500
+		spec.SLA.MaxWindowP95 = bound
+		spec.Controller.Mode = ControllerSmart
 
-	rep := runScenario(t, spec)
-	if len(rep.Decisions) == 0 || !strings.Contains(rep.Decisions[0], "tighten-write-cl") ||
-		!strings.Contains(rep.Decisions[0], "applied") {
-		t.Fatalf("decisions = %q, want an applied tighten-write-cl first", rep.Decisions)
-	}
-	if got := rep.FinalConfiguration; got.ReadConsistency != ConsistencyOne || got.WriteConsistency != ConsistencyTwo {
-		t.Fatalf("final cl = %s/%s, want ONE/TWO", got.ReadConsistency, got.WriteConsistency)
+		rep := runScenario(t, spec)
+		window := rep.Series[SeriesWindowP95]
+		if len(window) < 2 || window[0].Value <= boundMs {
+			t.Fatalf("seed %d: true window p95 per sample window %v ms, want the first (CL=ONE) above %.1f ms",
+				seed, window, boundMs)
+		}
+		if len(rep.Decisions) == 0 || !strings.Contains(rep.Decisions[0], "tighten-write-cl") ||
+			!strings.Contains(rep.Decisions[0], "applied") {
+			t.Fatalf("seed %d: decisions = %q, want an applied tighten-write-cl first", seed, rep.Decisions)
+		}
+		if got := rep.FinalConfiguration.WriteConsistency; got != ConsistencyTwo {
+			t.Errorf("seed %d: final write cl = %s, want TWO", seed, got)
+		}
+		if last := window[len(window)-1].Value; last > boundMs {
+			t.Errorf("seed %d: true window p95 %.3f ms in the last sample window, want at most %.1f ms after tightening",
+				seed, last, boundMs)
+		}
 	}
 }
